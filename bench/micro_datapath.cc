@@ -2,20 +2,26 @@
 // per-packet costs behind §6's implementation — header parse/serialize,
 // checksums, whole-frame decode/re-encode (the gateway's NAT/rewrite
 // path), shim encode/parse, flow-table keying, policy decisions,
-// trigger matching, MD5 hashing, switch forwarding, and the telemetry
-// primitives (counter bump, histogram observe, event-bus publish).
+// trigger matching, MD5 hashing, switch forwarding, the telemetry
+// primitives (counter bump, histogram observe, event-bus publish), and
+// the per-segment cost of a FlowDB query (footer seal hash, and the
+// whole validating Reader::open of a 16,384-row segment).
 // After the benchmarks it runs a miniature farm and prints the built-in
 // flow-decision latency histogram plus a JSON dump of every metric.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <span>
 #include <unordered_map>
 
 #include "containment/policies.h"
 #include "containment/trigger.h"
 #include "core/farm.h"
+#include "flowdb/flowdb.h"
 #include "netsim/event_loop.h"
 #include "netsim/vlan_switch.h"
 #include "obs/events.h"
@@ -347,6 +353,75 @@ void BM_EventBusPublish(benchmark::State& state) {
   benchmark::DoNotOptimize(seen);
 }
 BENCHMARK(BM_EventBusPublish)->Arg(0)->Arg(1)->Arg(4);
+
+// One sealed FlowDB segment in s7's skip-scan layout: 16,384 rows of one
+// time slab, vlan and tenant, endpoints from per-segment /24s (~1.33 MB).
+const std::vector<std::uint8_t>& sample_segment() {
+  static const std::vector<std::uint8_t> bytes = [] {
+    util::Rng rng(0x5E6);
+    flowdb::Writer writer;
+    for (std::size_t i = 0; i < flowdb::kScanChunk; ++i) {
+      flowdb::Row row;
+      row.proto = rng.chance(0.7) ? pkt::FlowProto::kTcp : pkt::FlowProto::kUdp;
+      row.src = {Ipv4Addr(10, 20, 3,
+                          static_cast<std::uint8_t>(rng.below(200) + 1)),
+                 static_cast<std::uint16_t>(rng.range(1024, 65000))};
+      row.dst = {Ipv4Addr(10, 123, 0,
+                          static_cast<std::uint8_t>(rng.below(64) + 1)),
+                 static_cast<std::uint16_t>(rng.chance(0.5) ? 80 : 25)};
+      row.vlan = 203;
+      row.tenant = "seg-t3";
+      row.job = 3000 + rng.below(16) + 1;
+      row.verdict = static_cast<std::uint8_t>(1 + rng.below(6));
+      row.source = static_cast<std::uint8_t>(rng.below(3));
+      row.policy = "default";
+      row.tap = "bench";
+      row.packets = 1 + rng.below(200);
+      row.bytes = row.packets * (60 + rng.below(1400));
+      row.first_usec = 60'000'000 + static_cast<std::int64_t>(i) * 1000;
+      row.last_usec = row.first_usec + static_cast<std::int64_t>(rng.below(900));
+      row.locations.push_back({rng.below(16), rng.below(1u << 20)});
+      writer.add(std::move(row));
+    }
+    return writer.encode();
+  }();
+  return bytes;
+}
+
+// The footer hash every FlowDB open pays over the whole sealed segment.
+void BM_SealHash(benchmark::State& state) {
+  const auto& bytes = sample_segment();
+  const std::span<const std::uint8_t> sealed(bytes.data(), bytes.size() - 16);
+  for (auto _ : state) benchmark::DoNotOptimize(flowdb::seal_hash(sealed));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sealed.size()));
+}
+BENCHMARK(BM_SealHash)->Unit(benchmark::kMicrosecond);
+
+// Reader::open on a sealed segment file: mmap, footer hash, structural
+// checks and the zone-block recompute — what each query pays per
+// segment the planner cannot prune.
+void BM_SegmentOpen(benchmark::State& state) {
+  const auto& bytes = sample_segment();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "micro_datapath_segment.fdb")
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  for (auto _ : state) {
+    auto reader = flowdb::Reader::open(path);
+    if (!reader) {
+      state.SkipWithError("segment failed to open");
+      break;
+    }
+    benchmark::DoNotOptimize(reader->rows());
+  }
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_SegmentOpen)->Unit(benchmark::kMicrosecond);
 
 // A miniature farm serving a burst of contained flows, to demonstrate
 // the gateway's built-in instrumentation: the inmate-SYN-to-verdict-

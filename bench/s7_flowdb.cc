@@ -16,6 +16,10 @@
 // blooms): selective queries over a multi-segment store must run >= 5x
 // faster with pruning on than off, prune a nonzero segment count, and
 // return byte-identical matches either way and at 1/2/4 threads.
+// BENCH_s7.json splits open from scan: each rescan query records its
+// Reader::open time (open_ms), and each skip-scan query also runs once
+// on a fresh reader, recording that open-inclusive time (cold_ms) and
+// its share spent in Reader::open (cold_open_ms).
 //
 //   build/bench/s7_flowdb           # full query set
 //   build/bench/s7_flowdb --smoke   # abbreviated CI pass (same gates)
@@ -25,6 +29,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -287,8 +292,9 @@ bool skip_scan_sweep(util::JsonWriter& json) {
 
   std::printf("\nskip-scan sweep: %zu segments x %zu rows\n", segments,
               seg_rows);
-  std::printf("%-20s %9s %12s %12s %9s %8s\n", "query", "matches",
-              "prune-off ms", "prune-on ms", "speedup", "pruned");
+  std::printf("%-20s %9s %12s %12s %9s %8s %9s %9s\n", "query", "matches",
+              "prune-off ms", "prune-on ms", "speedup", "pruned", "cold ms",
+              "open ms");
 
   obs::MetricsRegistry metrics;
   json.key("skip_scan");
@@ -329,9 +335,24 @@ bool skip_scan_sweep(util::JsonWriter& json) {
       if (rep == 0 || ms < on_ms) on_ms = ms;
     }
 
-    if (!off_matches || !on_matches) {
+    // Open-inclusive, as an analyst's fresh query pays it: a new reader
+    // opens (and fully validates) every segment the planner keeps.
+    flowdb::ScanStats cold;
+    std::optional<std::vector<std::uint64_t>> cold_matches;
+    if (auto fresh = flowdb::SegmentedReader::open(seg_dir)) {
+      flowdb::ScanOptions cold_options;
+      cold_options.stats = &cold;
+      cold_matches = fresh->scan(query.filter, cold_options);
+    }
+
+    if (!off_matches || !on_matches || !cold_matches) {
       std::fprintf(stderr, "s7: %s segmented scan failed\n", query.name);
       return false;
+    }
+    if (*cold_matches != *on_matches) {
+      std::fprintf(stderr, "s7: %s fresh-reader scan diverged\n",
+                   query.name);
+      ok = false;
     }
     if (*off_matches != *on_matches) {
       std::fprintf(stderr, "s7: %s pruned scan diverged from full scan\n",
@@ -363,10 +384,10 @@ bool skip_scan_sweep(util::JsonWriter& json) {
       on_total_ms += on_ms;
     }
     const double speedup = on_ms > 0.0 ? off_ms / on_ms : 0.0;
-    std::printf("%-20s %9zu %12.3f %12.3f %8.1fx %5llu/%zu\n", query.name,
-                on_matches->size(), off_ms, on_ms, speedup,
+    std::printf("%-20s %9zu %12.3f %12.3f %8.1fx %5llu/%zu %9.3f %9.3f\n",
+                query.name, on_matches->size(), off_ms, on_ms, speedup,
                 static_cast<unsigned long long>(stats.segments_pruned),
-                segments);
+                segments, cold.wall_ms, cold.open_ms);
     json.begin_object();
     json.key("name");
     json.value(query.name);
@@ -382,6 +403,10 @@ bool skip_scan_sweep(util::JsonWriter& json) {
     json.value(stats.segments_pruned);
     json.key("chunks_pruned");
     json.value(stats.chunks_pruned);
+    json.key("cold_ms");
+    json.value(cold.wall_ms);
+    json.key("cold_open_ms");
+    json.value(cold.open_ms);
     json.end_object();
   }
   json.end_array();
@@ -457,8 +482,8 @@ int main(int argc, char** argv) {
   }
 
   const auto queries = query_set(smoke);
-  std::printf("\n%-28s %10s %12s %12s %9s\n", "query", "matches",
-              "baseline ms", "flowdb ms", "speedup");
+  std::printf("\n%-28s %10s %12s %12s %10s %9s\n", "query", "matches",
+              "baseline ms", "flowdb ms", "(open ms)", "speedup");
 
   util::JsonWriter json;
   json.begin_object();
@@ -496,6 +521,7 @@ int main(int argc, char** argv) {
     // FlowDB: mmap open + serial scan, cold each round for symmetry.
     const auto flowdb_start = std::chrono::steady_clock::now();
     auto reader = flowdb::Reader::open(store_path);
+    const double open_ms = ms_since(flowdb_start);
     if (!reader) {
       std::fprintf(stderr, "s7: cannot open %s\n", store_path.c_str());
       return 1;
@@ -522,8 +548,8 @@ int main(int argc, char** argv) {
     baseline_total_ms += baseline_ms;
     flowdb_total_ms += flowdb_ms;
     const double speedup = flowdb_ms > 0.0 ? baseline_ms / flowdb_ms : 0.0;
-    std::printf("%-28s %10zu %12.2f %12.3f %8.1fx\n", query.name,
-                matches.size(), baseline_ms, flowdb_ms, speedup);
+    std::printf("%-28s %10zu %12.2f %12.3f %10.3f %8.1fx\n", query.name,
+                matches.size(), baseline_ms, flowdb_ms, open_ms, speedup);
     json.begin_object();
     json.key("name");
     json.value(query.name);
@@ -533,6 +559,8 @@ int main(int argc, char** argv) {
     json.value(baseline_ms);
     json.key("flowdb_ms");
     json.value(flowdb_ms);
+    json.key("open_ms");
+    json.value(open_ms);
     json.end_object();
   }
   json.end_array();

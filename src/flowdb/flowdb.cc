@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -17,7 +18,7 @@ namespace {
 
 constexpr std::uint64_t align8(std::uint64_t x) { return (x + 7) & ~7ull; }
 
-/// The fixed column schema, in cols_[] order. A v1 store must carry all
+/// The fixed column schema, in cols_[] order. A store must carry all
 /// of these (extra columns are skipped); types are validated on open.
 struct ColumnSpec {
   const char* name;
@@ -89,8 +90,11 @@ struct ZoneInputs {
   const std::uint32_t* tenant = nullptr;
 };
 
+/// `dict_size` ids are valid; `dict(id)` returns the name of a valid
+/// id. Any other id reads as the empty string, as Reader::dict() does.
 template <typename DictFn>
-ZoneMap compute_zone(const ZoneInputs& in, DictFn&& dict) {
+ZoneMap compute_zone(const ZoneInputs& in, std::uint64_t dict_size,
+                     DictFn&& dict) {
   ZoneMap z{};
   z.row_count = in.n;
   // Empty-range sentinels; never consulted when row_count == 0.
@@ -115,9 +119,33 @@ ZoneMap compute_zone(const ZoneInputs& in, DictFn&& dict) {
     z.max_packets = std::max(z.max_packets, in.packets[i]);
     z.min_bytes = std::min(z.min_bytes, in.bytes[i]);
     z.max_bytes = std::max(z.max_bytes, in.bytes[i]);
-    bloom_add(z.bloom, bloom_key_tenant(dict(in.tenant[i])));
-    bloom_add(z.bloom, bloom_key_endpoint(in.saddr[i]));
-    bloom_add(z.bloom, bloom_key_endpoint(in.daddr[i]));
+  }
+
+  // Bloom keys. bloom_add is idempotent, so each distinct key is added
+  // once: a tenant key once per dictionary id (one shared slot for
+  // out-of-range ids), an endpoint key only when a small direct-mapped
+  // memo of recently added addresses misses. The bloom bytes are
+  // exactly those of adding all three keys of every row.
+  std::vector<bool> tenant_added(dict_size + 1);
+  std::vector<std::uint64_t> recent(4096);  // addr | 1 << 32; 0 = empty.
+  const auto add_endpoint = [&](std::uint32_t addr) {
+    const std::uint64_t tagged = addr | 1ull << 32;
+    std::uint64_t& slot = recent[(addr * 0x9E3779B1u) >> 20];
+    if (slot == tagged) return;
+    slot = tagged;
+    bloom_add(z.bloom, bloom_key_endpoint(addr));
+  };
+  for (std::uint64_t i = 0; i < in.n; ++i) {
+    const std::uint64_t id = std::min<std::uint64_t>(in.tenant[i], dict_size);
+    if (!tenant_added[id]) {
+      tenant_added[id] = true;
+      bloom_add(z.bloom,
+                bloom_key_tenant(id < dict_size
+                                     ? dict(static_cast<std::uint32_t>(id))
+                                     : std::string_view{}));
+    }
+    add_endpoint(in.saddr[i]);
+    add_endpoint(in.daddr[i]);
   }
   return z;
 }
@@ -173,13 +201,53 @@ bool bloom_may_contain(const std::uint8_t* bloom, std::uint64_t key) {
   return true;
 }
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const std::uint8_t b : bytes) {
-    hash ^= b;
-    hash *= 1099511628211ull;
+std::uint64_t seal_hash(std::span<const std::uint8_t> bytes) {
+  // Four independent lanes, each fed every fourth 8-byte word. A step
+  // is a bijection of the lane for a fixed word and injective in the
+  // word for a fixed lane, so changing one word always changes that
+  // lane's final state; the lanes are then combined by a sum of
+  // per-lane bijections, so a single-word edit always changes the sum.
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;  // Odd.
+  const auto step = [](std::uint64_t lane, std::uint64_t word) {
+    return std::rotl((lane ^ word) * kMul, 31);
+  };
+  const auto word_at = [](const std::uint8_t* p) {
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);  // Host order, like the rest of the format.
+    return w;
+  };
+  const std::uint8_t* p = bytes.data();
+  const std::size_t n = bytes.size();
+  std::uint64_t lanes[4] = {0x243F6A8885A308D3ull, 0x13198A2E03707344ull,
+                            0xA4093822299F31D0ull, 0x082EFA98EC4E6C89ull};
+  std::size_t i = 0;
+  for (; n - i >= 32; i += 32) {
+    lanes[0] = step(lanes[0], word_at(p + i));
+    lanes[1] = step(lanes[1], word_at(p + i + 8));
+    lanes[2] = step(lanes[2], word_at(p + i + 16));
+    lanes[3] = step(lanes[3], word_at(p + i + 24));
   }
-  return hash;
+  // Tail: up to three whole words, then the last 0..7 bytes zero-padded
+  // into the next lane. Every tail word lands in a different lane.
+  std::size_t lane = 0;
+  for (; n - i >= 8; i += 8, ++lane)
+    lanes[lane] = step(lanes[lane], word_at(p + i));
+  if (i < n) {
+    std::uint64_t last = 0;
+    std::memcpy(&last, p + i, n - i);
+    lanes[lane] = step(lanes[lane], last);
+  }
+  std::uint64_t h = std::rotl(lanes[0], 1) + std::rotl(lanes[1], 7) +
+                    std::rotl(lanes[2], 12) + std::rotl(lanes[3], 18);
+  // The length tells a zero-padded tail from real zero bytes.
+  h ^= static_cast<std::uint64_t>(n);
+  // Avalanche (the MurmurHash3 64-bit finalizer, a bijection).
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  h ^= h >> 33;
+  return h;
 }
 
 Row row_from(const trace::FlowRecord& record, std::string_view tap_name) {
@@ -306,7 +374,7 @@ std::vector<std::uint8_t> Writer::encode() const {
   header.blob_offset = cursor;
   header.blob_bytes = blob.size();
 
-  // v2 zone block: file-level min/max + bloom, then per-chunk time
+  // Zone block: file-level min/max + bloom, then per-chunk time
   // bounds. Derived purely from the column arrays above — the reader
   // recomputes and compares at load time.
   const ZoneInputs zone_in{n,
@@ -320,8 +388,8 @@ std::vector<std::uint8_t> Writer::encode() const {
                            c_saddr.data(),
                            c_daddr.data(),
                            c_tenant.data()};
-  const ZoneMap zone =
-      compute_zone(zone_in, [&](std::uint32_t id) { return dict[id]; });
+  const ZoneMap zone = compute_zone(
+      zone_in, dict.size(), [&](std::uint32_t id) { return dict[id]; });
   const std::vector<ChunkZone> chunk_zones =
       compute_chunk_zones(n, c_first.data(), c_last.data());
   header.zone_offset = align8(header.blob_offset + blob.size());
@@ -349,7 +417,7 @@ std::vector<std::uint8_t> Writer::encode() const {
   append_raw(out, &zone, 1);
   append_raw(out, chunk_zones.data(), chunk_zones.size());
   pad_to(out, header.footer_offset);
-  const std::uint64_t hash = fnv1a(out);
+  const std::uint64_t hash = seal_hash(out);
   append_raw(out, &hash, 1);
   append_raw(out, &kEndMagic, 1);
 
@@ -464,7 +532,7 @@ bool Reader::validate_and_index() {
   std::memcpy(&stored_hash, base_ + h.footer_offset, 8);
   std::memcpy(&end_magic, base_ + h.footer_offset + 8, 8);
   if (end_magic != kEndMagic) return false;
-  if (fnv1a({base_, h.footer_offset}) != stored_hash) return false;
+  if (seal_hash({base_, h.footer_offset}) != stored_hash) return false;
 
   const std::uint64_t limit = h.footer_offset;
   if (h.columns_offset % 8 != 0 ||
@@ -477,7 +545,7 @@ bool Reader::validate_and_index() {
       !region_ok(h.loc_offset, h.loc_count, sizeof(LocEntry), limit))
     return false;
   if (!region_ok(h.blob_offset, h.blob_bytes, 1, limit)) return false;
-  // v2 zone block: the declared size must match the chunk grid exactly.
+  // Zone block: the declared size must match the chunk grid exactly.
   // row_count > limit can never validate (every column needs >= 1 byte
   // per row) and would overflow the chunk arithmetic below.
   if (h.row_count > limit) return false;
@@ -556,7 +624,7 @@ bool Reader::validate_and_index() {
       static_cast<const std::uint32_t*>(cols_[3]),
       static_cast<const std::uint32_t*>(cols_[6])};
   const ZoneMap want_zone = compute_zone(
-      zone_in, [this](std::uint32_t id) { return dict(id); });
+      zone_in, dict_count_, [this](std::uint32_t id) { return dict(id); });
   if (std::memcmp(zone_, &want_zone, sizeof(ZoneMap)) != 0) return false;
   const std::vector<ChunkZone> want_chunks =
       compute_chunk_zones(rows_, zone_in.first, zone_in.last);

@@ -18,10 +18,10 @@
 //   LocEntry[nloc]        (segment, offset) archive locations, shared
 //   column data           one contiguous fixed-width array per column
 //   string blob           dictionary bytes (tenant/policy/tap names)
-//   ZoneMap + ChunkZone[] skip-scan metadata (format v2, see below)
-//   Footer                FNV-1a 64 over everything above + end magic
+//   ZoneMap + ChunkZone[] skip-scan metadata (see below)
+//   Footer                seal_hash over everything above + end magic
 //
-// Format v2 adds the zone block: a per-file ZoneMap (min/max over
+// The zone block is a per-file ZoneMap (min/max over
 // timestamps, VLANs, ports, packet/byte counters, plus a 1 KiB k=4
 // FNV-mixed bloom filter over tenant names and both flow endpoints)
 // and one ChunkZone (min/max time) per kScanChunk-row chunk. The query
@@ -34,7 +34,8 @@
 //
 // The footer hash makes corruption (truncation, bit rot, a writer that
 // died mid-file) a load-time rejection instead of a silent wrong
-// answer; the fuzz suite (tests/fuzz_parse_test.cc) sweeps mutated
+// answer. Readers accept exactly kVersion: a file of any other version
+// is rejected, not converted. The fuzz suite (tests/fuzz_parse_test.cc) sweeps mutated
 // stores against the reader with the same reject-or-parse contract as
 // the wire codecs.
 //
@@ -60,11 +61,11 @@ namespace gq::flowdb {
 
 inline constexpr std::uint64_t kMagic = 0x0000314244465147ull;    // "GQFDB1"
 inline constexpr std::uint64_t kEndMagic = 0x444E454244465147ull; // "GQFDBEND"
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 
 /// Fixed scan-chunk size (rows). Part of the determinism contract: the
-/// chunk grid never depends on the thread count — and since v2 also
-/// part of the file format (one ChunkZone per kScanChunk rows).
+/// chunk grid never depends on the thread count — and also part of
+/// the file format (one ChunkZone per kScanChunk rows).
 inline constexpr std::uint64_t kScanChunk = 16384;
 
 /// Bloom filter geometry (ZoneMap::bloom): 1 KiB, k=4, FNV-mixed keys.
@@ -96,8 +97,7 @@ struct FileHeader {
   std::uint64_t loc_offset = 0;      ///< LocEntry array.
   std::uint64_t loc_count = 0;
   std::uint64_t footer_offset = 0;   ///< == file size - 16.
-  // v2: the zone block (ZoneMap + one ChunkZone per kScanChunk rows).
-  // Appended after the v1 fields so the v1 offsets stay put.
+  /// The zone block: ZoneMap + one ChunkZone per kScanChunk rows.
   std::uint64_t zone_offset = 0;
   std::uint64_t zone_bytes = 0;
 };
@@ -124,8 +124,8 @@ struct LocEntry {
 };
 static_assert(sizeof(LocEntry) == 16);
 
-/// Per-file skip-scan metadata (format v2). min/max fields use empty-
-/// range sentinels when row_count == 0 (min = type max, max = type
+/// Per-file skip-scan metadata. min/max fields use empty-range
+/// sentinels when row_count == 0 (min = type max, max = type
 /// min); the planner checks row_count first, so the sentinels are
 /// never consulted. The bloom filter carries one key per row tenant
 /// name (including the empty string) and one per flow endpoint
@@ -167,9 +167,11 @@ void bloom_add(std::uint8_t* bloom, std::uint64_t key);
 [[nodiscard]] bool bloom_may_contain(const std::uint8_t* bloom,
                                      std::uint64_t key);
 
-/// FNV-1a 64 over a byte range (the integrity footer, and handy for
-/// callers hashing query results).
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes);
+/// The seal hash: a 64-bit hash over a byte range, word at a time. It
+/// is the `.fdb` footer hash and the manifest's zone pin (store.h).
+/// Any single-word edit of the input (so any single-byte edit) changes
+/// the result. It detects corruption; it is not a cryptographic hash.
+std::uint64_t seal_hash(std::span<const std::uint8_t> bytes);
 
 /// One flow record as the store models it: canonical 5-tuple + VLAN,
 /// tenant/job identity, verdict + source + policy, counters,

@@ -22,6 +22,8 @@ void ScanStats::add_to(obs::MetricsRegistry& metrics) const {
   metrics.counter("flowdb.scan.chunks_scanned").inc(chunks_scanned);
   metrics.counter("flowdb.scan.rows_scanned").inc(rows_scanned);
   metrics.counter("flowdb.scan.rows_matched").inc(rows_matched);
+  metrics.counter("flowdb.scan.open_us")
+      .inc(static_cast<std::uint64_t>(open_ms * 1000.0));
 }
 
 bool zone_may_match(const ZoneMap& zone, const Filter& filter) {

@@ -22,8 +22,8 @@
 
 namespace gq::flowdb {
 
-// kScanChunk lives in flowdb.h since format v2 (the chunk grid is part
-// of the file format: one ChunkZone per kScanChunk rows).
+// kScanChunk lives in flowdb.h (the chunk grid is part of the file
+// format: one ChunkZone per kScanChunk rows).
 
 /// A conjunction of optional predicates; unset fields match everything.
 /// String fields are compiled to dictionary ids once per scan — a name
@@ -64,6 +64,10 @@ struct ScanStats {
   std::uint64_t chunks_scanned = 0;
   std::uint64_t rows_scanned = 0;      ///< Rows actually visited.
   std::uint64_t rows_matched = 0;
+  /// Wall time in Reader::open of the segments this scan opened (part
+  /// of wall_ms). Zero for a single-file scan, whose Reader is opened
+  /// by the caller, and for segments an earlier call already opened.
+  double open_ms = 0.0;
   double wall_ms = 0.0;
 
   void add_to(obs::MetricsRegistry& metrics) const;
@@ -82,7 +86,8 @@ struct ScanOptions {
   ///   flowdb.scans         counter  scan() calls
   ///   flowdb.rows_scanned  counter  rows visited
   ///   flowdb.rows_matched  counter  rows matched
-  /// plus the flowdb.scan.* pruning counters (see ScanStats).
+  /// plus the flowdb.scan.* counters (see ScanStats; open_ms is
+  /// published as flowdb.scan.open_us).
   obs::MetricsRegistry* metrics = nullptr;
 };
 

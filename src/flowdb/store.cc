@@ -134,7 +134,7 @@ bool write_file(const std::string& path, const void* data,
 /// Read a sealed segment's zone block from its tail: the 104-byte
 /// header plus the zone region at zone_offset plus the 16-byte footer
 /// — no mmap, no column data. The manifest entry pins exact size, the
-/// sealed footer hash, AND the zone block's own FNV-1a hash recorded
+/// sealed footer hash, AND the zone block's own seal_hash recorded
 /// at append time; recomputing the latter over the bytes actually read
 /// means an in-place zone edit under the original footer fails here
 /// just like a footer-resealed one — the planner can never prune on a
@@ -173,7 +173,7 @@ bool read_segment_zone(const std::string& path, const SegmentInfo& info,
                 static_cast<off_t>(h.zone_offset)) !=
         static_cast<ssize_t>(zone.size()))
       break;
-    if (fnv1a(zone) != info.zone_hash) break;
+    if (seal_hash(zone) != info.zone_hash) break;
     std::memcpy(out, zone.data(), sizeof(ZoneMap));
     if (out->row_count != info.rows) break;
     ok = true;
@@ -194,8 +194,8 @@ SegmentInfo seal_info(std::string file, std::uint64_t rows,
   std::memcpy(&info.footer_hash, bytes.data() + bytes.size() - 16, 8);
   FileHeader h;
   std::memcpy(&h, bytes.data(), sizeof h);
-  info.zone_hash = fnv1a({bytes.data() + h.zone_offset,
-                          static_cast<std::size_t>(h.zone_bytes)});
+  info.zone_hash = seal_hash({bytes.data() + h.zone_offset,
+                              static_cast<std::size_t>(h.zone_bytes)});
   return info;
 }
 
@@ -204,7 +204,7 @@ SegmentInfo seal_info(std::string file, std::uint64_t rows,
 // --- StoreManifest --------------------------------------------------------
 
 std::string StoreManifest::serialize() const {
-  std::string out = "gq-flowdb-store 2\n";
+  std::string out = "gq-flowdb-store 3\n";
   for (const SegmentInfo& s : segments) {
     out += util::format("segment %s %llu %llu %016llx %016llx\n",
                         s.file.c_str(),
@@ -218,7 +218,7 @@ std::string StoreManifest::serialize() const {
 
 std::optional<StoreManifest> StoreManifest::parse(std::string_view text) {
   const auto lines = util::split(text, '\n');
-  if (lines.empty() || util::trim(lines[0]) != "gq-flowdb-store 2")
+  if (lines.empty() || util::trim(lines[0]) != "gq-flowdb-store 3")
     return std::nullopt;
   StoreManifest manifest;
   std::set<std::string> seen;
@@ -389,7 +389,11 @@ std::uint64_t SegmentedReader::rows() const {
 const Reader* SegmentedReader::segment_reader(std::size_t i) {
   if (i >= readers_.size()) return nullptr;
   if (!readers_[i]) {
+    const auto start = std::chrono::steady_clock::now();
     auto opened = Reader::open(dir_ + "/" + manifest_.segments[i].file);
+    open_ms_ += std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
     if (!opened || opened->rows() != manifest_.segments[i].rows)
       return nullptr;
     readers_[i] = std::move(*opened);
@@ -400,6 +404,7 @@ const Reader* SegmentedReader::segment_reader(std::size_t i) {
 std::optional<std::vector<std::uint64_t>> SegmentedReader::scan(
     const Filter& filter, const ScanOptions& options) {
   const auto start = std::chrono::steady_clock::now();
+  const double open_ms_before = open_ms_;
   ScanStats local;
   ScanStats& stats = options.stats ? *options.stats : local;
   stats = {};
@@ -443,6 +448,7 @@ std::optional<std::vector<std::uint64_t>> SegmentedReader::scan(
     matches.insert(matches.end(), task_matches.begin(), task_matches.end());
 
   stats.rows_matched = matches.size();
+  stats.open_ms = open_ms_ - open_ms_before;
   stats.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - start)
                       .count();

@@ -8,13 +8,13 @@
 //
 // Manifest format (text, one record per line):
 //
-//   gq-flowdb-store 2
+//   gq-flowdb-store 3
 //   segment <file> <rows> <bytes> <footer-hash-hex16> <zone-hash-hex16>
 //
 // Manifest line order IS store order: global row id = sum of prior
 // segment row counts + local row. Two hashes recorded at append time
 // pin each segment: the sealed footer hash pins the file's exact
-// bytes, and the zone hash (FNV-1a over the zone block region) pins
+// bytes, and the zone hash (seal_hash over the zone block region) pins
 // the skip-scan metadata itself. The planner's cheap tail read
 // verifies both, so any post-seal rewrite of the zone block — whether
 // footer-resealed or edited in place under the original footer —
@@ -24,7 +24,9 @@
 //
 // The manifest is rewritten via temp-file + fsync + rename (plus a
 // directory fsync), so a crash mid-update can never strand the store
-// behind a truncated manifest.
+// behind a truncated manifest. A manifest with any other header line
+// (another format version) fails every open and is left as it is;
+// nothing in the directory is rewritten.
 //
 // Determinism contract: append order is caller order; compaction only
 // ever merges ADJACENT segments (preserving global row order) and
@@ -56,8 +58,8 @@ struct SegmentInfo {
   std::string file;               ///< Relative name inside the store dir.
   std::uint64_t rows = 0;
   std::uint64_t bytes = 0;        ///< Exact file size.
-  std::uint64_t footer_hash = 0;  ///< The segment's sealed FNV-1a footer.
-  std::uint64_t zone_hash = 0;    ///< FNV-1a over the zone block region.
+  std::uint64_t footer_hash = 0;  ///< The segment's sealed footer hash.
+  std::uint64_t zone_hash = 0;    ///< seal_hash over the zone block region.
 
   friend bool operator==(const SegmentInfo&, const SegmentInfo&) = default;
 };
@@ -151,6 +153,11 @@ class SegmentedReader {
   /// segment that fails validation).
   [[nodiscard]] std::optional<Row> row(std::uint64_t global);
 
+  /// Wall time this reader has spent in Reader::open (mmap + full
+  /// validation) of its lazily opened segments, over scan(),
+  /// aggregate() and row() alike. ScanStats::open_ms is one scan's share.
+  [[nodiscard]] double open_ms() const { return open_ms_; }
+
  private:
   SegmentedReader() = default;
   const Reader* segment_reader(std::size_t i);
@@ -160,6 +167,7 @@ class SegmentedReader {
   std::vector<ZoneMap> zones_;
   std::vector<std::uint64_t> bases_;
   std::vector<std::optional<Reader>> readers_;  ///< Lazy mmaps.
+  double open_ms_ = 0.0;
 };
 
 }  // namespace gq::flowdb

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -307,17 +308,20 @@ TEST(FlowDbReject, TruncationAlwaysRejected) {
   }
 }
 
+/// Re-seal a store's footer over its (edited) bytes, so only the
+/// structural and zone checks can catch the edit.
+std::vector<std::uint8_t> reseal(std::vector<std::uint8_t> bytes) {
+  const std::uint64_t footer_offset = bytes.size() - 16;
+  const std::uint64_t hash =
+      flowdb::seal_hash({bytes.data(), footer_offset});
+  std::memcpy(bytes.data() + footer_offset, &hash, 8);
+  return bytes;
+}
+
 TEST(FlowDbReject, SelfDeclaredLengthLiesRejected) {
   // Corrupt individual header fields, then re-seal the footer hash so
   // only the header validation (not the integrity check) can catch it.
   const auto pristine = sample_writer(64, 0xFDB0103).encode();
-  const auto reseal = [](std::vector<std::uint8_t> bytes) {
-    const std::uint64_t footer_offset = bytes.size() - 16;
-    const std::uint64_t hash =
-        flowdb::fnv1a({bytes.data(), footer_offset});
-    std::memcpy(bytes.data() + footer_offset, &hash, 8);
-    return bytes;
-  };
   const auto poke_u64 = [&](std::size_t offset, std::uint64_t value) {
     auto bytes = pristine;
     std::memcpy(bytes.data() + offset, &value, 8);
@@ -361,6 +365,119 @@ TEST(FlowDbReject, BadMagicAndVersionRejected) {
   }
   EXPECT_FALSE(flowdb::Reader::parse({}));
   EXPECT_FALSE(flowdb::Reader::open(temp_path("flowdb_no_such_store.fdb")));
+}
+
+TEST(FlowDbReject, OtherFormatVersionsRejected) {
+  // Readers accept exactly kVersion; there is no v2 read path. The
+  // version field is re-sealed, so the version check alone rejects.
+  const auto pristine = sample_writer(8, 0xFDB0106).encode();
+  ASSERT_EQ(flowdb::kVersion, 3u);
+  for (const std::uint32_t version : {1u, 2u, 4u}) {
+    auto bytes = pristine;
+    std::memcpy(bytes.data() + 8, &version, 4);
+    bytes = reseal(std::move(bytes));
+    const auto path = temp_path("flowdb_old_version.fdb");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_FALSE(flowdb::Reader::open(path)) << "version " << version;
+    EXPECT_FALSE(flowdb::Reader::parse(std::move(bytes)))
+        << "version " << version;
+    std::filesystem::remove(path);
+  }
+  EXPECT_TRUE(flowdb::Reader::parse(reseal(pristine)));
+}
+
+TEST(FlowDbReject, OutOfRangeTenantIdKeysAsEmptyName) {
+  // Reader::dict() reads an out-of-range id as the empty string, and
+  // the zone recompute must key it the same way: every row but one is
+  // "acme", the odd row has the empty tenant, and pointing that row at
+  // a nonexistent dictionary id leaves the zone block valid.
+  util::Rng rng(0xFDB0107);
+  flowdb::Writer writer;
+  for (std::size_t i = 0; i < 64; ++i) {
+    auto row = sample_row(i, rng);
+    row.tenant = i == 17 ? "" : "acme";
+    writer.add(std::move(row));
+  }
+  auto bytes = writer.encode();
+  flowdb::FileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof header);
+  std::uint64_t tenant_offset = 0;
+  for (std::uint32_t c = 0; c < header.column_count; ++c) {
+    flowdb::ColumnDesc desc;
+    std::memcpy(&desc,
+                bytes.data() + header.columns_offset + c * sizeof desc,
+                sizeof desc);
+    if (std::strcmp(desc.name, "tenant") == 0) tenant_offset = desc.offset;
+  }
+  ASSERT_NE(tenant_offset, 0u);
+  const std::uint32_t bogus_id = 0xFFFFFFF0u;
+  std::memcpy(bytes.data() + tenant_offset + 17 * 4, &bogus_id, 4);
+  const auto reader = flowdb::Reader::parse(reseal(std::move(bytes)));
+  ASSERT_TRUE(reader);
+  EXPECT_EQ(reader->tenant()[17], bogus_id);
+  EXPECT_EQ(reader->row(17).tenant, "");
+}
+
+// --- Seal hash --------------------------------------------------------------
+
+std::vector<std::uint8_t> hash_pattern(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  return bytes;
+}
+
+TEST(FlowDbSealHash, KnownAnswerVectors) {
+  // Pinned values: the footer of every sealed store depends on them,
+  // so any change to the hash is a format change (bump kVersion).
+  // Lengths straddle the 8-byte word and the 32-byte stripe.
+  const std::pair<std::size_t, std::uint64_t> vectors[] = {
+      {0, 0x0b82b2df01bc4321ull},    {7, 0xe0cde339c076b008ull},
+      {8, 0xbff90c684486ed82ull},    {31, 0x9fd2393c0ac46e61ull},
+      {32, 0xeebc59efadab19aaull},   {33, 0xfd787dda661b3b25ull},
+      {1000, 0xbd5cd69d174b8215ull},
+  };
+  for (const auto& [len, want] : vectors)
+    EXPECT_EQ(flowdb::seal_hash(hash_pattern(len)), want) << len << " bytes";
+}
+
+TEST(FlowDbSealHash, UnalignedInputHashesLikeAlignedCopy) {
+  const auto aligned = hash_pattern(40);
+  std::vector<std::uint8_t> shifted(aligned.size() + 3);
+  for (std::size_t offset = 1; offset <= 3; ++offset) {
+    std::copy(aligned.begin(), aligned.end(), shifted.begin() + offset);
+    const std::span<const std::uint8_t> view(shifted.data() + offset,
+                                             aligned.size());
+    EXPECT_EQ(flowdb::seal_hash(view), 0xf2c9d9ffd9e0085aull)
+        << "offset " << offset;
+    EXPECT_EQ(flowdb::seal_hash(view), flowdb::seal_hash(aligned));
+  }
+}
+
+TEST(FlowDbSealHash, EveryByteFlipOfASealedSegmentChangesTheHash) {
+  // The footer's single-edit guarantee, checked exhaustively over a
+  // small sealed segment: each step of the hash is a bijection of its
+  // lane and injective in the input word, so no one-byte edit can
+  // leave the hash unchanged.
+  auto bytes = sample_writer(16, 0xFDB0108).encode();
+  const std::span<const std::uint8_t> sealed(bytes.data(), bytes.size() - 16);
+  const std::uint64_t want = flowdb::seal_hash(sealed);
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + sealed.size(), 8);
+  ASSERT_EQ(stored, want);
+  for (std::size_t at = 0; at < sealed.size(); ++at) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+      bytes[at] ^= mask;
+      ASSERT_NE(flowdb::seal_hash(sealed), want)
+          << "byte " << at << " ^ " << static_cast<int>(mask);
+      bytes[at] ^= mask;
+    }
+  }
+  ASSERT_EQ(flowdb::seal_hash(sealed), want);
 }
 
 TEST(FlowDbReject, LyingLocationsAreClampedNotOverRead) {
@@ -491,6 +608,32 @@ TEST(FlowDbPrune, ScanStatsAndCountersTrackPruning) {
   EXPECT_GT(stats.chunks_pruned, 0u);
   EXPECT_GT(stats.chunks_scanned, 0u);
   EXPECT_EQ(stats.rows_matched, matches.size());
+}
+
+TEST(FlowDbPrune, ZoneBloomEqualsEveryRowKeyAdded) {
+  // The zone recompute adds each distinct key once (per dictionary id,
+  // and through a memo of recent endpoints); the bloom must still be
+  // byte-identical to adding all three keys of every row. Rows mix
+  // repeated and random addresses and interleave tenants, so the memo
+  // both hits and evicts.
+  util::Rng rng(0xFDB0204);
+  const char* tenants[] = {"", "acme", "umbrella", "tyrell", "hooli"};
+  flowdb::Writer writer;
+  std::uint8_t want[flowdb::kBloomBytes] = {};
+  for (std::size_t i = 0; i < 3 * flowdb::kScanChunk; ++i) {
+    auto row = sample_row(i, rng);
+    row.tenant = tenants[rng.below(std::size(tenants))];
+    if (rng.chance(0.5))
+      row.dst.addr = util::Ipv4Addr(10, 123, 0,
+                                    static_cast<std::uint8_t>(rng.below(64)));
+    flowdb::bloom_add(want, flowdb::bloom_key_tenant(row.tenant));
+    flowdb::bloom_add(want, flowdb::bloom_key_endpoint(row.src.addr.value()));
+    flowdb::bloom_add(want, flowdb::bloom_key_endpoint(row.dst.addr.value()));
+    writer.add(std::move(row));
+  }
+  const auto reader = flowdb::Reader::parse(writer.encode());
+  ASSERT_TRUE(reader);
+  EXPECT_EQ(std::memcmp(reader->zone().bloom, want, sizeof want), 0);
 }
 
 /// Property: the planner never prunes a zone that covers a matching
@@ -673,9 +816,10 @@ TEST(FlowDbStore, ManifestSerializeParseRoundTrip) {
 TEST(FlowDbStore, HostileManifestsRejected) {
   using flowdb::StoreManifest;
   EXPECT_FALSE(StoreManifest::parse(""));
-  EXPECT_FALSE(StoreManifest::parse("gq-flowdb-store 1\n"));  // Old format.
-  EXPECT_FALSE(StoreManifest::parse("gq-flowdb-store 3\n"));
-  EXPECT_TRUE(StoreManifest::parse("gq-flowdb-store 2\n"));
+  EXPECT_FALSE(StoreManifest::parse("gq-flowdb-store 1\n"));  // Old formats.
+  EXPECT_FALSE(StoreManifest::parse("gq-flowdb-store 2\n"));
+  EXPECT_FALSE(StoreManifest::parse("gq-flowdb-store 4\n"));
+  EXPECT_TRUE(StoreManifest::parse("gq-flowdb-store 3\n"));
   const char* hostile[] = {
       "segment ../../etc/passwd 1 1 0000000000000000 0000000000000000\n",
       "segment /abs/path.fdb 1 1 0000000000000000 0000000000000000\n",
@@ -694,7 +838,7 @@ TEST(FlowDbStore, HostileManifestsRejected) {
       "segment a.fdb 2 2 0000000000000000 0000000000000000\n",  // Duplicate.
   };
   for (const char* body : hostile) {
-    EXPECT_FALSE(StoreManifest::parse(std::string("gq-flowdb-store 2\n") +
+    EXPECT_FALSE(StoreManifest::parse(std::string("gq-flowdb-store 3\n") +
                                       body))
         << body;
   }
@@ -847,7 +991,7 @@ TEST(FlowDbStore, TamperedSegmentsNeverScanWrong) {
     flowdb::FileHeader header;
     std::memcpy(&header, tampered.data(), sizeof header);
     tampered[header.zone_offset + 64] ^= 0xFF;  // A bloom byte.
-    const std::uint64_t resealed = flowdb::fnv1a(
+    const std::uint64_t resealed = flowdb::seal_hash(
         {tampered.data(), static_cast<std::size_t>(header.footer_offset)});
     std::memcpy(tampered.data() + header.footer_offset, &resealed, 8);
     write_bytes(seg_path, tampered);
@@ -898,6 +1042,99 @@ TEST(FlowDbStore, ManifestReadFailureNeverClobbersStore) {
   auto reader = flowdb::SegmentedReader::open(dir);
   ASSERT_TRUE(reader);
   EXPECT_EQ(reader->rows(), 64u);
+  std::filesystem::remove_all(dir);
+}
+
+/// Every regular file in `dir`, by name, with its bytes.
+std::map<std::string, std::vector<std::uint8_t>> dir_snapshot(
+    const std::string& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    files[entry.path().filename().string()] =
+        read_bytes(entry.path().string());
+  return files;
+}
+
+TEST(FlowDbStore, OldFormatVersionsFailClosed) {
+  const auto dir = temp_dir("flowdb_store_old_version");
+  auto store = flowdb::SegmentedStore::open(dir);
+  ASSERT_TRUE(store);
+  ASSERT_TRUE(store->append_segment(sample_writer(64, 0xFDB0307)));
+  const std::string manifest_path =
+      dir + "/" + std::string(flowdb::kManifestName);
+  const std::string good = store->manifest().serialize();
+  ASSERT_EQ(good.rfind("gq-flowdb-store 3\n", 0), 0u);
+
+  // A v2 manifest (same records under the old header line) fails both
+  // opens, and neither open rewrites, adds or removes a file.
+  {
+    std::string v2 = good;
+    v2.replace(0, std::strlen("gq-flowdb-store 3"), "gq-flowdb-store 2");
+    write_bytes(manifest_path, {v2.begin(), v2.end()});
+    const auto before = dir_snapshot(dir);
+    EXPECT_FALSE(flowdb::SegmentedReader::open(dir));
+    EXPECT_FALSE(flowdb::SegmentedStore::open(dir));
+    EXPECT_EQ(dir_snapshot(dir), before);
+  }
+
+  // A v2 segment under a v3 manifest that pins its (re-sealed) bytes:
+  // the tail read rejects the version before the planner sees a zone.
+  {
+    const std::string seg_path =
+        dir + "/" + store->manifest().segments[0].file;
+    auto seg = read_bytes(seg_path);
+    const std::uint32_t v2 = 2;
+    std::memcpy(seg.data() + 8, &v2, 4);
+    seg = reseal(std::move(seg));
+    flowdb::StoreManifest manifest = store->manifest();
+    std::memcpy(&manifest.segments[0].footer_hash,
+                seg.data() + seg.size() - 16, 8);
+    const std::string text = manifest.serialize();
+    write_bytes(manifest_path, {text.begin(), text.end()});
+    write_bytes(seg_path, seg);
+    EXPECT_FALSE(flowdb::SegmentedReader::open(dir));
+    EXPECT_FALSE(flowdb::Reader::open(seg_path));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FlowDbStore, ScanStatsSplitOutSegmentOpenTime) {
+  const auto dir = temp_dir("flowdb_store_open_ms");
+  auto store = flowdb::SegmentedStore::open(dir);
+  ASSERT_TRUE(store);
+  ASSERT_TRUE(store->append_segment(sample_writer(2000, 0xFDB0308)));
+  ASSERT_TRUE(store->append_segment(sample_writer(2000, 0xFDB0309)));
+  auto reader = flowdb::SegmentedReader::open(dir);
+  ASSERT_TRUE(reader);
+  EXPECT_EQ(reader->open_ms(), 0.0);  // Segments open lazily.
+
+  obs::MetricsRegistry metrics;
+  flowdb::ScanStats stats;
+  flowdb::ScanOptions options;
+  options.stats = &stats;
+  options.metrics = &metrics;
+  ASSERT_TRUE(reader->scan({}, options));
+  EXPECT_EQ(stats.segments_scanned, 2u);
+  EXPECT_GT(stats.open_ms, 0.0);
+  EXPECT_LE(stats.open_ms, stats.wall_ms);
+  EXPECT_EQ(reader->open_ms(), stats.open_ms);
+  EXPECT_EQ(metrics.counter("flowdb.scan.open_us").value(),
+            static_cast<std::uint64_t>(stats.open_ms * 1000.0));
+
+  // Both segments are open now: a second scan and an aggregate pay no
+  // open time.
+  const auto ids = reader->scan({}, options);
+  ASSERT_TRUE(ids);
+  EXPECT_EQ(stats.open_ms, 0.0);
+  const double opened = reader->open_ms();
+  ASSERT_TRUE(reader->aggregate(*ids, flowdb::GroupBy::kVerdict));
+  EXPECT_EQ(reader->open_ms(), opened);
+
+  // A fresh reader's aggregate opens (and times) its segments itself.
+  auto fresh = flowdb::SegmentedReader::open(dir);
+  ASSERT_TRUE(fresh);
+  ASSERT_TRUE(fresh->aggregate(*ids, flowdb::GroupBy::kVerdict));
+  EXPECT_GT(fresh->open_ms(), 0.0);
   std::filesystem::remove_all(dir);
 }
 

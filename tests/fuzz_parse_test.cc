@@ -699,7 +699,7 @@ void corrupt_and_reseal(util::Rng& rng, std::vector<std::uint8_t>& buf) {
   if (rng.chance(0.5)) value = rng.below(2 * buf.size());  // Plausible sizes.
   std::memcpy(buf.data() + slot * 8, &value, 8);
   const std::uint64_t footer_offset = buf.size() - 16;
-  const std::uint64_t hash = flowdb::fnv1a({buf.data(), footer_offset});
+  const std::uint64_t hash = flowdb::seal_hash({buf.data(), footer_offset});
   std::memcpy(buf.data() + footer_offset, &hash, 8);
 }
 
@@ -769,7 +769,7 @@ TEST(FuzzFlowDb, ResealedZoneLiesAreDetectedOrHarmless) {
     }
     const std::size_t footer_offset = buf.size() - 16;
     const std::uint64_t resealed =
-        flowdb::fnv1a({buf.data(), footer_offset});
+        flowdb::seal_hash({buf.data(), footer_offset});
     std::memcpy(buf.data() + footer_offset, &resealed, 8);
     const bool changed = !std::equal(buf.begin() + zone_begin,
                                      buf.begin() + zone_end,
