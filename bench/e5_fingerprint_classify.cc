@@ -80,10 +80,11 @@ int main() {
   // (the sink only sees the reflected endpoint). The farm's reporter is
   // a bus subscriber already, so this extra tap must not feed it again.
   std::vector<std::uint16_t> event_ports;
-  farm.gateway().set_event_handler([&](const gw::FlowEvent& event) {
-    if (event.kind == gw::FlowEvent::Kind::kVerdict)
-      event_ports.push_back(event.orig_dst.port);
-  });
+  farm.telemetry().bus().subscribe(
+      obs::FarmEvent::Kind::kFlowVerdict,
+      [&](const obs::FarmEvent& event) {
+        event_ports.push_back(event.orig_dst.port);
+      });
 
   auto& inmate = sub.create_inmate(inm::HostingKind::kVm);
   farm.run_for(util::minutes(1));

@@ -1,9 +1,9 @@
 // Reproduces paper Figure 4: the shim protocol message structure. Prints
 // annotated wire layouts of a containment request shim (24 bytes) and a
 // containment response shim (>= 84 bytes: the paper's layout plus the
-// wire-v2 typed verdict-parameter block and the wire-v3 verdict-cache
-// block), then validates the encoder/decoder with an exhaustive
-// round-trip sweep covering both wire versions.
+// typed verdict-parameter block and the verdict-cache block), then
+// validates the encoder/decoder with an exhaustive round-trip sweep.
+// Exits 1 on any round-trip failure.
 #include <cstdio>
 #include <string>
 
@@ -88,10 +88,6 @@ int main() {
     rsp.annotation = std::string(rng.below(64), 'a');
     if (rng.below(2) == 1)
       rsp.limit_bytes_per_sec = static_cast<std::int64_t>(rng.below(1 << 20));
-    // Half the sweep emits legacy v2 frames; those must come back with a
-    // zeroed cache block regardless of what the encoder was handed.
-    const bool v2 = rng.below(2) == 1;
-    if (v2) rsp.wire_version = shim::kShimVersionV2;
     rsp.policy_epoch = rng.below(1 << 16);
     if (rsp.verdict != shim::Verdict::kRewrite && rng.below(2) == 1) {
       rsp.cacheable = true;
@@ -107,12 +103,10 @@ int main() {
       std::printf("RESPONSE ROUND-TRIP FAILURE at %d\n", i);
       return 1;
     }
-    if (v2 ? (parsed_rsp->cacheable || parsed_rsp->policy_epoch != 0)
-           : (parsed_rsp->cacheable != rsp.cacheable ||
-              parsed_rsp->policy_epoch != rsp.policy_epoch ||
-              (rsp.cacheable &&
-               (parsed_rsp->cache_scope != rsp.cache_scope ||
-                parsed_rsp->cache_ttl_ms != rsp.cache_ttl_ms)))) {
+    if (parsed_rsp->cacheable != rsp.cacheable ||
+        parsed_rsp->policy_epoch != rsp.policy_epoch ||
+        (rsp.cacheable && (parsed_rsp->cache_scope != rsp.cache_scope ||
+                           parsed_rsp->cache_ttl_ms != rsp.cache_ttl_ms))) {
       std::printf("CACHE-BLOCK ROUND-TRIP FAILURE at %d\n", i);
       return 1;
     }
@@ -120,9 +114,7 @@ int main() {
   }
   std::printf("\nRound-trip sweep: %d encode/parse cycles, 0 failures.\n",
               round_trips);
-  std::printf("Wire sizes match the paper: request %zu B, response >= %zu B "
-              "(v3: >= %zu B).\n",
-              shim::kRequestShimSize, shim::kResponseShimMinSize,
-              shim::kResponseShimV3MinSize);
+  std::printf("Wire sizes: request %zu B, response >= %zu B.\n",
+              shim::kRequestShimSize, shim::kResponseShimMinSize);
   return 0;
 }

@@ -81,8 +81,6 @@ std::vector<trace::FlowRecord> synth_flows() {
       record.has_verdict = true;
       record.verdict = static_cast<shim::Verdict>(1 + rng.below(6));
       record.verdict_source = static_cast<shim::VerdictSource>(rng.below(3));
-      record.verdict_cached =
-          record.verdict_source == shim::VerdictSource::kCached;
       record.policy_name =
           record.verdict == shim::Verdict::kDrop ? "quarantine" : "default";
     }

@@ -101,11 +101,8 @@ std::optional<std::uint8_t> verdict_from_arg(std::string_view name) {
 }
 
 std::optional<std::uint8_t> source_from_arg(std::string_view name) {
-  for (const auto s : {shim::VerdictSource::kShim, shim::VerdictSource::kCached,
-                       shim::VerdictSource::kTable}) {
-    if (util::to_lower(name) == shim::verdict_source_name(s))
-      return static_cast<std::uint8_t>(s);
-  }
+  if (const auto s = shim::verdict_source_from_name(util::to_lower(name)))
+    return static_cast<std::uint8_t>(*s);
   return std::nullopt;
 }
 
@@ -1042,7 +1039,8 @@ int cmd_selftest(const std::string& dir) {
   const auto* flow = loaded->index().find(
       {pkt::FlowProto::kTcp, {inmate, 1234}, {web, 80}}, 0);
   if (!flow || !flow->has_verdict ||
-      flow->verdict != shim::Verdict::kRewrite || flow->verdict_cached) {
+      flow->verdict != shim::Verdict::kRewrite ||
+      flow->verdict_source == shim::VerdictSource::kCached) {
     std::fprintf(stderr, "selftest: verdict lost in round trip\n");
     return 1;
   }
@@ -1052,7 +1050,8 @@ int cmd_selftest(const std::string& dir) {
   }
   const auto* spam_flow = loaded->index().find(
       {pkt::FlowProto::kTcp, {inmate, 2345}, {sink, 25}}, 0);
-  if (!spam_flow || !spam_flow->verdict_cached) {
+  if (!spam_flow ||
+      spam_flow->verdict_source != shim::VerdictSource::kCached) {
     std::fprintf(stderr, "selftest: verdict source lost in round trip\n");
     return 1;
   }

@@ -42,21 +42,8 @@ struct FlowInfo {
 /// A policy's endpoint-control decision for one flow. Construct through
 /// the named builders — Decision::forward()/drop()/limit(bps)/
 /// redirect(ep)/reflect(sink)/rewrite() — chaining .cached(scope, ttl)
-/// to opt into gateway-side verdict caching. The positional constructor
-/// survives only for source compatibility and is deprecated.
+/// to opt into gateway-side verdict caching.
 struct Decision {
-  Decision() = default;
-  /// Deprecated positional form; use the named builders below instead —
-  /// they read as the verdict they produce and cannot transpose fields.
-  [[deprecated("use Decision::forward()/drop()/limit()/redirect()/reflect()/"
-               "rewrite() builders")]]
-  Decision(shim::Verdict v, util::Endpoint t = {}, std::string note = "",
-           std::optional<std::int64_t> limit_bps = std::nullopt)
-      : verdict(v),
-        target(t),
-        annotation(std::move(note)),
-        limit_bytes_per_sec(limit_bps) {}
-
   shim::Verdict verdict = shim::Verdict::kDrop;
   /// Target for kRedirect / kReflect (copied into the response shim's
   /// resulting four-tuple).

@@ -11,78 +11,7 @@ namespace gq::cs {
 namespace {
 constexpr const char* kLog = "cs";
 constexpr util::Duration kTriggerPollInterval = util::seconds(10);
-
-std::optional<LifecycleAction> lifecycle_action_from_name(
-    const std::string& name) {
-  for (LifecycleAction action :
-       {LifecycleAction::kRevert, LifecycleAction::kReboot,
-        LifecycleAction::kTerminate}) {
-    if (name == lifecycle_action_name(action)) return action;
-  }
-  return std::nullopt;
-}
-
 }  // namespace
-
-obs::FarmEvent to_farm_event(const CsEvent& event, const std::string& subfarm) {
-  obs::FarmEvent out;
-  switch (event.kind) {
-    case CsEvent::Kind::kFlowDecision:
-      out.kind = obs::FarmEvent::Kind::kCsDecision;
-      break;
-    case CsEvent::Kind::kInfectionServed:
-      out.kind = obs::FarmEvent::Kind::kInfectionServed;
-      break;
-    case CsEvent::Kind::kTriggerFired:
-      out.kind = obs::FarmEvent::Kind::kTriggerFired;
-      break;
-  }
-  out.time = event.time;
-  out.subfarm = subfarm;
-  out.vlan = event.vlan;
-  out.orig_dst = event.orig_dst;
-  out.proto = event.proto;
-  out.verdict = event.verdict;
-  out.policy_name = event.policy_name;
-  out.annotation = event.annotation;
-  out.limit_bytes_per_sec = event.limit_bytes_per_sec;
-  out.sample_name = event.sample_name;
-  out.sample_md5 = event.sample_md5;
-  out.trigger_text = event.trigger_text;
-  out.trigger_action = lifecycle_action_name(event.action);
-  return out;
-}
-
-std::optional<CsEvent> to_cs_event(const obs::FarmEvent& event) {
-  CsEvent out;
-  switch (event.kind) {
-    case obs::FarmEvent::Kind::kCsDecision:
-      out.kind = CsEvent::Kind::kFlowDecision;
-      break;
-    case obs::FarmEvent::Kind::kInfectionServed:
-      out.kind = CsEvent::Kind::kInfectionServed;
-      break;
-    case obs::FarmEvent::Kind::kTriggerFired:
-      out.kind = CsEvent::Kind::kTriggerFired;
-      break;
-    default:
-      return std::nullopt;  // Gateway/sink event: no CsEvent shape.
-  }
-  out.time = event.time;
-  out.vlan = event.vlan;
-  out.orig_dst = event.orig_dst;
-  out.proto = event.proto;
-  out.verdict = event.verdict;
-  out.policy_name = event.policy_name;
-  out.annotation = event.annotation;
-  out.limit_bytes_per_sec = event.limit_bytes_per_sec;
-  out.sample_name = event.sample_name;
-  out.sample_md5 = event.sample_md5;
-  out.trigger_text = event.trigger_text;
-  if (auto action = lifecycle_action_from_name(event.trigger_action))
-    out.action = *action;
-  return out;
-}
 
 /// One inmate-side TCP session (a contained flow terminated at the CS).
 struct ContainmentServer::Session
@@ -209,27 +138,9 @@ void ContainmentServer::rebind_metrics() {
 
 void ContainmentServer::set_telemetry(obs::Telemetry* telemetry,
                                       std::string subfarm) {
-  if (legacy_subscription_) {
-    telemetry_->bus().unsubscribe(*legacy_subscription_);
-    legacy_subscription_.reset();
-  }
   telemetry_ = telemetry ? telemetry : owned_telemetry_.get();
   subfarm_name_ = std::move(subfarm);
   rebind_metrics();
-  if (legacy_handler_) set_event_handler(legacy_handler_);
-}
-
-void ContainmentServer::set_event_handler(CsEventHandler handler) {
-  if (legacy_subscription_) {
-    telemetry_->bus().unsubscribe(*legacy_subscription_);
-    legacy_subscription_.reset();
-  }
-  legacy_handler_ = std::move(handler);
-  if (!legacy_handler_) return;
-  legacy_subscription_ =
-      telemetry_->bus().subscribe([this](const obs::FarmEvent& event) {
-        if (auto legacy = to_cs_event(event)) legacy_handler_(*legacy);
-      });
 }
 
 // --- PolicyServices backend -------------------------------------------------
@@ -251,12 +162,11 @@ void ContainmentServer::report_infection(std::uint16_t vlan,
                                          const std::string& name,
                                          const std::string& md5) {
   infections_ctr_->inc();
-  CsEvent event;
-  event.kind = CsEvent::Kind::kInfectionServed;
+  auto event = make_event(obs::FarmEvent::Kind::kInfectionServed);
   event.vlan = vlan;
   event.sample_name = name;
   event.sample_md5 = md5;
-  emit_event(std::move(event));
+  telemetry_->publish(event);
 }
 
 void ContainmentServer::send_udp(util::Endpoint to,
@@ -435,8 +345,7 @@ Decision ContainmentServer::decide(
   triggers_.observe_flow(info.vlan(), info.dst(), info.proto,
                          stack_.loop().now());
 
-  CsEvent event;
-  event.kind = CsEvent::Kind::kFlowDecision;
+  auto event = make_event(obs::FarmEvent::Kind::kCsDecision);
   event.vlan = info.vlan();
   event.orig_dst = info.dst();
   event.proto = info.proto;
@@ -444,7 +353,7 @@ Decision ContainmentServer::decide(
   event.policy_name = policy_out ? policy_out->name() : "DefaultDeny";
   event.annotation = decision.annotation;
   event.limit_bytes_per_sec = decision.limit_bytes_per_sec;
-  emit_event(std::move(event));
+  telemetry_->publish(event);
   return decision;
 }
 
@@ -516,15 +425,14 @@ void ContainmentServer::on_inmate_data(std::shared_ptr<Session> session,
         response.policy_epoch = policy_epoch_;
         session->inmate->send(response.encode());
         session->inmate->close();
-        CsEvent event;
-        event.kind = CsEvent::Kind::kFlowDecision;
+        auto event = make_event(obs::FarmEvent::Kind::kCsDecision);
         event.vlan = session->info.vlan();
         event.orig_dst = session->info.dst();
         event.proto = pkt::FlowProto::kTcp;
         event.verdict = shim::Verdict::kDrop;
         event.policy_name = "OverloadShed";
         event.annotation = "decision queue full";
-        emit_event(std::move(event));
+        telemetry_->publish(event);
       });
 }
 
@@ -622,15 +530,14 @@ void ContainmentServer::on_udp(util::Endpoint from,
         response.annotation = "decision queue full";
         response.policy_epoch = policy_epoch_;
         udp_sock_->send_to(from, response.encode());
-        CsEvent event;
-        event.kind = CsEvent::Kind::kFlowDecision;
+        auto event = make_event(obs::FarmEvent::Kind::kCsDecision);
         event.vlan = request.vlan;
         event.orig_dst = request.resp;
         event.proto = pkt::FlowProto::kUdp;
         event.verdict = shim::Verdict::kDrop;
         event.policy_name = "OverloadShed";
         event.annotation = "decision queue full";
-        emit_event(std::move(event));
+        telemetry_->publish(event);
       });
 }
 
@@ -680,12 +587,11 @@ void ContainmentServer::evaluate_triggers() {
     GQ_INFO(kLog, "trigger fired for vlan %u: %s", firing.vlan,
             firing.trigger_text.c_str());
     triggers_ctr_->inc();
-    CsEvent event;
-    event.kind = CsEvent::Kind::kTriggerFired;
+    auto event = make_event(obs::FarmEvent::Kind::kTriggerFired);
     event.vlan = firing.vlan;
     event.trigger_text = firing.trigger_text;
-    event.action = firing.action;
-    emit_event(std::move(event));
+    event.trigger_action = lifecycle_action_name(firing.action);
+    telemetry_->publish(event);
     send_lifecycle(firing.vlan, firing.action);
   }
   stack_.loop().schedule_in(kTriggerPollInterval,
@@ -705,9 +611,17 @@ void ContainmentServer::send_lifecycle(std::uint16_t vlan,
   control_sock_->send_to(*controller_, util::to_bytes(message));
 }
 
-void ContainmentServer::emit_event(CsEvent event) {
+obs::FarmEvent ContainmentServer::make_event(
+    obs::FarmEvent::Kind kind) const {
+  obs::FarmEvent event;
+  event.kind = kind;
   event.time = stack_.loop().now();
-  telemetry_->publish(to_farm_event(event, subfarm_name_));
+  event.subfarm = subfarm_name_;
+  // Every event this server publishes names a lifecycle action: REVERT
+  // unless a trigger fired another. format_event renders the field, so
+  // it is part of the published stream.
+  event.trigger_action = lifecycle_action_name(LifecycleAction::kRevert);
+  return event;
 }
 
 }  // namespace gq::cs

@@ -28,36 +28,6 @@
 
 namespace gq::cs {
 
-/// Report-stream events emitted by the containment server. Retained as
-/// the legacy view of the obs::FarmEvent stream: the server publishes
-/// FarmEvents on its telemetry bus, and set_event_handler() adapts them
-/// back into CsEvents for callers that still want this shape.
-struct CsEvent {
-  enum class Kind { kFlowDecision, kInfectionServed, kTriggerFired };
-  Kind kind = Kind::kFlowDecision;
-  util::TimePoint time;
-  std::uint16_t vlan = 0;
-  // kFlowDecision.
-  util::Endpoint orig_dst;
-  pkt::FlowProto proto = pkt::FlowProto::kTcp;
-  shim::Verdict verdict = shim::Verdict::kDrop;
-  std::string policy_name;
-  std::string annotation;
-  std::optional<std::int64_t> limit_bytes_per_sec;
-  // kInfectionServed.
-  std::string sample_name;
-  std::string sample_md5;
-  // kTriggerFired.
-  std::string trigger_text;
-  LifecycleAction action = LifecycleAction::kRevert;
-};
-
-using CsEventHandler = std::function<void(const CsEvent&)>;
-
-/// Convert between the legacy CsEvent shape and the bus envelope.
-obs::FarmEvent to_farm_event(const CsEvent& event, const std::string& subfarm);
-std::optional<CsEvent> to_cs_event(const obs::FarmEvent& event);
-
 /// Overload-shedding behaviour for a containment server. Decisions are
 /// served from a queue, each occupying the server for `decision_delay`
 /// of simulated service time; a request arriving while the queue
@@ -151,11 +121,6 @@ class ContainmentServer : public PolicyServices {
   /// Life-cycle notification: arms triggers for this inmate.
   void notify_inmate_started(std::uint16_t vlan);
 
-  /// Deprecated: thin adapter over the telemetry bus. The handler is
-  /// subscribed to this server's bus and fed CsEvent conversions of the
-  /// FarmEvents published here; prefer subscribing to the bus directly.
-  void set_event_handler(CsEventHandler handler);
-
   /// The next auto-infection sample for an inmate, advancing the batch
   /// cursor. nullopt when the VLAN has no infection binding.
   std::optional<std::string> next_sample_name(std::uint16_t vlan);
@@ -200,7 +165,8 @@ class ContainmentServer : public PolicyServices {
                   std::unique_ptr<RewriteHandler>* handler_out);
   void evaluate_triggers();
   void send_lifecycle(std::uint16_t vlan, LifecycleAction action);
-  void emit_event(CsEvent event);
+  /// A FarmEvent of `kind` stamped with this server's clock and subfarm.
+  [[nodiscard]] obs::FarmEvent make_event(obs::FarmEvent::Kind kind) const;
   void rebind_metrics();
 
   net::HostStack& stack_;
@@ -242,9 +208,6 @@ class ContainmentServer : public PolicyServices {
   obs::Counter* shed_refused_ctr_ = nullptr;
   obs::Counter* shed_deferred_ctr_ = nullptr;
   obs::Gauge* pending_gauge_ = nullptr;
-  // Legacy set_event_handler adapter state.
-  CsEventHandler legacy_handler_;
-  std::optional<obs::EventBus::SubscriptionId> legacy_subscription_;
   // list_inmates delegate (the subfarm's enumerator), from env_base.
   PolicyServices* inmate_source_ = nullptr;
 

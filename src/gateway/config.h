@@ -24,9 +24,8 @@ enum class InboundMode { kDrop, kForward };
 
 /// Every gateway datapath toggle in one place: the switch fast path,
 /// the per-subfarm verdict cache, and the compiled policy table. Set
-/// once on GatewayConfig (or core::FarmOptions) instead of chasing
-/// individual setters; add_subfarm resolves these into each
-/// SubfarmConfig.
+/// once on GatewayConfig (or core::FarmOptions); each SubfarmRouter
+/// reads them when it is constructed.
 struct DatapathOptions {
   /// Hardware-switch fast path for established flows.
   bool fast_path = true;
@@ -115,39 +114,8 @@ struct SubfarmConfig {
   util::Duration shim_retry_max = util::seconds(8);
   int shim_retry_limit = 6;
 
-  // --- Gateway-side verdict cache -------------------------------------
-  // Verdicts the containment server marks cacheable (shim v3) are kept
-  // in a per-subfarm LRU and repeat flows are resolved locally, without
-  // a shim round trip. Entirely policy-driven: with no cacheable
-  // decisions the cache only ever counts misses.
-
-  /// Master switch for consulting/populating the verdict cache.
-  bool verdict_cache_enabled = true;
-
-  /// LRU bound on cached entries.
-  std::size_t verdict_cache_capacity = 4096;
-
-  /// TTL applied when a cacheable response carries cache_ttl_ms == 0.
-  util::Duration verdict_cache_default_ttl = util::seconds(60);
-
-  // --- Compiled policy table ------------------------------------------
-  /// Master switch for the in-gateway match-action table: when enabled
-  /// (and a current-epoch table has been synced), first-contact flows
-  /// whose rule compiles concretely are resolved with no shim round
-  /// trip.
-  bool policy_table_enabled = true;
-
   [[nodiscard]] bool owns_vlan(std::uint16_t vlan) const {
     return vlan >= vlan_first && vlan <= vlan_last;
-  }
-
-  /// Overwrite this config's datapath toggles from the gateway-wide
-  /// options.
-  void apply_datapath(const DatapathOptions& datapath) {
-    verdict_cache_enabled = datapath.verdict_cache;
-    verdict_cache_capacity = datapath.verdict_cache_capacity;
-    verdict_cache_default_ttl = datapath.verdict_cache_default_ttl;
-    policy_table_enabled = datapath.policy_table;
   }
 };
 

@@ -15,13 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "obs/events.h"
 #include "packet/frame.h"
 #include "shim/shim.h"
 #include "util/addr.h"
@@ -99,8 +97,6 @@ struct Flow {
   /// CS leg exists (no redirect, no request shim, synthetic handshake
   /// state), so CS-leg teardown must be skipped — see served_locally().
   shim::VerdictSource verdict_source = shim::VerdictSource::kShim;
-  /// Back-compat alias kept in sync with verdict_source (== kCached).
-  bool verdict_from_cache = false;
 
   /// True when the verdict was resolved in-gateway (cache or table):
   /// there is no containment-server leg to tear down or RST.
@@ -139,40 +135,5 @@ struct Flow {
   bool fin_server = false;
   bool reported_open = false;
 };
-
-/// A report-stream event emitted by the packet router. Retained as the
-/// legacy view of the obs::FarmEvent stream: the router publishes
-/// FarmEvents on the gateway's telemetry bus, and
-/// Gateway::set_event_handler() adapts them back into FlowEvents for
-/// callers that still want this shape.
-struct FlowEvent {
-  enum class Kind { kOpen, kVerdict, kClose, kSafetyReject, kDhcpBind };
-  Kind kind = Kind::kOpen;
-  util::TimePoint time;
-  std::string subfarm;
-  std::uint16_t vlan = 0;
-  pkt::FlowProto proto = pkt::FlowProto::kTcp;
-  util::Endpoint orig_dst;
-  shim::Verdict verdict = shim::Verdict::kDrop;
-  std::string policy_name;
-  std::string annotation;
-  std::optional<std::int64_t> limit_bytes_per_sec;
-  std::uint64_t bytes_to_server = 0;
-  std::uint64_t bytes_to_inmate = 0;
-  /// kVerdict: where the verdict came from (CS shim round trip, verdict
-  /// cache, or compiled policy table; fail-closed verdicts count as
-  /// "shim" — they are not local hits).
-  shim::VerdictSource verdict_source = shim::VerdictSource::kShim;
-  /// Back-compat alias: verdict_source == kCached.
-  bool verdict_cached = false;
-};
-
-using FlowEventHandler = std::function<void(const FlowEvent&)>;
-
-/// Convert between the legacy FlowEvent shape and the bus envelope.
-/// to_flow_event() returns nullopt for FarmEvents with no FlowEvent
-/// equivalent (containment-server and sink kinds).
-obs::FarmEvent to_farm_event(const FlowEvent& event);
-std::optional<FlowEvent> to_flow_event(const obs::FarmEvent& event);
 
 }  // namespace gq::gw

@@ -52,11 +52,7 @@ Gateway::Gateway(sim::EventLoop& loop, GatewayConfig config,
 Gateway::~Gateway() = default;
 
 SubfarmRouter& Gateway::add_subfarm(const SubfarmConfig& config) {
-  // The gateway-wide datapath options win over whatever the caller left
-  // in the per-subfarm toggles: one knob, resolved here.
-  SubfarmConfig resolved = config;
-  resolved.apply_datapath(config_.datapath);
-  subfarms_.push_back(std::make_unique<SubfarmRouter>(*this, resolved));
+  subfarms_.push_back(std::make_unique<SubfarmRouter>(*this, config));
   auto& subfarm = *subfarms_.back();
   // The gateway answers upstream ARP for the whole NATed global range.
   upstream_arp_.add_proxy_range(config.external_net);
@@ -67,19 +63,6 @@ SubfarmRouter* Gateway::subfarm_by_name(const std::string& name) {
   for (auto& subfarm : subfarms_)
     if (subfarm->config().name == name) return subfarm.get();
   return nullptr;
-}
-
-void Gateway::set_event_handler(FlowEventHandler handler) {
-  if (legacy_subscription_) {
-    telemetry_->bus().unsubscribe(*legacy_subscription_);
-    legacy_subscription_.reset();
-  }
-  legacy_handler_ = std::move(handler);
-  if (!legacy_handler_) return;
-  legacy_subscription_ =
-      telemetry_->bus().subscribe([this](const obs::FarmEvent& event) {
-        if (auto legacy = to_flow_event(event)) legacy_handler_(*legacy);
-      });
 }
 
 SubfarmRouter* Gateway::subfarm_for_vlan(std::uint16_t vlan) {

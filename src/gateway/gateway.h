@@ -15,7 +15,6 @@
 
 #include "gateway/arp_proxy.h"
 #include "gateway/config.h"
-#include "gateway/flow.h"
 #include "netsim/event_loop.h"
 #include "netsim/port.h"
 #include "obs/telemetry.h"
@@ -54,11 +53,6 @@ class Gateway {
     return subfarms_;
   }
   SubfarmRouter* subfarm_by_name(const std::string& name);
-
-  /// Deprecated: thin adapter over the telemetry bus. The handler is
-  /// subscribed to the bus and fed FlowEvent conversions of the flow-
-  /// lifecycle FarmEvents; prefer subscribing to telemetry().bus().
-  void set_event_handler(FlowEventHandler handler);
 
   /// The metrics registry + event bus every subfarm router publishes to.
   [[nodiscard]] obs::Telemetry& telemetry() { return *telemetry_; }
@@ -185,9 +179,6 @@ class Gateway {
   std::uint16_t next_nonce_;
   bool fast_path_ = true;
   UpstreamTap upstream_tap_;
-  // Legacy set_event_handler adapter state.
-  FlowEventHandler legacy_handler_;
-  std::optional<obs::EventBus::SubscriptionId> legacy_subscription_;
 };
 
 }  // namespace gq::gw

@@ -30,78 +30,6 @@ double limit_rate_of(const shim::ResponseShim& shim) {
 
 }  // namespace
 
-obs::FarmEvent to_farm_event(const FlowEvent& event) {
-  obs::FarmEvent out;
-  switch (event.kind) {
-    case FlowEvent::Kind::kOpen:
-      out.kind = obs::FarmEvent::Kind::kFlowOpen;
-      break;
-    case FlowEvent::Kind::kVerdict:
-      out.kind = obs::FarmEvent::Kind::kFlowVerdict;
-      break;
-    case FlowEvent::Kind::kClose:
-      out.kind = obs::FarmEvent::Kind::kFlowClose;
-      break;
-    case FlowEvent::Kind::kSafetyReject:
-      out.kind = obs::FarmEvent::Kind::kSafetyReject;
-      break;
-    case FlowEvent::Kind::kDhcpBind:
-      out.kind = obs::FarmEvent::Kind::kDhcpBind;
-      break;
-  }
-  out.time = event.time;
-  out.subfarm = event.subfarm;
-  out.vlan = event.vlan;
-  out.proto = event.proto;
-  out.orig_dst = event.orig_dst;
-  out.verdict = event.verdict;
-  out.policy_name = event.policy_name;
-  out.annotation = event.annotation;
-  out.limit_bytes_per_sec = event.limit_bytes_per_sec;
-  out.bytes_to_server = event.bytes_to_server;
-  out.bytes_to_inmate = event.bytes_to_inmate;
-  out.verdict_source = event.verdict_source;
-  out.verdict_cached = event.verdict_cached;
-  return out;
-}
-
-std::optional<FlowEvent> to_flow_event(const obs::FarmEvent& event) {
-  FlowEvent out;
-  switch (event.kind) {
-    case obs::FarmEvent::Kind::kFlowOpen:
-      out.kind = FlowEvent::Kind::kOpen;
-      break;
-    case obs::FarmEvent::Kind::kFlowVerdict:
-      out.kind = FlowEvent::Kind::kVerdict;
-      break;
-    case obs::FarmEvent::Kind::kFlowClose:
-      out.kind = FlowEvent::Kind::kClose;
-      break;
-    case obs::FarmEvent::Kind::kSafetyReject:
-      out.kind = FlowEvent::Kind::kSafetyReject;
-      break;
-    case obs::FarmEvent::Kind::kDhcpBind:
-      out.kind = FlowEvent::Kind::kDhcpBind;
-      break;
-    default:
-      return std::nullopt;  // CS/sink event: no FlowEvent shape.
-  }
-  out.time = event.time;
-  out.subfarm = event.subfarm;
-  out.vlan = event.vlan;
-  out.proto = event.proto;
-  out.orig_dst = event.orig_dst;
-  out.verdict = event.verdict;
-  out.policy_name = event.policy_name;
-  out.annotation = event.annotation;
-  out.limit_bytes_per_sec = event.limit_bytes_per_sec;
-  out.bytes_to_server = event.bytes_to_server;
-  out.bytes_to_inmate = event.bytes_to_inmate;
-  out.verdict_source = event.verdict_source;
-  out.verdict_cached = event.verdict_cached;
-  return out;
-}
-
 const char* flow_phase_name(FlowPhase p) {
   switch (p) {
     case FlowPhase::kAwaitVerdict: return "AWAIT_VERDICT";
@@ -165,7 +93,10 @@ SubfarmRouter::SubfarmRouter(Gateway& gateway, SubfarmConfig config)
         prefix + "verdicts." +
         shim::verdict_name(static_cast<shim::Verdict>(v)));
   }
-  verdict_cache_ = VerdictCache(config_.verdict_cache_capacity);
+  const DatapathOptions& datapath = gateway_.config().datapath;
+  verdict_cache_ = VerdictCache(datapath.verdict_cache_capacity);
+  verdict_cache_enabled_ = datapath.verdict_cache;
+  policy_table_enabled_ = datapath.policy_table;
   // Periodic flow garbage collection.
   gateway_.loop().schedule_in(util::seconds(5), [this] { gc_sweep(); });
 }
@@ -204,11 +135,11 @@ void SubfarmRouter::flush_cache_vlan(std::uint16_t vlan) {
 }
 
 void SubfarmRouter::set_verdict_cache_enabled(bool enabled) {
-  if (config_.verdict_cache_enabled && !enabled) {
+  if (verdict_cache_enabled_ && !enabled) {
     const std::size_t dropped = verdict_cache_.flush();
     if (dropped > 0) cache_flush_ctr_->inc(dropped);
   }
-  config_.verdict_cache_enabled = enabled;
+  verdict_cache_enabled_ = enabled;
 }
 
 bool SubfarmRouter::install_policy_table(const shim::TableSync& sync) {
@@ -236,7 +167,7 @@ bool SubfarmRouter::install_policy_table(const shim::TableSync& sync) {
 }
 
 void SubfarmRouter::set_policy_table_enabled(bool enabled) {
-  config_.policy_table_enabled = enabled;
+  policy_table_enabled_ = enabled;
 }
 
 bool SubfarmRouter::is_internal(util::Ipv4Addr addr) const {
@@ -251,8 +182,8 @@ bool SubfarmRouter::is_infra(util::Ipv4Addr addr) const {
   return config_.infra_services.count(addr) > 0;
 }
 
-void SubfarmRouter::report(const Flow& flow, FlowEvent::Kind kind) {
-  FlowEvent event;
+void SubfarmRouter::report(const Flow& flow, obs::FarmEvent::Kind kind) {
+  obs::FarmEvent event;
   event.kind = kind;
   event.time = gateway_.loop().now();
   event.subfarm = config_.name;
@@ -266,8 +197,7 @@ void SubfarmRouter::report(const Flow& flow, FlowEvent::Kind kind) {
   event.bytes_to_server = flow.bytes_to_server;
   event.bytes_to_inmate = flow.bytes_to_inmate;
   event.verdict_source = flow.verdict_source;
-  event.verdict_cached = flow.verdict_from_cache;
-  gateway_.telemetry().publish(to_farm_event(event));
+  gateway_.telemetry().publish(event);
 }
 
 void SubfarmRouter::emit_tcp(util::Endpoint src, util::Endpoint dst,
@@ -537,7 +467,7 @@ void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
     rejected.proto = key.proto;
     rejected.orig_dst = key.dst;
     rejected.policy_name = "SafetyFilter";
-    report(rejected, FlowEvent::Kind::kSafetyReject);
+    report(rejected, obs::FarmEvent::Kind::kSafetyReject);
     return;
   }
   safety_admits_ctr_->inc();
@@ -555,7 +485,7 @@ void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
   // entry resolves the flow right here — no redirect, no shim round
   // trip, no containment-server occupancy.
   std::optional<CachedVerdict> cached;
-  if (!table_rule && config_.verdict_cache_enabled) {
+  if (!table_rule && verdict_cache_enabled_) {
     std::uint64_t expired = 0;
     if (const CachedVerdict* entry =
             verdict_cache_.lookup(key.proto, vlan, key.src, key.dst, now,
@@ -631,7 +561,6 @@ void SubfarmRouter::serve_cached_verdict(const FlowPtr& flow,
                                          pkt::DecodedFrame& frame) {
   Flow& f = *flow;
   f.verdict_source = shim::VerdictSource::kCached;
-  f.verdict_from_cache = true;
   f.cs_src = f.inmate_ep;  // No CS leg: never remapped, never indexed.
   // Symmetric with the miss path: the flow joins the pending-verdict
   // gauge so verdict_resolved()'s decrement balances, but no deadline
@@ -672,7 +601,7 @@ void SubfarmRouter::serve_cached_verdict(const FlowPtr& flow,
 
 const shim::TableRule* SubfarmRouter::probe_policy_table(
     std::uint16_t vlan, pkt::FlowProto proto, util::Endpoint dst) {
-  if (!config_.policy_table_enabled || policy_table_.empty()) return nullptr;
+  if (!policy_table_enabled_ || policy_table_.empty()) return nullptr;
   // A table whose epoch lags the router's high-water mark was compiled
   // from a superseded policy set: never consult it. (A *newer* table
   // cannot exist — installs advance cache_epoch_ in lockstep.)
@@ -1184,7 +1113,7 @@ void SubfarmRouter::apply_verdict(Flow& flow,
       if (config_.drop_sends_rst) send_rst_to_inmate(flow);
       break;
   }
-  report(flow, FlowEvent::Kind::kVerdict);
+  report(flow, obs::FarmEvent::Kind::kFlowVerdict);
 }
 
 void SubfarmRouter::maybe_cache_verdict(const Flow& flow,
@@ -1198,7 +1127,7 @@ void SubfarmRouter::maybe_cache_verdict(const Flow& flow,
   // set was reconfigured, so everything cached under the old set is
   // invalid — flush before considering this response for insertion.
   on_policy_epoch(shim.policy_epoch);
-  if (!config_.verdict_cache_enabled || !shim.cacheable) return;
+  if (!verdict_cache_enabled_ || !shim.cacheable) return;
   if (shim.verdict == shim::Verdict::kRewrite) {
     // Defence in depth: the CS already refuses to mark REWRITE
     // cacheable. A cached REWRITE would sever the CS's in-path proxy
@@ -1216,9 +1145,10 @@ void SubfarmRouter::maybe_cache_verdict(const Flow& flow,
   entry.policy_name = shim.policy_name;
   entry.annotation = shim.annotation;
   entry.limit_bytes_per_sec = shim.limit_bytes_per_sec;
-  const util::Duration ttl = shim.cache_ttl_ms > 0
-                                 ? util::milliseconds(shim.cache_ttl_ms)
-                                 : config_.verdict_cache_default_ttl;
+  const util::Duration ttl =
+      shim.cache_ttl_ms > 0
+          ? util::milliseconds(shim.cache_ttl_ms)
+          : gateway_.config().datapath.verdict_cache_default_ttl;
   entry.expires = gateway_.loop().now() + ttl;
   const std::size_t evicted =
       verdict_cache_.insert(flow.proto, flow.vlan, flow.inmate_ep,
@@ -1269,7 +1199,7 @@ void SubfarmRouter::target_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
     const util::Endpoint nat_src = nat_source_for(flow, flow.server_ep);
     emit_tcp(nat_src, flow.server_ep, pkt::kTcpAck, flow.inmate_isn + 1,
              flow.server_isn + 1, {});
-    report(flow, FlowEvent::Kind::kOpen);
+    report(flow, obs::FarmEvent::Kind::kFlowOpen);
     replay_to_target(
         flows_.at({flow.proto, flow.inmate_ep, flow.orig_dst}));
     return;
@@ -1554,7 +1484,7 @@ void SubfarmRouter::apply_udp_verdict(Flow& flow,
       break;
     }
   }
-  report(flow, FlowEvent::Kind::kVerdict);
+  report(flow, obs::FarmEvent::Kind::kFlowVerdict);
 }
 
 // --- Ingress: management / upstream -----------------------------------------
@@ -1645,7 +1575,7 @@ void SubfarmRouter::close_flow(Flow& flow) {
   // queue here (the deadline event must not fire on a dead flow).
   if (flow.phase == FlowPhase::kAwaitVerdict) verdict_resolved(flow);
   flow.phase = FlowPhase::kClosed;
-  report(flow, FlowEvent::Kind::kClose);
+  report(flow, obs::FarmEvent::Kind::kFlowClose);
   if (flow.nonce_port != 0) {
     if (auto it = nonce_relays_.find(flow.nonce_port);
         it != nonce_relays_.end()) {

@@ -107,6 +107,9 @@ class SubfarmRouter {
   void flush_cache_vlan(std::uint16_t vlan);
   /// Runtime toggle (benchmarks, A/B comparison). Disabling flushes.
   void set_verdict_cache_enabled(bool enabled);
+  [[nodiscard]] bool verdict_cache_enabled() const {
+    return verdict_cache_enabled_;
+  }
   [[nodiscard]] const VerdictCache& verdict_cache() const {
     return verdict_cache_;
   }
@@ -139,7 +142,7 @@ class SubfarmRouter {
   /// their epoch is still current.
   void set_policy_table_enabled(bool enabled);
   [[nodiscard]] bool policy_table_enabled() const {
-    return config_.policy_table_enabled;
+    return policy_table_enabled_;
   }
   [[nodiscard]] const PolicyTable& policy_table() const {
     return policy_table_;
@@ -239,7 +242,7 @@ class SubfarmRouter {
                 std::vector<std::uint8_t> payload);
   void emit_udp(util::Endpoint src, util::Endpoint dst,
                 std::vector<std::uint8_t> payload);
-  void report(const Flow& flow, FlowEvent::Kind kind);
+  void report(const Flow& flow, obs::FarmEvent::Kind kind);
   obs::Counter& verdict_counter(shim::Verdict verdict);
   void close_flow(Flow& flow);
   void gc_sweep();
@@ -292,7 +295,9 @@ class SubfarmRouter {
 
   // Gateway-side verdict cache (tentpole): repeat flows matching a
   // cacheable decision are resolved here, without a CS round trip.
+  // Sized and switched from the gateway's DatapathOptions.
   VerdictCache verdict_cache_{0};
+  bool verdict_cache_enabled_ = true;
   /// Highest containment-policy epoch observed (from response shims,
   /// table syncs, or on_policy_epoch()); entries cached under older
   /// epochs are flushed, and a policy table from an older epoch is
@@ -303,6 +308,7 @@ class SubfarmRouter {
   // are resolved here, before the verdict cache and without a CS round
   // trip.
   PolicyTable policy_table_;
+  bool policy_table_enabled_ = true;
 
   // Flow table, keyed by the inmate-side original flow. All per-frame
   // lookup tables are hash maps: the datapath does several lookups per

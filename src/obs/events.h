@@ -6,10 +6,8 @@
 // Publishers fill the fields relevant to their Kind and leave the rest
 // defaulted; subscribers filter on Kind.
 //
-// The bus replaces the previous trio of ad-hoc channels (gw::FlowEvent
-// handlers, cs::CsEvent handlers, and render-time pulls from sink
-// counters): components publish here, and consumers — the Figure 7
-// reporter, tests, experiment harnesses — subscribe once, in one place
+// Components publish here, and consumers — the Figure 7 reporter,
+// tests, experiment harnesses — subscribe once, in one place
 // (core::Farm's constructor). Dispatch is synchronous and in
 // subscription order, which keeps the whole farm deterministic under the
 // simulated clock.
@@ -73,8 +71,6 @@ struct FarmEvent {
   /// compiled in-gateway policy table. The latter two mean the flow
   /// never reached the containment server.
   shim::VerdictSource verdict_source = shim::VerdictSource::kShim;
-  /// Back-compat alias: verdict_source == kCached.
-  bool verdict_cached = false;
 
   // kDhcpBind.
   util::Ipv4Addr inmate_internal;

@@ -60,10 +60,10 @@ Orchestrator::Orchestrator(core::Farm& farm, OrchestratorOptions options,
   auto& bus = farm_.telemetry().bus();
   verdict_sub_ = bus.subscribe(
       obs::FarmEvent::Kind::kFlowVerdict,
-      [this](const obs::FarmEvent& event) { on_flow_event(event); });
+      [this](const obs::FarmEvent& event) { account_flow(event); });
   close_sub_ = bus.subscribe(
       obs::FarmEvent::Kind::kFlowClose,
-      [this](const obs::FarmEvent& event) { on_flow_event(event); });
+      [this](const obs::FarmEvent& event) { account_flow(event); });
 }
 
 Orchestrator::~Orchestrator() {
@@ -244,7 +244,7 @@ void Orchestrator::on_slot_ready(PoolSlot& slot) {
   pump();
 }
 
-void Orchestrator::on_flow_event(const obs::FarmEvent& event) {
+void Orchestrator::account_flow(const obs::FarmEvent& event) {
   auto it = vlan_jobs_.find(event.vlan);
   if (it == vlan_jobs_.end()) return;
   JobRecord& job = jobs_.at(it->second);

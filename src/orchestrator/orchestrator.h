@@ -148,7 +148,7 @@ class Orchestrator {
   void allocate(JobRecord& job, PoolSlot& slot);
   void harvest(JobRecord& job, bool cancelled);
   void on_slot_ready(PoolSlot& slot);
-  void on_flow_event(const obs::FarmEvent& event);
+  void account_flow(const obs::FarmEvent& event);
   void publish_state(const JobRecord& job);
 
   core::Farm& farm_;

@@ -85,15 +85,6 @@ std::uint64_t Reporter::jobs_observed(const std::string& tenant,
   return st == it->second.states.end() ? 0 : st->second;
 }
 
-void Reporter::on_flow_event(const gw::FlowEvent& event) {
-  on_event(gw::to_farm_event(event));
-}
-
-void Reporter::on_cs_event(const std::string& subfarm,
-                           const cs::CsEvent& event) {
-  on_event(cs::to_farm_event(event, subfarm));
-}
-
 void Reporter::register_subfarm(gw::SubfarmRouter* subfarm) {
   routers_.push_back(subfarm);
 }

@@ -14,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "containment/server.h"
 #include "extnet/extnet.h"
-#include "gateway/flow.h"
 #include "gateway/router.h"
 #include "netsim/event_loop.h"
 #include "obs/events.h"
@@ -34,11 +32,6 @@ class Reporter {
 
   /// Central ingestion: one FarmEvent of any kind.
   void on_event(const obs::FarmEvent& event);
-
-  /// Legacy event-ingestion hooks: convert to the FarmEvent envelope and
-  /// feed on_event(). Kept for callers wiring handlers by hand.
-  void on_flow_event(const gw::FlowEvent& event);
-  void on_cs_event(const std::string& subfarm, const cs::CsEvent& event);
 
   /// Registration for render-time lookups.
   void register_subfarm(gw::SubfarmRouter* subfarm);

@@ -34,14 +34,22 @@ const char* verdict_source_name(VerdictSource source) {
   return "?";
 }
 
+std::optional<VerdictSource> verdict_source_from_name(std::string_view name) {
+  for (const auto source :
+       {VerdictSource::kShim, VerdictSource::kCached, VerdictSource::kTable}) {
+    if (name == verdict_source_name(source)) return source;
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 void write_preamble(util::ByteWriter& w, std::uint16_t length,
-                    std::uint8_t type, std::uint8_t version = kShimVersion) {
+                    std::uint8_t type) {
   w.u32(kShimMagic);
   w.u16(length);
   w.u8(type);
-  w.u8(version);
+  w.u8(kShimVersion);
 }
 
 struct Preamble {
@@ -57,16 +65,8 @@ std::optional<Preamble> read_preamble(util::ByteReader& r) {
   p.length = r.u16();
   p.type = r.u8();
   p.version = r.u8();
-  if (p.version != kShimVersion && p.version != kShimVersionV2)
-    return std::nullopt;
+  if (p.version != kShimVersion) return std::nullopt;
   return p;
-}
-
-/// A response's fixed-size prefix (everything before the annotation)
-/// for the given wire version.
-std::size_t response_fixed_size(std::uint8_t version) {
-  return version == kShimVersionV2 ? kResponseShimMinSize
-                                   : kResponseShimV3MinSize;
 }
 
 }  // namespace
@@ -106,12 +106,9 @@ std::optional<RequestShim> RequestShim::parse(
 }
 
 std::vector<std::uint8_t> ResponseShim::encode() const {
-  const std::uint8_t version =
-      wire_version == kShimVersionV2 ? kShimVersionV2 : kShimVersion;
-  const std::size_t total = response_fixed_size(version) + annotation.size();
+  const std::size_t total = kResponseShimMinSize + annotation.size();
   util::ByteWriter w(total);
-  write_preamble(w, static_cast<std::uint16_t>(total), kTypeResponse,
-                 version);
+  write_preamble(w, static_cast<std::uint16_t>(total), kTypeResponse);
   w.u32(orig.addr.value());
   w.u32(resp.addr.value());
   w.u16(orig.port);
@@ -123,17 +120,15 @@ std::vector<std::uint8_t> ResponseShim::encode() const {
   // Typed verdict-parameter block: flags word, then the LIMIT rate
   // (zero-filled when absent so the block stays fixed-size).
   std::uint32_t flags = limit_bytes_per_sec ? kParamHasLimitRate : 0;
-  if (version != kShimVersionV2 && cacheable) flags |= kParamCacheable;
+  if (cacheable) flags |= kParamCacheable;
   w.u32(flags);
   w.u64(static_cast<std::uint64_t>(limit_bytes_per_sec.value_or(0)));
-  if (version != kShimVersionV2) {
-    // Cache block: scope, pad to a u32 boundary, TTL, policy epoch.
-    w.u8(static_cast<std::uint8_t>(cache_scope));
-    w.u8(0);
-    w.u16(0);
-    w.u32(cache_ttl_ms);
-    w.u64(policy_epoch);
-  }
+  // Cache block: scope, pad to a u32 boundary, TTL, policy epoch.
+  w.u8(static_cast<std::uint8_t>(cache_scope));
+  w.u8(0);
+  w.u16(0);
+  w.u32(cache_ttl_ms);
+  w.u64(policy_epoch);
   w.str(annotation);
   return w.take();
 }
@@ -144,11 +139,9 @@ std::optional<ResponseShim> ResponseShim::parse(
     util::ByteReader r(data);
     auto preamble = read_preamble(r);
     if (!preamble || preamble->type != kTypeResponse) return std::nullopt;
-    const std::size_t fixed = response_fixed_size(preamble->version);
-    if (preamble->length < fixed) return std::nullopt;
+    if (preamble->length < kResponseShimMinSize) return std::nullopt;
     if (data.size() < preamble->length) return std::nullopt;
     ResponseShim shim;
-    shim.wire_version = preamble->version;
     shim.orig.addr = util::Ipv4Addr(r.u32());
     shim.resp.addr = util::Ipv4Addr(r.u32());
     shim.orig.port = r.u16();
@@ -164,18 +157,16 @@ std::optional<ResponseShim> ResponseShim::parse(
     const auto limit = static_cast<std::int64_t>(r.u64());
     if ((param_flags & kParamHasLimitRate) != 0)
       shim.limit_bytes_per_sec = limit;
-    if (preamble->version != kShimVersionV2) {
-      const std::uint8_t scope = r.u8();
-      if (scope > static_cast<std::uint8_t>(CacheScope::kDstPort))
-        return std::nullopt;
-      shim.cache_scope = static_cast<CacheScope>(scope);
-      r.u8();
-      r.u16();
-      shim.cache_ttl_ms = r.u32();
-      shim.policy_epoch = r.u64();
-      shim.cacheable = (param_flags & kParamCacheable) != 0;
-    }
-    shim.annotation = r.str(preamble->length - fixed);
+    const std::uint8_t scope = r.u8();
+    if (scope > static_cast<std::uint8_t>(CacheScope::kDstPort))
+      return std::nullopt;
+    shim.cache_scope = static_cast<CacheScope>(scope);
+    r.u8();
+    r.u16();
+    shim.cache_ttl_ms = r.u32();
+    shim.policy_epoch = r.u64();
+    shim.cacheable = (param_flags & kParamCacheable) != 0;
+    shim.annotation = r.str(preamble->length - kResponseShimMinSize);
     if (consumed) *consumed = preamble->length;
     return shim;
   } catch (const util::BufferUnderflow&) {
@@ -191,12 +182,10 @@ std::optional<std::size_t> complete_shim_length(
     if (!preamble || preamble->type != expected_type) return std::nullopt;
     // The length field is attacker-influenced stream data: never report a
     // "complete" shim shorter than the type's wire minimum, or a caller
-    // consuming that many bytes would desynchronize on the stream. The
-    // response minimum depends on the preamble's wire version (v3 carries
-    // the fixed cache block).
-    const std::size_t min_length =
-        expected_type == kTypeRequest ? kRequestShimSize
-                                      : response_fixed_size(preamble->version);
+    // consuming that many bytes would desynchronize on the stream.
+    const std::size_t min_length = expected_type == kTypeRequest
+                                       ? kRequestShimSize
+                                       : kResponseShimMinSize;
     if (preamble->length < min_length) return std::nullopt;
     if (data.size() < preamble->length) return std::nullopt;
     return preamble->length;

@@ -12,34 +12,31 @@
 // textual annotation. The gateway strips the response shim from the
 // stream before relaying bytes to the inmate.
 //
-// Wire version 2 extends the paper's >= 56-byte response layout with an
-// explicit 12-byte parameter block (flags + rate): parameters used to be
-// string-packed into the annotation ("rate=4096") and re-parsed by the
-// gateway; they are now first-class fields, and the annotation is purely
-// descriptive.
-//
-// Wire version 3 appends a 16-byte cache block to the response: a
-// cache-scope selector, a TTL, and the containment server's policy
-// epoch, letting the gateway cache resolved verdicts and admit repeat
-// flows without a shim round trip (the kParamCacheable flag in the
-// parameter block gates whether the verdict may be cached at all).
-// Parsers accept both versions; v2 responses are simply never
-// cacheable.
+// The response extends the paper's >= 56-byte layout with an explicit
+// 12-byte parameter block (flags + rate), so verdict parameters are
+// typed fields and the annotation is purely descriptive, and with a
+// 16-byte cache block: a cache-scope selector, a TTL, and the
+// containment server's policy epoch, letting the gateway cache resolved
+// verdicts and admit repeat flows without a shim round trip (the
+// kParamCacheable flag in the parameter block gates whether the verdict
+// may be cached at all). This is wire version 3, the only stream-shim
+// version: a request or response carrying any other version byte is
+// malformed.
 //
 // Wire version 4 adds a third message type alongside request/response:
 // the *table-sync* frame (kTypeTableSync, see shim/table_sync.h) by
 // which the containment server pushes its compiled match-action policy
 // table to each gateway router. Table-sync frames travel on their own
-// UDP port, never inside a flow's byte stream, so the v2/v3 stream
-// parsers here remain untouched — `read_preamble` still accepts only
-// versions 2 and 3, and v4 frames are decoded solely by the table-sync
-// codec.
+// UDP port, never inside a flow's byte stream, so the stream parsers
+// here remain untouched — `read_preamble` accepts only version 3, and
+// v4 frames are decoded solely by the table-sync codec.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/addr.h"
@@ -62,9 +59,9 @@ const char* verdict_name(Verdict v);
 
 /// Magic number opening every shim message ("GQSH").
 inline constexpr std::uint32_t kShimMagic = 0x47515348;
-/// Current wire version (encoders emit this); v2 is still parsed.
+/// Stream-shim wire version: the only one encoders emit and parsers
+/// accept.
 inline constexpr std::uint8_t kShimVersion = 3;
-inline constexpr std::uint8_t kShimVersionV2 = 2;
 /// Table-sync wire version (table-sync frames only; stream shims stay v3).
 inline constexpr std::uint8_t kShimVersionV4 = 4;
 inline constexpr std::uint8_t kTypeRequest = 1;
@@ -72,17 +69,15 @@ inline constexpr std::uint8_t kTypeResponse = 2;
 /// Compiled policy-table push (v4, UDP datagram; see shim/table_sync.h).
 inline constexpr std::uint8_t kTypeTableSync = 3;
 inline constexpr std::size_t kRequestShimSize = 24;
-/// v2 response layout: preamble (8) + four-tuple (12) + verdict (4) +
-/// policy name (32) + parameter block (12) = 68, then the annotation.
-/// This is also the floor any well-formed response must clear.
-inline constexpr std::size_t kResponseShimMinSize = 68;
-/// v3 appends the 16-byte cache block (scope u8, reserved u8+u16,
-/// ttl_ms u32, policy epoch u64) before the annotation.
-inline constexpr std::size_t kResponseShimV3MinSize = 84;
+/// Response layout: preamble (8) + four-tuple (12) + verdict (4) +
+/// policy name (32) + parameter block (12) + cache block (16: scope u8,
+/// reserved u8+u16, ttl_ms u32, policy epoch u64) = 84, then the
+/// annotation. This is the floor any well-formed response must clear.
+inline constexpr std::size_t kResponseShimMinSize = 84;
 inline constexpr std::size_t kPolicyNameSize = 32;
 /// Parameter-block flag bits.
 inline constexpr std::uint32_t kParamHasLimitRate = 0x1;
-/// The verdict may be cached by the gateway (v3 only). REWRITE verdicts
+/// The verdict may be cached by the gateway. REWRITE verdicts
 /// must never carry this flag: the containment server stays in-path.
 inline constexpr std::uint32_t kParamCacheable = 0x2;
 
@@ -110,6 +105,8 @@ enum class VerdictSource : std::uint8_t {
 };
 
 const char* verdict_source_name(VerdictSource source);
+/// Inverse of verdict_source_name; nullopt for any other token.
+std::optional<VerdictSource> verdict_source_from_name(std::string_view name);
 
 /// Containment request shim: gateway -> containment server.
 struct RequestShim {
@@ -137,25 +134,19 @@ struct ResponseShim {
   std::optional<std::int64_t> limit_bytes_per_sec;
   std::string annotation;   ///< Purely descriptive context.
 
-  // --- v3 cache block ---------------------------------------------------
+  // --- Cache block -----------------------------------------------------
   /// The gateway may cache this verdict (kParamCacheable). Never set on
-  /// REWRITE verdicts. Always false when parsed from a v2 frame.
+  /// REWRITE verdicts.
   bool cacheable = false;
   CacheScope cache_scope = CacheScope::kExactFlow;
   /// Cache entry lifetime; 0 lets the gateway pick its configured default.
   std::uint32_t cache_ttl_ms = 0;
   /// The containment server's policy epoch at decision time. Carried on
-  /// every v3 response (cacheable or not) so the gateway can invalidate
+  /// every response (cacheable or not) so the gateway can invalidate
   /// stale cache generations lazily.
   std::uint64_t policy_epoch = 0;
 
-  /// Wire version to encode as: kShimVersion (default) or kShimVersionV2
-  /// (compatibility paths and mixed-version tests; drops the cache
-  /// block). Set from the preamble on parse.
-  std::uint8_t wire_version = kShimVersion;
-
-  /// kResponseShimV3MinSize + annotation bytes (v2: kResponseShimMinSize
-  /// + annotation bytes).
+  /// kResponseShimMinSize + annotation bytes.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
   /// Parse from the start of `data`. Returns nullopt if `data` does not

@@ -13,7 +13,7 @@
 // version) but carry their own type (kTypeTableSync) and version
 // (kShimVersionV4), and travel as standalone UDP datagrams to the
 // gateway's management address on kTableSyncPort — never inside a flow's
-// byte stream — so the v2/v3 stream parsers in shim.cc are untouched.
+// byte stream — so the v3 stream parsers in shim.cc are untouched.
 //
 // Layout (all integers network order):
 //   preamble     8  magic u32, length u16, type u8 (=3), version u8 (=4)

@@ -45,7 +45,6 @@ bool FlowIndex::annotate(const pkt::FlowKey& key, std::uint16_t vlan,
   record->verdict = verdict;
   record->policy_name = policy_name;
   record->verdict_source = source;
-  record->verdict_cached = source == shim::VerdictSource::kCached;
   return true;
 }
 
@@ -167,13 +166,11 @@ std::optional<FlowRecord> parse_flow_record_line(std::string_view line) {
     }
   }
   if (fields.size() > 14 && record.has_verdict) {
-    record.verdict_source = fields[14] == "cached"
-                                ? shim::VerdictSource::kCached
-                                : fields[14] == "table"
-                                      ? shim::VerdictSource::kTable
-                                      : shim::VerdictSource::kShim;
-    record.verdict_cached =
-        record.verdict_source == shim::VerdictSource::kCached;
+    // A corrupt source token must not be read as "shim": that would
+    // misattribute the verdict's datapath downstream.
+    const auto source = shim::verdict_source_from_name(fields[14]);
+    if (!source) return std::nullopt;
+    record.verdict_source = *source;
   }
   if (fields.size() > 15 && fields[15] != "-") record.tenant = fields[15];
   if (fields.size() > 16) {

@@ -51,8 +51,6 @@ struct FlowRecord {
   /// Where the verdict was resolved: containment-server shim round
   /// trip, gateway verdict cache, or compiled in-gateway policy table.
   shim::VerdictSource verdict_source = shim::VerdictSource::kShim;
-  /// Back-compat alias: verdict_source == kCached.
-  bool verdict_cached = false;
 
   /// Archive location of every captured packet, capture order. Entries
   /// pointing into evicted segments stop resolving (extraction skips
@@ -116,12 +114,12 @@ class FlowIndex {
 std::string flow_record_line(const FlowRecord& record);
 
 /// Parse one flows.txt line. Hardened: malformed or out-of-range
-/// numeric fields and bad addresses reject the line (nullopt) instead
-/// of throwing; unknown verdict/source names and malformed location
-/// pairs degrade leniently (forward compatibility, matching the
-/// manifest's unknown-key rule). Trailing columns are optional so
-/// archives written before verdict sources or tenant attribution still
-/// load.
+/// numeric fields, bad addresses, and an unknown verdict-source token
+/// on a flow with a verdict reject the line (nullopt) instead of
+/// throwing; unknown verdict names and malformed location pairs degrade
+/// leniently (forward compatibility, matching the manifest's
+/// unknown-key rule). Trailing columns are optional so archives written
+/// before verdict sources or tenant attribution still load.
 std::optional<FlowRecord> parse_flow_record_line(std::string_view line);
 
 }  // namespace gq::trace

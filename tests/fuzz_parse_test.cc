@@ -68,6 +68,12 @@ util::Endpoint random_endpoint(util::Rng& rng) {
           static_cast<std::uint16_t>(rng.next())};
 }
 
+/// Any stream-shim version byte other than kShimVersion.
+std::uint8_t random_non_v3_version(util::Rng& rng) {
+  const auto v = static_cast<std::uint8_t>(rng.below(255));
+  return v >= shim::kShimVersion ? static_cast<std::uint8_t>(v + 1) : v;
+}
+
 std::string random_text(util::Rng& rng, std::size_t max_len) {
   std::string text(rng.below(max_len + 1), '\0');
   for (auto& c : text) c = static_cast<char>(rng.next());
@@ -121,16 +127,20 @@ TEST(FuzzShim, ResponseShimRejectsOrParsesNeverCrashes) {
       if (rng.below(2) == 0)
         resp.limit_bytes_per_sec = static_cast<std::int64_t>(rng.next());
       resp.annotation = random_text(rng, 48);
-      // Sweep the v3 cache block (cacheability flag, scope including an
-      // out-of-range value the parser must reject, TTL, epoch) and emit
-      // a mix of v2 and v3 frames so the parsers see both versions
-      // interleaved the way a mid-upgrade farm would produce them.
+      // Sweep the cache block (cacheability flag, scope including an
+      // out-of-range value the parser must reject, TTL, epoch), and give
+      // a third of the frames a non-v3 version byte, which both parsers
+      // must reject outright.
       resp.cacheable = rng.below(2) == 0;
       resp.cache_scope = static_cast<shim::CacheScope>(rng.below(4));
       resp.cache_ttl_ms = static_cast<std::uint32_t>(rng.next());
       resp.policy_epoch = rng.next();
-      if (rng.below(3) == 0) resp.wire_version = shim::kShimVersionV2;
       buf = resp.encode();
+      if (rng.below(3) == 0) {
+        buf[7] = random_non_v3_version(rng);
+        ASSERT_FALSE(shim::ResponseShim::parse(buf));
+        ASSERT_FALSE(shim::complete_shim_length(buf, shim::kTypeResponse));
+      }
       const auto mutations = 1 + rng.below(3);
       for (std::uint64_t m = 0; m < mutations; ++m) mutate(rng, buf);
     }
@@ -141,19 +151,11 @@ TEST(FuzzShim, ResponseShimRejectsOrParsesNeverCrashes) {
       // property, checked structurally on top of ASan).
       ASSERT_LE(consumed, buf.size());
       ASSERT_GE(consumed, shim::kResponseShimMinSize);
-      if (parsed->wire_version != shim::kShimVersionV2)
-        ASSERT_GE(consumed, shim::kResponseShimV3MinSize);
+      ASSERT_EQ(buf[7], shim::kShimVersion);
       (void)parsed->verdict;
       (void)parsed->policy_name.size();
       (void)parsed->annotation.size();
-      // Whatever parsed must satisfy the cache-block invariants: v2
-      // frames are never cacheable and carry no epoch; any accepted
-      // scope is one of the three defined values.
-      if (parsed->wire_version == shim::kShimVersionV2) {
-        ASSERT_FALSE(parsed->cacheable);
-        ASSERT_EQ(parsed->policy_epoch, 0u);
-        ASSERT_EQ(parsed->cache_ttl_ms, 0u);
-      }
+      // Any accepted scope is one of the three defined values.
       ASSERT_LE(static_cast<std::uint8_t>(parsed->cache_scope),
                 static_cast<std::uint8_t>(shim::CacheScope::kDstPort));
     }
@@ -167,9 +169,10 @@ TEST(FuzzShim, ResponseShimRejectsOrParsesNeverCrashes) {
 
 TEST(FuzzShim, ResponseTruncationNeverParsesEitherVersion) {
   // The stream-scanning contract that keeps the gateway synchronized:
-  // any strict prefix of a well-formed response shim (v2 or v3) must be
-  // rejected by parse() and complete_shim_length(), and the full frame
-  // must be accepted with exactly its own length consumed.
+  // any strict prefix of a well-formed response shim must be rejected by
+  // parse() and complete_shim_length(), and the full frame must be
+  // accepted with exactly its own length consumed. With a non-v3
+  // version byte, the full frame is rejected too.
   util::Rng rng(0xF00D0007);
   for (int i = 0; i < 512; ++i) {
     shim::ResponseShim resp;
@@ -182,13 +185,19 @@ TEST(FuzzShim, ResponseTruncationNeverParsesEitherVersion) {
     resp.cache_scope = static_cast<shim::CacheScope>(rng.below(3));
     resp.cache_ttl_ms = static_cast<std::uint32_t>(rng.next());
     resp.policy_epoch = rng.next();
-    if (rng.below(2) == 0) resp.wire_version = shim::kShimVersionV2;
-    const auto full = resp.encode();
+    auto full = resp.encode();
+    const bool other_version = rng.below(2) == 0;
+    if (other_version) full[7] = random_non_v3_version(rng);
     for (std::size_t cut = 0; cut < full.size(); ++cut) {
       std::span<const std::uint8_t> prefix(full.data(), cut);
       ASSERT_FALSE(shim::ResponseShim::parse(prefix)) << "cut=" << cut;
       ASSERT_FALSE(shim::complete_shim_length(prefix, shim::kTypeResponse))
           << "cut=" << cut;
+    }
+    if (other_version) {
+      ASSERT_FALSE(shim::ResponseShim::parse(full));
+      ASSERT_FALSE(shim::complete_shim_length(full, shim::kTypeResponse));
+      continue;
     }
     std::size_t consumed = 0;
     ASSERT_TRUE(shim::ResponseShim::parse(full, &consumed));
@@ -605,8 +614,6 @@ trace::FlowRecord random_flow_record(util::Rng& rng) {
     record.has_verdict = true;
     record.verdict = static_cast<shim::Verdict>(1 + rng.below(6));
     record.verdict_source = static_cast<shim::VerdictSource>(rng.below(3));
-    record.verdict_cached =
-        record.verdict_source == shim::VerdictSource::kCached;
     record.policy_name = "p" + std::to_string(rng.below(100));
   }
   if (rng.chance(0.5)) record.tenant = "t" + std::to_string(rng.below(16));

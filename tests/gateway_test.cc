@@ -54,7 +54,7 @@ struct FarmFixture : ::testing::Test {
   net::HostStack inmate2{loop, "inmate2", util::MacAddr::local(0x202), 22};
   std::unique_ptr<svc::DhcpClient> dhcp1, dhcp2;
   std::unique_ptr<cs::ContainmentServer> cs;
-  std::vector<gw::FlowEvent> events;
+  std::vector<obs::FarmEvent> events;
 
   // Sink bookkeeping.
   int sink_tcp_accepts = 0;
@@ -67,8 +67,8 @@ struct FarmFixture : ::testing::Test {
     gwc.mgmt_addr = kGwMgmt;
     gwc.mgmt_net = kMgmtNet;
     gateway = std::make_unique<gw::Gateway>(loop, gwc);
-    gateway->set_event_handler(
-        [this](const gw::FlowEvent& event) { events.push_back(event); });
+    gateway->telemetry().bus().subscribe(
+        [this](const obs::FarmEvent& event) { events.push_back(event); });
 
     gw::SubfarmConfig sfc;
     sfc.name = "TestFarm";
@@ -135,6 +135,11 @@ struct FarmFixture : ::testing::Test {
     ASSERT_TRUE(inmate2.configured());
   }
 
+  // A pending closure can own the last reference to a TCP connection
+  // whose destructor reaches its host stack and the loop: destroy those
+  // closures while both still exist (EventLoop::drop_pending's contract).
+  void TearDown() override { loop.drop_pending(); }
+
   // Inmate enumerator for honeyfarm policies (outlives any policy that
   // keeps a PolicyEnv copy pointing at it).
   cs::InlinePolicyServices inmate_services;
@@ -179,10 +184,47 @@ TEST_F(FarmFixture, DefaultDenyDropsFlow) {
   ASSERT_FALSE(events.empty());
   bool saw_drop = false;
   for (const auto& event : events)
-    if (event.kind == gw::FlowEvent::Kind::kVerdict &&
+    if (event.kind == obs::FarmEvent::Kind::kFlowVerdict &&
         event.verdict == shim::Verdict::kDrop)
       saw_drop = true;
   EXPECT_TRUE(saw_drop);
+}
+
+// A containment server answering in any wire version but v3: the
+// gateway cannot parse the reply, keeps waiting, and enforces the
+// fail-closed verdict at the flow's deadline.
+TEST_F(FarmFixture, NonV3ResponseShimFailsClosedAtDeadline) {
+  subfarm->set_fail_closed(shim::Verdict::kDrop, util::seconds(5));
+  cs_host.listen(kCsPort, [](std::shared_ptr<net::TcpConnection> conn) {
+    conn->on_data = [conn](std::span<const std::uint8_t> data) {
+      const auto request = shim::RequestShim::parse(data);
+      if (!request) return;
+      shim::ResponseShim response;
+      response.orig = request->orig;
+      response.resp = request->resp;
+      response.verdict = shim::Verdict::kForward;
+      response.policy_name = "OtherVersion";
+      auto bytes = response.encode();
+      bytes[7] = 2;
+      conn->send(bytes);
+    };
+  });
+  bool web_accepted = false;
+  web.listen(80, [&](std::shared_ptr<net::TcpConnection>) {
+    web_accepted = true;
+  });
+  auto conn = inmate1.connect({kWebAddr, 80});
+  loop.run_for(util::seconds(15));
+  EXPECT_FALSE(web_accepted);
+  EXPECT_EQ(subfarm->fail_closed_verdicts(), 1u);
+  std::size_t verdicts = 0;
+  for (const auto& event : events) {
+    if (event.kind != obs::FarmEvent::Kind::kFlowVerdict) continue;
+    ++verdicts;
+    EXPECT_EQ(event.verdict, shim::Verdict::kDrop);
+    EXPECT_EQ(event.policy_name, "FailClosed");
+  }
+  EXPECT_EQ(verdicts, 1u);
 }
 
 TEST_F(FarmFixture, ForwardVerdictSplicesAndNats) {
@@ -364,7 +406,7 @@ TEST_F(FarmFixture, CustomLimitRateSurvivesTypedShimRoundTrip) {
   // annotation.
   bool saw_limit = false;
   for (const auto& event : events) {
-    if (event.kind == gw::FlowEvent::Kind::kVerdict &&
+    if (event.kind == obs::FarmEvent::Kind::kFlowVerdict &&
         event.verdict == shim::Verdict::kLimit) {
       saw_limit = true;
       ASSERT_TRUE(event.limit_bytes_per_sec.has_value());
@@ -598,7 +640,7 @@ TEST_P(VerdictEventSweep, EventCarriesVerdict) {
   loop.run_for(util::seconds(15));
   bool seen = false;
   for (const auto& event : events) {
-    if (event.kind == gw::FlowEvent::Kind::kVerdict &&
+    if (event.kind == obs::FarmEvent::Kind::kFlowVerdict &&
         event.verdict == verdict && event.policy_name == "OnePolicy")
       seen = true;
   }

@@ -511,8 +511,8 @@ TEST(PolicyTableFarm, DatapathOptionsFlowThroughToEveryLayer) {
   TableFarm f(options);
   EXPECT_FALSE(f.farm.gateway().fast_path());
   EXPECT_FALSE(f.sub->router().policy_table_enabled());
-  EXPECT_FALSE(f.sub->router().config().verdict_cache_enabled);
-  EXPECT_EQ(f.sub->router().config().verdict_cache_capacity, 7u);
+  EXPECT_FALSE(f.sub->router().verdict_cache_enabled());
+  EXPECT_EQ(f.sub->router().verdict_cache().capacity(), 7u);
 
   // With the table off, a compilable policy still works — every flow
   // just pays the shim round trip again.

@@ -11,12 +11,14 @@ namespace {
 using util::Endpoint;
 using util::Ipv4Addr;
 
-gw::FlowEvent verdict_event(const std::string& subfarm, std::uint16_t vlan,
-                            shim::Verdict verdict,
-                            const std::string& policy,
-                            const std::string& annotation, Endpoint dst) {
-  gw::FlowEvent event;
-  event.kind = gw::FlowEvent::Kind::kVerdict;
+using Kind = obs::FarmEvent::Kind;
+
+obs::FarmEvent verdict_event(const std::string& subfarm, std::uint16_t vlan,
+                             shim::Verdict verdict,
+                             const std::string& policy,
+                             const std::string& annotation, Endpoint dst) {
+  obs::FarmEvent event;
+  event.kind = Kind::kFlowVerdict;
   event.subfarm = subfarm;
   event.vlan = vlan;
   event.verdict = verdict;
@@ -29,12 +31,12 @@ gw::FlowEvent verdict_event(const std::string& subfarm, std::uint16_t vlan,
 TEST(Reporter, AggregatesVerdictsPerInmate) {
   Reporter reporter;
   for (int i = 0; i < 682; ++i) {
-    reporter.on_flow_event(verdict_event(
+    reporter.on_event(verdict_event(
         "Botfarm", 18, shim::Verdict::kForward, "Grum", "C&C port",
         {Ipv4Addr(50, 8, 207, 91), 80}));
   }
   for (int i = 0; i < 144; ++i) {
-    reporter.on_flow_event(verdict_event(
+    reporter.on_event(verdict_event(
         "Botfarm", 18, shim::Verdict::kReflect, "Grum",
         "full SMTP containment", {Ipv4Addr(1, 2, static_cast<std::uint8_t>(i), 4), 25}));
   }
@@ -50,22 +52,22 @@ TEST(Reporter, AggregatesVerdictsPerInmate) {
 
 TEST(Reporter, RenderMatchesFigure7Shape) {
   Reporter reporter;
-  reporter.on_flow_event(verdict_event("Botfarm", 18,
-                                       shim::Verdict::kForward, "Grum",
-                                       "C&C port",
-                                       {Ipv4Addr(50, 8, 207, 91), 80}));
+  reporter.on_event(verdict_event("Botfarm", 18, shim::Verdict::kForward,
+                                  "Grum", "C&C port",
+                                  {Ipv4Addr(50, 8, 207, 91), 80}));
   for (int i = 0; i < 3; ++i) {
-    reporter.on_flow_event(verdict_event(
+    reporter.on_event(verdict_event(
         "Botfarm", 18, shim::Verdict::kReflect, "Grum",
         "full SMTP containment",
         {Ipv4Addr(9, 9, static_cast<std::uint8_t>(i), 9), 25}));
   }
-  cs::CsEvent infection;
-  infection.kind = cs::CsEvent::Kind::kInfectionServed;
+  obs::FarmEvent infection;
+  infection.kind = Kind::kInfectionServed;
+  infection.subfarm = "Botfarm";
   infection.vlan = 18;
   infection.sample_name = "grum.100818.000.exe";
   infection.sample_md5 = "6f007d640b3d5786a84dedf026c1507c";
-  reporter.on_cs_event("Botfarm", infection);
+  reporter.on_event(infection);
 
   const std::string report = reporter.render(util::TimePoint{});
   EXPECT_NE(report.find("Inmate Activity"), std::string::npos);
@@ -86,27 +88,29 @@ TEST(Reporter, RenderMatchesFigure7Shape) {
 
 TEST(Reporter, SafetyRejectionsCounted) {
   Reporter reporter;
-  gw::FlowEvent event;
-  event.kind = gw::FlowEvent::Kind::kSafetyReject;
+  obs::FarmEvent event;
+  event.kind = Kind::kSafetyReject;
   event.subfarm = "Botfarm";
   event.vlan = 16;
-  reporter.on_flow_event(event);
-  reporter.on_flow_event(event);
+  reporter.on_event(event);
+  reporter.on_event(event);
   const std::string report = reporter.render(util::TimePoint{});
   EXPECT_NE(report.find("Safety filter rejections: 2"), std::string::npos);
 }
 
 TEST(Reporter, TriggerAndInfectionCounters) {
   Reporter reporter;
-  cs::CsEvent trigger;
-  trigger.kind = cs::CsEvent::Kind::kTriggerFired;
+  obs::FarmEvent trigger;
+  trigger.kind = Kind::kTriggerFired;
+  trigger.subfarm = "X";
   trigger.vlan = 16;
-  reporter.on_cs_event("X", trigger);
-  reporter.on_cs_event("X", trigger);
-  cs::CsEvent infection;
-  infection.kind = cs::CsEvent::Kind::kInfectionServed;
+  reporter.on_event(trigger);
+  reporter.on_event(trigger);
+  obs::FarmEvent infection;
+  infection.kind = Kind::kInfectionServed;
+  infection.subfarm = "X";
   infection.vlan = 16;
-  reporter.on_cs_event("X", infection);
+  reporter.on_event(infection);
   EXPECT_EQ(reporter.trigger_firings(), 2u);
   EXPECT_EQ(reporter.infections_served(), 1u);
 }

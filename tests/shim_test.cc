@@ -1,8 +1,8 @@
 // Shim protocol tests: exact wire sizes (24-byte request; the paper's
-// Figure 4 response extended to >= 68 bytes by the wire-v2 typed
-// parameter block and to >= 84 bytes by the wire-v3 cache block),
-// round-trips, v2/v3 interop, malformed-input rejection, and the
-// stream-scanning helper the gateway uses.
+// Figure 4 response extended to >= 84 bytes by the typed parameter
+// block and the cache block), round-trips, rejection of malformed input
+// including every non-v3 version byte, and the stream-scanning helper
+// the gateway uses.
 #include <gtest/gtest.h>
 
 #include "shim/shim.h"
@@ -71,13 +71,10 @@ TEST(ResponseShim, WireSizes) {
   ResponseShim shim;
   shim.verdict = Verdict::kForward;
   shim.policy_name = "Rustock";
-  // v3 (the default) appends the 16-byte cache block to the 68-byte v2
-  // layout; 68 remains the floor any well-formed response must clear.
+  // The 16-byte cache block ends the fixed 84-byte layout; 84 is the
+  // floor any well-formed response must clear.
   EXPECT_EQ(shim.encode().size(), 84u);
-  EXPECT_EQ(kResponseShimV3MinSize, 84u);
-  EXPECT_EQ(kResponseShimMinSize, 68u);
-  shim.wire_version = kShimVersionV2;
-  EXPECT_EQ(shim.encode().size(), 68u);
+  EXPECT_EQ(kResponseShimMinSize, 84u);
 }
 
 TEST(ResponseShim, RoundTripWithAnnotation) {
@@ -169,7 +166,6 @@ TEST(ResponseShim, CacheBlockRoundTrips) {
   EXPECT_EQ(parsed->cache_ttl_ms, 30000u);
   EXPECT_EQ(parsed->policy_epoch, 7u);
   EXPECT_EQ(parsed->annotation, "cacheable scan admit");
-  EXPECT_EQ(parsed->wire_version, kShimVersion);
 }
 
 TEST(ResponseShim, EpochCarriedOnUncacheableResponses) {
@@ -182,31 +178,25 @@ TEST(ResponseShim, EpochCarriedOnUncacheableResponses) {
   EXPECT_EQ(parsed->policy_epoch, 42u);
 }
 
-TEST(ResponseShim, V2FramesStillParseAndAreNeverCacheable) {
+TEST(ResponseShim, NonV3VersionsAreRejected) {
   ResponseShim shim;
   shim.verdict = Verdict::kLimit;
   shim.policy_name = "Throttle";
   shim.limit_bytes_per_sec = 2048;
-  shim.annotation = "legacy emitter";
-  // Even if a v2 emitter somehow set the cache fields, the v2 frame
-  // cannot carry them: they must come back zeroed.
-  shim.cacheable = true;
-  shim.cache_ttl_ms = 9999;
-  shim.policy_epoch = 99;
-  shim.wire_version = kShimVersionV2;
-  auto bytes = shim.encode();
-  EXPECT_EQ(bytes.size(), 68u + shim.annotation.size());
-  std::size_t consumed = 0;
-  auto parsed = ResponseShim::parse(bytes, &consumed);
-  ASSERT_TRUE(parsed);
-  EXPECT_EQ(consumed, bytes.size());
-  EXPECT_EQ(parsed->wire_version, kShimVersionV2);
-  EXPECT_FALSE(parsed->cacheable);
-  EXPECT_EQ(parsed->cache_ttl_ms, 0u);
-  EXPECT_EQ(parsed->policy_epoch, 0u);
-  ASSERT_TRUE(parsed->limit_bytes_per_sec.has_value());
-  EXPECT_EQ(*parsed->limit_bytes_per_sec, 2048);
-  EXPECT_EQ(parsed->annotation, "legacy emitter");
+  shim.annotation = "other version";
+  const auto v3 = shim.encode();
+  ASSERT_TRUE(ResponseShim::parse(v3));
+  ASSERT_TRUE(complete_shim_length(v3, kTypeResponse));
+  // Version 3 is the only stream-shim version: an otherwise well-formed
+  // response carrying any other version byte is malformed input, to the
+  // parser and to the stream scanner alike.
+  for (const std::uint8_t version : {2, 1, 4, 0xFF}) {
+    auto bytes = v3;
+    bytes[7] = version;
+    EXPECT_FALSE(ResponseShim::parse(bytes)) << "version " << int{version};
+    EXPECT_FALSE(complete_shim_length(bytes, kTypeResponse))
+        << "version " << int{version};
+  }
 }
 
 TEST(ResponseShim, RejectsInvalidCacheScope) {

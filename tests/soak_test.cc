@@ -130,7 +130,9 @@ std::string event_line(const obs::FarmEvent& e) {
      << e.subfarm << " vlan=" << e.vlan << ' '
      << (e.proto == pkt::FlowProto::kTcp ? "tcp" : "udp")
      << " dst=" << e.orig_dst.str() << ' ' << shim::verdict_name(e.verdict)
-     << " src=" << (e.verdict_cached ? "cached" : "shim")
+     << " src="
+     << (e.verdict_source == shim::VerdictSource::kCached ? "cached"
+                                                          : "shim")
      << " policy=" << e.policy_name << " ann=" << e.annotation
      << " b2s=" << e.bytes_to_server << " b2i=" << e.bytes_to_inmate
      << " int=" << e.inmate_internal.str()

@@ -269,7 +269,6 @@ TEST(FlowIndex, RestoreRebuildsBidirectionalFindAfterSaveLoadRoundTrip) {
   EXPECT_TRUE(table_flow->has_verdict);
   EXPECT_EQ(table_flow->verdict, shim::Verdict::kDrop);
   EXPECT_EQ(table_flow->verdict_source, shim::VerdictSource::kTable);
-  EXPECT_FALSE(table_flow->verdict_cached);
   EXPECT_EQ(table_flow->policy_name, "dns-table");
   // Wrong VLAN still misses.
   EXPECT_EQ(restored.find(table_key, 13), nullptr);
@@ -294,6 +293,15 @@ TEST(FlowIndex, FlowLineParserRejectsMalformedFields) {
   EXPECT_FALSE(trace::parse_flow_record_line(
       "flow\ttcp\t10.0.0.1\t1\t10.0.0.2\t80\t0\t"
       "99999999999999999999999999\t1\t0\t0\t-\t-"));
+  // A flow with a verdict names its source: any token other than shim,
+  // cached or table is corruption, not a shim round trip.
+  const std::string verdict_prefix =
+      "flow\ttcp\t10.0.0.1\t1\t10.0.0.2\t80\t0\t1\t1\t0\t0\t"
+      "FORWARD\tp\t\t";
+  const auto cached = trace::parse_flow_record_line(verdict_prefix + "cached");
+  ASSERT_TRUE(cached);
+  EXPECT_EQ(cached->verdict_source, shim::VerdictSource::kCached);
+  EXPECT_FALSE(trace::parse_flow_record_line(verdict_prefix + "cache"));
 }
 
 // --- TraceTap: metrics, extraction, save/load -----------------------------

@@ -256,7 +256,8 @@ TEST(VerdictCacheFarm, RepeatFlowsSkipTheShimRoundTrip) {
   std::vector<bool> cached_flags;
   f.farm.telemetry().bus().subscribe([&](const obs::FarmEvent& e) {
     if (e.kind == obs::FarmEvent::Kind::kFlowVerdict)
-      cached_flags.push_back(e.verdict_cached);
+      cached_flags.push_back(e.verdict_source ==
+                             shim::VerdictSource::kCached);
   });
 
   EXPECT_EQ(f.exchange("first"), "first");
@@ -283,7 +284,9 @@ TEST(VerdictCacheFarm, RepeatFlowsSkipTheShimRoundTrip) {
   // And the per-flow trace index carries the same annotation.
   std::size_t cached_in_trace = 0;
   for (const auto& flow : f.sub->router().trace().index().flows())
-    if (flow.has_verdict && flow.verdict_cached) ++cached_in_trace;
+    if (flow.has_verdict &&
+        flow.verdict_source == shim::VerdictSource::kCached)
+      ++cached_in_trace;
   EXPECT_EQ(cached_in_trace, 2u);
 }
 
