@@ -96,7 +96,7 @@ void BM_FrameDecode(benchmark::State& state) {
 BENCHMARK(BM_FrameDecode)->Arg(0)->Arg(512)->Arg(1460);
 
 void BM_FrameRewriteReencode(benchmark::State& state) {
-  // The gateway's slow path: decode, NAT-rewrite, re-encode.
+  // The decoded reference: decode, NAT-rewrite, re-encode.
   auto bytes = sample_tcp_frame(512);
   for (auto _ : state) {
     auto frame = pkt::decode_frame(bytes);
@@ -109,7 +109,7 @@ void BM_FrameRewriteReencode(benchmark::State& state) {
 BENCHMARK(BM_FrameRewriteReencode);
 
 void BM_FrameViewRewrite(benchmark::State& state) {
-  // The gateway's fast path: the same NAT rewrite applied in place
+  // The gateway's datapath: the same NAT rewrite applied in place
   // through a FrameView with incrementally maintained checksums.
   auto bytes = sample_tcp_frame(512);
   for (auto _ : state) {

@@ -41,10 +41,8 @@ struct RunStats {
   std::uint64_t sim_events = 0;
 };
 
-RunStats run(int subfarms, int inmates_per_subfarm, util::Duration duration,
-             bool fast_path = true) {
+RunStats run(int subfarms, int inmates_per_subfarm, util::Duration duration) {
   core::Farm farm;
-  farm.gateway().set_fast_path(fast_path);
   auto& cc_host = farm.add_external_host("cc", Ipv4Addr(50, 8, 207, 91));
   ext::CcServer cc(cc_host, 80);
   mal::SpamTask task;
@@ -399,9 +397,9 @@ ShardStats run_sharded(unsigned threads, std::size_t shards,
   return stats;
 }
 
-// One JSON row shared by all three sweeps.
+// One JSON row shared by sweeps A and B.
 void json_row(util::JsonWriter& json, const char* sweep, int subfarms,
-              int inmates, const char* datapath, const RunStats& stats) {
+              int inmates, const RunStats& stats) {
   json.begin_object();
   json.key("sweep");
   json.value(sweep);
@@ -409,8 +407,6 @@ void json_row(util::JsonWriter& json, const char* sweep, int subfarms,
   json.value(subfarms);
   json.key("inmates_per_subfarm");
   json.value(inmates);
-  json.key("datapath");
-  json.value(datapath);
   json.key("flows_contained");
   json.value(stats.flows_contained);
   json.key("spam_harvested");
@@ -487,7 +483,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.cs_decisions_max),
                 static_cast<unsigned long long>(stats.sim_events),
                 stats.wall_ms);
-    json_row(json, "population", 1, inmates, "fast", stats);
+    json_row(json, "population", 1, inmates, stats);
   }
 
   std::printf(
@@ -505,26 +501,7 @@ int main(int argc, char** argv) {
                 stats.flows_contained / minutes,
                 static_cast<unsigned long long>(stats.cs_decisions_max),
                 stats.wall_ms);
-    json_row(json, "subfarm_spread", subfarms, 12 / subfarms, "fast", stats);
-  }
-
-  std::printf(
-      "\nSweep C: gateway datapath, 2 subfarms x 6 inmates (slow path\n"
-      "decodes and re-encodes every frame; the zero-copy fast path\n"
-      "rewrites established flows in place)\n");
-  std::printf("%9s %10s %12s %12s %10s %12s\n", "DATAPATH", "FLOWS",
-              "FLOWS/MIN", "SIM EVENTS", "WALL(ms)", "EVENTS/ms");
-  std::printf("%s\n", std::string(70, '-').c_str());
-  for (const bool fast : {false, true}) {
-    const RunStats stats = run(2, 6, duration, fast);
-    std::printf("%9s %10llu %12.0f %12llu %10.0f %12.0f\n",
-                fast ? "fast" : "slow",
-                static_cast<unsigned long long>(stats.flows_contained),
-                stats.flows_contained / minutes,
-                static_cast<unsigned long long>(stats.sim_events),
-                stats.wall_ms,
-                stats.wall_ms > 0 ? stats.sim_events / stats.wall_ms : 0.0);
-    json_row(json, "datapath", 2, 6, fast ? "fast" : "slow", stats);
+    json_row(json, "subfarm_spread", subfarms, 12 / subfarms, stats);
   }
 
   std::printf(

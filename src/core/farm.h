@@ -53,9 +53,9 @@ struct FarmOptions {
   /// Rotation budget for every gateway trace tap (upstream, mgmt,
   /// inmate-ingress, one per subfarm). Defaults keep a few MB per farm.
   trace::ArchiveConfig trace_archive;
-  /// Gateway datapath toggles (switch fast path, verdict cache,
-  /// compiled policy table), applied to the gateway and resolved into
-  /// every subfarm router created under it.
+  /// Gateway datapath toggles (verdict cache, compiled policy table),
+  /// applied to the gateway and resolved into every subfarm router
+  /// created under it.
   gw::DatapathOptions datapath;
   /// Offset added to every locally-administered MAC id this farm mints
   /// (gateway legs, external/management hosts). Zero for a standalone

@@ -44,8 +44,9 @@ class ArpProxy {
   /// Pre-seed the cache (e.g. learned from DHCP snooping).
   void learn(util::Ipv4Addr addr, util::MacAddr mac);
 
-  /// Probe the resolution cache without side effects (the zero-copy
-  /// fast path declines to the queueing `resolve` on a miss).
+  /// Probe the resolution cache without side effects (the gateway's
+  /// egress transmits at once on a hit and queues through `resolve` on
+  /// a miss).
   [[nodiscard]] std::optional<util::MacAddr> cached(
       util::Ipv4Addr next_hop) const {
     auto it = cache_.find(next_hop);

@@ -22,14 +22,11 @@ namespace gq::gw {
 /// (Internet-reachable servers, needed e.g. for Storm proxy bots).
 enum class InboundMode { kDrop, kForward };
 
-/// Every gateway datapath toggle in one place: the switch fast path,
-/// the per-subfarm verdict cache, and the compiled policy table. Set
-/// once on GatewayConfig (or core::FarmOptions); each SubfarmRouter
-/// reads them when it is constructed.
+/// Every gateway datapath toggle in one place: the per-subfarm verdict
+/// cache and the compiled policy table. Set once on GatewayConfig (or
+/// core::FarmOptions); each SubfarmRouter reads them when it is
+/// constructed.
 struct DatapathOptions {
-  /// Hardware-switch fast path for established flows.
-  bool fast_path = true;
-
   /// Gateway-side verdict cache (repeat flows resolved locally).
   bool verdict_cache = true;
   /// LRU bound on cached entries.

@@ -1,6 +1,7 @@
 #include "gateway/gateway.h"
 
 #include "gateway/router.h"
+#include "packet/frame_view.h"
 #include "services/dhcp.h"
 #include "shim/table_sync.h"
 #include "util/log.h"
@@ -8,8 +9,15 @@
 namespace gq::gw {
 
 namespace {
+
 constexpr const char* kLog = "gw";
+
+std::vector<std::uint8_t> encode_untagged(pkt::DecodedFrame& frame) {
+  frame.eth.vlan.reset();
+  return frame.encode();
 }
+
+}  // namespace
 
 Gateway::Gateway(sim::EventLoop& loop, GatewayConfig config,
                  obs::Telemetry* telemetry)
@@ -35,8 +43,7 @@ Gateway::Gateway(sim::EventLoop& loop, GatewayConfig config,
       upstream_trace_("upstream", config.trace_archive, telemetry_),
       mgmt_trace_("mgmt", config.trace_archive, telemetry_),
       inmate_rx_trace_("inmate_rx", config.trace_archive, telemetry_),
-      next_nonce_(config.nonce_port_first),
-      fast_path_(config.datapath.fast_path) {
+      next_nonce_(config.nonce_port_first) {
   // The management/control network has its own external connectivity
   // (the paper dedicates one of its five /24s to control infrastructure,
   // §6.7): the gateway proxy-ARPs the range upstream and routes it.
@@ -102,49 +109,51 @@ std::uint16_t Gateway::allocate_nonce(SubfarmRouter* owner) {
 
 void Gateway::release_nonce(std::uint16_t port) { nonce_owners_.erase(port); }
 
-// --- Zero-copy fast path -----------------------------------------------------
+// --- Egress ---------------------------------------------------------------
 
-std::optional<Gateway::RawEgress> Gateway::resolve_raw_egress(
-    util::Ipv4Addr dst) {
-  if (auto* subfarm = subfarm_for_internal(dst)) {
-    const InmateBinding* binding = subfarm->inmates().by_internal(dst);
-    if (!binding) return std::nullopt;
-    return RawEgress{RawEgress::Leg::kInmate, inmate_leg_mac_, binding->mac,
-                     binding->vlan, subfarm};
+void Gateway::emit_raw(std::vector<std::uint8_t> bytes) {
+  const auto dst = pkt::ipv4_dst_of(bytes);
+  if (!dst) return;
+  if (auto* subfarm = subfarm_for_internal(*dst)) {
+    const InmateBinding* binding = subfarm->inmates().by_internal(*dst);
+    if (!binding) {
+      GQ_DEBUG(kLog, "no inmate binding for %s, dropping", dst->str().c_str());
+      return;
+    }
+    pkt::set_eth_addrs(bytes, inmate_leg_mac_, binding->mac);
+    // Record the inmate-side trace untagged (internal perspective, §5.6).
+    subfarm->trace().record(loop_.now(), bytes, binding->vlan);
+    pkt::insert_vlan_tag(bytes, binding->vlan);
+    inmate_port_.transmit(sim::Frame{std::move(bytes)});
+    return;
   }
-  if (config_.mgmt_net.contains(dst)) {
-    const auto mac = mgmt_arp_.cached(dst);
-    if (!mac) return std::nullopt;
-    return RawEgress{RawEgress::Leg::kMgmt, mgmt_arp_.mac(), *mac, 0,
-                     nullptr};
-  }
-  const auto mac = upstream_arp_.cached(dst);
-  if (!mac) return std::nullopt;
-  return RawEgress{RawEgress::Leg::kUpstream, upstream_arp_.mac(), *mac, 0,
-                   nullptr};
+  emit_via(config_.mgmt_net.contains(*dst) ? mgmt_arp_ : upstream_arp_, *dst,
+           std::move(bytes));
 }
 
-void Gateway::emit_raw(const RawEgress& egress,
-                       std::vector<std::uint8_t> bytes,
-                       pkt::FrameView& view) {
-  view.set_eth_src(egress.src_mac);
-  view.set_eth_dst(egress.dst_mac);
-  switch (egress.leg) {
-    case RawEgress::Leg::kInmate:
-      // Inmate-side trace is recorded untagged (internal perspective,
-      // §5.6), exactly like the slow path's emit_to_inmate.
-      egress.subfarm->trace().record(loop_.now(), bytes, egress.vlan);
-      pkt::insert_vlan_tag(bytes, egress.vlan);
-      inmate_port_.transmit(sim::Frame{std::move(bytes)});
-      return;
-    case RawEgress::Leg::kMgmt:
-      mgmt_trace_.record(loop_.now(), bytes);
-      mgmt_port_.transmit(sim::Frame{std::move(bytes)});
-      return;
-    case RawEgress::Leg::kUpstream:
-      transmit_upstream(std::move(bytes));
-      return;
+void Gateway::emit_via(ArpProxy& arp, util::Ipv4Addr next_hop,
+                       std::vector<std::uint8_t> bytes) {
+  if (const auto mac = arp.cached(next_hop)) {
+    transmit_via(arp, *mac, std::move(bytes));
+    return;
   }
+  // Cold cache: queue behind the ARP exchange (shared_ptr: ArpProxy's
+  // callback type requires a copyable closure).
+  auto queued = std::make_shared<std::vector<std::uint8_t>>(std::move(bytes));
+  arp.resolve(next_hop, [this, &arp, queued](util::MacAddr mac) {
+    transmit_via(arp, mac, std::move(*queued));
+  });
+}
+
+void Gateway::transmit_via(ArpProxy& arp, util::MacAddr dst_mac,
+                           std::vector<std::uint8_t> bytes) {
+  pkt::set_eth_addrs(bytes, arp.mac(), dst_mac);
+  if (&arp == &upstream_arp_) {
+    transmit_upstream(std::move(bytes));
+    return;
+  }
+  mgmt_trace_.record(loop_.now(), bytes);
+  mgmt_port_.transmit(sim::Frame{std::move(bytes)});
 }
 
 void Gateway::transmit_upstream(std::vector<std::uint8_t> bytes) {
@@ -153,75 +162,27 @@ void Gateway::transmit_upstream(std::vector<std::uint8_t> bytes) {
   upstream_port_.transmit(sim::Frame{std::move(bytes)});
 }
 
-// --- Egress ---------------------------------------------------------------
-
-void Gateway::emit_to_inmate(std::uint16_t vlan, util::MacAddr dst_mac,
-                             pkt::DecodedFrame frame) {
-  frame.eth.src = inmate_leg_mac_;
-  frame.eth.dst = dst_mac;
-  frame.eth.vlan.reset();
-  // Record the inmate-side trace untagged (internal perspective, §5.6).
-  if (auto* subfarm = subfarm_for_vlan(vlan)) {
-    subfarm->trace().record(loop_.now(), frame.encode(), vlan);
-  }
-  frame.eth.vlan = vlan;
-  inmate_port_.transmit(sim::Frame{frame.encode()});
-}
-
 void Gateway::emit_to_mgmt(pkt::DecodedFrame frame) {
-  frame.eth.src = mgmt_arp_.mac();
-  frame.eth.vlan.reset();
   const util::Ipv4Addr dst = frame.ip ? frame.ip->dst : util::Ipv4Addr();
-  // shared_ptr: ArpProxy's callback type requires a copyable closure.
-  auto shared = std::make_shared<pkt::DecodedFrame>(std::move(frame));
-  mgmt_arp_.resolve(dst, [this, shared](util::MacAddr mac) {
-    shared->eth.dst = mac;
-    auto bytes = shared->encode();
-    mgmt_trace_.record(loop_.now(), bytes);
-    mgmt_port_.transmit(sim::Frame{std::move(bytes)});
-  });
+  emit_via(mgmt_arp_, dst, encode_untagged(frame));
 }
 
 void Gateway::emit_to_upstream(pkt::DecodedFrame frame) {
-  frame.eth.src = upstream_arp_.mac();
-  frame.eth.vlan.reset();
   const util::Ipv4Addr dst = frame.ip ? frame.ip->dst : util::Ipv4Addr();
-  auto shared = std::make_shared<pkt::DecodedFrame>(std::move(frame));
-  upstream_arp_.resolve(dst, [this, shared](util::MacAddr mac) {
-    shared->eth.dst = mac;
-    transmit_upstream(shared->encode());
-  });
+  emit_via(upstream_arp_, dst, encode_untagged(frame));
 }
 
 void Gateway::emit_auto(pkt::DecodedFrame frame) {
-  if (!frame.ip) return;
-  const util::Ipv4Addr dst = frame.ip->dst;
-  if (auto* subfarm = subfarm_for_internal(dst)) {
-    const InmateBinding* binding = subfarm->inmates().by_internal(dst);
-    if (!binding) {
-      GQ_DEBUG(kLog, "no inmate binding for %s, dropping",
-               dst.str().c_str());
-      return;
-    }
-    emit_to_inmate(binding->vlan, binding->mac, std::move(frame));
-    return;
-  }
-  if (config_.mgmt_net.contains(dst)) {
-    emit_to_mgmt(std::move(frame));
-    return;
-  }
-  emit_to_upstream(std::move(frame));
+  if (frame.ip) emit_raw(encode_untagged(frame));
 }
 
 // --- Ingress ----------------------------------------------------------------
 
 void Gateway::on_upstream_frame(sim::Frame raw) {
   upstream_trace_.record(loop_.now(), raw.bytes);
-  if (fast_path_) {
-    if (const auto dst = pkt::ipv4_dst_of(raw.bytes)) {
-      if (auto* subfarm = subfarm_for_global(*dst)) {
-        if (subfarm->fast_from_server(raw.bytes)) return;
-      }
+  if (const auto dst = pkt::ipv4_dst_of(raw.bytes)) {
+    if (auto* subfarm = subfarm_for_global(*dst)) {
+      if (subfarm->forward_from_server(raw.bytes)) return;
     }
   }
   auto frame = pkt::decode_frame(raw.bytes);
@@ -257,10 +218,10 @@ void Gateway::on_inmate_frame(sim::Frame raw) {
     if (it != vlan_taps_.end()) it->second->record(loop_.now(), raw.bytes);
   }
   // Normalize to untagged in place (capacity retained, so an eventual
-  // same-buffer re-tag on egress cannot reallocate), then try the
-  // zero-copy fast path before paying for a full decode.
+  // same-buffer re-tag on egress cannot reallocate); established flows
+  // are forwarded over the wire bytes, everything else is decoded.
   pkt::strip_vlan_tag(raw.bytes);
-  if (fast_path_ && subfarm->fast_from_inmate(vlan, raw.bytes)) return;
+  if (subfarm->forward_from_inmate(vlan, raw.bytes)) return;
   auto frame = pkt::decode_frame(raw.bytes);
   if (!frame) return;
   subfarm->trace().record(loop_.now(), frame->encode(), vlan);
@@ -326,13 +287,11 @@ void Gateway::on_inmate_frame(sim::Frame raw) {
 
 void Gateway::on_mgmt_frame(sim::Frame raw) {
   mgmt_trace_.record(loop_.now(), raw.bytes);
-  if (fast_path_) {
-    if (const auto dst = pkt::ipv4_dst_of(raw.bytes)) {
-      // Nonce legs terminate on the gateway's own address: slow path.
-      if (*dst != config_.mgmt_addr) {
-        if (auto* subfarm = subfarm_for_internal(*dst)) {
-          if (subfarm->fast_from_server(raw.bytes)) return;
-        }
+  if (const auto dst = pkt::ipv4_dst_of(raw.bytes)) {
+    // Nonce legs and table syncs terminate on the gateway's own address.
+    if (*dst != config_.mgmt_addr) {
+      if (auto* subfarm = subfarm_for_internal(*dst)) {
+        if (subfarm->forward_from_server(raw.bytes)) return;
       }
     }
   }

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "gateway/arp_proxy.h"
@@ -19,7 +18,6 @@
 #include "netsim/port.h"
 #include "obs/telemetry.h"
 #include "packet/frame.h"
-#include "packet/frame_view.h"
 #include "packet/pcap.h"
 #include "trace/tap.h"
 
@@ -98,17 +96,19 @@ class Gateway {
 
   // --- Services used by SubfarmRouter ---------------------------------
 
-  /// Emit an IP frame toward an inmate VLAN / the management network /
-  /// the upstream network, handling MAC resolution and VLAN tagging.
-  /// The frame's IP/L4 fields must already be final.
-  void emit_to_inmate(std::uint16_t vlan, util::MacAddr dst_mac,
-                      pkt::DecodedFrame frame);
+  /// The gateway's one egress. `bytes` is an untagged IPv4 frame whose
+  /// IP/L4 fields are final. Routes on the IP destination: an inmate's
+  /// VLAN (dropped when no inmate holds the address), the management
+  /// network, or upstream. Stamps the leg's Ethernet addresses, records
+  /// the leg's trace, and 802.1Q-tags inmate-leg frames; on a cold ARP
+  /// cache the frame queues behind ArpProxy::resolve.
+  void emit_raw(std::vector<std::uint8_t> bytes);
+
+  /// Encode-once wrappers over that egress for decoded and synthesised
+  /// frames: emit_auto routes like emit_raw, the other two pin the leg.
+  void emit_auto(pkt::DecodedFrame frame);
   void emit_to_mgmt(pkt::DecodedFrame frame);
   void emit_to_upstream(pkt::DecodedFrame frame);
-
-  /// Route by destination address: inmate internal nets -> VLAN,
-  /// management net -> mgmt leg, anything else -> upstream.
-  void emit_auto(pkt::DecodedFrame frame);
 
   /// Allocate / release a nonce port for a REWRITE proxy leg.
   std::uint16_t allocate_nonce(SubfarmRouter* owner);
@@ -118,40 +118,16 @@ class Gateway {
     return inmate_leg_mac_;
   }
 
-  // --- Zero-copy fast path ---------------------------------------------
-
-  /// Toggle the established-flow zero-copy datapath (on by default).
-  /// Frames the fast path declines always fall back to the decode /
-  /// re-encode slow path, so turning it off only changes performance.
-  void set_fast_path(bool enabled) { fast_path_ = enabled; }
-  [[nodiscard]] bool fast_path() const { return fast_path_; }
-
-  /// A resolved raw-frame egress: which leg, the final Ethernet
-  /// addresses, and the VLAN tag for the inmate leg.
-  struct RawEgress {
-    enum class Leg { kInmate, kMgmt, kUpstream };
-    Leg leg = Leg::kUpstream;
-    util::MacAddr src_mac;
-    util::MacAddr dst_mac;
-    std::uint16_t vlan = 0;
-    SubfarmRouter* subfarm = nullptr;  // Inmate leg: owns the trace.
-  };
-
-  /// Resolve the egress for a final destination with no side effects.
-  /// nullopt (unknown inmate binding, cold ARP cache) means the caller
-  /// must take the slow path, whose resolver can queue and retry.
-  std::optional<RawEgress> resolve_raw_egress(util::Ipv4Addr dst);
-
-  /// Transmit an already-rewritten raw frame on a resolved leg: stamps
-  /// the Ethernet addresses through `view` (which must alias `bytes`),
-  /// records the leg's trace, and 802.1Q-tags inmate-leg frames.
-  void emit_raw(const RawEgress& egress, std::vector<std::uint8_t> bytes,
-                pkt::FrameView& view);
-
  private:
   void on_upstream_frame(sim::Frame frame);
   void on_inmate_frame(sim::Frame frame);
   void on_mgmt_frame(sim::Frame frame);
+  /// Egress on an ARP-resolved leg (`arp` is mgmt_arp_ or
+  /// upstream_arp_): transmit now on a cache hit, else queue.
+  void emit_via(ArpProxy& arp, util::Ipv4Addr next_hop,
+                std::vector<std::uint8_t> bytes);
+  void transmit_via(ArpProxy& arp, util::MacAddr dst_mac,
+                    std::vector<std::uint8_t> bytes);
   /// Single choke point for upstream egress: trace, tap, transmit.
   void transmit_upstream(std::vector<std::uint8_t> bytes);
   SubfarmRouter* subfarm_for_vlan(std::uint16_t vlan);
@@ -177,7 +153,6 @@ class Gateway {
   std::map<std::uint16_t, trace::TraceTap*> vlan_taps_;
   std::map<std::uint16_t, SubfarmRouter*> nonce_owners_;
   std::uint16_t next_nonce_;
-  bool fast_path_ = true;
   UpstreamTap upstream_tap_;
 };
 

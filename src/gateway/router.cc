@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "gateway/gateway.h"
-#include "packet/frame_view.h"
 #include "util/log.h"
 
 namespace gq::gw {
@@ -26,6 +25,13 @@ double limit_rate_of(const shim::ResponseShim& shim) {
   if (shim.limit_bytes_per_sec && *shim.limit_bytes_per_sec > 0)
     return static_cast<double>(*shim.limit_bytes_per_sec);
   return 8192.0;
+}
+
+// Established flows take the FrameView datapath; a UDP REWRITE flow
+// re-wraps every datagram in a shim, so it stays on the decoded path.
+bool rides_view(const Flow& flow) {
+  return flow.phase == FlowPhase::kEstablished &&
+         (flow.proto == pkt::FlowProto::kTcp || !flow.server_is_cs);
 }
 
 }  // namespace
@@ -290,142 +296,179 @@ void SubfarmRouter::from_inmate(std::uint16_t vlan, pkt::DecodedFrame frame) {
   inmate_ip(vlan, frame);
 }
 
-// --- Zero-copy fast path -----------------------------------------------------
+// --- Established-flow datapath ----------------------------------------------
 //
-// Both entry points mirror the slow path's dispatch order exactly, and
-// every early return of `false` happens before the buffer or any flow
-// state is touched, so a decline always falls back cleanly. The rewrite
-// itself is in-place with incrementally maintained checksums and is
-// byte-identical to the decode/mutate/encode slow path for canonical
-// frames (the only kind FrameView::parse accepts).
+// Every frame of a kEstablished flow — spliced to a target, or a TCP
+// REWRITE flow relayed through the containment server — is forwarded in
+// place over its wire bytes: parse (FrameView) → classify (flow lookup,
+// in the decoded path's dispatch order) → rewrite (addresses, ports,
+// seq/ack with incrementally maintained checksums) → emit (the
+// gateway's one raw egress). forward_to_server and forward_to_inmate
+// are the only places an established frame is rewritten. The entry
+// points decline before touching any state, so everything else — flow
+// setup, shim surgery, nonce relays, inbound NAT, infrastructure
+// bypass — takes the decoded path; a UDP REWRITE flow re-wraps every
+// datagram in a shim and stays there too.
 
-bool SubfarmRouter::fast_from_inmate(std::uint16_t /*vlan*/,
-                                     std::vector<std::uint8_t>& bytes) {
+bool SubfarmRouter::forward_from_inmate(std::uint16_t vlan,
+                                        std::vector<std::uint8_t>& bytes) {
   auto view = pkt::FrameView::parse(bytes);
-  if (!view) return false;
-  // Infrastructure-service bypass and everything the slow path matches
-  // before the flow table — reflected server-side traffic, nonce relay
-  // return legs, inbound NAT flows — stay on the slow path.
-  if (is_infra(view->ip_dst())) return false;
+  if (!view || is_infra(view->ip_dst())) return false;
+  // from_inmate()'s order: nonce relay return legs, then the inmate as
+  // the server side of a redirected flow, then inbound NAT flows, then
+  // the inmate's own flows.
   const pkt::FlowKey key = view->flow_key();
-  if (nonce_by_target_key_.count(key) || server_index_.count(key) ||
-      inbound_flows_.count(key)) {
+  if (nonce_by_target_key_.count(key)) return false;
+  Flow* flow = nullptr;
+  const auto server_it = server_index_.find(key);
+  const bool from_server = server_it != server_index_.end();
+  if (from_server) {
+    flow = server_it->second.get();
+  } else if (inbound_flows_.count(key)) {
     return false;
+  } else if (const auto it = flows_.find(key); it != flows_.end()) {
+    flow = it->second.get();
   }
-  const auto it = flows_.find(key);
-  if (it == flows_.end()) return false;
-  Flow& flow = *it->second;
-  if (flow.phase != FlowPhase::kEstablished || flow.server_is_cs)
-    return false;
-  const bool tcp = view->is_tcp();
-  if (tcp && (view->tcp_syn() || view->tcp_rst())) return false;
-
-  // Resolve the egress leg before touching anything so a miss (cold ARP
-  // cache, unbound inmate) declines with no side effects.
-  const util::Endpoint nat_src = nat_source_for(flow, flow.server_ep);
-  const auto egress = gateway_.resolve_raw_egress(flow.server_ep.addr);
-  if (!egress) return false;
-
-  // Committed. Ingress trace first (pre-rewrite, like the slow path).
-  trace_.record(gateway_.loop().now(), bytes, flow.vlan);
+  if (!flow || !rides_view(*flow)) return false;
+  // Ingress trace first (pre-rewrite, as received).
+  trace_.record(gateway_.loop().now(), bytes, vlan);
   frames_from_inmates_ctr_->inc();
-  flow.last_activity = gateway_.loop().now();
-  const std::uint32_t payload_len = view->payload_len();
-  if (tcp) {
-    const bool fin = view->tcp_fin();
-    if (payload_len > 0 || fin) {
-      const std::uint32_t end =
-          view->tcp_seq() + payload_len + (fin ? 1 : 0);
-      if (seq_lt(flow.inmate_snd_nxt, end)) flow.inmate_snd_nxt = end;
-    }
-    if (flow.limiter && payload_len > 0 &&
-        !flow.limiter->try_consume(flow.last_activity,
-                                   static_cast<double>(payload_len))) {
-      return true;  // Dropped; the inmate's TCP retransmits, throttled.
-    }
-    if (payload_len > 0) flow.bytes_to_server += payload_len;
-    if (fin) flow.fin_inmate = true;
-    view->set_ip_src(nat_src.addr);
-    view->set_src_port(nat_src.port);
-    view->set_ip_dst(flow.server_ep.addr);
-    view->set_dst_port(flow.server_ep.port);
-    view->set_tcp_seq(view->tcp_seq() + flow.d_out);
-    if (view->tcp_has_ack()) view->set_tcp_ack(view->tcp_ack() - flow.d_in);
-  } else {
-    if (flow.limiter &&
-        !flow.limiter->try_consume(flow.last_activity,
-                                   static_cast<double>(payload_len))) {
-      return true;
-    }
-    flow.bytes_to_server += payload_len;
-    view->set_ip_src(nat_src.addr);
-    view->set_src_port(nat_src.port);
-    view->set_ip_dst(flow.server_ep.addr);
-    view->set_dst_port(flow.server_ep.port);
-  }
-  gateway_.emit_raw(*egress, std::move(bytes), *view);
+  if (from_server)
+    forward_to_inmate(*flow, *view, bytes);
+  else
+    forward_to_server(*flow, *view, bytes);
   return true;
 }
 
-bool SubfarmRouter::fast_from_server(std::vector<std::uint8_t>& bytes) {
+bool SubfarmRouter::forward_from_server(std::vector<std::uint8_t>& bytes) {
   auto view = pkt::FrameView::parse(bytes);
   if (!view) return false;
   const pkt::FlowKey key = view->flow_key();
   if (nonce_by_target_key_.count(key)) return false;
   const auto it = server_index_.find(key);
-  if (it == server_index_.end()) return false;
-  Flow& flow = *it->second;
-  if (flow.phase != FlowPhase::kEstablished || flow.server_is_cs)
-    return false;
-  const bool tcp = view->is_tcp();
-  if (tcp && (view->tcp_syn() || view->tcp_rst())) return false;
-  const auto egress = gateway_.resolve_raw_egress(flow.inmate_ep.addr);
-  if (!egress) return false;
+  if (it == server_index_.end() || !rides_view(*it->second)) return false;
+  forward_to_inmate(*it->second, *view, bytes);
+  return true;
+}
 
+void SubfarmRouter::forward_decoded(Flow& flow, pkt::DecodedFrame& frame,
+                                    bool to_server) {
+  // Non-canonical frames (IP or TCP options, trailing padding, a zero
+  // UDP checksum) and frames decoded during flow setup are made
+  // canonical once; the view then forwards them like any other.
+  frame.eth.vlan.reset();
+  auto bytes = frame.encode();
+  auto view = pkt::FrameView::parse(bytes);
+  if (!view) return;
+  if (to_server)
+    forward_to_server(flow, *view, bytes);
+  else
+    forward_to_inmate(flow, *view, bytes);
+}
+
+void SubfarmRouter::forward_to_server(Flow& flow, pkt::FrameView& view,
+                                      std::vector<std::uint8_t>& bytes) {
   flow.last_activity = gateway_.loop().now();
-  const std::uint32_t payload_len = view->payload_len();
+  const std::uint32_t payload_len = view.payload_len();
+  const util::Endpoint nat_src = nat_source_for(flow, flow.server_ep);
+  const bool tcp = view.is_tcp();
   if (tcp) {
-    // Advance the splice replay window with the target's acks (d_out is
-    // zero for spliced flows, so ack values live directly in inmate
-    // sequence space).
-    if (view->tcp_has_ack() && seq_lt(flow.replay_acked, view->tcp_ack())) {
-      flow.replay_acked = view->tcp_ack();
-      for (auto rit = flow.replay_buf.begin();
-           rit != flow.replay_buf.end();) {
-        const std::uint32_t end =
-            rit->first + static_cast<std::uint32_t>(rit->second.size());
-        if (seq_le(end, flow.replay_acked))
-          rit = flow.replay_buf.erase(rit);
-        else
-          break;
-      }
+    const bool fin = view.tcp_fin();
+    if (payload_len > 0 || fin) {
+      const std::uint32_t end = view.tcp_seq() + payload_len + (fin ? 1 : 0);
+      if (seq_lt(flow.inmate_snd_nxt, end)) flow.inmate_snd_nxt = end;
     }
+    if (view.tcp_rst()) {
+      emit_tcp(nat_src, flow.server_ep, pkt::kTcpRst | pkt::kTcpAck,
+               view.tcp_seq() + flow.d_out, 0, {});
+      close_flow(flow);
+      return;
+    }
+    // LIMIT throttles payload; the inmate's TCP retransmits.
     if (flow.limiter && payload_len > 0 &&
         !flow.limiter->try_consume(flow.last_activity,
                                    static_cast<double>(payload_len))) {
-      return true;  // Dropped; the target's TCP retransmits, throttled.
+      return;
     }
-    if (payload_len > 0) {
-      flow.bytes_to_inmate += payload_len;
-      const std::uint32_t end = view->tcp_seq() + payload_len;
-      if (seq_lt(flow.server_rcv_next, end)) flow.server_rcv_next = end;
+    if (fin) flow.fin_inmate = true;
+  } else if (flow.limiter &&
+             !flow.limiter->try_consume(flow.last_activity,
+                                        static_cast<double>(payload_len))) {
+    return;
+  }
+  flow.bytes_to_server += payload_len;
+  view.set_ip_src(nat_src.addr);
+  view.set_src_port(nat_src.port);
+  view.set_ip_dst(flow.server_ep.addr);
+  view.set_dst_port(flow.server_ep.port);
+  if (tcp) {
+    view.set_tcp_seq(view.tcp_seq() + flow.d_out);
+    if (view.tcp_has_ack()) view.set_tcp_ack(view.tcp_ack() - flow.d_in);
+  }
+  gateway_.emit_raw(std::move(bytes));
+}
+
+void SubfarmRouter::forward_to_inmate(Flow& flow, pkt::FrameView& view,
+                                      std::vector<std::uint8_t>& bytes) {
+  flow.last_activity = gateway_.loop().now();
+  const std::uint32_t payload_len = view.payload_len();
+  const bool tcp = view.is_tcp();
+  if (tcp) {
+    if (view.tcp_rst()) {
+      send_rst_to_inmate(flow);
+      close_flow(flow);
+      return;
     }
-    if (view->tcp_fin()) flow.fin_server = true;
-    view->set_ip_src(flow.orig_dst.addr);
-    view->set_src_port(flow.orig_dst.port);
-    view->set_ip_dst(flow.inmate_ep.addr);
-    view->set_dst_port(flow.inmate_ep.port);
-    view->set_tcp_seq(view->tcp_seq() + flow.d_in);
-    if (view->tcp_has_ack()) view->set_tcp_ack(view->tcp_ack() - flow.d_out);
+    if (view.tcp_syn()) {
+      // A target's retransmitted SYN-ACK is re-acked. A REWRITE leg's is
+      // relayed with only its addresses rewritten: the CS's ISN precedes
+      // the response shim.
+      if (!flow.server_is_cs) {
+        ack_target_syn(flow);
+        return;
+      }
+    } else {
+      if (flow.server_is_cs) {
+        if (view.tcp_has_ack()) note_request_shim_ack(flow, view.tcp_ack());
+      } else if (view.tcp_has_ack() &&
+                 seq_lt(flow.replay_acked, view.tcp_ack())) {
+        // Advance the splice replay window (d_out is zero for spliced
+        // flows, so target acks live in inmate sequence space).
+        flow.replay_acked = view.tcp_ack();
+        for (auto it = flow.replay_buf.begin();
+             it != flow.replay_buf.end();) {
+          const std::uint32_t end =
+              it->first + static_cast<std::uint32_t>(it->second.size());
+          if (!seq_le(end, flow.replay_acked)) break;
+          it = flow.replay_buf.erase(it);
+        }
+      }
+      // LIMIT throttles both directions (Figure 2b); the target's TCP
+      // retransmits.
+      if (flow.limiter && payload_len > 0 &&
+          !flow.limiter->try_consume(flow.last_activity,
+                                     static_cast<double>(payload_len))) {
+        return;
+      }
+      if (payload_len > 0) {
+        flow.bytes_to_inmate += payload_len;
+        const std::uint32_t end = view.tcp_seq() + payload_len;
+        if (seq_lt(flow.server_rcv_next, end)) flow.server_rcv_next = end;
+      }
+      if (view.tcp_fin()) flow.fin_server = true;
+    }
   } else {
     flow.bytes_to_inmate += payload_len;
-    view->set_ip_src(flow.orig_dst.addr);
-    view->set_src_port(flow.orig_dst.port);
-    view->set_ip_dst(flow.inmate_ep.addr);
-    view->set_dst_port(flow.inmate_ep.port);
   }
-  gateway_.emit_raw(*egress, std::move(bytes), *view);
-  return true;
+  view.set_ip_src(flow.orig_dst.addr);
+  view.set_src_port(flow.orig_dst.port);
+  view.set_ip_dst(flow.inmate_ep.addr);
+  view.set_dst_port(flow.inmate_ep.port);
+  if (tcp && !view.tcp_syn()) {
+    view.set_tcp_seq(view.tcp_seq() + flow.d_in);
+    if (view.tcp_has_ack()) view.set_tcp_ack(view.tcp_ack() - flow.d_out);
+  }
+  gateway_.emit_raw(std::move(bytes));
 }
 
 void SubfarmRouter::inmate_ip(std::uint16_t vlan, pkt::DecodedFrame& frame) {
@@ -434,10 +477,7 @@ void SubfarmRouter::inmate_ip(std::uint16_t vlan, pkt::DecodedFrame& frame) {
 
   if (auto it = flows_.find(*key); it != flows_.end()) {
     auto flow = it->second;
-    if (flow->proto == pkt::FlowProto::kTcp)
-      relay_inmate_to_server(*flow, frame);
-    else
-      udp_from_inmate(*flow, frame);
+    dispatch_inmate_frame(*flow, frame);
     return;
   }
 
@@ -447,6 +487,16 @@ void SubfarmRouter::inmate_ip(std::uint16_t vlan, pkt::DecodedFrame& frame) {
     handle_new_inmate_flow(vlan, frame);
   }
   // Anything else (stray RST/FIN for an expired flow) is dropped.
+}
+
+void SubfarmRouter::dispatch_inmate_frame(Flow& flow,
+                                          pkt::DecodedFrame& frame) {
+  if (rides_view(flow))
+    forward_decoded(flow, frame, /*to_server=*/true);
+  else if (flow.proto == pkt::FlowProto::kTcp)
+    relay_inmate_to_server(flow, frame);
+  else
+    udp_from_inmate(flow, frame);
 }
 
 void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
@@ -595,7 +645,7 @@ void SubfarmRouter::serve_cached_verdict(const FlowPtr& flow,
     apply_udp_verdict(f, synthesized, {});
     // Deliver the datagram that opened the flow through the now-decided
     // flow state (forwarded, limited, redirected — or silently dropped).
-    udp_from_inmate(f, frame);
+    dispatch_inmate_frame(f, frame);
   }
 }
 
@@ -683,7 +733,7 @@ void SubfarmRouter::serve_table_verdict(const FlowPtr& flow,
     apply_verdict(f, synthesized);
   } else {
     apply_udp_verdict(f, synthesized, {});
-    udp_from_inmate(f, frame);
+    dispatch_inmate_frame(f, frame);
   }
 }
 
@@ -704,6 +754,7 @@ void SubfarmRouter::relay_inmate_to_server(Flow& flow,
   switch (flow.phase) {
     case FlowPhase::kDenied:
     case FlowPhase::kClosed:
+    case FlowPhase::kEstablished:  // Forwarded by forward_to_server.
       return;
 
     case FlowPhase::kAwaitVerdict: {
@@ -762,33 +813,6 @@ void SubfarmRouter::relay_inmate_to_server(Flow& flow,
         flow.inmate_fin_seen = true;
         flow.inmate_fin_seq = seg.seq + payload_len;
       }
-      return;
-    }
-
-    case FlowPhase::kEstablished: {
-      if (seg.rst()) {
-        emit_tcp(nat_source_for(flow, flow.server_ep), flow.server_ep,
-                 pkt::kTcpRst | pkt::kTcpAck, seg.seq + flow.d_out, 0, {});
-        close_flow(flow);
-        return;
-      }
-      // LIMIT enforcement on outbound payload.
-      if (flow.limiter && payload_len > 0 &&
-          !flow.limiter->try_consume(flow.last_activity,
-                                     static_cast<double>(payload_len))) {
-        return;  // Dropped; the inmate's TCP will retransmit, throttled.
-      }
-      if (payload_len > 0) flow.bytes_to_server += payload_len;
-      if (seg.fin()) flow.fin_inmate = true;
-
-      const util::Endpoint src = nat_source_for(flow, flow.server_ep);
-      frame.ip->src = src.addr;
-      frame.tcp->src_port = src.port;
-      frame.ip->dst = flow.server_ep.addr;
-      frame.tcp->dst_port = flow.server_ep.port;
-      frame.tcp->seq = seg.seq + flow.d_out;
-      if (seg.has_ack()) frame.tcp->ack = seg.ack - flow.d_in;
-      gateway_.emit_auto(std::move(frame));
       return;
     }
   }
@@ -921,14 +945,14 @@ bool SubfarmRouter::handle_server_side(pkt::DecodedFrame& frame) {
   auto it = server_index_.find(*key);
   if (it == server_index_.end()) return false;
   auto flow = it->second;
-  if (flow->proto == pkt::FlowProto::kTcp) {
-    if (flow->server_is_cs)
-      cs_to_inmate(*flow, frame);
-    else
-      target_to_inmate(*flow, frame);
-  } else {
+  if (rides_view(*flow))
+    forward_decoded(*flow, frame, /*to_server=*/false);
+  else if (flow->proto == pkt::FlowProto::kUdp)
     udp_from_server(*flow, frame);
-  }
+  else if (flow->server_is_cs)
+    cs_to_inmate(*flow, frame);
+  else
+    target_to_inmate(*flow, frame);
   return true;
 }
 
@@ -937,8 +961,7 @@ void SubfarmRouter::cs_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
   flow.last_activity = gateway_.loop().now();
 
   if (seg.rst()) {
-    if (flow.phase == FlowPhase::kAwaitVerdict ||
-        flow.phase == FlowPhase::kEstablished) {
+    if (flow.phase == FlowPhase::kAwaitVerdict) {
       send_rst_to_inmate(flow);
       close_flow(flow);
     }
@@ -960,68 +983,47 @@ void SubfarmRouter::cs_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
     return;
   }
 
-  if (seg.has_ack() && flow.req_shim_sent && !flow.req_shim_acked &&
-      seq_le(flow.inmate_isn + 1 + shim::kRequestShimSize, seg.ack)) {
+  if (seg.has_ack()) note_request_shim_ack(flow, seg.ack);
+  // Past the verdict the CS leg is either a REWRITE relay (forwarded by
+  // forward_to_inmate) or dead to us.
+  if (flow.phase != FlowPhase::kAwaitVerdict) return;
+
+  if (!seg.payload.empty()) {
+    // Reassemble the CS stream prefix to extract the response shim.
+    flow.cs_in_ooo[seg.seq].assign(seg.payload.begin(), seg.payload.end());
+    for (auto ooo = flow.cs_in_ooo.begin(); ooo != flow.cs_in_ooo.end();) {
+      if (seq_lt(flow.cs_in_expected, ooo->first)) break;
+      const std::uint32_t overlap = flow.cs_in_expected - ooo->first;
+      if (overlap < ooo->second.size()) {
+        flow.cs_in_buf.insert(flow.cs_in_buf.end(),
+                              ooo->second.begin() + overlap,
+                              ooo->second.end());
+        flow.cs_in_expected +=
+            static_cast<std::uint32_t>(ooo->second.size()) - overlap;
+      }
+      ooo = flow.cs_in_ooo.erase(ooo);
+    }
+    process_cs_stream(flow);
+    // Ack the CS bytes we consumed on the inmate's behalf (the inmate
+    // never sees the shim, so it can never ack it).
+    if (flow.phase == FlowPhase::kAwaitVerdict ||
+        (flow.phase == FlowPhase::kEstablished && flow.server_is_cs)) {
+      emit_tcp(flow.cs_src, flow.server_ep, pkt::kTcpAck,
+               flow.inmate_snd_nxt + flow.d_out, flow.cs_in_expected, {});
+    }
+  } else if (seg.has_ack()) {
+    // Pure ACK: keep the inmate's retransmission timers happy.
+    emit_tcp({flow.orig_dst.addr, flow.orig_dst.port}, flow.inmate_ep,
+             pkt::kTcpAck, seg.seq + flow.d_in, seg.ack - flow.d_out, {});
+  }
+}
+
+void SubfarmRouter::note_request_shim_ack(Flow& flow, std::uint32_t ack) {
+  if (flow.req_shim_sent && !flow.req_shim_acked &&
+      seq_le(flow.inmate_isn + 1 + shim::kRequestShimSize, ack)) {
     flow.req_shim_acked = true;
     shim_rtt_hist_->observe(static_cast<double>(
         (gateway_.loop().now() - flow.req_shim_sent_at).usec));
-  }
-
-  switch (flow.phase) {
-    case FlowPhase::kAwaitVerdict: {
-      if (!seg.payload.empty()) {
-        // Reassemble the CS stream prefix to extract the response shim.
-        flow.cs_in_ooo[seg.seq].assign(seg.payload.begin(),
-                                       seg.payload.end());
-        for (auto ooo = flow.cs_in_ooo.begin();
-             ooo != flow.cs_in_ooo.end();) {
-          if (seq_lt(flow.cs_in_expected, ooo->first)) break;
-          const std::uint32_t overlap = flow.cs_in_expected - ooo->first;
-          if (overlap < ooo->second.size()) {
-            flow.cs_in_buf.insert(flow.cs_in_buf.end(),
-                                  ooo->second.begin() + overlap,
-                                  ooo->second.end());
-            flow.cs_in_expected +=
-                static_cast<std::uint32_t>(ooo->second.size()) - overlap;
-          }
-          ooo = flow.cs_in_ooo.erase(ooo);
-        }
-        process_cs_stream(flow);
-        // Ack the CS bytes we consumed on the inmate's behalf (the inmate
-        // never sees the shim, so it can never ack it).
-        if (flow.phase == FlowPhase::kAwaitVerdict ||
-            (flow.phase == FlowPhase::kEstablished && flow.server_is_cs)) {
-          emit_tcp(flow.cs_src, flow.server_ep, pkt::kTcpAck,
-                   flow.inmate_snd_nxt + flow.d_out, flow.cs_in_expected,
-                   {});
-        }
-      } else if (seg.has_ack() && flow.phase == FlowPhase::kAwaitVerdict) {
-        // Pure ACK: keep the inmate's retransmission timers happy.
-        emit_tcp({flow.orig_dst.addr, flow.orig_dst.port}, flow.inmate_ep,
-                 pkt::kTcpAck, seg.seq + flow.d_in, seg.ack - flow.d_out,
-                 {});
-      }
-      return;
-    }
-
-    case FlowPhase::kEstablished: {
-      // REWRITE: transparent proxy relay with sequence-space surgery.
-      const std::uint32_t payload_len =
-          static_cast<std::uint32_t>(seg.payload.size());
-      if (payload_len > 0) flow.bytes_to_inmate += payload_len;
-      if (seg.fin()) flow.fin_server = true;
-      frame.ip->src = flow.orig_dst.addr;
-      frame.tcp->src_port = flow.orig_dst.port;
-      frame.ip->dst = flow.inmate_ep.addr;
-      frame.tcp->dst_port = flow.inmate_ep.port;
-      frame.tcp->seq = seg.seq + flow.d_in;
-      if (seg.has_ack()) frame.tcp->ack = seg.ack - flow.d_out;
-      gateway_.emit_auto(std::move(frame));
-      return;
-    }
-
-    default:
-      return;  // Splicing/closed: the CS leg is already dead to us.
   }
 }
 
@@ -1179,6 +1181,7 @@ void SubfarmRouter::start_splice(Flow& flow) {
 }
 
 void SubfarmRouter::target_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
+  // The target leg while splicing; once established, forward_to_inmate.
   auto& seg = *frame.tcp;
   flow.last_activity = gateway_.loop().now();
 
@@ -1187,8 +1190,8 @@ void SubfarmRouter::target_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
     close_flow(flow);
     return;
   }
-
-  if (seg.syn() && seg.has_ack() && flow.phase == FlowPhase::kSplicing) {
+  if (!seg.syn()) return;
+  if (seg.has_ack()) {
     flow.server_isn = seg.seq;
     flow.server_rcv_next = seg.seq + 1;
     // The inmate believes the server's ISN is the CS's ISN.
@@ -1196,62 +1199,18 @@ void SubfarmRouter::target_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
     flow.d_out = 0;
     flow.phase = FlowPhase::kEstablished;
     flow.replay_acked = flow.inmate_isn + 1;
-    const util::Endpoint nat_src = nat_source_for(flow, flow.server_ep);
-    emit_tcp(nat_src, flow.server_ep, pkt::kTcpAck, flow.inmate_isn + 1,
-             flow.server_isn + 1, {});
+    ack_target_syn(flow);
     report(flow, obs::FarmEvent::Kind::kFlowOpen);
     replay_to_target(
         flows_.at({flow.proto, flow.inmate_ep, flow.orig_dst}));
     return;
   }
-  if (seg.syn()) {
-    // Retransmitted SYN-ACK: re-ack.
-    const util::Endpoint nat_src = nat_source_for(flow, flow.server_ep);
-    emit_tcp(nat_src, flow.server_ep, pkt::kTcpAck, flow.inmate_isn + 1,
-             flow.server_isn + 1, {});
-    return;
-  }
-  if (flow.phase != FlowPhase::kEstablished) return;
+  ack_target_syn(flow);
+}
 
-  // Advance the splice replay window with the target's acks (d_out == 0,
-  // so target ack values live directly in inmate sequence space).
-  if (seg.has_ack() && seq_lt(flow.replay_acked, seg.ack)) {
-    flow.replay_acked = seg.ack;
-    for (auto it = flow.replay_buf.begin(); it != flow.replay_buf.end();) {
-      const std::uint32_t end =
-          it->first + static_cast<std::uint32_t>(it->second.size());
-      if (seq_le(end, flow.replay_acked))
-        it = flow.replay_buf.erase(it);
-      else
-        break;
-    }
-  }
-
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(seg.payload.size());
-  // LIMIT throttles the flow in both directions (Figure 2b): drop the
-  // segment when the bucket is dry; the target's TCP retransmits.
-  if (flow.limiter && payload_len > 0 &&
-      !flow.limiter->try_consume(flow.last_activity,
-                                 static_cast<double>(payload_len))) {
-    return;
-  }
-  if (payload_len > 0) {
-    flow.bytes_to_inmate += payload_len;
-    flow.server_rcv_next =
-        std::max(flow.server_rcv_next, seg.seq + payload_len,
-                 [](std::uint32_t a, std::uint32_t b) { return seq_lt(a, b); });
-  }
-  if (seg.fin()) flow.fin_server = true;
-
-  // Relay to the inmate as the original destination.
-  frame.ip->src = flow.orig_dst.addr;
-  frame.tcp->src_port = flow.orig_dst.port;
-  frame.ip->dst = flow.inmate_ep.addr;
-  frame.tcp->dst_port = flow.inmate_ep.port;
-  frame.tcp->seq = seg.seq + flow.d_in;
-  if (seg.has_ack()) frame.tcp->ack = seg.ack - flow.d_out;
-  gateway_.emit_auto(std::move(frame));
+void SubfarmRouter::ack_target_syn(Flow& flow) {
+  emit_tcp(nat_source_for(flow, flow.server_ep), flow.server_ep,
+           pkt::kTcpAck, flow.inmate_isn + 1, flow.server_isn + 1, {});
 }
 
 void SubfarmRouter::replay_to_target(FlowPtr flow) {
@@ -1317,95 +1276,48 @@ void SubfarmRouter::send_rst_to_inmate(Flow& flow) {
 // --- UDP ---------------------------------------------------------------------
 
 void SubfarmRouter::udp_from_inmate(Flow& flow, pkt::DecodedFrame& frame) {
+  // Before the verdict, and for a UDP REWRITE flow after it; every other
+  // established UDP flow rides forward_to_server.
   auto& dgram = *frame.udp;
   flow.last_activity = gateway_.loop().now();
-
-  switch (flow.phase) {
-    case FlowPhase::kDenied:
-    case FlowPhase::kClosed:
-      return;
-    case FlowPhase::kAwaitVerdict:
-    case FlowPhase::kSplicing: {
-      flow.udp_buffer.push_back(dgram.payload);
-      if (!flow.req_shim_sent) {
-        flow.req_shim_sent = true;
-        flow.req_shim_sent_at = flow.last_activity;
-      }
-      // Shim-prefixed copy to the containment server (§6.2: UDP shims
-      // pad the datagram).
-      shim::RequestShim shim;
-      shim.orig = flow.inmate_ep;
-      shim.resp = flow.orig_dst;
-      shim.vlan = flow.vlan;
-      shim.nonce_port = 0;
-      auto payload = shim.encode();
-      payload.insert(payload.end(), dgram.payload.begin(),
-                     dgram.payload.end());
-      emit_udp(flow.cs_src, flow.cs_ep,
-               std::move(payload));
-      flow.bytes_to_server += dgram.payload.size();
-      return;
-    }
-    case FlowPhase::kEstablished: {
-      if (flow.server_is_cs) {
-        // UDP REWRITE: every datagram travels shimmed through the CS.
-        shim::RequestShim shim;
-        shim.orig = flow.inmate_ep;
-        shim.resp = flow.orig_dst;
-        shim.vlan = flow.vlan;
-        auto payload = shim.encode();
-        payload.insert(payload.end(), dgram.payload.begin(),
-                       dgram.payload.end());
-        emit_udp(flow.cs_src, flow.cs_ep,
-                 std::move(payload));
-        flow.bytes_to_server += dgram.payload.size();
-        return;
-      }
-      if (flow.limiter &&
-          !flow.limiter->try_consume(
-              flow.last_activity, static_cast<double>(dgram.payload.size()))) {
-        return;
-      }
-      const util::Endpoint src = nat_source_for(flow, flow.server_ep);
-      flow.bytes_to_server += dgram.payload.size();
-      frame.ip->src = src.addr;
-      frame.udp->src_port = src.port;
-      frame.ip->dst = flow.server_ep.addr;
-      frame.udp->dst_port = flow.server_ep.port;
-      gateway_.emit_auto(std::move(frame));
-      return;
+  if (flow.phase == FlowPhase::kDenied || flow.phase == FlowPhase::kClosed)
+    return;
+  if (flow.phase != FlowPhase::kEstablished) {
+    flow.udp_buffer.push_back(dgram.payload);
+    if (!flow.req_shim_sent) {
+      flow.req_shim_sent = true;
+      flow.req_shim_sent_at = flow.last_activity;
     }
   }
+  // Shim-prefixed copy to the containment server (§6.2: UDP shims pad
+  // the datagram).
+  shim::RequestShim shim;
+  shim.orig = flow.inmate_ep;
+  shim.resp = flow.orig_dst;
+  shim.vlan = flow.vlan;
+  auto payload = shim.encode();
+  payload.insert(payload.end(), dgram.payload.begin(), dgram.payload.end());
+  emit_udp(flow.cs_src, flow.cs_ep, std::move(payload));
+  flow.bytes_to_server += dgram.payload.size();
 }
 
 void SubfarmRouter::udp_from_server(Flow& flow, pkt::DecodedFrame& frame) {
+  // Datagram from the CS: response shim (+ optional rewritten payload).
+  // Targets' datagrams ride forward_to_inmate.
   auto& dgram = *frame.udp;
   flow.last_activity = gateway_.loop().now();
-
-  if (flow.server_is_cs) {
-    // Datagram from the CS: response shim (+ optional rewritten payload).
-    std::size_t consumed = 0;
-    auto shim = shim::ResponseShim::parse(dgram.payload, &consumed);
-    if (!shim) return;  // Malformed; default-deny.
-    std::span<const std::uint8_t> remainder(dgram.payload);
-    remainder = remainder.subspan(consumed);
-    if (flow.phase == FlowPhase::kAwaitVerdict) {
-      apply_udp_verdict(flow, *shim, remainder);
-    } else if (flow.phase == FlowPhase::kEstablished &&
-               !remainder.empty()) {
-      flow.bytes_to_inmate += remainder.size();
-      emit_udp(flow.orig_dst, flow.inmate_ep,
-               {remainder.begin(), remainder.end()});
-    }
-    return;
+  std::size_t consumed = 0;
+  auto shim = shim::ResponseShim::parse(dgram.payload, &consumed);
+  if (!shim) return;  // Malformed; default-deny.
+  std::span<const std::uint8_t> remainder(dgram.payload);
+  remainder = remainder.subspan(consumed);
+  if (flow.phase == FlowPhase::kAwaitVerdict) {
+    apply_udp_verdict(flow, *shim, remainder);
+  } else if (flow.phase == FlowPhase::kEstablished && !remainder.empty()) {
+    flow.bytes_to_inmate += remainder.size();
+    emit_udp(flow.orig_dst, flow.inmate_ep,
+             {remainder.begin(), remainder.end()});
   }
-  // From the real/redirected target: NAT back to the inmate.
-  flow.bytes_to_inmate += dgram.payload.size();
-  frame.ip->src = flow.orig_dst.addr;
-  frame.udp->src_port = flow.orig_dst.port;
-  frame.ip->dst = flow.inmate_ep.addr;
-  frame.udp->dst_port = flow.inmate_ep.port;
-  gateway_.emit_auto(std::move(frame));
 }
 
 void SubfarmRouter::apply_udp_verdict(Flow& flow,

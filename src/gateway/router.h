@@ -23,6 +23,7 @@
 #include "gateway/verdict_cache.h"
 #include "obs/telemetry.h"
 #include "packet/frame.h"
+#include "packet/frame_view.h"
 #include "trace/tap.h"
 #include "util/rng.h"
 
@@ -52,17 +53,18 @@ class SubfarmRouter {
   /// Frame from an inmate on `vlan` (tag already stripped).
   void from_inmate(std::uint16_t vlan, pkt::DecodedFrame frame);
 
-  /// Zero-copy fast path: `bytes` is the untagged wire frame from an
-  /// inmate on `vlan`. Returns true when the frame was fully handled
-  /// in place (forwarded, or intentionally dropped by rate limiting);
-  /// false means the caller must take the decode slow path. Only
-  /// established flows with no shim/splice surgery pending qualify,
-  /// and the rewrite is byte-identical to the slow path's re-encode.
-  bool fast_from_inmate(std::uint16_t vlan, std::vector<std::uint8_t>& bytes);
+  /// Established-flow datapath entry: `bytes` is the untagged wire
+  /// frame from an inmate on `vlan`. Returns true when it belonged to
+  /// an established flow and was handled in place (forwarded, or
+  /// dropped by LIMIT, RST teardown, or an unbound destination); false,
+  /// with no state touched, means flow setup or other traffic for the
+  /// decoded path (from_inmate).
+  bool forward_from_inmate(std::uint16_t vlan,
+                           std::vector<std::uint8_t>& bytes);
 
-  /// Fast path for a frame arriving from the server side (upstream or
-  /// management leg) addressed into this subfarm. Same contract.
-  bool fast_from_server(std::vector<std::uint8_t>& bytes);
+  /// The same for a frame arriving from the server side (upstream or
+  /// management leg) addressed into this subfarm.
+  bool forward_from_server(std::vector<std::uint8_t>& bytes);
 
   /// Frame from the management network whose destination is inside this
   /// subfarm's internal range (containment server / sink replies).
@@ -167,13 +169,28 @@ class SubfarmRouter {
 
   // --- Ingress dispatch -------------------------------------------------
   void inmate_ip(std::uint16_t vlan, pkt::DecodedFrame& frame);
+  /// A decoded frame of one of the inmate's flows, by flow state.
+  void dispatch_inmate_frame(Flow& flow, pkt::DecodedFrame& frame);
   void handle_new_inmate_flow(std::uint16_t vlan, pkt::DecodedFrame& frame);
   bool handle_server_side(pkt::DecodedFrame& frame);
+
+  // --- Established-flow datapath ------------------------------------------
+  /// The one rewrite per direction for established flows, in place over
+  /// `bytes` through `view` (which aliases it), then the raw egress.
+  void forward_to_server(Flow& flow, pkt::FrameView& view,
+                         std::vector<std::uint8_t>& bytes);
+  void forward_to_inmate(Flow& flow, pkt::FrameView& view,
+                         std::vector<std::uint8_t>& bytes);
+  /// Encode a decoded frame of an established flow once (canonical) and
+  /// hand it to the forwarder for its direction.
+  void forward_decoded(Flow& flow, pkt::DecodedFrame& frame, bool to_server);
 
   // --- Containment-server leg -------------------------------------------
   void relay_inmate_to_server(Flow& flow, pkt::DecodedFrame& frame);
   void cs_to_inmate(Flow& flow, pkt::DecodedFrame& frame);
   void inject_request_shim(Flow& flow);
+  /// The CS acked past the request shim: record the shim round trip.
+  void note_request_shim_ack(Flow& flow, std::uint32_t ack);
   void retransmit_request_shim(FlowPtr flow);
   void process_cs_stream(Flow& flow);
   void apply_verdict(Flow& flow, const shim::ResponseShim& shim);
@@ -191,6 +208,8 @@ class SubfarmRouter {
   // --- Splicing -----------------------------------------------------------
   void start_splice(Flow& flow);
   void target_to_inmate(Flow& flow, pkt::DecodedFrame& frame);
+  /// ACK the target's SYN-ACK on the inmate's behalf.
+  void ack_target_syn(Flow& flow);
   void replay_to_target(FlowPtr flow);
   void send_rst_to_cs(Flow& flow);
   void send_rst_to_inmate(Flow& flow);

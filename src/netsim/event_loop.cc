@@ -80,6 +80,8 @@ void EventLoop::run_until(util::TimePoint deadline) {
   if (now_ < deadline) now_ = deadline;
 }
 
+EventLoop::~EventLoop() { drop_pending(); }
+
 void EventLoop::drop_pending() {
   // Destroying a pending closure can re-enter cancel() (an object owned
   // by one closure cancelling its own timers in its destructor), so move

@@ -26,6 +26,11 @@ using EventId = std::uint64_t;
 class EventLoop {
  public:
   EventLoop() = default;
+  /// Pending closures are destroyed the way drop_pending() destroys
+  /// them: every slot is retired first, so a closure-owned object that
+  /// cancels its own timers from its destructor finds a harmless stale
+  /// id instead of freed bookkeeping.
+  ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 

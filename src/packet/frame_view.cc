@@ -74,15 +74,11 @@ std::optional<FrameView> FrameView::parse(std::span<std::uint8_t> bytes,
   return view;
 }
 
-void FrameView::wr_mac(std::size_t at, const util::MacAddr& mac) {
-  std::memcpy(base_ + at, mac.bytes().data(), 6);
-}
-
 void FrameView::l4_csum_update32(std::uint32_t old_word,
                                  std::uint32_t new_word) {
   std::uint16_t csum = checksum_update32(rd16(l4_csum_), old_word, new_word);
   // serialize_udp maps a computed zero to 0xFFFF (RFC 768); mirror it so
-  // the fast path stays byte-identical to a re-encode.
+  // an in-place rewrite stays byte-identical to a re-encode.
   if (proto_ == kProtoUdp && csum == 0) csum = 0xFFFF;
   wr16(l4_csum_, csum);
 }
@@ -139,6 +135,12 @@ void strip_vlan_tag(std::vector<std::uint8_t>& bytes) {
   if (!vlan_vid_of(bytes)) return;
   bytes.erase(bytes.begin() + kTypeOffset,
               bytes.begin() + kTypeOffset + kVlanTag);
+}
+
+void set_eth_addrs(std::vector<std::uint8_t>& bytes, const util::MacAddr& src,
+                   const util::MacAddr& dst) {
+  std::memcpy(bytes.data(), dst.bytes().data(), 6);
+  std::memcpy(bytes.data() + 6, src.bytes().data(), 6);
 }
 
 void insert_vlan_tag(std::vector<std::uint8_t>& bytes, std::uint16_t vlan) {

@@ -10,9 +10,9 @@
 // DecodedFrame::encode() produces (IHL 5, DSCP/ECN 0, unfragmented,
 // TCP data offset 5 with zero reserved bits and urgent pointer, UDP
 // length consistent and checksum nonzero, no trailing padding). For a
-// canonical frame, rewriting through the view is byte-identical to the
-// decode → mutate → encode slow path; anything else fails to parse and
-// must take the slow path.
+// canonical frame, rewriting through the view is byte-identical to
+// decode → mutate → encode; anything else fails to parse, and the
+// gateway re-encodes it once (making it canonical) before viewing it.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,8 @@
 
 namespace gq::pkt {
 
-/// How much of the frame FrameView::parse verifies. The gateway's fast
-/// path uses kIpHeader — like a hardware router it checks the 20-byte IP
+/// How much of the frame FrameView::parse verifies. The gateway's
+/// established-flow datapath uses kIpHeader — like a hardware router it checks the 20-byte IP
 /// header checksum but does not scan the payload; kFull additionally
 /// verifies the L4 checksum (tests, defensive callers).
 enum class ViewVerify { kNone, kIpHeader, kFull };
@@ -72,8 +72,6 @@ class FrameView {
   }
 
   // --- In-place rewrite (checksums maintained incrementally) -----------
-  void set_eth_src(const util::MacAddr& mac) { wr_mac(6, mac); }
-  void set_eth_dst(const util::MacAddr& mac) { wr_mac(0, mac); }
   void set_ip_src(util::Ipv4Addr addr) { set_ip_addr(l3_ + 12, addr); }
   void set_ip_dst(util::Ipv4Addr addr) { set_ip_addr(l3_ + 16, addr); }
   void set_src_port(std::uint16_t port) { set_l4_u16(l4_, port); }
@@ -99,7 +97,6 @@ class FrameView {
     wr16(at, static_cast<std::uint16_t>(v >> 16));
     wr16(at + 2, static_cast<std::uint16_t>(v));
   }
-  void wr_mac(std::size_t at, const util::MacAddr& mac);
 
   void set_ip_addr(std::size_t at, util::Ipv4Addr addr);
   void set_l4_u16(std::size_t at, std::uint16_t v);
@@ -131,6 +128,10 @@ std::optional<util::Ipv4Addr> ipv4_dst_of(
 /// shrinks by four bytes; capacity is retained, so a later re-tag via
 /// `insert_vlan_tag` cannot reallocate.
 void strip_vlan_tag(std::vector<std::uint8_t>& bytes);
+
+/// Overwrite the Ethernet source and destination addresses in place.
+void set_eth_addrs(std::vector<std::uint8_t>& bytes, const util::MacAddr& src,
+                   const util::MacAddr& dst);
 
 /// Insert an 802.1Q tag in place (PCP/DEI zero).
 void insert_vlan_tag(std::vector<std::uint8_t>& bytes, std::uint16_t vlan);

@@ -1,9 +1,9 @@
 // Unit tests for the zero-copy FrameView: the in-place NAT rewrite with
 // incrementally maintained checksums must be byte-identical to the
-// decode / mutate / re-encode slow path for every canonical frame shape
+// decode / mutate / re-encode reference for every canonical frame shape
 // the gateway forwards (TCP and UDP, VLAN-tagged and untagged, odd and
 // even payload lengths), and non-canonical frames must be rejected so
-// they fall back to the slow path. Also covers the FlowKeyHash functor
+// the gateway re-encodes them before viewing. Also covers the FlowKeyHash functor
 // the hashed flow tables are built on.
 #include <gtest/gtest.h>
 
@@ -75,7 +75,7 @@ TEST(FrameView, ParseLocatesFields) {
 }
 
 // The core property: rewriting through the view must produce the exact
-// bytes the slow path's decode / mutate / re-encode produces, for every
+// bytes a decode / mutate / re-encode produces, for every
 // combination of protocol, tagging, and payload parity, across many
 // random header values and payload contents.
 TEST(FrameView, RewriteByteIdenticalToReencode) {
@@ -103,7 +103,7 @@ TEST(FrameView, RewriteByteIdenticalToReencode) {
           const std::uint32_t d_seq = static_cast<std::uint32_t>(rng.next());
           const std::uint32_t d_ack = static_cast<std::uint32_t>(rng.next());
 
-          // Slow path: full decode, mutate, re-encode.
+          // Reference: full decode, mutate, re-encode.
           auto decoded = decode_frame(bytes);
           ASSERT_TRUE(decoded);
           decoded->ip->src = new_src;
@@ -119,7 +119,7 @@ TEST(FrameView, RewriteByteIdenticalToReencode) {
           }
           const auto slow = decoded->encode();
 
-          // Fast path: in-place rewrite with incremental checksums.
+          // View: in-place rewrite with incremental checksums.
           auto view = FrameView::parse(bytes, ViewVerify::kFull);
           ASSERT_TRUE(view) << "canonical frame must parse";
           view->set_ip_src(new_src);

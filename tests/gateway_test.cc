@@ -17,6 +17,7 @@
 #include "net/stack.h"
 #include "netsim/event_loop.h"
 #include "netsim/vlan_switch.h"
+#include "packet/frame_view.h"
 #include "services/dhcp.h"
 #include "services/http.h"
 #include "util/bytes.h"
@@ -501,14 +502,34 @@ TEST_F(FarmFixture, PcapTracesRecorded) {
 }
 
 // The upstream trace archive must capture every frame the gateway emits
-// upstream exactly once — under both the decoded path and the zero-copy
-// fast path. The oracle is the upstream tap on transmit_upstream, the
-// single choke point all upstream emissions funnel through.
+// upstream exactly once — forwarded and synthesised frames alike, on
+// both routes an established frame takes into the view forwarder:
+// straight through FrameView (FastPath), or, for a non-canonical frame,
+// through the one decode → encode that makes it canonical first
+// (DecodedPath). The oracle is the upstream tap on transmit_upstream,
+// the single choke point all upstream emissions funnel through.
 struct UpstreamArchiveFixture : FarmFixture,
-                                ::testing::WithParamInterface<bool> {};
+                                ::testing::WithParamInterface<bool> {
+  int padded_frames = 0;
+
+  // Trailing Ethernet padding on every tagged IPv4/TCP frame from the
+  // inmates makes it non-canonical.
+  void pad_inmate_tcp_frames() {
+    gateway->inmate_port().set_rx([this](sim::Frame frame) {
+      auto& bytes = frame.bytes;
+      if (bytes.size() > 27 && bytes[16] == 0x08 && bytes[17] == 0x00 &&
+          bytes[27] == 6) {
+        bytes.insert(bytes.end(), 6, 0);
+        ++padded_frames;
+      }
+      gateway->inject_inmate_frame(std::move(bytes));
+    });
+  }
+};
 
 TEST_P(UpstreamArchiveFixture, EveryUpstreamEmissionArchivedExactlyOnce) {
-  gateway->set_fast_path(GetParam());
+  const bool canonical = GetParam();
+  if (!canonical) pad_inmate_tcp_frames();
   std::vector<std::vector<std::uint8_t>> emitted;
   gateway->set_upstream_tap(
       [&](util::TimePoint, const std::vector<std::uint8_t>& bytes) {
@@ -522,10 +543,18 @@ TEST_P(UpstreamArchiveFixture, EveryUpstreamEmissionArchivedExactlyOnce) {
     };
   });
   auto conn = inmate1.connect({kWebAddr, 80});
+  // The first request rides flow setup; the second, sent once the reply
+  // is in, and the FIN ride the established flow.
+  std::string replies;
   conn->on_connected = [conn] { conn->send("x"); };
-  conn->on_data = [conn](std::span<const std::uint8_t>) { conn->close(); };
+  conn->on_data = [conn, &replies](std::span<const std::uint8_t> data) {
+    replies.append(data.begin(), data.end());
+    if (replies == "ok") conn->send("y");
+    if (replies == "okok") conn->close();
+  };
   loop.run_for(util::seconds(20));
 
+  EXPECT_EQ(replies, "okok");
   ASSERT_GT(emitted.size(), 3u);
   std::map<std::vector<std::uint8_t>, int> emitted_count;
   for (const auto& frame : emitted) ++emitted_count[frame];
@@ -540,6 +569,20 @@ TEST_P(UpstreamArchiveFixture, EveryUpstreamEmissionArchivedExactlyOnce) {
     EXPECT_EQ(archived_count[frame], count)
         << "frame of " << frame.size() << " bytes archived "
         << archived_count[frame] << "x, emitted " << count << "x";
+
+  if (canonical) {
+    EXPECT_EQ(padded_frames, 0);
+  } else {
+    EXPECT_GT(padded_frames, 3);
+  }
+  // Whichever route it took, every TCP frame leaves upstream canonical.
+  for (auto frame : emitted) {
+    if (frame.size() > 23 && frame[12] == 0x08 && frame[13] == 0x00 &&
+        frame[23] == 6) {
+      EXPECT_TRUE(pkt::FrameView::parse(frame).has_value())
+          << "non-canonical TCP frame of " << frame.size() << " bytes";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Paths, UpstreamArchiveFixture,

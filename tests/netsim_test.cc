@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "netsim/event_loop.h"
@@ -155,6 +156,31 @@ TEST(EventLoop, DropPendingDestroysWithoutRunning) {
   EXPECT_EQ(loop.pending(), 0u);
   loop.run_all();
   EXPECT_EQ(ran, 0);
+}
+
+TEST(EventLoop, DestroyedWithQueuedClosuresRetiresSlotsFirst) {
+  // An object owned only by a queued closure cancels its own timer from
+  // its destructor. Destroying the loop destroys the closure, so that
+  // cancel() runs during ~EventLoop and must find the slot table alive.
+  struct SelfCancelling {
+    EventLoop* loop = nullptr;
+    EventId timer = 0;
+    int* destroyed = nullptr;
+    ~SelfCancelling() {
+      loop->cancel(timer);
+      ++*destroyed;
+    }
+  };
+  int destroyed = 0;
+  auto loop = std::make_unique<EventLoop>();
+  auto owner = std::make_shared<SelfCancelling>();
+  owner->loop = loop.get();
+  owner->destroyed = &destroyed;
+  owner->timer = loop->schedule_in(util::seconds(2), [] {});
+  loop->schedule_in(util::seconds(1), [owner] {});
+  owner.reset();  // The queued closure now holds the last reference.
+  loop.reset();
+  EXPECT_EQ(destroyed, 1);
 }
 
 TEST(Port, DeliversAfterLatency) {

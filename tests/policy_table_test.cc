@@ -504,12 +504,10 @@ TEST(PolicyTableFarm, DisablingTheTableRestoresShimDecisions) {
 
 TEST(PolicyTableFarm, DatapathOptionsFlowThroughToEveryLayer) {
   core::FarmOptions options;
-  options.datapath.fast_path = false;
   options.datapath.verdict_cache = false;
   options.datapath.verdict_cache_capacity = 7;
   options.datapath.policy_table = false;
   TableFarm f(options);
-  EXPECT_FALSE(f.farm.gateway().fast_path());
   EXPECT_FALSE(f.sub->router().policy_table_enabled());
   EXPECT_FALSE(f.sub->router().verdict_cache_enabled());
   EXPECT_EQ(f.sub->router().verdict_cache().capacity(), 7u);
