@@ -126,7 +126,9 @@ struct CacheStats {
 };
 
 CacheStats run_cache(bool cache_on, util::Duration duration) {
-  core::Farm farm;
+  core::FarmOptions options;
+  options.datapath.verdict_cache = cache_on;
+  core::Farm farm(options);
   // Eight scan targets, all accepting on port 80.
   std::vector<Ipv4Addr> targets;
   for (int i = 0; i < 8; ++i) {
@@ -137,7 +139,6 @@ CacheStats run_cache(bool cache_on, util::Duration duration) {
   }
 
   auto& sub = farm.add_subfarm("Scan");
-  sub.router().set_verdict_cache_enabled(cache_on);
   // Each CS decision costs 1 simulated second (policy work, sample
   // lookups, logging — the paper's reason the CS is the §7.2
   // bottleneck): with the cache off, every flow setup pays it.

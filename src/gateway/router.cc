@@ -82,15 +82,18 @@ SubfarmRouter::SubfarmRouter(Gateway& gateway, SubfarmConfig config)
   cache_expire_ctr_ = &metrics.counter(prefix + "cache_expire");
   cache_flush_ctr_ = &metrics.counter(prefix + "cache_flush");
   cache_bypass_ctr_ = &metrics.counter(prefix + "cache_bypass");
-  decision_latency_cached_hist_ =
+  auto by_source = [&](shim::VerdictSource source) -> obs::Histogram*& {
+    return decision_latency_by_source_[static_cast<std::size_t>(source)];
+  };
+  by_source(shim::VerdictSource::kCached) =
       &metrics.histogram(prefix + "decision_latency_cached_us");
-  decision_latency_uncached_hist_ =
+  by_source(shim::VerdictSource::kShim) =
       &metrics.histogram(prefix + "decision_latency_uncached_us");
   table_hit_ctr_ = &metrics.counter(prefix + "table_hit");
   table_fallback_ctr_ = &metrics.counter(prefix + "table_fallback");
   table_sync_ctr_ = &metrics.counter(prefix + "table_sync");
   table_stale_ctr_ = &metrics.counter(prefix + "table_stale");
-  decision_latency_table_hist_ =
+  by_source(shim::VerdictSource::kTable) =
       &metrics.histogram(prefix + "decision_latency_table_us");
   // Per-verdict counters are resolved here, once, rather than by
   // rebuilding "gw.<subfarm>.verdicts.<name>" for every verdict applied.
@@ -99,10 +102,8 @@ SubfarmRouter::SubfarmRouter(Gateway& gateway, SubfarmConfig config)
         prefix + "verdicts." +
         shim::verdict_name(static_cast<shim::Verdict>(v)));
   }
-  const DatapathOptions& datapath = gateway_.config().datapath;
-  verdict_cache_ = VerdictCache(datapath.verdict_cache_capacity);
-  verdict_cache_enabled_ = datapath.verdict_cache;
-  policy_table_enabled_ = datapath.policy_table;
+  verdict_cache_ =
+      VerdictCache(gateway_.config().datapath.verdict_cache_capacity);
   // Periodic flow garbage collection.
   gateway_.loop().schedule_in(util::seconds(5), [this] { gc_sweep(); });
 }
@@ -140,14 +141,6 @@ void SubfarmRouter::flush_cache_vlan(std::uint16_t vlan) {
   }
 }
 
-void SubfarmRouter::set_verdict_cache_enabled(bool enabled) {
-  if (verdict_cache_enabled_ && !enabled) {
-    const std::size_t dropped = verdict_cache_.flush();
-    if (dropped > 0) cache_flush_ctr_->inc(dropped);
-  }
-  verdict_cache_enabled_ = enabled;
-}
-
 bool SubfarmRouter::install_policy_table(const shim::TableSync& sync) {
   // The router's epoch high-water mark covers both local datapaths: a
   // sync older than anything we have seen (a shim response, a previous
@@ -170,10 +163,6 @@ bool SubfarmRouter::install_policy_table(const shim::TableSync& sync) {
           static_cast<unsigned long long>(sync.epoch),
           policy_table_.size());
   return true;
-}
-
-void SubfarmRouter::set_policy_table_enabled(bool enabled) {
-  policy_table_enabled_ = enabled;
 }
 
 bool SubfarmRouter::is_internal(util::Ipv4Addr addr) const {
@@ -522,32 +511,16 @@ void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
   }
   safety_admits_ctr_->inc();
 
-  // Compiled-policy-table probe (after the safety filter — the caps
-  // apply to table-resolved flows too — but before the verdict cache:
-  // the table covers first contacts the cache has never seen, and a
-  // concrete rule is authoritative for the whole epoch). A hit resolves
-  // the flow right here; a kFallback rule or a miss falls through.
-  const shim::TableRule* table_rule =
-      probe_policy_table(vlan, key.proto, key.dst);
-
-  // Verdict-cache consult (after the safety filter: cached FORWARD /
-  // LIMIT verdicts stay subject to the connection-rate caps). A live
-  // entry resolves the flow right here — no redirect, no shim round
-  // trip, no containment-server occupancy.
-  std::optional<CachedVerdict> cached;
-  if (!table_rule && verdict_cache_enabled_) {
-    std::uint64_t expired = 0;
-    if (const CachedVerdict* entry =
-            verdict_cache_.lookup(key.proto, vlan, key.src, key.dst, now,
-                                  &expired)) {
-      cached = *entry;
-    }
-    if (expired > 0) cache_expire_ctr_->inc(expired);
-    if (cached)
-      cache_hit_ctr_->inc();
-    else
-      cache_miss_ctr_->inc();
-  }
+  // Local verdict sources, after the safety filter (its caps apply to
+  // locally resolved flows too): the compiled policy table first — it
+  // covers first contacts the cache has never seen, and a concrete rule
+  // is authoritative for the whole epoch — then the verdict cache. A
+  // hit resolves the flow right here: no redirect, no shim round trip,
+  // no containment-server occupancy.
+  std::optional<shim::ResponseShim> local = probe_policy_table(vlan, key);
+  const auto source =
+      local ? shim::VerdictSource::kTable : shim::VerdictSource::kCached;
+  if (!local) local = probe_verdict_cache(vlan, key);
 
   auto flow = std::make_shared<Flow>();
   flow->proto = key.proto;
@@ -564,12 +537,8 @@ void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
   flows_created_ctr_->inc();
   active_flows_gauge_->set(static_cast<std::int64_t>(flows_.size()));
 
-  if (table_rule) {
-    serve_table_verdict(flow, *table_rule, frame);
-    return;
-  }
-  if (cached) {
-    serve_cached_verdict(flow, *cached, frame);
+  if (local) {
+    serve_local_verdict(*flow, source, std::move(*local), frame);
     return;
   }
 
@@ -606,135 +575,84 @@ void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
   }
 }
 
-void SubfarmRouter::serve_cached_verdict(const FlowPtr& flow,
-                                         const CachedVerdict& entry,
-                                         pkt::DecodedFrame& frame) {
-  Flow& f = *flow;
-  f.verdict_source = shim::VerdictSource::kCached;
-  f.cs_src = f.inmate_ep;  // No CS leg: never remapped, never indexed.
-  // Symmetric with the miss path: the flow joins the pending-verdict
-  // gauge so verdict_resolved()'s decrement balances, but no deadline
-  // is armed — the verdict is already in hand.
-  pending_verdicts_gauge_->add(1);
-
-  shim::ResponseShim synthesized;
-  synthesized.orig = f.inmate_ep;
-  synthesized.resp = entry.resp;
-  synthesized.verdict = entry.verdict;
-  synthesized.policy_name = entry.policy_name;
-  synthesized.annotation = entry.annotation;
-  synthesized.limit_bytes_per_sec = entry.limit_bytes_per_sec;
-  synthesized.policy_epoch = cache_epoch_;
-
-  if (f.proto == pkt::FlowProto::kTcp) {
-    f.inmate_isn = frame.tcp->seq;
-    f.inmate_snd_nxt = frame.tcp->seq + 1;
-    // The router plays the server's side of the handshake with a
-    // synthetic ISN; the splice machinery then treats it exactly like a
-    // CS ISN (the inmate believes the server's ISN is this one, and
-    // d_in = cs_isn - server_isn maps the real target underneath it).
-    f.cs_isn = static_cast<std::uint32_t>(rng_.next());
-    f.cs_isn_known = true;
-    f.cs_in_expected = f.cs_isn + 1;
-    if (entry.verdict != shim::Verdict::kDrop) {
-      emit_tcp(f.orig_dst, f.inmate_ep, pkt::kTcpSyn | pkt::kTcpAck,
-               f.cs_isn, f.inmate_isn + 1, {});
-    }
-    apply_verdict(f, synthesized);
-  } else {
-    apply_udp_verdict(f, synthesized, {});
-    // Deliver the datagram that opened the flow through the now-decided
-    // flow state (forwarded, limited, redirected — or silently dropped).
-    dispatch_inmate_frame(f, frame);
-  }
-}
-
-const shim::TableRule* SubfarmRouter::probe_policy_table(
-    std::uint16_t vlan, pkt::FlowProto proto, util::Endpoint dst) {
-  if (!policy_table_enabled_ || policy_table_.empty()) return nullptr;
+std::optional<shim::ResponseShim> SubfarmRouter::probe_policy_table(
+    std::uint16_t vlan, const pkt::FlowKey& key) {
+  if (!gateway_.config().datapath.policy_table || policy_table_.empty())
+    return std::nullopt;
   // A table whose epoch lags the router's high-water mark was compiled
   // from a superseded policy set: never consult it. (A *newer* table
   // cannot exist — installs advance cache_epoch_ in lockstep.)
-  if (policy_table_.epoch() != cache_epoch_) return nullptr;
-  const std::uint8_t proto_code = proto == pkt::FlowProto::kTcp
+  if (policy_table_.epoch() != cache_epoch_) return std::nullopt;
+  const std::uint8_t proto_code = key.proto == pkt::FlowProto::kTcp
                                       ? shim::TableRule::kProtoTcp
                                       : shim::TableRule::kProtoUdp;
-  const shim::TableRule* rule = policy_table_.lookup(vlan, proto_code, dst);
-  if (!rule) return nullptr;
-  if (rule->action == shim::TableAction::kFallback) {
+  const shim::TableRule* rule = policy_table_.lookup(vlan, proto_code, key.dst);
+  if (!rule) return std::nullopt;
+  auto synthesized = shim::table_rule_verdict(*rule, key.src, key.dst);
+  if (!synthesized) {
     // The policy pinned this match arm to the containment server
     // (REWRITE, side effects, state) — shim path, counted separately
     // from plain misses.
     table_fallback_ctr_->inc();
-    return nullptr;
+    return std::nullopt;
   }
   table_hit_ctr_->inc();
-  return rule;
+  return synthesized;
 }
 
-void SubfarmRouter::serve_table_verdict(const FlowPtr& flow,
-                                        const shim::TableRule& rule,
-                                        pkt::DecodedFrame& frame) {
-  Flow& f = *flow;
-  f.verdict_source = shim::VerdictSource::kTable;
-  f.cs_src = f.inmate_ep;  // No CS leg: never remapped, never indexed.
-  // Symmetric with serve_cached_verdict: join the pending-verdict gauge
-  // so verdict_resolved()'s decrement balances; no deadline needed.
-  pending_verdicts_gauge_->add(1);
-
-  // Synthesize the response shim the containment server would have sent
-  // for this match arm and run it through the normal verdict machinery —
-  // enforcement, accounting, and reporting are identical to a CS-issued
-  // verdict (the differential harness holds us to that).
+std::optional<shim::ResponseShim> SubfarmRouter::probe_verdict_cache(
+    std::uint16_t vlan, const pkt::FlowKey& key) {
+  if (!gateway_.config().datapath.verdict_cache) return std::nullopt;
+  std::uint64_t expired = 0;
+  const CachedVerdict* entry = verdict_cache_.lookup(
+      key.proto, vlan, key.src, key.dst, gateway_.loop().now(), &expired);
+  if (expired > 0) cache_expire_ctr_->inc(expired);
+  if (!entry) {
+    cache_miss_ctr_->inc();
+    return std::nullopt;
+  }
+  cache_hit_ctr_->inc();
   shim::ResponseShim synthesized;
-  synthesized.orig = f.inmate_ep;
-  synthesized.resp = f.orig_dst;
-  synthesized.policy_name = rule.policy_name;
-  synthesized.annotation = rule.annotation;
-  synthesized.policy_epoch = cache_epoch_;
-  switch (rule.action) {
-    case shim::TableAction::kForward:
-      synthesized.verdict = shim::Verdict::kForward;
-      break;
-    case shim::TableAction::kDrop:
-      synthesized.verdict = shim::Verdict::kDrop;
-      break;
-    case shim::TableAction::kLimit:
-      synthesized.verdict = shim::Verdict::kLimit;
-      if (rule.limit_bytes_per_sec > 0) {
-        synthesized.limit_bytes_per_sec =
-            static_cast<std::int64_t>(rule.limit_bytes_per_sec);
-      }
-      break;
-    case shim::TableAction::kRedirect:
-      synthesized.verdict = shim::Verdict::kRedirect;
-      synthesized.resp = rule.target;
-      break;
-    case shim::TableAction::kReflect:
-      synthesized.verdict = shim::Verdict::kReflect;
-      synthesized.resp = rule.target;
-      break;
-    case shim::TableAction::kFallback:
-      return;  // Unreachable: probe_policy_table filters fallbacks.
-  }
+  synthesized.orig = key.src;
+  synthesized.resp = entry->resp;
+  synthesized.verdict = entry->verdict;
+  synthesized.policy_name = entry->policy_name;
+  synthesized.annotation = entry->annotation;
+  synthesized.limit_bytes_per_sec = entry->limit_bytes_per_sec;
+  return synthesized;
+}
 
-  if (f.proto == pkt::FlowProto::kTcp) {
-    f.inmate_isn = frame.tcp->seq;
-    f.inmate_snd_nxt = frame.tcp->seq + 1;
-    // Play the server's side of the handshake with a synthetic ISN,
-    // exactly like a cache hit (see serve_cached_verdict).
-    f.cs_isn = static_cast<std::uint32_t>(rng_.next());
-    f.cs_isn_known = true;
-    f.cs_in_expected = f.cs_isn + 1;
+void SubfarmRouter::serve_local_verdict(Flow& flow, shim::VerdictSource source,
+                                        shim::ResponseShim synthesized,
+                                        pkt::DecodedFrame& frame) {
+  flow.verdict_source = source;
+  flow.cs_src = flow.inmate_ep;  // No CS leg: never remapped, never indexed.
+  // Symmetric with the shim path: the flow joins the pending-verdict
+  // gauge so verdict_resolved()'s decrement balances, but no deadline
+  // is armed — the verdict is already in hand.
+  pending_verdicts_gauge_->add(1);
+  synthesized.policy_epoch = cache_epoch_;
+
+  const bool tcp = flow.proto == pkt::FlowProto::kTcp;
+  if (tcp) {
+    flow.inmate_isn = frame.tcp->seq;
+    flow.inmate_snd_nxt = frame.tcp->seq + 1;
+    // The router plays the server's side of the handshake with a
+    // synthetic ISN; the splice machinery then treats it exactly like a
+    // CS ISN (the inmate believes the server's ISN is this one, and
+    // d_in = cs_isn - server_isn maps the real target underneath it).
+    flow.cs_isn = static_cast<std::uint32_t>(rng_.next());
+    flow.cs_isn_known = true;
+    flow.cs_in_expected = flow.cs_isn + 1;
     if (synthesized.verdict != shim::Verdict::kDrop) {
-      emit_tcp(f.orig_dst, f.inmate_ep, pkt::kTcpSyn | pkt::kTcpAck,
-               f.cs_isn, f.inmate_isn + 1, {});
+      emit_tcp(flow.orig_dst, flow.inmate_ep, pkt::kTcpSyn | pkt::kTcpAck,
+               flow.cs_isn, flow.inmate_isn + 1, {});
     }
-    apply_verdict(f, synthesized);
-  } else {
-    apply_udp_verdict(f, synthesized, {});
-    dispatch_inmate_frame(f, frame);
   }
+  apply_verdict(flow, synthesized);
+  // Deliver the datagram that opened a UDP flow through the now-decided
+  // flow state (forwarded, limited, redirected — or silently dropped).
+  if (!tcp) dispatch_inmate_frame(flow, frame);
 }
 
 // --- TCP: inmate -> server side ---------------------------------------------
@@ -912,10 +830,7 @@ void SubfarmRouter::fail_close_flow(Flow& flow) {
     synthesized.verdict = shim::Verdict::kReflect;
     synthesized.resp = config_.fail_closed_reflect_target;
   }
-  if (flow.proto == pkt::FlowProto::kTcp)
-    apply_verdict(flow, synthesized);
-  else
-    apply_udp_verdict(flow, synthesized, {});
+  apply_verdict(flow, synthesized);
 }
 
 // --- TCP: server side -> inmate ---------------------------------------------
@@ -1054,8 +969,8 @@ void SubfarmRouter::process_cs_stream(Flow& flow) {
   }
 }
 
-void SubfarmRouter::apply_verdict(Flow& flow,
-                                  const shim::ResponseShim& shim) {
+void SubfarmRouter::apply_verdict(Flow& flow, const shim::ResponseShim& shim,
+                                  std::span<const std::uint8_t> remainder) {
   verdict_resolved(flow);
   flow.verdict = shim.verdict;
   flow.policy_name = shim.policy_name;
@@ -1064,17 +979,8 @@ void SubfarmRouter::apply_verdict(Flow& flow,
   const double latency_us = static_cast<double>(
       (gateway_.loop().now() - flow.created).usec);
   decision_latency_hist_->observe(latency_us);
-  switch (flow.verdict_source) {
-    case shim::VerdictSource::kTable:
-      decision_latency_table_hist_->observe(latency_us);
-      break;
-    case shim::VerdictSource::kCached:
-      decision_latency_cached_hist_->observe(latency_us);
-      break;
-    case shim::VerdictSource::kShim:
-      decision_latency_uncached_hist_->observe(latency_us);
-      break;
-  }
+  decision_latency_by_source_[static_cast<std::size_t>(flow.verdict_source)]
+      ->observe(latency_us);
   verdict_counter(shim.verdict).inc();
   maybe_cache_verdict(flow, shim);
   // Link the verdict into the trace archive's flow index: the flow's
@@ -1087,32 +993,41 @@ void SubfarmRouter::apply_verdict(Flow& flow,
           flow.orig_dst.str().c_str(), shim::verdict_name(shim.verdict),
           shim.policy_name.c_str());
 
+  const bool tcp = flow.proto == pkt::FlowProto::kTcp;
   switch (shim.verdict) {
     case shim::Verdict::kRewrite:
       flow.phase = FlowPhase::kEstablished;
-      break;
-    case shim::Verdict::kForward:
-      flow.server_ep = flow.orig_dst;
-      start_splice(flow);
-      break;
-    case shim::Verdict::kLimit: {
-      flow.server_ep = flow.orig_dst;
-      const double rate = limit_rate_of(shim);
-      // Burst must cover at least a couple of MSS-sized segments or the
-      // bucket can never admit a full segment at all.
-      flow.limiter.emplace(rate, std::max(rate * 2, 4096.0));
-      start_splice(flow);
-      break;
-    }
-    case shim::Verdict::kRedirect:
-    case shim::Verdict::kReflect:
-      flow.server_ep = shim.resp;
-      start_splice(flow);
+      // Only a UDP response shim hands its proxy payload over here; the
+      // TCP stream's is relayed by process_cs_stream.
+      if (!remainder.empty()) {
+        flow.bytes_to_inmate += remainder.size();
+        emit_udp(flow.orig_dst, flow.inmate_ep,
+                 {remainder.begin(), remainder.end()});
+      }
       break;
     case shim::Verdict::kDrop:
       flow.phase = FlowPhase::kDenied;
-      if (!flow.served_locally()) send_rst_to_cs(flow);
-      if (config_.drop_sends_rst) send_rst_to_inmate(flow);
+      if (tcp && !flow.served_locally()) send_rst_to_cs(flow);
+      if (tcp && config_.drop_sends_rst) send_rst_to_inmate(flow);
+      break;
+    case shim::Verdict::kForward:
+    case shim::Verdict::kLimit:
+    case shim::Verdict::kRedirect:
+    case shim::Verdict::kReflect:
+      flow.server_ep = (shim.verdict == shim::Verdict::kForward ||
+                        shim.verdict == shim::Verdict::kLimit)
+                           ? flow.orig_dst
+                           : shim.resp;
+      if (shim.verdict == shim::Verdict::kLimit) {
+        const double rate = limit_rate_of(shim);
+        // Burst must cover at least a couple of MSS-sized segments or the
+        // bucket can never admit a full segment at all.
+        flow.limiter.emplace(rate, std::max(rate * 2, 4096.0));
+      }
+      if (tcp)
+        start_splice(flow);
+      else
+        start_udp_relay(flow);
       break;
   }
   report(flow, obs::FarmEvent::Kind::kFlowVerdict);
@@ -1129,7 +1044,7 @@ void SubfarmRouter::maybe_cache_verdict(const Flow& flow,
   // set was reconfigured, so everything cached under the old set is
   // invalid — flush before considering this response for insertion.
   on_policy_epoch(shim.policy_epoch);
-  if (!verdict_cache_enabled_ || !shim.cacheable) return;
+  if (!gateway_.config().datapath.verdict_cache || !shim.cacheable) return;
   if (shim.verdict == shim::Verdict::kRewrite) {
     // Defence in depth: the CS already refuses to mark REWRITE
     // cacheable. A cached REWRITE would sever the CS's in-path proxy
@@ -1178,6 +1093,22 @@ void SubfarmRouter::start_splice(Flow& flow) {
   // Dial the target reusing the inmate's ISN so the outbound direction
   // needs no delta at all (buffered payload replays verbatim).
   emit_tcp(nat_src, flow.server_ep, pkt::kTcpSyn, flow.inmate_isn, 0, {});
+}
+
+void SubfarmRouter::start_udp_relay(Flow& flow) {
+  flow.server_is_cs = false;
+  flow.phase = FlowPhase::kEstablished;
+  // Same CS-leg caveat as start_splice(): a locally resolved flow was
+  // never indexed under its cs_src.
+  if (!flow.served_locally())
+    server_index_.erase({flow.proto, flow.cs_ep, flow.cs_src});
+  const util::Endpoint nat_src = nat_source_for(flow, flow.server_ep);
+  server_index_[{flow.proto, flow.server_ep, nat_src}] =
+      flows_.at({flow.proto, flow.inmate_ep, flow.orig_dst});
+  // Flush everything the inmate sent before the verdict.
+  for (auto& payload : flow.udp_buffer)
+    emit_udp(nat_src, flow.server_ep, std::move(payload));
+  flow.udp_buffer.clear();
 }
 
 void SubfarmRouter::target_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
@@ -1309,94 +1240,21 @@ void SubfarmRouter::udp_from_server(Flow& flow, pkt::DecodedFrame& frame) {
   std::size_t consumed = 0;
   auto shim = shim::ResponseShim::parse(dgram.payload, &consumed);
   if (!shim) return;  // Malformed; default-deny.
+  if (flow.req_shim_sent && !flow.req_shim_acked) {
+    // The CS answered the shim-prefixed datagram: its round trip.
+    flow.req_shim_acked = true;
+    shim_rtt_hist_->observe(static_cast<double>(
+        (flow.last_activity - flow.req_shim_sent_at).usec));
+  }
   std::span<const std::uint8_t> remainder(dgram.payload);
   remainder = remainder.subspan(consumed);
   if (flow.phase == FlowPhase::kAwaitVerdict) {
-    apply_udp_verdict(flow, *shim, remainder);
+    apply_verdict(flow, *shim, remainder);
   } else if (flow.phase == FlowPhase::kEstablished && !remainder.empty()) {
     flow.bytes_to_inmate += remainder.size();
     emit_udp(flow.orig_dst, flow.inmate_ep,
              {remainder.begin(), remainder.end()});
   }
-}
-
-void SubfarmRouter::apply_udp_verdict(Flow& flow,
-                                      const shim::ResponseShim& shim,
-                                      std::span<const std::uint8_t> remainder) {
-  verdict_resolved(flow);
-  flow.verdict = shim.verdict;
-  flow.policy_name = shim.policy_name;
-  flow.annotation = shim.annotation;
-  flow.limit_bytes_per_sec = shim.limit_bytes_per_sec;
-  const auto now = gateway_.loop().now();
-  const double latency_us = static_cast<double>((now - flow.created).usec);
-  decision_latency_hist_->observe(latency_us);
-  switch (flow.verdict_source) {
-    case shim::VerdictSource::kTable:
-      decision_latency_table_hist_->observe(latency_us);
-      break;
-    case shim::VerdictSource::kCached:
-      decision_latency_cached_hist_->observe(latency_us);
-      break;
-    case shim::VerdictSource::kShim:
-      decision_latency_uncached_hist_->observe(latency_us);
-      break;
-  }
-  if (flow.req_shim_sent && !flow.req_shim_acked) {
-    flow.req_shim_acked = true;
-    shim_rtt_hist_->observe(
-        static_cast<double>((now - flow.req_shim_sent_at).usec));
-  }
-  verdict_counter(shim.verdict).inc();
-  maybe_cache_verdict(flow, shim);
-  trace_.annotate({flow.proto, flow.inmate_ep, flow.orig_dst}, flow.vlan,
-                  shim.verdict, shim.policy_name, flow.verdict_source);
-
-  switch (shim.verdict) {
-    case shim::Verdict::kRewrite: {
-      flow.phase = FlowPhase::kEstablished;
-      if (!remainder.empty()) {
-        flow.bytes_to_inmate += remainder.size();
-        emit_udp(flow.orig_dst, flow.inmate_ep,
-                 {remainder.begin(), remainder.end()});
-      }
-      break;
-    }
-    case shim::Verdict::kDrop:
-      flow.phase = FlowPhase::kDenied;
-      break;
-    case shim::Verdict::kForward:
-    case shim::Verdict::kLimit:
-    case shim::Verdict::kRedirect:
-    case shim::Verdict::kReflect: {
-      flow.server_ep = (shim.verdict == shim::Verdict::kForward ||
-                        shim.verdict == shim::Verdict::kLimit)
-                           ? flow.orig_dst
-                           : shim.resp;
-      if (shim.verdict == shim::Verdict::kLimit) {
-        const double rate = limit_rate_of(shim);
-        flow.limiter.emplace(rate, std::max(rate * 2, 4096.0));
-      }
-      flow.server_is_cs = false;
-      flow.phase = FlowPhase::kEstablished;
-      // Same CS-leg caveat as start_splice(): a locally resolved flow
-      // was never indexed under its cs_src.
-      if (!flow.served_locally()) {
-        server_index_.erase(
-            {flow.proto, flow.cs_ep, flow.cs_src});
-      }
-      const util::Endpoint nat_src = nat_source_for(flow, flow.server_ep);
-      server_index_[{flow.proto, flow.server_ep, nat_src}] =
-          flows_.at({flow.proto, flow.inmate_ep, flow.orig_dst});
-      // Flush everything the inmate sent before the verdict.
-      for (auto& payload : flow.udp_buffer) {
-        emit_udp(nat_src, flow.server_ep, std::move(payload));
-      }
-      flow.udp_buffer.clear();
-      break;
-    }
-  }
-  report(flow, obs::FarmEvent::Kind::kFlowVerdict);
 }
 
 // --- Ingress: management / upstream -----------------------------------------

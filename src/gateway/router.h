@@ -11,6 +11,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -98,7 +100,7 @@ class SubfarmRouter {
   void set_fail_closed(shim::Verdict verdict, util::Duration deadline,
                        util::Endpoint reflect_target = {});
 
-  // --- Verdict cache (tentpole) ----------------------------------------
+  // --- Verdict cache ----------------------------------------------------
   /// The containment server's policy set changed (config reload): any
   /// epoch newer than the one the cache was filled under flushes it
   /// wholesale. Also invoked inline when a response shim carries a
@@ -107,11 +109,6 @@ class SubfarmRouter {
   /// An inmate was reverted or terminated: its VLAN's cached verdicts
   /// describe a machine that no longer exists. Drop them.
   void flush_cache_vlan(std::uint16_t vlan);
-  /// Runtime toggle (benchmarks, A/B comparison). Disabling flushes.
-  void set_verdict_cache_enabled(bool enabled);
-  [[nodiscard]] bool verdict_cache_enabled() const {
-    return verdict_cache_enabled_;
-  }
   [[nodiscard]] const VerdictCache& verdict_cache() const {
     return verdict_cache_;
   }
@@ -132,20 +129,13 @@ class SubfarmRouter {
   };
   [[nodiscard]] OpenFlowBytes open_flow_bytes(std::uint16_t vlan) const;
 
-  // --- Compiled policy table (tentpole) --------------------------------
+  // --- Compiled policy table -------------------------------------------
   /// Install a table pushed by the containment server (shim wire v4).
   /// A sync older than the router's policy epoch is rejected (counted
   /// as stale); a newer one advances the shared epoch, flushing the
   /// verdict cache atomically with the table swap. Returns whether the
   /// table was installed.
   bool install_policy_table(const shim::TableSync& sync);
-  /// Runtime toggle (benchmarks, differential harness). Disabling does
-  /// not drop the installed rules — re-enabling picks them back up if
-  /// their epoch is still current.
-  void set_policy_table_enabled(bool enabled);
-  [[nodiscard]] bool policy_table_enabled() const {
-    return policy_table_enabled_;
-  }
   [[nodiscard]] const PolicyTable& policy_table() const {
     return policy_table_;
   }
@@ -193,7 +183,24 @@ class SubfarmRouter {
   void note_request_shim_ack(Flow& flow, std::uint32_t ack);
   void retransmit_request_shim(FlowPtr flow);
   void process_cs_stream(Flow& flow);
-  void apply_verdict(Flow& flow, const shim::ResponseShim& shim);
+
+  // --- Verdicts -------------------------------------------------------------
+  /// The one place a verdict is applied, whatever its source: a CS shim
+  /// over a TCP stream or a UDP datagram, a cache hit, a table hit, or
+  /// fail-closed. Shared bookkeeping first (deadline, flow fields,
+  /// decision latency, counters, cache insert, trace index), then
+  /// enforcement by protocol, then the verdict event. `remainder` is
+  /// the rewritten payload behind a UDP REWRITE response shim.
+  void apply_verdict(Flow& flow, const shim::ResponseShim& shim,
+                     std::span<const std::uint8_t> remainder = {});
+  /// Resolve a brand-new flow from a verdict the gateway already holds
+  /// (`source` is kCached or kTable): no CS leg ever exists. TCP plays
+  /// the server's side of the handshake with a synthetic ISN; the
+  /// datagram that opened a UDP flow is delivered through the decided
+  /// flow state.
+  void serve_local_verdict(Flow& flow, shim::VerdictSource source,
+                           shim::ResponseShim synthesized,
+                           pkt::DecodedFrame& frame);
 
   // --- Fail-closed resolution ---------------------------------------------
   /// Arm (or re-arm) the flow's verdict deadline.
@@ -207,6 +214,9 @@ class SubfarmRouter {
 
   // --- Splicing -----------------------------------------------------------
   void start_splice(Flow& flow);
+  /// UDP's counterpart: re-home the flow from the CS to its server and
+  /// flush the datagrams buffered while the verdict was pending.
+  void start_udp_relay(Flow& flow);
   void target_to_inmate(Flow& flow, pkt::DecodedFrame& frame);
   /// ACK the target's SYN-ACK on the inmate's behalf.
   void ack_target_syn(Flow& flow);
@@ -217,35 +227,25 @@ class SubfarmRouter {
   // --- UDP ----------------------------------------------------------------
   void udp_from_inmate(Flow& flow, pkt::DecodedFrame& frame);
   void udp_from_server(Flow& flow, pkt::DecodedFrame& frame);
-  void apply_udp_verdict(Flow& flow, const shim::ResponseShim& shim,
-                         std::span<const std::uint8_t> remainder);
 
   // --- Verdict cache ------------------------------------------------------
-  /// Resolve a brand-new flow from a cache hit: synthesize the response
-  /// shim the CS would have sent and run it through the normal verdict
-  /// machinery. For TCP the router also plays the server's side of the
-  /// handshake (SYN-ACK with a synthetic ISN) — no CS leg ever exists.
-  void serve_cached_verdict(const FlowPtr& flow, const CachedVerdict& entry,
-                            pkt::DecodedFrame& frame);
+  /// Probe the verdict cache for a brand-new flow, counting hits, misses
+  /// and expiries: the response shim the CS would have sent, or nullopt
+  /// when the cache is off or holds no live entry.
+  std::optional<shim::ResponseShim> probe_verdict_cache(
+      std::uint16_t vlan, const pkt::FlowKey& key);
   /// Insert a genuine CS verdict into the cache when the policy marked
   /// it cacheable (and it is not REWRITE / stale-epoch), and advance
   /// the cache epoch from the shim.
   void maybe_cache_verdict(const Flow& flow, const shim::ResponseShim& shim);
 
   // --- Compiled policy table ----------------------------------------------
-  /// Probe the policy table for a brand-new flow. Returns a concrete
-  /// (non-fallback) rule when the table is enabled, current-epoch, and
-  /// matches — counting hits and fallbacks; nullptr sends the flow down
+  /// Probe the policy table for a brand-new flow, counting hits and
+  /// fallbacks: the response shim of a concrete rule when the table is
+  /// enabled, current-epoch, and matches; nullopt sends the flow down
   /// the cache/shim path.
-  const shim::TableRule* probe_policy_table(std::uint16_t vlan,
-                                            pkt::FlowProto proto,
-                                            util::Endpoint dst);
-  /// Resolve a brand-new flow from a concrete table rule: synthesize
-  /// the response shim the CS would have sent and run it through the
-  /// normal verdict machinery (synthetic handshake for TCP, exactly
-  /// like a cache hit — no CS leg ever exists).
-  void serve_table_verdict(const FlowPtr& flow, const shim::TableRule& rule,
-                           pkt::DecodedFrame& frame);
+  std::optional<shim::ResponseShim> probe_policy_table(
+      std::uint16_t vlan, const pkt::FlowKey& key);
 
   // --- Helpers --------------------------------------------------------------
   /// NAT source the server side should see for this flow's server.
@@ -280,6 +280,9 @@ class SubfarmRouter {
   obs::Counter* safety_admits_ctr_ = nullptr;
   obs::Counter* safety_rejects_ctr_ = nullptr;
   obs::Gauge* active_flows_gauge_ = nullptr;
+  // Every verdict's decision latency, beside the per-source split below:
+  // bench/micro_datapath's miniature farm prints it, and the repo's
+  // verification recipe checks its flow count.
   obs::Histogram* decision_latency_hist_ = nullptr;
   obs::Histogram* shim_rtt_hist_ = nullptr;
   // Fail-closed / degraded-mode observability.
@@ -287,9 +290,7 @@ class SubfarmRouter {
   obs::Counter* verdict_timeouts_ctr_ = nullptr;
   obs::Counter* fail_closed_ctr_ = nullptr;
   obs::Gauge* pending_verdicts_gauge_ = nullptr;
-  // Verdict-cache observability, plus the decision-latency histogram
-  // split by verdict source (the combined histogram above stays for
-  // backward compatibility with existing consumers).
+  // Verdict-cache observability.
   obs::Counter* cache_hit_ctr_ = nullptr;
   obs::Counter* cache_miss_ctr_ = nullptr;
   obs::Counter* cache_insert_ctr_ = nullptr;
@@ -297,26 +298,25 @@ class SubfarmRouter {
   obs::Counter* cache_expire_ctr_ = nullptr;
   obs::Counter* cache_flush_ctr_ = nullptr;
   obs::Counter* cache_bypass_ctr_ = nullptr;
-  obs::Histogram* decision_latency_cached_hist_ = nullptr;
-  obs::Histogram* decision_latency_uncached_hist_ = nullptr;
   // Policy-table observability: local first-contact verdicts, fallback-
   // rule shim escalations, accepted syncs, and stale syncs rejected by
-  // epoch, plus the table slice of the decision-latency split.
+  // epoch.
   obs::Counter* table_hit_ctr_ = nullptr;
   obs::Counter* table_fallback_ctr_ = nullptr;
   obs::Counter* table_sync_ctr_ = nullptr;
   obs::Counter* table_stale_ctr_ = nullptr;
-  obs::Histogram* decision_latency_table_hist_ = nullptr;
+  // Decision latency split by verdict source, indexed by VerdictSource:
+  // decision_latency_{uncached,cached,table}_us.
+  std::array<obs::Histogram*, 3> decision_latency_by_source_{};
   // Per-verdict counters, resolved once at construction and indexed by
   // (verdict - 1). Replaces per-event name concatenation + registry
   // lookup on the verdict hot path.
   std::array<obs::Counter*, 6> verdict_ctrs_{};
 
-  // Gateway-side verdict cache (tentpole): repeat flows matching a
-  // cacheable decision are resolved here, without a CS round trip.
-  // Sized and switched from the gateway's DatapathOptions.
+  // Gateway-side verdict cache: repeat flows matching a cacheable
+  // decision are resolved here, without a CS round trip. Sized and
+  // switched from the gateway's DatapathOptions.
   VerdictCache verdict_cache_{0};
-  bool verdict_cache_enabled_ = true;
   /// Highest containment-policy epoch observed (from response shims,
   /// table syncs, or on_policy_epoch()); entries cached under older
   /// epochs are flushed, and a policy table from an older epoch is
@@ -327,7 +327,6 @@ class SubfarmRouter {
   // are resolved here, before the verdict cache and without a CS round
   // trip.
   PolicyTable policy_table_;
-  bool policy_table_enabled_ = true;
 
   // Flow table, keyed by the inmate-side original flow. All per-frame
   // lookup tables are hash maps: the datapath does several lookups per

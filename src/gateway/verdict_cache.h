@@ -1,10 +1,10 @@
-// Gateway-side flow-verdict cache (the PR's tentpole, motivated by
-// paper §6.2: every new flow stalls on a shim round trip to the
-// containment server, so flow-*setup* rate is CS-bound). Policies opt
-// individual decisions in via the shim v3 cache block; the router then
-// answers repeat flows matching a cached verdict locally — no redirect,
-// no shim, no CS occupancy — while REWRITE always bypasses the cache
-// (the CS must stay in-path as the content-control proxy).
+// Gateway-side flow-verdict cache, motivated by paper §6.2: every new
+// flow stalls on a shim round trip to the containment server, so
+// flow-*setup* rate is CS-bound. Policies opt individual decisions in
+// via the shim v3 cache block; the router then answers repeat flows
+// matching a cached verdict locally — no redirect, no shim, no CS
+// occupancy — while REWRITE always bypasses the cache (the CS must stay
+// in-path as the content-control proxy).
 //
 // Keys always include the inmate's VLAN (per-VLAN policy bindings,
 // per-VLAN flush on revert/terminate triggers) and the flow protocol.

@@ -19,6 +19,42 @@ const char* table_action_name(TableAction action) {
   return "?";
 }
 
+std::optional<ResponseShim> table_rule_verdict(const TableRule& rule,
+                                               util::Endpoint orig,
+                                               util::Endpoint orig_dst) {
+  ResponseShim shim;
+  shim.orig = orig;
+  shim.resp = orig_dst;
+  shim.policy_name = rule.policy_name;
+  shim.annotation = rule.annotation;
+  switch (rule.action) {
+    case TableAction::kForward:
+      shim.verdict = Verdict::kForward;
+      break;
+    case TableAction::kDrop:
+      shim.verdict = Verdict::kDrop;
+      break;
+    case TableAction::kLimit:
+      shim.verdict = Verdict::kLimit;
+      if (rule.limit_bytes_per_sec > 0) {
+        shim.limit_bytes_per_sec =
+            static_cast<std::int64_t>(rule.limit_bytes_per_sec);
+      }
+      break;
+    case TableAction::kRedirect:
+      shim.verdict = Verdict::kRedirect;
+      shim.resp = rule.target;
+      break;
+    case TableAction::kReflect:
+      shim.verdict = Verdict::kReflect;
+      shim.resp = rule.target;
+      break;
+    case TableAction::kFallback:
+      return std::nullopt;
+  }
+  return shim;
+}
+
 namespace {
 
 constexpr std::uint32_t prefix_mask(std::uint8_t len) {

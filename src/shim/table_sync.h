@@ -117,6 +117,16 @@ struct TableRule {
                              const util::Endpoint& dst) const;
 };
 
+/// The response shim the containment server would have sent for a flow
+/// `orig` -> `orig_dst` matching `rule`: FORWARD/DROP/LIMIT keep
+/// resp = orig_dst, REDIRECT/REFLECT take rule.target, and a LIMIT rate
+/// of 0 leaves limit_bytes_per_sec unset (the gateway's default rate).
+/// kFallback is not a verdict: nullopt, the flow takes the shim path.
+/// policy_epoch is left for the caller to stamp.
+std::optional<ResponseShim> table_rule_verdict(const TableRule& rule,
+                                               util::Endpoint orig,
+                                               util::Endpoint orig_dst);
+
 /// One full compiled table, pushed atomically. A sync always carries the
 /// complete table for its epoch — there are no incremental updates, so a
 /// lost datagram costs only shim-path fallbacks until the next push.

@@ -6,8 +6,11 @@
 // filter, and inbound-flow handling.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "containment/handlers.h"
 #include "containment/policies.h"
@@ -457,6 +460,103 @@ TEST_F(FarmFixture, UdpDropByDefaultDeny) {
   client->send_to({kWebAddr, 53}, util::to_bytes("probe"));
   loop.run_for(util::seconds(10));
   EXPECT_FALSE(web_got_datagram);
+}
+
+// A fail-closed verdict is no CS answer: it must not pass the deadline
+// off as a shim round trip, for UDP just as for TCP.
+TEST_F(FarmFixture, UdpFailClosedRecordsNoShimRtt) {
+  // inmate2 (VLAN 17) is homed on a cluster member that never answers.
+  subfarm->add_containment_server({Ipv4Addr(10, 3, 0, 9), kCsPort});
+  subfarm->set_fail_closed(shim::Verdict::kDrop, util::seconds(5));
+  auto client = inmate2.udp_open(0);
+  client->send_to({kWebAddr, 53}, util::to_bytes("probe"));
+  loop.run_for(util::seconds(10));
+  EXPECT_EQ(subfarm->fail_closed_verdicts(), 1u);
+  const auto* rtt =
+      gateway->telemetry().metrics().find_histogram("gw.TestFarm.shim_rtt_us");
+  ASSERT_NE(rtt, nullptr);
+  EXPECT_EQ(rtt->count(), 0u);
+}
+
+// Port 80 compiles to an in-gateway FORWARD; every other port falls
+// back to the shim path, where port 81's verdict is cacheable.
+class VerdictSourcePolicy : public cs::Policy {
+ public:
+  VerdictSourcePolicy() : cs::Policy("VerdictSource") {}
+
+  cs::Decision decide(const cs::FlowInfo& info) override {
+    if (info.dst().port == 81)
+      return cs::Decision::forward().cached(shim::CacheScope::kDstEndpoint);
+    return cs::Decision::forward();
+  }
+
+  std::optional<std::vector<shim::TableRule>> compile() const override {
+    shim::TableRule web;
+    web.port_first = web.port_last = 80;
+    web.action = shim::TableAction::kForward;
+    shim::TableRule rest;
+    rest.action = shim::TableAction::kFallback;
+    return std::vector<shim::TableRule>{web, rest};
+  }
+};
+
+// Every verdict lands in the combined decision-latency histogram and in
+// exactly one per-source slice: table, cache, or the shim path (which
+// includes fail-closed), for TCP and UDP alike.
+TEST_F(FarmFixture, DecisionLatencySplitsByVerdictSource) {
+  // inmate2 (VLAN 17) is homed on a dead cluster member: its shim-path
+  // flows fail closed.
+  subfarm->add_containment_server({Ipv4Addr(10, 3, 0, 9), kCsPort});
+  subfarm->set_fail_closed(shim::Verdict::kDrop, util::seconds(5));
+  bind(std::make_shared<VerdictSourcePolicy>());
+  loop.run_for(util::seconds(1));  // Deliver the compiled table.
+
+  const auto& metrics = gateway->telemetry().metrics();
+  auto count = [&](const char* name) {
+    const auto* hist =
+        metrics.find_histogram(std::string("gw.TestFarm.") + name);
+    return hist ? hist->count() : 0u;
+  };
+  using Counts = std::array<std::uint64_t, 4>;
+  auto snapshot = [&] {
+    return Counts{count("decision_latency_us"),
+                  count("decision_latency_table_us"),
+                  count("decision_latency_cached_us"),
+                  count("decision_latency_uncached_us")};
+  };
+  enum Slice { kTable = 1, kCached = 2, kUncached = 3 };
+  std::vector<std::shared_ptr<net::TcpConnection>> conns;
+  std::vector<std::shared_ptr<net::UdpSocket>> sockets;
+  auto expect_one = [&](bool tcp, net::HostStack& inmate, std::uint16_t port,
+                        Slice slice, const char* what) {
+    SCOPED_TRACE(std::string(tcp ? "tcp " : "udp ") + what);
+    const Counts before = snapshot();
+    if (tcp) {
+      conns.push_back(inmate.connect({kWebAddr, port}));
+    } else {
+      sockets.push_back(inmate.udp_open(0));
+      sockets.back()->send_to({kWebAddr, port}, util::to_bytes("q"));
+    }
+    loop.run_for(util::seconds(10));
+    const Counts after = snapshot();
+    Counts expected{1, 0, 0, 0};
+    expected[slice] = 1;
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      EXPECT_EQ(after[i] - before[i], expected[i]) << "histogram " << i;
+  };
+  for (const bool tcp : {true, false}) {
+    expect_one(tcp, inmate1, 80, kTable, "table");
+    expect_one(tcp, inmate1, 81, kUncached, "shim, cacheable");
+    expect_one(tcp, inmate1, 81, kCached, "cache");
+    expect_one(tcp, inmate1, 82, kUncached, "shim");
+    expect_one(tcp, inmate2, 82, kUncached, "fail-closed");
+  }
+  EXPECT_EQ(subfarm->fail_closed_verdicts(), 2u);
+  EXPECT_EQ(subfarm->table_hits(), 2u);
+  EXPECT_EQ(subfarm->cache_hits(), 2u);
+  const Counts total = snapshot();
+  EXPECT_EQ(total[0], 10u);
+  EXPECT_EQ(total[0], total[kTable] + total[kCached] + total[kUncached]);
 }
 
 TEST_F(FarmFixture, SafetyFilterCapsConnectionRate) {

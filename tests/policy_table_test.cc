@@ -1,14 +1,16 @@
-// Compiled in-gateway policy table (the tentpole): unit tests of the
-// match-action table's specificity ordering and epoch discipline, the
-// shim wire v4 codec, and full-farm integration of the first-contact
-// fast path it creates — flows matching a concrete compiled rule are
-// resolved by the router with zero containment-server round trips,
-// fallback arms still take the shim path, a table hit never seeds the
-// verdict cache, and a policy reload invalidates table and cache in one
-// atomic epoch bump.
+// Compiled in-gateway policy table: unit tests of the match-action
+// table's specificity ordering and epoch discipline, the rule -> response
+// shim mapping, the shim wire v4 codec, and full-farm integration of the
+// first-contact fast path it creates — flows matching a concrete compiled
+// rule are resolved by the router with zero containment-server round
+// trips, fallback arms still take the shim path, a table hit never seeds
+// the verdict cache, and a policy reload invalidates table and cache in
+// one atomic epoch bump.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "containment/policies.h"
@@ -135,6 +137,75 @@ TEST(PolicyTable, StaleEpochRejectedSameEpochIdempotent) {
       table.install(table_of({rule(shim::TableAction::kForward)}, 5)));
   ASSERT_EQ(table.size(), 1u);
   EXPECT_EQ(table.rules()[0].action, shim::TableAction::kForward);
+}
+
+// --- TableAction -> ResponseShim ------------------------------------------
+
+const Endpoint kInmate{Ipv4Addr(10, 0, 0, 7), 40000};
+const Endpoint kSink{Ipv4Addr(10, 3, 0, 3), 9999};
+
+shim::TableRule named_rule(shim::TableAction action) {
+  shim::TableRule r = rule(action);
+  r.target = kSink;
+  r.limit_bytes_per_sec = 4096;
+  r.policy_name = "Compiled";
+  r.annotation = "arm";
+  return r;
+}
+
+TEST(TableRuleVerdict, ForwardAndDropKeepTheOriginalDestination) {
+  for (const auto& [action, verdict] :
+       {std::pair{shim::TableAction::kForward, shim::Verdict::kForward},
+        std::pair{shim::TableAction::kDrop, shim::Verdict::kDrop}}) {
+    SCOPED_TRACE(shim::table_action_name(action));
+    const auto shim =
+        shim::table_rule_verdict(named_rule(action), kInmate, kWeb);
+    ASSERT_TRUE(shim);
+    EXPECT_EQ(shim->verdict, verdict);
+    EXPECT_EQ(shim->orig, kInmate);
+    EXPECT_EQ(shim->resp, kWeb);
+    EXPECT_EQ(shim->policy_name, "Compiled");
+    EXPECT_EQ(shim->annotation, "arm");
+    EXPECT_FALSE(shim->limit_bytes_per_sec);
+    EXPECT_FALSE(shim->cacheable);
+  }
+}
+
+TEST(TableRuleVerdict, RedirectAndReflectTakeTheRuleTarget) {
+  for (const auto& [action, verdict] :
+       {std::pair{shim::TableAction::kRedirect, shim::Verdict::kRedirect},
+        std::pair{shim::TableAction::kReflect, shim::Verdict::kReflect}}) {
+    SCOPED_TRACE(shim::table_action_name(action));
+    const auto shim =
+        shim::table_rule_verdict(named_rule(action), kInmate, kWeb);
+    ASSERT_TRUE(shim);
+    EXPECT_EQ(shim->verdict, verdict);
+    EXPECT_EQ(shim->orig, kInmate);
+    EXPECT_EQ(shim->resp, kSink);
+    EXPECT_EQ(shim->policy_name, "Compiled");
+    EXPECT_EQ(shim->annotation, "arm");
+  }
+}
+
+TEST(TableRuleVerdict, LimitCarriesItsRateAndZeroMeansUnset) {
+  auto limit = named_rule(shim::TableAction::kLimit);
+  auto shim = shim::table_rule_verdict(limit, kInmate, kWeb);
+  ASSERT_TRUE(shim);
+  EXPECT_EQ(shim->verdict, shim::Verdict::kLimit);
+  EXPECT_EQ(shim->resp, kWeb);
+  EXPECT_EQ(shim->limit_bytes_per_sec, std::optional<std::int64_t>(4096));
+  // Rate 0: no typed parameter, so the gateway applies its default rate.
+  limit.limit_bytes_per_sec = 0;
+  shim = shim::table_rule_verdict(limit, kInmate, kWeb);
+  ASSERT_TRUE(shim);
+  EXPECT_EQ(shim->verdict, shim::Verdict::kLimit);
+  EXPECT_FALSE(shim->limit_bytes_per_sec);
+}
+
+TEST(TableRuleVerdict, FallbackIsNeverAVerdict) {
+  // Not even with a target, a rate and names filled in.
+  const auto fallback = named_rule(shim::TableAction::kFallback);
+  EXPECT_FALSE(shim::table_rule_verdict(fallback, kInmate, kWeb));
 }
 
 // --- Shim wire v4 codec -----------------------------------------------------
@@ -488,18 +559,16 @@ TEST(PolicyTableFarm, MidRunReloadResolvesInFlightAgainstNewEpoch) {
 }
 
 TEST(PolicyTableFarm, DisablingTheTableRestoresShimDecisions) {
-  TableFarm f;
+  core::FarmOptions options;
+  options.datapath.policy_table = false;
+  TableFarm f(options);
   f.bind(std::make_shared<cs::ForwardAllPolicy>());
-  f.sub->router().set_policy_table_enabled(false);
   EXPECT_EQ(f.exchange("a"), "a");
   EXPECT_EQ(f.exchange("b"), "b");
   EXPECT_EQ(f.sub->containment().flows_decided(), 2u);
   EXPECT_EQ(f.sub->router().table_hits(), 0u);
-  // Re-enabling picks the installed rules straight back up.
-  f.sub->router().set_policy_table_enabled(true);
-  EXPECT_EQ(f.exchange("c"), "c");
-  EXPECT_EQ(f.sub->containment().flows_decided(), 2u);
-  EXPECT_EQ(f.sub->router().table_hits(), 1u);
+  // The table was still pushed and installed; it is just never probed.
+  EXPECT_FALSE(f.sub->router().policy_table().empty());
 }
 
 TEST(PolicyTableFarm, DatapathOptionsFlowThroughToEveryLayer) {
@@ -508,16 +577,20 @@ TEST(PolicyTableFarm, DatapathOptionsFlowThroughToEveryLayer) {
   options.datapath.verdict_cache_capacity = 7;
   options.datapath.policy_table = false;
   TableFarm f(options);
-  EXPECT_FALSE(f.sub->router().policy_table_enabled());
-  EXPECT_FALSE(f.sub->router().verdict_cache_enabled());
   EXPECT_EQ(f.sub->router().verdict_cache().capacity(), 7u);
 
   // With the table off, a compilable policy still works — every flow
-  // just pays the shim round trip again.
-  f.bind(std::make_shared<cs::ForwardAllPolicy>());
+  // just pays the shim round trip again; with the cache off, SplitPolicy's
+  // cacheable port-80 verdict is never looked up nor inserted.
+  f.bind(std::make_shared<SplitPolicy>());
   EXPECT_EQ(f.exchange("slow"), "slow");
-  EXPECT_EQ(f.sub->containment().flows_decided(), 1u);
+  EXPECT_EQ(f.exchange("again"), "again");
+  EXPECT_EQ(f.sub->containment().flows_decided(), 2u);
   EXPECT_EQ(f.sub->router().table_hits(), 0u);
+  EXPECT_EQ(f.counter("cache_hit") + f.counter("cache_miss") +
+                f.counter("cache_insert"),
+            0u);
+  EXPECT_EQ(f.sub->router().verdict_cache().size(), 0u);
 }
 
 }  // namespace

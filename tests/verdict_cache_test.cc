@@ -1,4 +1,4 @@
-// Gateway-side verdict cache (the tentpole): unit tests of the LRU/TTL
+// Gateway-side verdict cache: unit tests of the LRU/TTL
 // container and full-farm integration tests of the hot path it removes —
 // repeat flows matching a cacheable decision are resolved by the router
 // without a containment-server shim round trip, REWRITE always takes the
@@ -205,7 +205,8 @@ struct CacheFarm {
   inm::Inmate* inmate = nullptr;
   int web_accepts = 0;
 
-  explicit CacheFarm(int inmates = 1) {
+  explicit CacheFarm(int inmates = 1, core::FarmOptions options = {})
+      : farm(options) {
     web = &farm.add_external_host("web", Ipv4Addr(93, 184, 216, 34));
     web->listen(80, [this](std::shared_ptr<net::TcpConnection> conn) {
       ++web_accepts;
@@ -446,10 +447,11 @@ TEST(VerdictCacheFarm, TtlExpiryForcesFreshDecision) {
 }
 
 TEST(VerdictCacheFarm, DisablingTheCacheRestoresPerFlowDecisions) {
-  CacheFarm f;
+  core::FarmOptions options;
+  options.datapath.verdict_cache = false;
+  CacheFarm f(1, options);
   f.bind(std::make_shared<CacheablePolicy>(shim::Verdict::kForward,
                                            shim::CacheScope::kDstEndpoint));
-  f.sub->router().set_verdict_cache_enabled(false);
   EXPECT_EQ(f.exchange("a"), "a");
   EXPECT_EQ(f.exchange("b"), "b");
   EXPECT_EQ(f.sub->containment().flows_decided(), 2u);
