@@ -298,7 +298,8 @@ TableStats run_table(bool table_on, util::Duration duration) {
 // zero escapes (TCP port-25 frames at any shard's upstream choke
 // point), bit-identical observable streams serial-vs-parallel, and a
 // hardware-aware wall-clock bound (>=2x at 4 shards when >=4 cores
-// exist; bounded coordination overhead otherwise).
+// exist; bounded coordination overhead otherwise). The first two exit
+// the bench; the third is recorded in BENCH_s1.json for the perf lane.
 
 struct ShardStats {
   unsigned threads_requested = 0;
@@ -713,20 +714,47 @@ int main(int argc, char** argv) {
   json.value(cache_speedup);
   json.key("table_speedup");
   json.value(table_speedup);
-  if (hw_threads >= 4) {
-    json.key("sharded_speedup_4t");
-    json.value(f_speedup4);
-  } else {
-    json.key("sharded_speedup_4t_skipped_reason");
-    json.value("insufficient_cores");
-    json.key("sharded_coordination_overhead_ms");
-    json.value(f_wall4 - serial_wall);
-  }
+  // The sweep F wall-clock gate, recorded for the scalability_perf
+  // ctest (bench/s1_wall_gate.cmake) rather than enforced here: timing
+  // depends on the host, so it lives in the perf lane while every
+  // deterministic gate below stays in tier-1. 4 workers can only beat 1
+  // when the machine has cores to run them on: with >= 4 hardware
+  // threads the sharded loop must be >= 2x serial; on smaller machines
+  // (CI containers are often pinned to 1-2 cores) the enforceable claim
+  // is bounded coordination overhead. Each lockstep epoch costs two
+  // condvar round-trips per worker, which on a time-sliced single core
+  // means a handful of context switches — roughly 15us/epoch measured;
+  // 150us/epoch (plus scheduling noise slack) still catches a lock
+  // convoy or an accidental sleep in the barrier.
+  const bool gate_speedup = hw_threads >= 4;
+  const double wall_value = gate_speedup ? f_speedup4 : f_wall4;
+  const double wall_bound =
+      gate_speedup
+          ? 2.0
+          : serial_wall + 250.0 + 0.15 * static_cast<double>(f_epochs4);
+  json.key("wall_gate");
+  json.begin_object();
+  json.key("metric");
+  json.value(gate_speedup ? "sharded_speedup_4t" : "sharded_wall_4t_ms");
+  json.key("value");
+  json.value(wall_value);
+  json.key("bound");
+  json.value(wall_bound);
+  json.key("pass_if");
+  json.value(gate_speedup ? "at_least" : "at_most");
+  json.end_object();
   json.key("sharded_streams_identical");
   json.value(f_streams_identical);
   json.key("hardware_threads");
   json.value(static_cast<std::uint64_t>(hw_threads));
   json.end_object();
+
+  std::printf(
+      "\nWall-clock gate (ctest scalability_perf): %s %.2f, needs %s %.2f "
+      "on %u hardware threads\n",
+      gate_speedup ? "4-thread speedup" : "4-thread wall ms", wall_value,
+      gate_speedup ? ">=" : "<=", wall_bound, hw_threads);
+  if (write_summary(json, "BENCH_s1.json") != 0) return 1;
 
   // Self-validation: the verdict cache's reason to exist is taking the
   // CS off the hot path; anything under 10x means it did not.
@@ -776,42 +804,5 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(f_cc_requests));
     return 1;
   }
-  // Wall-clock is hardware-aware: 4 workers can only beat 1 when the
-  // machine has cores to run them on. With >=4 hardware threads the
-  // sharded loop must hit the 2x contract; on smaller machines (CI
-  // containers are often pinned to 1-2 cores) the enforceable claim is
-  // bounded coordination overhead — lockstep barriers and mailbox
-  // drains must not make 4 time-sliced workers much slower than the
-  // inline serial path.
-  if (hw_threads >= 4) {
-    if (f_speedup4 < 2.0) {
-      std::fprintf(stderr,
-                   "s1: sharded speedup at 4 threads only %.2fx serial "
-                   "(expected >= 2x on %u hardware threads)\n",
-                   f_speedup4, hw_threads);
-      return 1;
-    }
-  } else {
-    // Per-barrier budget: each lockstep epoch costs two condvar
-    // round-trips per worker, which on a time-sliced single core means
-    // a handful of context switches — roughly 15us/epoch measured.
-    // 150us/epoch (plus scheduling noise slack) still catches a lock
-    // convoy or an accidental sleep in the barrier.
-    const double budget = serial_wall + 250.0 +
-                          0.15 * static_cast<double>(f_epochs4);
-    if (f_wall4 > budget) {
-      std::fprintf(stderr,
-                   "s1: sharded 4-thread wall %.0fms exceeds coordination "
-                   "budget %.0fms (serial %.0fms, %llu epochs, %u hardware "
-                   "threads)\n",
-                   f_wall4, budget, serial_wall,
-                   static_cast<unsigned long long>(f_epochs4), hw_threads);
-      return 1;
-    }
-    std::printf(
-        "note: %u hardware thread(s) — enforcing coordination-overhead "
-        "bound instead of the 2x speedup contract (needs >= 4 cores)\n",
-        hw_threads);
-  }
-  return write_summary(json, "BENCH_s1.json");
+  return 0;
 }

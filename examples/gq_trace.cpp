@@ -1,8 +1,6 @@
 // gq_trace: operator CLI over saved trace archives (trace/tap.h) and
 // compacted FlowDB stores (flowdb/flowdb.h).
 //
-//   gq_trace selftest [dir]          capture synthetic traffic, save,
-//                                    reload, and exercise every command
 //   gq_trace list <dir>              segment table of a saved archive
 //   gq_trace summary <dir>           per-flow index summary
 //   gq_trace extract <dir> <flow#> [out.pcap]
@@ -32,27 +30,17 @@
 //                                    verdict-distribution comparison;
 //                                    exits nonzero past the tolerance
 //                                    (the cross-run regression gate)
-//   gq_trace diffgate <workdir>      self-contained gate check: two
-//                                    same-seed stores must diff clean,
-//                                    a perturbed one must diff dirty
-//   gq_trace prunegate <workdir>     self-contained skip-scan gate:
-//                                    canned queries over a golden
-//                                    segmented store must prune the
-//                                    expected segment counts, match
-//                                    the unpruned scan byte-for-byte,
-//                                    and survive deterministic
-//                                    compaction bit-identically
 //
 // Query filters: --verdict <name|none> --source <shim|cached|table>
 // --tenant T --policy P --tap T --job N --vlan N --port N --addr A
 // --prefix A/L --proto tcp|udp --since USEC --until USEC
 //
-// `selftest` doubles as the smoke entry point: with no arguments the
-// tool runs it against a temporary directory and exits non-zero on any
-// failure.
+// Exit status: 0 on success, 1 when an artifact cannot be read or
+// written (or `diff` exceeds its tolerance), 2 on a usage error.
+// tests/gq_trace_cli_test.cc drives every command.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -64,9 +52,7 @@
 #include "packet/frame.h"
 #include "packet/pcap.h"
 #include "trace/tap.h"
-#include "util/rng.h"
 #include "util/strings.h"
-#include "util/time.h"
 
 namespace {
 
@@ -106,13 +92,19 @@ std::optional<std::uint8_t> source_from_arg(std::string_view name) {
   return std::nullopt;
 }
 
-int cmd_list(const std::string& dir) {
+/// load_trace with the CLI's error message; nullopt on a missing or
+/// corrupt archive.
+std::optional<trace::TraceTap> load_archive(const std::string& dir) {
   auto tap = trace::load_trace(dir);
-  if (!tap) {
+  if (!tap)
     std::fprintf(stderr, "gq_trace: cannot load archive at %s\n",
                  dir.c_str());
-    return 1;
-  }
+  return tap;
+}
+
+int cmd_list(const std::string& dir) {
+  auto tap = load_archive(dir);
+  if (!tap) return 1;
   const auto& archive = tap->archive();
   std::printf("archive '%s'  (segment budget %zu B x %zu)\n",
               tap->name().c_str(), archive.config().segment_bytes,
@@ -140,12 +132,8 @@ int cmd_list(const std::string& dir) {
 }
 
 int cmd_summary(const std::string& dir) {
-  auto tap = trace::load_trace(dir);
-  if (!tap) {
-    std::fprintf(stderr, "gq_trace: cannot load archive at %s\n",
-                 dir.c_str());
-    return 1;
-  }
+  auto tap = load_archive(dir);
+  if (!tap) return 1;
   std::printf("archive '%s': %zu flows\n\n", tap->name().c_str(),
               tap->index().flow_count());
   std::size_t n = 0;
@@ -171,12 +159,8 @@ int cmd_summary(const std::string& dir) {
 
 int cmd_extract(const std::string& dir, std::size_t flow_no,
                 const std::string& out_path) {
-  auto tap = trace::load_trace(dir);
-  if (!tap) {
-    std::fprintf(stderr, "gq_trace: cannot load archive at %s\n",
-                 dir.c_str());
-    return 1;
-  }
+  auto tap = load_archive(dir);
+  if (!tap) return 1;
   const auto& flows = tap->index().flows();
   if (flow_no >= flows.size()) {
     std::fprintf(stderr, "gq_trace: no flow #%zu (archive has %zu)\n",
@@ -216,18 +200,22 @@ int cmd_extract(const std::string& dir, std::size_t flow_no,
 
 // --- FlowDB subcommands ---------------------------------------------------
 
+/// Compact each saved archive into `writer`; false once one fails to
+/// load.
+bool add_archives(flowdb::Writer& writer,
+                  const std::vector<std::string>& dirs) {
+  for (const auto& dir : dirs) {
+    auto tap = load_archive(dir);
+    if (!tap) return false;
+    writer.add_tap(*tap);
+  }
+  return true;
+}
+
 int cmd_compact(const std::string& out_path,
                 const std::vector<std::string>& dirs) {
   flowdb::Writer writer;
-  for (const auto& dir : dirs) {
-    auto tap = trace::load_trace(dir);
-    if (!tap) {
-      std::fprintf(stderr, "gq_trace: cannot load archive at %s\n",
-                   dir.c_str());
-      return 1;
-    }
-    writer.add_tap(*tap);
-  }
+  if (!add_archives(writer, dirs)) return 1;
   if (!writer.save(out_path)) {
     std::fprintf(stderr, "gq_trace: cannot write %s\n", out_path.c_str());
     return 1;
@@ -385,7 +373,8 @@ bool parse_query_args(int argc, char** argv, int first, QueryArgs& out) {
     } else if (flag == "--tolerance") {
       char* end = nullptr;
       const double tol = std::strtod(argv[i], &end);
-      if (!end || *end != '\0' || tol < 0.0 || tol > 1.0) {
+      // NaN fails both comparisons, so it is rejected with the range.
+      if (end == argv[i] || *end != '\0' || !(tol >= 0.0 && tol <= 1.0)) {
         std::fprintf(stderr, "gq_trace: bad tolerance '%s'\n", argv[i]);
         return false;
       }
@@ -578,15 +567,7 @@ int cmd_appendseg(const std::string& dir,
     return 1;
   }
   flowdb::Writer writer;
-  for (const auto& archive : archives) {
-    auto tap = trace::load_trace(archive);
-    if (!tap) {
-      std::fprintf(stderr, "gq_trace: cannot load archive at %s\n",
-                   archive.c_str());
-      return 1;
-    }
-    writer.add_tap(*tap);
-  }
+  if (!add_archives(writer, archives)) return 1;
   if (!store->append_segment(writer)) {
     std::fprintf(stderr, "gq_trace: segment append failed in %s\n",
                  dir.c_str());
@@ -647,499 +628,10 @@ int cmd_diff(const std::string& path_a, const std::string& path_b,
   return diff.within(tolerance) ? 0 : 1;
 }
 
-// --- Synthetic stores (diffgate, selftest) --------------------------------
-
-/// Deterministic synthetic store: same seed → byte-identical file.
-/// `drop_bias` skews the verdict mix (the "perturbed distribution" the
-/// gate must catch).
-flowdb::Writer synth_store(std::uint64_t seed, std::size_t rows,
-                           double drop_bias) {
-  util::Rng rng(seed);
-  const char* tenants[] = {"acme", "umbrella", "tyrell"};
-  flowdb::Writer writer;
-  for (std::size_t i = 0; i < rows; ++i) {
-    flowdb::Row row;
-    row.proto = rng.chance(0.7) ? pkt::FlowProto::kTcp : pkt::FlowProto::kUdp;
-    row.src = {util::Ipv4Addr(10, 9, 0, static_cast<std::uint8_t>(
-                                            rng.below(200) + 1)),
-               static_cast<std::uint16_t>(rng.range(1024, 65000))};
-    row.dst = {util::Ipv4Addr(static_cast<std::uint32_t>(rng.next())),
-               static_cast<std::uint16_t>(rng.chance(0.5) ? 80 : 25)};
-    row.vlan = static_cast<std::uint16_t>(100 + rng.below(16));
-    row.tenant = tenants[rng.below(std::size(tenants))];
-    row.job = rng.below(64) + 1;
-    const double roll = rng.uniform();
-    row.verdict = static_cast<std::uint8_t>(
-        roll < drop_bias          ? shim::Verdict::kDrop
-        : roll < drop_bias + 0.30 ? shim::Verdict::kForward
-        : roll < drop_bias + 0.45 ? shim::Verdict::kRewrite
-                                  : shim::Verdict::kRedirect);
-    row.source = static_cast<std::uint8_t>(
-        rng.chance(0.5) ? shim::VerdictSource::kCached
-                        : shim::VerdictSource::kShim);
-    row.policy = row.verdict == static_cast<std::uint8_t>(shim::Verdict::kDrop)
-                     ? "quarantine"
-                     : "default";
-    row.tap = "synth";
-    row.packets = rng.below(50) + 1;
-    row.bytes = row.packets * (rng.below(1000) + 60);
-    row.first_usec = static_cast<std::int64_t>(i) * 1000;
-    row.last_usec = row.first_usec + static_cast<std::int64_t>(rng.below(5000));
-    writer.add(std::move(row));
-  }
-  return writer;
-}
-
-/// The committed-golden-seed regression gate: two same-seed stores must
-/// diff clean; a deliberately perturbed verdict mix must trip the gate.
-/// Golden seeds match the trace replay regression (tests/trace_test.cc).
-int cmd_diffgate(const std::string& workdir) {
-  constexpr std::uint64_t kGoldenSeedA = 0x6071;
-  constexpr std::uint64_t kGoldenSeedB = 0xC0FFEE;
-  constexpr std::size_t kRows = 4096;
-  constexpr double kTolerance = 0.02;
-
-  std::error_code ec;
-  std::filesystem::create_directories(workdir, ec);
-  if (ec) {
-    std::fprintf(stderr, "diffgate: cannot create %s\n", workdir.c_str());
-    return 1;
-  }
-  const std::string run1 = workdir + "/run1.fdb";
-  const std::string run2 = workdir + "/run2.fdb";
-  const std::string perturbed = workdir + "/perturbed.fdb";
-  if (!synth_store(kGoldenSeedA, kRows, 0.25).save(run1) ||
-      !synth_store(kGoldenSeedA, kRows, 0.25).save(run2) ||
-      !synth_store(kGoldenSeedB, kRows, 0.55).save(perturbed)) {
-    std::fprintf(stderr, "diffgate: store write failed\n");
-    return 1;
-  }
-  std::printf("== same-seed rerun (must PASS) ==\n");
-  if (cmd_diff(run1, run2, kTolerance) != 0) {
-    std::fprintf(stderr, "diffgate: same-seed rerun FAILED the gate\n");
-    return 1;
-  }
-  std::printf("\n== perturbed distribution (must FAIL) ==\n");
-  if (cmd_diff(run1, perturbed, kTolerance) == 0) {
-    std::fprintf(stderr,
-                 "diffgate: perturbed distribution slipped past the gate\n");
-    return 1;
-  }
-  std::printf("\ndiffgate OK (%s)\n", workdir.c_str());
-  return 0;
-}
-
-// --- Prune gate -----------------------------------------------------------
-
-/// One synthetic segment for the skip-scan gate. Every prunable
-/// dimension is keyed off the segment index so segments are separable:
-/// disjoint 10 s time slabs, one vlan per segment, tenant index%6, and
-/// per-segment /24s for both endpoints. The endpoint pool is small
-/// (~264 distinct addresses) so the 1 KiB bloom stays far from
-/// saturation and address pruning is exact in practice.
-flowdb::Writer synth_segment(std::uint64_t seed, std::size_t index,
-                             std::size_t rows) {
-  constexpr std::int64_t kSlabUsec = 10'000'000;
-  util::Rng rng(seed + index * 7919);
-  flowdb::Writer writer;
-  for (std::size_t i = 0; i < rows; ++i) {
-    flowdb::Row row;
-    row.proto = rng.chance(0.7) ? pkt::FlowProto::kTcp : pkt::FlowProto::kUdp;
-    row.src = {util::Ipv4Addr(10, 9, static_cast<std::uint8_t>(index),
-                              static_cast<std::uint8_t>(rng.below(200) + 1)),
-               static_cast<std::uint16_t>(rng.range(1024, 65000))};
-    row.dst = {util::Ipv4Addr(10, static_cast<std::uint8_t>(100 + index), 0,
-                              static_cast<std::uint8_t>(rng.below(64) + 1)),
-               static_cast<std::uint16_t>(rng.chance(0.5) ? 80 : 25)};
-    row.vlan = static_cast<std::uint16_t>(100 + index);
-    row.tenant = util::format("t%zu", index % 6);
-    row.job = index * 100 + rng.below(8) + 1;
-    const double roll = rng.uniform();
-    row.verdict = static_cast<std::uint8_t>(
-        roll < 0.25   ? shim::Verdict::kDrop
-        : roll < 0.55 ? shim::Verdict::kForward
-                      : shim::Verdict::kRedirect);
-    row.source = static_cast<std::uint8_t>(
-        rng.chance(0.5) ? shim::VerdictSource::kCached
-                        : shim::VerdictSource::kShim);
-    row.policy = "default";
-    row.tap = "synth";
-    row.packets = rng.below(50) + 1;
-    row.bytes = row.packets * (rng.below(1000) + 60);
-    row.first_usec = static_cast<std::int64_t>(index) * kSlabUsec +
-                     static_cast<std::int64_t>(i) * 2000;
-    row.last_usec = row.first_usec + static_cast<std::int64_t>(rng.below(1500));
-    writer.add(std::move(row));
-  }
-  return writer;
-}
-
-bool build_prune_store(const std::string& dir, std::size_t segments,
-                       std::size_t rows) {
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  auto store = flowdb::SegmentedStore::open(dir);
-  if (!store) return false;
-  for (std::size_t s = 0; s < segments; ++s) {
-    if (!store->append_segment(synth_segment(0x5EC5, s, rows))) return false;
-  }
-  return true;
-}
-
-std::optional<std::string> slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return std::nullopt;
-  std::string out;
-  char buf[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) return std::nullopt;
-  return out;
-}
-
-/// Byte-identity of two store dirs: manifests equal, every listed
-/// segment file equal.
-bool stores_identical(const std::string& a, const std::string& b) {
-  const auto ma = slurp(a + "/" + flowdb::kManifestName);
-  const auto mb = slurp(b + "/" + flowdb::kManifestName);
-  if (!ma || !mb || *ma != *mb) return false;
-  const auto manifest = flowdb::StoreManifest::parse(*ma);
-  if (!manifest) return false;
-  for (const auto& seg : manifest->segments) {
-    const auto fa = slurp(a + "/" + seg.file);
-    const auto fb = slurp(b + "/" + seg.file);
-    if (!fa || !fb || *fa != *fb) return false;
-  }
-  return true;
-}
-
-/// The committed skip-scan gate: canned selective queries over a golden
-/// 12-segment store must (a) prune exactly the expected segment count,
-/// (b) return byte-identical matches with pruning disabled, and
-/// (c) survive build-twice and compact-twice byte-identically with
-/// unchanged query results (compaction preserves global row ids).
-int cmd_prunegate(const std::string& workdir) {
-  constexpr std::size_t kSegments = 12;
-  constexpr std::size_t kRowsPerSegment = 4096;
-  constexpr std::int64_t kSlabUsec = 10'000'000;
-
-  std::error_code ec;
-  std::filesystem::create_directories(workdir, ec);
-  if (ec) {
-    std::fprintf(stderr, "prunegate: cannot create %s\n", workdir.c_str());
-    return 1;
-  }
-  const std::string dir1 = workdir + "/store1";
-  const std::string dir2 = workdir + "/store2";
-  if (!build_prune_store(dir1, kSegments, kRowsPerSegment) ||
-      !build_prune_store(dir2, kSegments, kRowsPerSegment)) {
-    std::fprintf(stderr, "prunegate: store build failed\n");
-    return 1;
-  }
-  if (!stores_identical(dir1, dir2)) {
-    std::fprintf(stderr, "prunegate: same-input stores differ on disk\n");
-    return 1;
-  }
-
-  struct Canned {
-    const char* name;
-    flowdb::Filter filter;
-    std::uint64_t expect_pruned;
-  };
-  std::vector<Canned> queries;
-  {
-    Canned q;
-    q.name = "time-window(seg5)";
-    q.filter.since_usec = 5 * kSlabUsec + 1'000'000;
-    q.filter.until_usec = 5 * kSlabUsec + 3'000'000;
-    q.expect_pruned = 11;
-    queries.push_back(q);
-  }
-  {
-    Canned q;
-    q.name = "tenant(t3)";
-    q.filter.tenant = "t3";
-    q.expect_pruned = 10;  // t3 = segments 3 and 9.
-    queries.push_back(q);
-  }
-  {
-    Canned q;
-    q.name = "addr(10.107.0.5)";
-    q.filter.endpoint = util::Ipv4Addr(10, 107, 0, 5);  // dst /24 of seg 7.
-    q.expect_pruned = 11;
-    queries.push_back(q);
-  }
-  {
-    Canned q;
-    q.name = "vlan(104)";
-    q.filter.vlan = 104;
-    q.expect_pruned = 11;
-    queries.push_back(q);
-  }
-
-  // Run the canned queries against a store dir; with `check_pruning`
-  // also enforce the pinned prune counts and prune-on/off identity.
-  const auto run_queries =
-      [&](const std::string& dir, bool check_pruning,
-          std::vector<std::vector<std::uint64_t>>* out) -> bool {
-    auto store = flowdb::SegmentedReader::open(dir);
-    if (!store) {
-      std::fprintf(stderr, "prunegate: cannot open %s\n", dir.c_str());
-      return false;
-    }
-    for (const auto& q : queries) {
-      flowdb::ScanStats stats;
-      flowdb::ScanOptions options;
-      options.threads = 2;
-      options.stats = &stats;
-      const auto pruned = store->scan(q.filter, options);
-      if (!pruned) {
-        std::fprintf(stderr, "prunegate: %s: scan failed\n", q.name);
-        return false;
-      }
-      if (check_pruning) {
-        flowdb::ScanOptions full = options;
-        full.prune = false;
-        full.stats = nullptr;  // Keep the pruned run's stats intact.
-        const auto unpruned = store->scan(q.filter, full);
-        if (!unpruned || *unpruned != *pruned) {
-          std::fprintf(stderr,
-                       "prunegate: %s: pruned scan differs from full scan\n",
-                       q.name);
-          return false;
-        }
-        std::printf("%-20s %6zu matches, %llu/%zu segments pruned, "
-                    "%llu chunks pruned\n",
-                    q.name, pruned->size(),
-                    static_cast<unsigned long long>(stats.segments_pruned),
-                    store->segment_count(),
-                    static_cast<unsigned long long>(stats.chunks_pruned));
-        if (pruned->empty()) {
-          std::fprintf(stderr, "prunegate: %s matched nothing\n", q.name);
-          return false;
-        }
-        if (stats.segments_pruned != q.expect_pruned) {
-          std::fprintf(
-              stderr, "prunegate: %s pruned %llu segments, want %llu\n",
-              q.name, static_cast<unsigned long long>(stats.segments_pruned),
-              static_cast<unsigned long long>(q.expect_pruned));
-          return false;
-        }
-      }
-      if (out) out->push_back(*pruned);
-    }
-    return true;
-  };
-
-  std::vector<std::vector<std::uint64_t>> before;
-  if (!run_queries(dir1, true, &before)) return 1;
-
-  // Deterministic compaction: both stores compact to identical bytes,
-  // and global row ids survive (order-preserving merges), so every
-  // canned query returns the same matches afterwards.
-  const auto compact = [](const std::string& dir) {
-    auto store = flowdb::SegmentedStore::open(dir);
-    return store && store->compact_segments(4);
-  };
-  if (!compact(dir1) || !compact(dir2)) {
-    std::fprintf(stderr, "prunegate: compaction failed\n");
-    return 1;
-  }
-  if (!stores_identical(dir1, dir2)) {
-    std::fprintf(stderr, "prunegate: compacted stores differ on disk\n");
-    return 1;
-  }
-  std::vector<std::vector<std::uint64_t>> after;
-  if (!run_queries(dir1, false, &after)) return 1;
-  if (after != before) {
-    std::fprintf(stderr,
-                 "prunegate: query results changed across compaction\n");
-    return 1;
-  }
-  std::printf("\nprunegate OK (%s)\n", workdir.c_str());
-  return 0;
-}
-
-// --- Selftest -------------------------------------------------------------
-
-std::vector<std::uint8_t> make_tcp_frame(util::Ipv4Addr src,
-                                         util::Ipv4Addr dst,
-                                         std::uint16_t sport,
-                                         std::uint16_t dport,
-                                         const char* payload) {
-  pkt::DecodedFrame frame;
-  frame.eth.ethertype = pkt::kEtherTypeIpv4;
-  frame.ip = pkt::Ipv4Packet{};
-  frame.ip->src = src;
-  frame.ip->dst = dst;
-  frame.tcp = pkt::TcpSegment{};
-  frame.tcp->src_port = sport;
-  frame.tcp->dst_port = dport;
-  frame.tcp->payload.assign(payload, payload + std::strlen(payload));
-  return frame.encode();
-}
-
-int cmd_selftest(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-
-  // Capture: two flows, enough bytes to force several rotations.
-  trace::ArchiveConfig config;
-  config.segment_bytes = 2048;
-  config.max_segments = 4;
-  trace::TraceTap tap("selftest", config, nullptr);
-  tap.set_context("selftest-tenant", 7);
-  const auto inmate = util::Ipv4Addr(10, 9, 0, 23);
-  const auto web = util::Ipv4Addr(192, 150, 187, 12);
-  const auto sink = util::Ipv4Addr(10, 3, 0, 99);
-  for (int i = 0; i < 64; ++i) {
-    tap.record(util::TimePoint{i * 1000 + 1},
-               make_tcp_frame(inmate, web, 1234, 80,
-                              "GET /bot.exe HTTP/1.1\r\n\r\n"));
-    tap.record(util::TimePoint{i * 1000 + 2},
-               make_tcp_frame(web, inmate, 80, 1234, "HTTP/1.1 200 OK\r\n"));
-    if (i % 4 == 0)
-      tap.record(util::TimePoint{i * 1000 + 3},
-                 make_tcp_frame(inmate, sink, 2345, 25, "HELO spam\r\n"));
-  }
-  tap.annotate({pkt::FlowProto::kTcp, {inmate, 1234}, {web, 80}}, 0,
-               shim::Verdict::kRewrite, "botdl");
-  tap.annotate({pkt::FlowProto::kTcp, {inmate, 2345}, {sink, 25}}, 0,
-               shim::Verdict::kRedirect, "spam", shim::VerdictSource::kCached);
-
-  if (tap.archive().evicted_segments() == 0) {
-    std::fprintf(stderr, "selftest: expected rotation to evict segments\n");
-    return 1;
-  }
-  if (!tap.save(dir)) {
-    std::fprintf(stderr, "selftest: save failed\n");
-    return 1;
-  }
-
-  // Reload and check the round trip preserved what eviction retained.
-  auto loaded = trace::load_trace(dir);
-  if (!loaded) {
-    std::fprintf(stderr, "selftest: reload failed\n");
-    return 1;
-  }
-  if (loaded->contents() != tap.contents()) {
-    std::fprintf(stderr, "selftest: reloaded capture differs\n");
-    return 1;
-  }
-  if (loaded->index().flow_count() != tap.index().flow_count()) {
-    std::fprintf(stderr, "selftest: reloaded flow count differs\n");
-    return 1;
-  }
-  if (loaded->tenant() != "selftest-tenant" || loaded->job() != 7) {
-    std::fprintf(stderr, "selftest: tenant/job lost in round trip\n");
-    return 1;
-  }
-  const auto* flow = loaded->index().find(
-      {pkt::FlowProto::kTcp, {inmate, 1234}, {web, 80}}, 0);
-  if (!flow || !flow->has_verdict ||
-      flow->verdict != shim::Verdict::kRewrite ||
-      flow->verdict_source == shim::VerdictSource::kCached) {
-    std::fprintf(stderr, "selftest: verdict lost in round trip\n");
-    return 1;
-  }
-  if (flow->tenant != "selftest-tenant" || flow->job != 7) {
-    std::fprintf(stderr, "selftest: flow attribution lost in round trip\n");
-    return 1;
-  }
-  const auto* spam_flow = loaded->index().find(
-      {pkt::FlowProto::kTcp, {inmate, 2345}, {sink, 25}}, 0);
-  if (!spam_flow ||
-      spam_flow->verdict_source != shim::VerdictSource::kCached) {
-    std::fprintf(stderr, "selftest: verdict source lost in round trip\n");
-    return 1;
-  }
-
-  // Compact the archive into a FlowDB store and drive the query path.
-  const std::string store_path = dir + "/store.fdb";
-  if (cmd_compact(store_path, {dir}) != 0) return 1;
-  auto reader = flowdb::Reader::open(store_path);
-  if (!reader || reader->rows() != tap.index().flow_count()) {
-    std::fprintf(stderr, "selftest: compacted store row count differs\n");
-    return 1;
-  }
-  flowdb::Filter rewrite_filter;
-  rewrite_filter.verdict = static_cast<std::uint8_t>(shim::Verdict::kRewrite);
-  const auto serial = flowdb::scan(*reader, rewrite_filter);
-  if (serial.size() != 1) {
-    std::fprintf(stderr, "selftest: rewrite query found %zu flows, want 1\n",
-                 serial.size());
-    return 1;
-  }
-  flowdb::ScanOptions four_threads;
-  four_threads.threads = 4;
-  if (flowdb::scan(*reader, rewrite_filter, four_threads) != serial) {
-    std::fprintf(stderr, "selftest: parallel scan differs from serial\n");
-    return 1;
-  }
-  flowdb::Filter tenant_filter;
-  tenant_filter.tenant = "selftest-tenant";
-  if (flowdb::scan(*reader, tenant_filter).size() != reader->rows()) {
-    std::fprintf(stderr, "selftest: tenant query missed flows\n");
-    return 1;
-  }
-  if (!flowdb::diff_verdicts(*reader, *reader).within(0.0)) {
-    std::fprintf(stderr, "selftest: store does not diff clean vs itself\n");
-    return 1;
-  }
-
-  // Segmented-store round trip over the same archive: two appends,
-  // manifest table, a directory query (must see both copies), compact.
-  const std::string seg_dir = dir + "/segstore";
-  if (cmd_appendseg(seg_dir, {dir}) != 0) return 1;
-  if (cmd_appendseg(seg_dir, {dir}) != 0) return 1;
-  auto seg_store = flowdb::SegmentedReader::open(seg_dir);
-  if (!seg_store || seg_store->segment_count() != 2 ||
-      seg_store->rows() != 2 * reader->rows()) {
-    std::fprintf(stderr, "selftest: segmented store round trip failed\n");
-    return 1;
-  }
-  flowdb::ScanStats seg_stats;
-  flowdb::ScanOptions seg_options;
-  seg_options.stats = &seg_stats;
-  const auto seg_matches = seg_store->scan(rewrite_filter, seg_options);
-  if (!seg_matches || seg_matches->size() != 2 * serial.size()) {
-    std::fprintf(stderr, "selftest: segmented scan missed flows\n");
-    return 1;
-  }
-  if (seg_stats.segments_considered != 2) {
-    std::fprintf(stderr, "selftest: scan statistics not populated\n");
-    return 1;
-  }
-  if (cmd_segments(seg_dir) != 0) return 1;
-  std::printf("\n");
-  if (cmd_compactseg(seg_dir, 1) != 0) return 1;
-  std::printf("\n");
-
-  // Exercise every command against the saved artifacts.
-  if (cmd_list(dir) != 0) return 1;
-  std::printf("\n");
-  if (cmd_summary(dir) != 0) return 1;
-  std::printf("\n");
-  if (cmd_extract(dir, 0, "") != 0) return 1;
-  std::printf("\n");
-  QueryArgs stat_args;
-  if (cmd_stat(store_path, stat_args) != 0) return 1;
-  std::printf("\n");
-  if (cmd_stat(seg_dir, stat_args) != 0) return 1;
-  std::printf("\n");
-  if (cmd_diff(store_path, store_path, 0.0) != 0) return 1;
-  std::printf("\n");
-  if (cmd_diffgate(dir + "/diffgate") != 0) return 1;
-  std::printf("\nselftest OK (%s)\n", dir.c_str());
-  return 0;
-}
-
 int usage() {
   std::fprintf(
       stderr,
-      "usage: gq_trace selftest [dir] | list <dir> | summary <dir>\n"
+      "usage: gq_trace list <dir> | summary <dir>\n"
       "       gq_trace extract <dir> <flow#> [out.pcap]\n"
       "       gq_trace compact <out.fdb> <dir>...\n"
       "       gq_trace query <store> [filters] [--threads N] [--limit N] "
@@ -1149,7 +641,6 @@ int usage() {
       "       gq_trace segments <dir> | appendseg <dir> <archive>...\n"
       "       gq_trace compactseg <dir> [max]\n"
       "       gq_trace diff <a.fdb> <b.fdb> [--tolerance F]\n"
-      "       gq_trace diffgate <workdir> | prunegate <workdir>\n"
       "filters: --verdict V|none --source shim|cached|table --tenant T\n"
       "         --policy P --tap T --job N --vlan N --port N --addr A\n"
       "         --prefix A/L --proto tcp|udp --since USEC --until USEC\n");
@@ -1159,9 +650,7 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string cmd = argc > 1 ? argv[1] : "selftest";
-  if (cmd == "selftest")
-    return cmd_selftest(argc > 2 ? argv[2] : "gq_trace_selftest");
+  const std::string cmd = argc > 1 ? argv[1] : "";
   if (cmd == "list" && argc > 2) return cmd_list(argv[2]);
   if (cmd == "summary" && argc > 2) return cmd_summary(argv[2]);
   if (cmd == "extract" && argc > 3) {
@@ -1210,7 +699,5 @@ int main(int argc, char** argv) {
     }
     return cmd_compactseg(argv[2], max_segments);
   }
-  if (cmd == "diffgate" && argc > 2) return cmd_diffgate(argv[2]);
-  if (cmd == "prunegate" && argc > 2) return cmd_prunegate(argv[2]);
   return usage();
 }

@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 #include "trace/flow_index.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace gq {
 namespace {
@@ -844,6 +845,19 @@ TEST(FlowDbStore, HostileManifestsRejected) {
   }
 }
 
+/// A segmented store's on-disk bytes: the manifest text, then every
+/// listed segment file in order.
+std::string store_bytes(const std::string& dir,
+                        const flowdb::StoreManifest& manifest) {
+  std::string all = manifest.serialize();
+  for (const auto& seg : manifest.segments) {
+    std::ifstream in(dir + "/" + seg.file, std::ios::binary);
+    all.append(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  }
+  return all;
+}
+
 TEST(FlowDbStore, CompactionIsDeterministicAndPreservesGlobalIds) {
   const auto dir_a = temp_dir("flowdb_store_compact_a");
   const auto dir_b = temp_dir("flowdb_store_compact_b");
@@ -862,16 +876,6 @@ TEST(FlowDbStore, CompactionIsDeterministicAndPreservesGlobalIds) {
   auto store_a = build(dir_a);
   auto store_b = build(dir_b);
 
-  const auto store_bytes = [](const std::string& dir,
-                              const flowdb::StoreManifest& manifest) {
-    std::string all = manifest.serialize();
-    for (const auto& seg : manifest.segments) {
-      std::ifstream in(dir + "/" + seg.file, std::ios::binary);
-      all.append(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    }
-    return all;
-  };
   EXPECT_EQ(store_bytes(dir_a, store_a->manifest()),
             store_bytes(dir_b, store_b->manifest()));
 
@@ -907,6 +911,133 @@ TEST(FlowDbStore, CompactionIsDeterministicAndPreservesGlobalIds) {
     const auto matches = post_reader->scan(filters[fi]);
     ASSERT_TRUE(matches);
     EXPECT_EQ(*matches, pre[fi]) << "filter " << fi;
+  }
+  std::filesystem::remove_all(dir_a);
+  std::filesystem::remove_all(dir_b);
+}
+
+/// One segment of a segment-separable store: every prunable dimension
+/// is keyed off the segment index — disjoint 10 s time slabs, one vlan
+/// per segment, tenant index%6, and per-segment /24s for both
+/// endpoints. The endpoint pool is small (~264 distinct addresses), so
+/// the 1 KiB bloom stays far from saturation and address pruning is
+/// exact in practice.
+flowdb::Writer separable_segment(std::size_t index, std::size_t rows) {
+  constexpr std::int64_t kSlabUsec = 10'000'000;
+  util::Rng rng(0x5EC5 + index * 7919);
+  flowdb::Writer writer;
+  for (std::size_t i = 0; i < rows; ++i) {
+    flowdb::Row row;
+    row.proto = rng.chance(0.7) ? pkt::FlowProto::kTcp : pkt::FlowProto::kUdp;
+    row.src = {util::Ipv4Addr(10, 9, static_cast<std::uint8_t>(index),
+                              static_cast<std::uint8_t>(rng.below(200) + 1)),
+               static_cast<std::uint16_t>(rng.range(1024, 65000))};
+    row.dst = {util::Ipv4Addr(10, static_cast<std::uint8_t>(100 + index), 0,
+                              static_cast<std::uint8_t>(rng.below(64) + 1)),
+               static_cast<std::uint16_t>(rng.chance(0.5) ? 80 : 25)};
+    row.vlan = static_cast<std::uint16_t>(100 + index);
+    row.tenant = util::format("t%zu", index % 6);
+    row.job = index * 100 + rng.below(8) + 1;
+    const double roll = rng.uniform();
+    row.verdict = static_cast<std::uint8_t>(
+        roll < 0.25   ? shim::Verdict::kDrop
+        : roll < 0.55 ? shim::Verdict::kForward
+                      : shim::Verdict::kRedirect);
+    row.source = static_cast<std::uint8_t>(
+        rng.chance(0.5) ? shim::VerdictSource::kCached
+                        : shim::VerdictSource::kShim);
+    row.policy = "default";
+    row.tap = "synth";
+    row.packets = rng.below(50) + 1;
+    row.bytes = row.packets * (rng.below(1000) + 60);
+    row.first_usec = static_cast<std::int64_t>(index) * kSlabUsec +
+                     static_cast<std::int64_t>(i) * 2000;
+    row.last_usec = row.first_usec + static_cast<std::int64_t>(rng.below(1500));
+    writer.add(std::move(row));
+  }
+  return writer;
+}
+
+TEST(FlowDbPrune, SegmentSeparableStorePrunesPinnedCounts) {
+  // A 12 x 4096-row store whose segments the zone maps and blooms can
+  // tell apart: each selective query must prune exactly its pinned
+  // segment count, match its prune-off twin, and survive compaction of
+  // equal-sized segments (the "ties: earliest" pick) byte-identically.
+  constexpr std::size_t kSegments = 12;
+  constexpr std::size_t kRowsPerSegment = 4096;
+  constexpr std::int64_t kSlabUsec = 10'000'000;
+  const auto build = [](const std::string& dir) {
+    auto store = flowdb::SegmentedStore::open(dir);
+    EXPECT_TRUE(store);
+    for (std::size_t s = 0; s < kSegments; ++s)
+      EXPECT_TRUE(store->append_segment(separable_segment(s, kRowsPerSegment)));
+    return store;
+  };
+  const auto dir_a = temp_dir("flowdb_prune_separable_a");
+  const auto dir_b = temp_dir("flowdb_prune_separable_b");
+  auto store_a = build(dir_a);
+  auto store_b = build(dir_b);
+  ASSERT_TRUE(store_a && store_b);
+  EXPECT_EQ(store_bytes(dir_a, store_a->manifest()),
+            store_bytes(dir_b, store_b->manifest()));
+
+  struct Pinned {
+    const char* name;
+    flowdb::Filter filter;
+    std::uint64_t segments_pruned;
+  };
+  std::vector<Pinned> queries(4);
+  queries[0].name = "time-window(seg5)";
+  queries[0].filter.since_usec = 5 * kSlabUsec + 1'000'000;
+  queries[0].filter.until_usec = 5 * kSlabUsec + 3'000'000;
+  queries[0].segments_pruned = 11;
+  queries[1].name = "tenant(t3)";
+  queries[1].filter.tenant = "t3";
+  queries[1].segments_pruned = 10;  // t3 = segments 3 and 9.
+  queries[2].name = "addr(10.107.0.5)";
+  queries[2].filter.endpoint = util::Ipv4Addr(10, 107, 0, 5);  // Seg 7 dst.
+  queries[2].segments_pruned = 11;
+  queries[3].name = "vlan(104)";
+  queries[3].filter.vlan = 104;
+  queries[3].segments_pruned = 11;
+
+  std::vector<std::vector<std::uint64_t>> before;
+  {
+    auto reader = flowdb::SegmentedReader::open(dir_a);
+    ASSERT_TRUE(reader);
+    for (const auto& q : queries) {
+      flowdb::ScanStats stats;
+      flowdb::ScanOptions on;
+      on.threads = 2;
+      on.stats = &stats;
+      const auto pruned = reader->scan(q.filter, on);
+      flowdb::ScanOptions off;
+      off.threads = 2;
+      off.prune = false;
+      const auto full = reader->scan(q.filter, off);
+      ASSERT_TRUE(pruned && full) << q.name;
+      EXPECT_EQ(*pruned, *full) << q.name;
+      EXPECT_FALSE(pruned->empty()) << q.name;
+      EXPECT_EQ(stats.segments_pruned, q.segments_pruned) << q.name;
+      before.push_back(*pruned);
+    }
+  }
+
+  // Deterministic compaction: both stores compact to identical bytes,
+  // and order-preserving merges keep every global row id.
+  ASSERT_TRUE(store_a->compact_segments(4));
+  ASSERT_TRUE(store_b->compact_segments(4));
+  EXPECT_EQ(store_a->manifest().segments.size(), 4u);
+  EXPECT_EQ(store_bytes(dir_a, store_a->manifest()),
+            store_bytes(dir_b, store_b->manifest()));
+  auto compacted = flowdb::SegmentedReader::open(dir_a);
+  ASSERT_TRUE(compacted);
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    flowdb::ScanOptions options;
+    options.threads = 2;
+    const auto matches = compacted->scan(queries[qi].filter, options);
+    ASSERT_TRUE(matches) << queries[qi].name;
+    EXPECT_EQ(*matches, before[qi]) << queries[qi].name;
   }
   std::filesystem::remove_all(dir_a);
   std::filesystem::remove_all(dir_b);

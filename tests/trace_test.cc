@@ -363,18 +363,24 @@ TEST(TraceTap, SaveLoadRoundTrip) {
   tap.set_context("umbrella", 9);
   const auto a = Ipv4Addr(10, 5, 0, 9);
   const auto b = Ipv4Addr(93, 184, 216, 34);
+  const auto sink = Ipv4Addr(10, 3, 0, 99);
   for (int i = 0; i < 48; ++i)
     tap.record(util::TimePoint{i * 100},
                tcp_frame(a, b, 2000, 8001, 32, 17));
+  for (int i = 0; i < 8; ++i)
+    tap.record(util::TimePoint{4800 + i * 100},
+               tcp_frame(a, sink, 2345, 25, 16, 17));
   tap.annotate({pkt::FlowProto::kTcp, {a, 2000}, {b, 8001}}, 17,
                shim::Verdict::kLimit, "limiter");
+  tap.annotate({pkt::FlowProto::kTcp, {a, 2345}, {sink, 25}}, 17,
+               shim::Verdict::kRedirect, "spam", shim::VerdictSource::kCached);
   ASSERT_TRUE(tap.save(dir));
 
   auto loaded = trace::load_trace(dir);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->name(), "rt");
   EXPECT_EQ(loaded->contents(), tap.contents());
-  EXPECT_EQ(loaded->archive().total_packets(), 48u);
+  EXPECT_EQ(loaded->archive().total_packets(), 56u);
   EXPECT_EQ(loaded->archive().evicted_segments(),
             tap.archive().evicted_segments());
   EXPECT_EQ(loaded->archive().evicted_packets(),
@@ -385,8 +391,17 @@ TEST(TraceTap, SaveLoadRoundTrip) {
   ASSERT_NE(flow, nullptr);
   EXPECT_TRUE(flow->has_verdict);
   EXPECT_EQ(flow->verdict, shim::Verdict::kLimit);
+  EXPECT_EQ(flow->verdict_source, shim::VerdictSource::kShim);
   EXPECT_EQ(flow->policy_name, "limiter");
   EXPECT_EQ(flow->packets, 48u);
+  // A verdict served from the gateway cache keeps its source.
+  const auto* cached = loaded->index().find(
+      {pkt::FlowProto::kTcp, {a, 2345}, {sink, 25}}, 17);
+  ASSERT_NE(cached, nullptr);
+  EXPECT_TRUE(cached->has_verdict);
+  EXPECT_EQ(cached->verdict, shim::Verdict::kRedirect);
+  EXPECT_EQ(cached->verdict_source, shim::VerdictSource::kCached);
+  EXPECT_EQ(cached->policy_name, "spam");
   // Tenant/job attribution survives the manifest and flow round trip.
   EXPECT_EQ(loaded->tenant(), "umbrella");
   EXPECT_EQ(loaded->job(), 9u);
