@@ -11,9 +11,11 @@
 //   build/bench/s2_fault_soak --smoke   # 3 simulated minutes per row
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -22,6 +24,7 @@
 #include "containment/policy.h"
 #include "core/farm.h"
 #include "flowdb/flowdb.h"
+#include "flowdb/store.h"
 #include "netsim/fault.h"
 #include "packet/frame.h"
 #include "packet/pcap.h"
@@ -386,16 +389,21 @@ int main(int argc, char** argv) {
   }
   json.end_array();
 
-  // Compact the sweep's flow records into a queryable column store; a
-  // reader must be able to mmap it back (same validation the tooling
-  // runs) before the numbers are trusted.
-  const std::string store_path = "BENCH_s2_flows.fdb";
-  if (!flow_store.save(store_path)) {
+  // Seal the sweep's flow records into a fresh one-segment store dir; a
+  // full scan must read every row back (each segment it maps is fully
+  // validated) before the numbers are trusted.
+  const std::string store_path = "BENCH_s2_flows";
+  std::error_code store_ec;
+  std::filesystem::remove_all(store_path, store_ec);
+  auto segmented = flowdb::SegmentedStore::open(store_path);
+  if (!segmented || !segmented->append_segment(flow_store)) {
     std::fprintf(stderr, "s2: cannot write %s\n", store_path.c_str());
     return 1;
   }
-  const auto store = flowdb::Reader::open(store_path);
-  if (!store || store->rows() != flow_store.row_count()) {
+  auto store = flowdb::SegmentedReader::open(store_path);
+  const auto all_rows =
+      store ? store->scan({}) : std::optional<std::vector<std::uint64_t>>();
+  if (!all_rows || all_rows->size() != flow_store.row_count()) {
     std::fprintf(stderr, "s2: %s failed reopen validation\n",
                  store_path.c_str());
     return 1;
@@ -405,7 +413,7 @@ int main(int argc, char** argv) {
   json.key("flowdb_rows");
   json.value(static_cast<std::uint64_t>(store->rows()));
   json.key("flowdb_bytes");
-  json.value(static_cast<std::uint64_t>(store->file_bytes()));
+  json.value(static_cast<std::uint64_t>(store->manifest().total_bytes()));
   json.end_object();
 
   if (!util::json_valid(json.str())) {
@@ -450,7 +458,7 @@ int main(int argc, char** argv) {
   }
   std::printf("zero containment escapes across all profiles; trace "
               "archivers stayed within budget (%llu segments rotated); "
-              "%llu flows compacted into %s\n",
+              "%llu flows sealed into store %s\n",
               static_cast<unsigned long long>(total_trace_evictions),
               static_cast<unsigned long long>(flow_store.row_count()),
               store_path.c_str());

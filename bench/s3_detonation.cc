@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/sharded_farm.h"
-#include "flowdb/flowdb.h"
 #include "flowdb/store.h"
 #include "inmate/inmate.h"
 #include "orchestrator/service.h"
@@ -127,17 +126,12 @@ struct RowStats {
   double sim_hours = 0.0;
   double detonations_per_hour = 0.0;
   std::uint64_t event_hash = 0;
-  // Every job archive compacted into one FlowDB store at row end; the
-  // hash is over the store's file bytes, so the replay gate can also
-  // prove same-seed runs compact byte-identically.
-  std::uint64_t flowdb_rows = 0;
-  std::uint64_t flowdb_hash = 0;
-  bool flowdb_ok = false;
   // Incremental segmented store: sealed jobs flushed at epoch
   // boundaries while the farm runs, final drain flush, deterministic
   // compaction. The hash covers the manifest plus every segment's
   // bytes, so the replay gate also proves incremental append +
-  // compaction are thread-count invariant.
+  // compaction are thread-count invariant. segstore_ok requires the
+  // store to hold exactly the flows of every job archive.
   std::uint64_t segstore_rows = 0;
   std::uint64_t segstore_segments = 0;
   std::uint64_t segstore_hash = 0;
@@ -209,13 +203,14 @@ RowStats run_row(std::size_t shards, unsigned threads,
   // placement is round-robin over submission order, so the schedule is
   // a pure function of the spec sequence.
   const std::size_t total_jobs = jobs_per_shard * shards;
+  std::vector<orch::DetonationService::Submission> submissions;
   for (std::size_t i = 0; i < total_jobs; ++i) {
     orch::JobSpec spec;
     spec.tenant = tenants[i % 4];
     spec.sample = util::format("beacon.%04zu", i);
     spec.budget = util::milliseconds(
         15'000 + 5'000 * static_cast<std::int64_t>(i % 4));
-    service.submit(spec);
+    submissions.push_back(service.submit(spec));
   }
 
   // Drain in one-minute epochs until every job recycles (measured sim
@@ -292,26 +287,8 @@ RowStats run_row(std::size_t shards, unsigned threads,
   }
   stats.event_hash = fnv1a(joined);
 
-  // Compact every job archive (shards in index order, jobs in id order)
-  // into one queryable column store and prove it reopens with the
-  // expected row count.
-  const std::string store_path =
-      util::format("BENCH_s3_flows_%zushard_%uthr.fdb", shards,
-                   stats.threads);
-  if (const auto rows = service.compact_flowdb(store_path)) {
-    stats.flowdb_rows = *rows;
-    const auto store = flowdb::Reader::open(store_path);
-    stats.flowdb_ok = store && store->rows() == *rows;
-    std::ifstream in(store_path, std::ios::binary);
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    stats.flowdb_hash = fnv1a(bytes);
-  }
-
   // Final drain flush (snapshots anything a cap trip left running),
-  // deterministic compaction, then hash manifest + segment bytes. The
-  // segmented store must agree row-for-row with the monolithic
-  // compaction above.
+  // deterministic compaction, then hash manifest + segment bytes.
   if (!service.append_flowdb_store(seg_dir, /*sealed_only=*/false))
     seg_ok = false;
   if (auto seg_store = flowdb::SegmentedStore::open(seg_dir);
@@ -335,7 +312,15 @@ RowStats run_row(std::size_t shards, unsigned threads,
   } else {
     seg_ok = false;
   }
-  stats.segstore_ok = seg_ok && stats.segstore_rows == stats.flowdb_rows;
+  // Independent row count: the flows indexed by every job's archive,
+  // read straight off the job records rather than from the flushes.
+  std::uint64_t archived_rows = 0;
+  for (const auto& sub : submissions) {
+    const orch::JobRecord* job = service.shard(sub.shard).job(sub.job);
+    if (job && job->archive)
+      archived_rows += job->archive->index().flow_count();
+  }
+  stats.segstore_ok = seg_ok && stats.segstore_rows == archived_rows;
   return stats;
 }
 
@@ -420,11 +405,6 @@ int main(int argc, char** argv) {
     json.key("event_hash");
     json.value(util::format("%016llx", static_cast<unsigned long long>(
                                            stats.event_hash)));
-    json.key("flowdb_rows");
-    json.value(stats.flowdb_rows);
-    json.key("flowdb_hash");
-    json.value(util::format("%016llx", static_cast<unsigned long long>(
-                                           stats.flowdb_hash)));
     json.key("segstore_rows");
     json.value(stats.segstore_rows);
     json.key("segstore_segments");
@@ -433,7 +413,7 @@ int main(int argc, char** argv) {
     json.value(util::format("%016llx", static_cast<unsigned long long>(
                                            stats.segstore_hash)));
     json.end_object();
-    flowdb_ok = flowdb_ok && stats.flowdb_ok && stats.segstore_ok;
+    flowdb_ok = flowdb_ok && stats.segstore_ok;
   }
   json.end_array();
 
@@ -442,15 +422,13 @@ int main(int argc, char** argv) {
   // recycle schedule — everything observable) as the threaded run.
   const auto threaded = run_row(2, 2, jobs_per_shard, cap);
   const auto serial = run_row(2, 1, jobs_per_shard, cap);
-  flowdb_ok = flowdb_ok && threaded.flowdb_ok && serial.flowdb_ok &&
-              threaded.segstore_ok && serial.segstore_ok;
-  // Same-seed runs must also compact to byte-identical FlowDB stores —
-  // the cross-run contract the gq_trace diff gate depends on — and the
-  // incrementally-appended, compacted segmented stores must be byte-
-  // identical too (manifest + every segment).
+  flowdb_ok = flowdb_ok && threaded.segstore_ok && serial.segstore_ok;
+  // Same-seed runs must also leave byte-identical FlowDB stores — the
+  // cross-run contract the gq_trace diff gate depends on: the
+  // incrementally-appended, compacted store dirs (manifest + every
+  // segment) must match.
   const bool identical = threaded.event_hash == serial.event_hash &&
                          threaded.completed == serial.completed &&
-                         threaded.flowdb_hash == serial.flowdb_hash &&
                          threaded.segstore_hash == serial.segstore_hash;
   json.key("replay_check");
   json.begin_object();
@@ -462,12 +440,6 @@ int main(int argc, char** argv) {
   json.key("hash_serial");
   json.value(util::format("%016llx", static_cast<unsigned long long>(
                                          serial.event_hash)));
-  json.key("flowdb_hash_threaded");
-  json.value(util::format("%016llx", static_cast<unsigned long long>(
-                                         threaded.flowdb_hash)));
-  json.key("flowdb_hash_serial");
-  json.value(util::format("%016llx", static_cast<unsigned long long>(
-                                         serial.flowdb_hash)));
   json.key("segstore_hash_threaded");
   json.value(util::format("%016llx", static_cast<unsigned long long>(
                                          threaded.segstore_hash)));
@@ -520,7 +492,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!flowdb_ok) {
-    std::fprintf(stderr, "\nFLOWDB FAILURE: a row's compacted store did "
+    std::fprintf(stderr, "\nFLOWDB FAILURE: a row's segmented store did "
                          "not save or reopen with the expected rows\n");
     return 1;
   }

@@ -1,6 +1,6 @@
-// FlowDB scan-throughput bench (EXPERIMENTS.md S7): compacts a
-// >= 100k-flow index into a `.fdb` column store and races the query
-// engine against the pre-FlowDB answer path — a linear reload of the
+// FlowDB scan-throughput bench (EXPERIMENTS.md S7): seals a
+// >= 100k-flow index into a one-segment FlowDB store dir and races the
+// query engine against the pre-FlowDB answer path — a linear reload of the
 // archive's flows.txt sidecar with a per-flow predicate pass. Self-
 // gating, per the PR 5/6 convention: exits nonzero unless
 //
@@ -16,8 +16,9 @@
 // blooms): selective queries over a multi-segment store must run >= 5x
 // faster with pruning on than off, prune a nonzero segment count, and
 // return byte-identical matches either way and at 1/2/4 threads.
-// BENCH_s7.json splits open from scan: each rescan query records its
-// Reader::open time (open_ms), and each skip-scan query also runs once
+// BENCH_s7.json splits open from scan: each rescan query records the
+// time spent opening the store and mapping and validating its segment
+// (open_ms), and each skip-scan query also runs once
 // on a fresh reader, recording that open-inclusive time (cold_ms) and
 // its share spent in Reader::open (cold_open_ms).
 //
@@ -453,31 +454,29 @@ int main(int argc, char** argv) {
 
   const auto flows = synth_flows();
   const std::string dir = "s7_baseline_archive";
-  const std::string store_path = "s7_store.fdb";
+  const std::string store_dir = "s7_store";
   if (!write_baseline_archive(dir, flows)) {
     std::fprintf(stderr, "s7: cannot write baseline archive\n");
     return 1;
   }
 
-  // Compact. Determinism gate: same rows -> same bytes.
+  // Seal into a fresh one-segment store. Determinism gate: same rows ->
+  // same bytes.
   flowdb::Writer writer;
   for (const auto& flow : flows) writer.add(flowdb::row_from(flow, "bench"));
-  const auto compact_start = std::chrono::steady_clock::now();
-  const auto encoded = writer.encode();
-  const double compact_ms = ms_since(compact_start);
-  if (writer.encode() != encoded) {
+  if (writer.encode() != writer.encode()) {
     std::fprintf(stderr, "s7: encoding is not deterministic\n");
     return 1;
   }
-  {
-    std::ofstream out(store_path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(encoded.data()),
-              static_cast<std::streamsize>(encoded.size()));
-    if (!out) {
-      std::fprintf(stderr, "s7: cannot write %s\n", store_path.c_str());
-      return 1;
-    }
+  std::error_code store_ec;
+  std::filesystem::remove_all(store_dir, store_ec);
+  auto store = flowdb::SegmentedStore::open(store_dir);
+  const auto compact_start = std::chrono::steady_clock::now();
+  if (!store || !store->append_segment(writer)) {
+    std::fprintf(stderr, "s7: cannot write %s\n", store_dir.c_str());
+    return 1;
   }
+  const double compact_ms = ms_since(compact_start);
 
   const auto queries = query_set(smoke);
   std::printf("\n%-28s %10s %12s %12s %10s %9s\n", "query", "matches",
@@ -492,7 +491,7 @@ int main(int argc, char** argv) {
   json.key("flows");
   json.value(static_cast<std::uint64_t>(kFlows));
   json.key("store_bytes");
-  json.value(static_cast<std::uint64_t>(encoded.size()));
+  json.value(store->manifest().total_bytes());
   json.key("compact_ms");
   json.value(compact_ms);
   json.key("queries");
@@ -516,27 +515,34 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // FlowDB: mmap open + serial scan, cold each round for symmetry.
+    // FlowDB: open the store, then a serial scan that maps and
+    // validates the segment — cold each round for symmetry.
     const auto flowdb_start = std::chrono::steady_clock::now();
-    auto reader = flowdb::Reader::open(store_path);
-    const double open_ms = ms_since(flowdb_start);
-    if (!reader) {
-      std::fprintf(stderr, "s7: cannot open %s\n", store_path.c_str());
+    auto reader = flowdb::SegmentedReader::open(store_dir);
+    const double dir_open_ms = ms_since(flowdb_start);
+    flowdb::ScanStats stats;
+    flowdb::ScanOptions serial;
+    serial.stats = &stats;
+    const auto matches = reader ? reader->scan(query.filter, serial)
+                                : std::optional<std::vector<std::uint64_t>>();
+    const double flowdb_ms = ms_since(flowdb_start);
+    const double open_ms = dir_open_ms + stats.open_ms;
+    if (!matches) {
+      std::fprintf(stderr, "s7: cannot open or scan %s\n",
+                   store_dir.c_str());
       return 1;
     }
-    const auto matches = flowdb::scan(*reader, query.filter);
-    const double flowdb_ms = ms_since(flowdb_start);
 
-    if (matches.size() != baseline_matches) {
+    if (matches->size() != baseline_matches) {
       std::fprintf(stderr, "s7: %s disagreed (flowdb %zu vs baseline %zu)\n",
-                   query.name, matches.size(), baseline_matches);
+                   query.name, matches->size(), baseline_matches);
       ok = false;
     }
     // Parallelism contract: bit-identical results at 1/2/4 threads.
     for (const unsigned threads : {2u, 4u}) {
       flowdb::ScanOptions options;
       options.threads = threads;
-      if (flowdb::scan(*reader, query.filter, options) != matches) {
+      if (reader->scan(query.filter, options) != matches) {
         std::fprintf(stderr, "s7: %s parallel scan (%u threads) diverged\n",
                      query.name, threads);
         ok = false;
@@ -547,12 +553,12 @@ int main(int argc, char** argv) {
     flowdb_total_ms += flowdb_ms;
     const double speedup = flowdb_ms > 0.0 ? baseline_ms / flowdb_ms : 0.0;
     std::printf("%-28s %10zu %12.2f %12.3f %10.3f %8.1fx\n", query.name,
-                matches.size(), baseline_ms, flowdb_ms, open_ms, speedup);
+                matches->size(), baseline_ms, flowdb_ms, open_ms, speedup);
     json.begin_object();
     json.key("name");
     json.value(query.name);
     json.key("matches");
-    json.value(static_cast<std::uint64_t>(matches.size()));
+    json.value(static_cast<std::uint64_t>(matches->size()));
     json.key("baseline_ms");
     json.value(baseline_ms);
     json.key("flowdb_ms");

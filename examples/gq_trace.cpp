@@ -1,17 +1,13 @@
 // gq_trace: operator CLI over saved trace archives (trace/tap.h) and
-// compacted FlowDB stores (flowdb/flowdb.h).
+// FlowDB store directories (flowdb/store.h).
 //
 //   gq_trace list <dir>              segment table of a saved archive
 //   gq_trace summary <dir>           per-flow index summary
 //   gq_trace extract <dir> <flow#> [out.pcap]
 //                                    extract one flow's packets (O(flow),
 //                                    via the index locations — no rescan)
-//   gq_trace compact <out.fdb> <dir>...
-//                                    compact saved archives into one
-//                                    columnar store
 //   gq_trace query <store> [filters] [--threads N] [--limit N]
-//                                    predicate scan; <store> is a .fdb
-//                                    file or a segmented store dir.
+//                                    predicate scan over a store dir.
 //                                    Prints pruning statistics and
 //                                    the time spent opening (and
 //                                    validating) the store;
@@ -20,13 +16,14 @@
 //                                    aggregated counters per group over
 //                                    the rows matching the filters
 //   gq_trace segments <dir>          manifest + zone-map table of a
-//                                    segmented store
+//                                    store
 //   gq_trace appendseg <dir> <archive>...
 //                                    compact saved archives into one
 //                                    new sealed segment of store <dir>
+//                                    (created on first use)
 //   gq_trace compactseg <dir> [max]  deterministic size-tiered merge
 //                                    down to at most max segments
-//   gq_trace diff <a.fdb> <b.fdb> [--tolerance F]
+//   gq_trace diff <store-a> <store-b> [--tolerance F]
 //                                    verdict-distribution comparison;
 //                                    exits nonzero past the tolerance
 //                                    (the cross-run regression gate)
@@ -38,10 +35,8 @@
 // Exit status: 0 on success, 1 when an artifact cannot be read or
 // written (or `diff` exceeds its tolerance), 2 on a usage error.
 // tests/gq_trace_cli_test.cc drives every command.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -199,42 +194,6 @@ int cmd_extract(const std::string& dir, std::size_t flow_no,
 }
 
 // --- FlowDB subcommands ---------------------------------------------------
-
-/// Compact each saved archive into `writer`; false once one fails to
-/// load.
-bool add_archives(flowdb::Writer& writer,
-                  const std::vector<std::string>& dirs) {
-  for (const auto& dir : dirs) {
-    auto tap = load_archive(dir);
-    if (!tap) return false;
-    writer.add_tap(*tap);
-  }
-  return true;
-}
-
-int cmd_compact(const std::string& out_path,
-                const std::vector<std::string>& dirs) {
-  flowdb::Writer writer;
-  if (!add_archives(writer, dirs)) return 1;
-  if (!writer.save(out_path)) {
-    std::fprintf(stderr, "gq_trace: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("compacted %zu archives, %zu flows -> %s\n", dirs.size(),
-              writer.row_count(), out_path.c_str());
-  return 0;
-}
-
-std::optional<flowdb::Reader> open_store(const std::string& path) {
-  auto reader = flowdb::Reader::open(path);
-  if (!reader) {
-    std::fprintf(stderr,
-                 "gq_trace: cannot open store %s (missing, corrupt, or "
-                 "wrong version)\n",
-                 path.c_str());
-  }
-  return reader;
-}
 
 void print_row(const flowdb::Row& row, std::uint64_t i) {
   std::printf("#%-6llu %s %s -> %s vlan %u  %llu pkts / %llu B",
@@ -415,65 +374,31 @@ std::optional<flowdb::SegmentedReader> open_store_dir(
   return store;
 }
 
-/// Run a filter against a `.fdb` file or a segmented store dir,
-/// returning global row ids (nullopt on store corruption). `row_of`
-/// semantics match scan() ids on both paths.
+/// A store and the global row ids a filter matched in it.
 struct StoreScan {
-  std::optional<flowdb::Reader> file;
-  std::optional<flowdb::SegmentedReader> dir;
+  flowdb::SegmentedReader store;
   std::vector<std::uint64_t> matches;
   flowdb::ScanStats stats;
-
-  [[nodiscard]] std::uint64_t rows() const {
-    return file ? file->rows() : dir->rows();
-  }
-  [[nodiscard]] std::uint64_t bytes() const {
-    return file ? file->file_bytes() : dir->manifest().total_bytes();
-  }
-  [[nodiscard]] flowdb::Row row_of(std::uint64_t id) {
-    if (file) return file->row(id);
-    auto row = dir->row(id);
-    return row ? *row : flowdb::Row{};
-  }
-  [[nodiscard]] std::optional<std::vector<flowdb::Agg>> aggregate(
-      flowdb::GroupBy group) {
-    if (file) return flowdb::aggregate(*file, matches, group);
-    return dir->aggregate(matches, group);
-  }
 };
 
-std::optional<StoreScan> scan_store(const std::string& path,
+std::optional<StoreScan> scan_store(const std::string& dir,
                                     const QueryArgs& args) {
-  StoreScan result;
+  auto store = open_store_dir(dir);
+  if (!store) return std::nullopt;
+  StoreScan result{std::move(*store), {}, {}};
   flowdb::ScanOptions options;
   options.threads = args.threads;
   options.prune = args.prune;
   options.stats = &result.stats;
-  if (std::filesystem::is_directory(path)) {
-    result.dir = open_store_dir(path);
-    if (!result.dir) return std::nullopt;
-    auto matches = result.dir->scan(args.filter, options);
-    if (!matches) {
-      std::fprintf(stderr,
-                   "gq_trace: scan failed — a segment of %s failed "
-                   "validation\n",
-                   path.c_str());
-      return std::nullopt;
-    }
-    result.matches = std::move(*matches);
-  } else {
-    const auto start = std::chrono::steady_clock::now();
-    result.file = open_store(path);
-    if (!result.file) return std::nullopt;
-    const double open_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    result.matches = flowdb::scan(*result.file, args.filter, options);
-    // Count the file's open like a segment's, so both paths report
-    // open time as part of the query's wall time.
-    result.stats.open_ms = open_ms;
-    result.stats.wall_ms += open_ms;
+  auto matches = result.store.scan(args.filter, options);
+  if (!matches) {
+    std::fprintf(stderr,
+                 "gq_trace: scan failed — a segment of %s failed "
+                 "validation\n",
+                 dir.c_str());
+    return std::nullopt;
   }
+  result.matches = std::move(*matches);
   return result;
 }
 
@@ -483,13 +408,19 @@ int cmd_query(const std::string& path, const QueryArgs& args) {
   std::uint64_t shown = 0;
   for (const auto i : scan->matches) {
     if (args.limit && shown >= args.limit) break;
-    print_row(scan->row_of(i), i);
+    const auto row = scan->store.row(i);
+    if (!row) {
+      std::fprintf(stderr, "gq_trace: row %llu of %s failed validation\n",
+                   static_cast<unsigned long long>(i), path.c_str());
+      return 1;
+    }
+    print_row(*row, i);
     ++shown;
   }
   if (args.limit && scan->matches.size() > shown)
     std::printf("(%zu more matches)\n", scan->matches.size() - shown);
   std::printf("%zu of %llu flows matched\n", scan->matches.size(),
-              static_cast<unsigned long long>(scan->rows()));
+              static_cast<unsigned long long>(scan->store.rows()));
   print_scan_stats(scan->stats);
   return 0;
 }
@@ -502,9 +433,10 @@ int cmd_stat(const std::string& path, const QueryArgs& args) {
                      : args.group == "tap"    ? flowdb::GroupBy::kTap
                                               : flowdb::GroupBy::kVerdict;
   std::printf("store %s: %llu flows, %llu B\n\n", path.c_str(),
-              static_cast<unsigned long long>(scan->rows()),
-              static_cast<unsigned long long>(scan->bytes()));
-  const auto aggs = scan->aggregate(group);
+              static_cast<unsigned long long>(scan->store.rows()),
+              static_cast<unsigned long long>(
+                  scan->store.manifest().total_bytes()));
+  const auto aggs = scan->store.aggregate(scan->matches, group);
   if (!aggs) {
     std::fprintf(stderr, "gq_trace: aggregation failed on %s\n",
                  path.c_str());
@@ -521,8 +453,6 @@ int cmd_stat(const std::string& path, const QueryArgs& args) {
   print_scan_stats(scan->stats);
   return 0;
 }
-
-// --- Segmented-store subcommands ------------------------------------------
 
 int cmd_segments(const std::string& dir) {
   auto store = open_store_dir(dir);
@@ -567,7 +497,11 @@ int cmd_appendseg(const std::string& dir,
     return 1;
   }
   flowdb::Writer writer;
-  if (!add_archives(writer, archives)) return 1;
+  for (const auto& archive : archives) {
+    auto tap = load_archive(archive);
+    if (!tap) return 1;
+    writer.add_tap(*tap);
+  }
   if (!store->append_segment(writer)) {
     std::fprintf(stderr, "gq_trace: segment append failed in %s\n",
                  dir.c_str());
@@ -605,12 +539,20 @@ int cmd_compactseg(const std::string& dir, std::size_t max_segments) {
   return 0;
 }
 
-int cmd_diff(const std::string& path_a, const std::string& path_b,
+int cmd_diff(const std::string& dir_a, const std::string& dir_b,
              double tolerance) {
-  const auto a = open_store(path_a);
-  const auto b = open_store(path_b);
+  auto a = open_store_dir(dir_a);
+  auto b = open_store_dir(dir_b);
   if (!a || !b) return 1;
-  const auto diff = flowdb::diff_verdicts(*a, *b);
+  const auto result = flowdb::diff_verdicts(*a, *b);
+  if (!result) {
+    std::fprintf(stderr,
+                 "gq_trace: diff failed — a segment of %s or %s failed "
+                 "validation\n",
+                 dir_a.c_str(), dir_b.c_str());
+    return 1;
+  }
+  const auto& diff = *result;
   std::printf("%-10s %10s %8s %10s %8s %8s\n", "verdict", "a", "a%", "b",
               "b%", "delta");
   for (const auto& entry : diff.entries) {
@@ -633,14 +575,13 @@ int usage() {
       stderr,
       "usage: gq_trace list <dir> | summary <dir>\n"
       "       gq_trace extract <dir> <flow#> [out.pcap]\n"
-      "       gq_trace compact <out.fdb> <dir>...\n"
       "       gq_trace query <store> [filters] [--threads N] [--limit N] "
       "[--no-prune]\n"
       "       gq_trace stat <store> [filters] [--by "
       "verdict|tenant|policy|tap]\n"
       "       gq_trace segments <dir> | appendseg <dir> <archive>...\n"
       "       gq_trace compactseg <dir> [max]\n"
-      "       gq_trace diff <a.fdb> <b.fdb> [--tolerance F]\n"
+      "       gq_trace diff <store-a> <store-b> [--tolerance F]\n"
       "filters: --verdict V|none --source shim|cached|table --tenant T\n"
       "         --policy P --tap T --job N --vlan N --port N --addr A\n"
       "         --prefix A/L --proto tcp|udp --since USEC --until USEC\n");
@@ -662,10 +603,6 @@ int main(int argc, char** argv) {
     }
     return cmd_extract(argv[2], static_cast<std::size_t>(*flow_no),
                        argc > 4 ? argv[4] : "");
-  }
-  if (cmd == "compact" && argc > 3) {
-    std::vector<std::string> dirs(argv + 3, argv + argc);
-    return cmd_compact(argv[2], dirs);
   }
   if (cmd == "query" && argc > 2) {
     QueryArgs args;

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <unordered_map>
@@ -426,17 +425,6 @@ std::vector<std::uint8_t> Writer::encode() const {
     metrics_->counter("flowdb.bytes_written").inc(out.size());
   }
   return out;
-}
-
-bool Writer::save(const std::string& path) const {
-  const auto bytes = encode();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return false;
-  const bool ok =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  const bool closed = std::fclose(f) == 0;
-  if (ok && closed && metrics_) metrics_->counter("flowdb.files_written").inc();
-  return ok && closed;
 }
 
 // --- Reader ---------------------------------------------------------------

@@ -1,7 +1,7 @@
-// FlowDB: a versioned, self-describing, columnar flow-record store
-// (DESIGN.md §14). Where a saved TraceTap keeps its flow index as a
-// `flows.txt` text sidecar that must be re-parsed linearly on every
-// question, a `.fdb` store lays the same records out as fixed-width
+// FlowDB: a versioned, self-describing, columnar flow-record segment
+// format (DESIGN.md §14). Where a saved TraceTap keeps its flow index as
+// a `flows.txt` text sidecar that must be re-parsed linearly on every
+// question, a `.fdb` segment lays the same records out as fixed-width
 // columns so an mmap-backed reader can answer predicates and
 // aggregations over hundreds of thousands of flows at memory bandwidth
 // — the paper's §5.6 trace audits ("which flow was that, and what did
@@ -40,8 +40,10 @@
 // the wire codecs.
 //
 // Writers are append-then-seal: add rows (or whole TraceTap indexes),
-// then encode()/save(). Readers are immutable views; the query engine
-// lives in flowdb/query.h.
+// then hand the writer to SegmentedStore::append_segment (flowdb/
+// store.h), which seals it into a store directory crash-safely. A
+// Reader opens and validates one sealed segment; stores are queried
+// through SegmentedReader.
 #pragma once
 
 #include <cstdint>
@@ -203,9 +205,8 @@ Row row_from(const trace::FlowRecord& record, std::string_view tap_name);
 
 /// Columnar writer: accumulate rows, then seal. When `metrics` is
 /// non-null the writer publishes
-///   flowdb.rows_written      counter  rows sealed into stores
-///   flowdb.files_written     counter  save() successes
-///   flowdb.bytes_written     counter  encoded store bytes
+///   flowdb.rows_written      counter  rows sealed by encode()
+///   flowdb.bytes_written     counter  encoded segment bytes
 class Writer {
  public:
   explicit Writer(obs::MetricsRegistry* metrics = nullptr);
@@ -222,15 +223,12 @@ class Writer {
   /// Seal into the on-disk byte layout (header..footer).
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
-  /// Seal and write to `path`. False on I/O error.
-  bool save(const std::string& path) const;
-
  private:
   std::vector<Row> rows_;
   obs::MetricsRegistry* metrics_ = nullptr;
 };
 
-/// Zero-copy reader over a sealed store. Columns are handed out as
+/// Zero-copy reader over one sealed segment. Columns are handed out as
 /// typed spans directly over the underlying bytes (an mmap'd file via
 /// open(), or an owned buffer via parse()); nothing is deserialized
 /// row-by-row. A Reader is immutable and safe to scan from many

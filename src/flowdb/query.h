@@ -1,19 +1,19 @@
-// FlowDB query engine: composable predicates, a chunked parallel scan,
-// aggregation kernels, and the cross-run verdict-distribution diff
-// (DESIGN.md §14).
+// FlowDB query vocabulary: composable predicates, scan options and
+// statistics, zone-map planner predicates, and aggregation buckets
+// (DESIGN.md §14). SegmentedReader (flowdb/store.h) is the one query
+// engine that runs them.
 //
-// Determinism contract: scan() partitions the store into fixed
-// kScanChunk-row chunks, assigns chunk c to thread (c % threads), and
-// concatenates per-chunk match lists in chunk order — so the result is
-// bit-identical to the serial scan at any thread count. The ctest lane
-// (flowdb_smoke) and the s7 bench both assert this at 1/2/4 threads.
+// Determinism contract: a scan partitions each segment into fixed
+// kScanChunk-row chunks, assigns task t to thread (t % threads), and
+// concatenates per-task match lists in (segment, chunk) order — so the
+// result is bit-identical to the serial scan at any thread count. The
+// ctest lane (flowdb_smoke) and the s7 bench both assert this at 1/2/4
+// threads.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "flowdb/flowdb.h"
 #include "obs/metrics.h"
@@ -52,10 +52,9 @@ struct Filter {
   std::optional<std::int64_t> until_usec;
 };
 
-/// What a (possibly pruned) scan actually touched. Filled by scan()
-/// and SegmentedReader::scan() when ScanOptions::stats is set;
-/// `gq_trace query`/`stat` print these and the same values feed the
-/// flowdb.scan.* obs counters.
+/// What a (possibly pruned) scan actually touched. Filled by
+/// SegmentedReader::scan() when ScanOptions::stats is set; `gq_trace
+/// query`/`stat` print these, and add_to() publishes them.
 struct ScanStats {
   std::uint64_t segments_considered = 0;
   std::uint64_t segments_pruned = 0;   ///< Skipped without mapping.
@@ -65,11 +64,13 @@ struct ScanStats {
   std::uint64_t rows_scanned = 0;      ///< Rows actually visited.
   std::uint64_t rows_matched = 0;
   /// Wall time in Reader::open of the segments this scan opened (part
-  /// of wall_ms). Zero for a single-file scan, whose Reader is opened
-  /// by the caller, and for segments an earlier call already opened.
+  /// of wall_ms). Zero for segments an earlier call already opened.
   double open_ms = 0.0;
   double wall_ms = 0.0;
 
+  /// Publish one scan: flowdb.scans (+1) and one flowdb.scan.<field>
+  /// counter per field above (open_ms as flowdb.scan.open_us; wall_ms
+  /// is not published).
   void add_to(obs::MetricsRegistry& metrics) const;
 };
 
@@ -82,12 +83,7 @@ struct ScanOptions {
   bool prune = true;
   /// When set, filled with what the scan touched and pruned.
   ScanStats* stats = nullptr;
-  /// When non-null the scan publishes
-  ///   flowdb.scans         counter  scan() calls
-  ///   flowdb.rows_scanned  counter  rows visited
-  ///   flowdb.rows_matched  counter  rows matched
-  /// plus the flowdb.scan.* counters (see ScanStats; open_ms is
-  /// published as flowdb.scan.open_us).
+  /// When non-null the scan publishes its ScanStats (see add_to).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -96,10 +92,6 @@ struct ScanOptions {
 [[nodiscard]] bool zone_may_match(const ZoneMap& zone, const Filter& filter);
 [[nodiscard]] bool chunk_may_match(const ChunkZone& zone,
                                    const Filter& filter);
-
-/// Scan the store, returning matching row ids in ascending order.
-std::vector<std::uint64_t> scan(const Reader& reader, const Filter& filter,
-                                const ScanOptions& options = {});
 
 enum class GroupBy { kVerdict, kTenant, kPolicy, kTap };
 
@@ -114,38 +106,5 @@ struct Agg {
 
   friend bool operator==(const Agg&, const Agg&) = default;
 };
-
-/// Aggregate `rows` (ids from scan()) grouped by `group`, label-sorted.
-std::vector<Agg> aggregate(const Reader& reader,
-                           std::span<const std::uint64_t> rows,
-                           GroupBy group);
-
-/// Aggregate every row of the store.
-std::vector<Agg> aggregate_all(const Reader& reader, GroupBy group);
-
-/// Verdict-distribution comparison between two stores — the cross-run
-/// regression gate behind `gq_trace diff`. Shares are fractions of each
-/// store's total row count; delta is |share_a - share_b|.
-struct VerdictDiff {
-  struct Entry {
-    std::string label;
-    std::uint64_t count_a = 0;
-    std::uint64_t count_b = 0;
-    double share_a = 0.0;
-    double share_b = 0.0;
-    double delta = 0.0;
-  };
-  std::vector<Entry> entries;  ///< Label-sorted union of both stores.
-  std::uint64_t rows_a = 0;
-  std::uint64_t rows_b = 0;
-  double max_delta = 0.0;
-
-  /// True when every verdict share moved by at most `tolerance`.
-  [[nodiscard]] bool within(double tolerance) const {
-    return max_delta <= tolerance;
-  }
-};
-
-VerdictDiff diff_verdicts(const Reader& a, const Reader& b);
 
 }  // namespace gq::flowdb

@@ -1,11 +1,13 @@
-// Internal scan machinery shared by the single-file scan (query.cc)
-// and the segmented-store planner (store.cc). Not part of the public
-// FlowDB API — include query.h instead.
+// Internal per-segment scan and aggregation kernels behind
+// SegmentedReader (store.cc). Not part of the public FlowDB API —
+// include store.h instead.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "flowdb/flowdb.h"
@@ -120,5 +122,10 @@ struct ScanTask {
 std::vector<std::vector<std::uint64_t>> run_tasks(
     std::span<const RowPredicate> preds, std::span<const ScanTask> tasks,
     unsigned thread_opt);
+
+/// Add one segment's local row ids to the label-keyed `buckets`
+/// (ids past the segment's end are skipped; Agg::label is left unset).
+void aggregate_into(const Reader& reader, std::span<const std::uint64_t> rows,
+                    GroupBy group, std::map<std::string, Agg>& buckets);
 
 }  // namespace gq::flowdb::detail

@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "flowdb/scan_impl.h"
@@ -452,18 +454,13 @@ std::optional<std::vector<std::uint64_t>> SegmentedReader::scan(
   stats.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - start)
                       .count();
-  if (options.metrics) {
-    options.metrics->counter("flowdb.scans").inc();
-    options.metrics->counter("flowdb.rows_scanned").inc(stats.rows_scanned);
-    options.metrics->counter("flowdb.rows_matched").inc(matches.size());
-    stats.add_to(*options.metrics);
-  }
+  if (options.metrics) stats.add_to(*options.metrics);
   return matches;
 }
 
 std::optional<std::vector<Agg>> SegmentedReader::aggregate(
     std::span<const std::uint64_t> rows, GroupBy group) {
-  // Split global ids per segment, aggregate each, merge label buckets.
+  // Split global ids per segment, then fold each into one label map.
   std::vector<std::vector<std::uint64_t>> per_segment(
       manifest_.segments.size());
   const std::uint64_t total = this->rows();
@@ -475,18 +472,12 @@ std::optional<std::vector<Agg>> SegmentedReader::aggregate(
         static_cast<std::size_t>(it - bases_.begin()) - 1;
     per_segment[s].push_back(global - bases_[s]);
   }
-  std::map<std::string, Agg> buckets;
+  std::map<std::string, Agg> buckets;  // map: label-sorted for free.
   for (std::size_t s = 0; s < per_segment.size(); ++s) {
     if (per_segment[s].empty()) continue;
     const Reader* reader = segment_reader(s);
     if (!reader) return std::nullopt;
-    for (const Agg& agg :
-         flowdb::aggregate(*reader, per_segment[s], group)) {
-      Agg& bucket = buckets[agg.label];
-      bucket.flows += agg.flows;
-      bucket.packets += agg.packets;
-      bucket.bytes += agg.bytes;
-    }
+    detail::aggregate_into(*reader, per_segment[s], group, buckets);
   }
   std::vector<Agg> out;
   out.reserve(buckets.size());
@@ -499,25 +490,9 @@ std::optional<std::vector<Agg>> SegmentedReader::aggregate(
 
 std::optional<std::vector<Agg>> SegmentedReader::aggregate_all(
     GroupBy group) {
-  std::map<std::string, Agg> buckets;
-  for (std::size_t s = 0; s < manifest_.segments.size(); ++s) {
-    if (manifest_.segments[s].rows == 0) continue;
-    const Reader* reader = segment_reader(s);
-    if (!reader) return std::nullopt;
-    for (const Agg& agg : flowdb::aggregate_all(*reader, group)) {
-      Agg& bucket = buckets[agg.label];
-      bucket.flows += agg.flows;
-      bucket.packets += agg.packets;
-      bucket.bytes += agg.bytes;
-    }
-  }
-  std::vector<Agg> out;
-  out.reserve(buckets.size());
-  for (auto& [label, bucket] : buckets) {
-    bucket.label = label;
-    out.push_back(std::move(bucket));
-  }
-  return out;
+  std::vector<std::uint64_t> all(rows());
+  std::iota(all.begin(), all.end(), std::uint64_t{0});
+  return aggregate(all, group);
 }
 
 std::optional<Row> SegmentedReader::row(std::uint64_t global) {
@@ -527,6 +502,37 @@ std::optional<Row> SegmentedReader::row(std::uint64_t global) {
   const Reader* reader = segment_reader(s);
   if (!reader) return std::nullopt;
   return reader->row(global - bases_[s]);
+}
+
+std::optional<VerdictDiff> diff_verdicts(SegmentedReader& a,
+                                         SegmentedReader& b) {
+  const auto aggs_a = a.aggregate_all(GroupBy::kVerdict);
+  const auto aggs_b = b.aggregate_all(GroupBy::kVerdict);
+  if (!aggs_a || !aggs_b) return std::nullopt;
+  VerdictDiff diff;
+  diff.rows_a = a.rows();
+  diff.rows_b = b.rows();
+  std::map<std::string, VerdictDiff::Entry> merged;
+  for (const Agg& agg : *aggs_a) {
+    merged[agg.label].label = agg.label;
+    merged[agg.label].count_a = agg.flows;
+  }
+  for (const Agg& agg : *aggs_b) {
+    merged[agg.label].label = agg.label;
+    merged[agg.label].count_b = agg.flows;
+  }
+  for (auto& [label, entry] : merged) {
+    entry.share_a =
+        diff.rows_a ? static_cast<double>(entry.count_a) / diff.rows_a : 0.0;
+    entry.share_b =
+        diff.rows_b ? static_cast<double>(entry.count_b) / diff.rows_b : 0.0;
+    entry.delta = std::abs(entry.share_a - entry.share_b);
+    diff.max_delta = std::max(diff.max_delta, entry.delta);
+    diff.entries.push_back(entry);
+  }
+  // Two stores where one is empty and the other is not never pass.
+  if ((diff.rows_a == 0) != (diff.rows_b == 0)) diff.max_delta = 1.0;
+  return diff;
 }
 
 }  // namespace gq::flowdb

@@ -1,7 +1,9 @@
 // Segmented FlowDB store (DESIGN.md §14): a directory holding an
 // ordered set of sealed `.fdb` segments plus a `store.manifest` text
-// index. Live farms append new sealed segments without rewriting prior
-// ones; a deterministic size-tiered compactor keeps the segment count
+// index. The directory is the only store shape: append_segment() is the
+// only way `.fdb` bytes reach disk, and SegmentedReader is the only
+// way to query them. Live farms append new sealed segments without
+// rewriting prior ones; a deterministic size-tiered compactor keeps the segment count
 // bounded; and the query planner prunes whole segments against their
 // zone-map/bloom tails — read with a ~1 KiB pread, no mmap — before
 // touching any column data.
@@ -22,9 +24,9 @@
 // that is opened is additionally recompute-verified by the Reader
 // (flowdb.h).
 //
-// The manifest is rewritten via temp-file + fsync + rename (plus a
-// directory fsync), so a crash mid-update can never strand the store
-// behind a truncated manifest. A manifest with any other header line
+// Segments and the manifest are written via temp-file + fsync + rename
+// (plus a directory fsync), so a crash mid-update can never strand the
+// store behind a truncated file. A manifest with any other header line
 // (another format version) fails every open and is left as it is;
 // nothing in the directory is rewritten.
 //
@@ -144,7 +146,8 @@ class SegmentedReader {
   [[nodiscard]] std::optional<std::vector<std::uint64_t>> scan(
       const Filter& filter, const ScanOptions& options = {});
 
-  /// Aggregate global row ids (merged across segments, label-sorted).
+  /// Aggregate global row ids grouped by `group`, merged across
+  /// segments and label-sorted; aggregate_all() covers every row.
   [[nodiscard]] std::optional<std::vector<Agg>> aggregate(
       std::span<const std::uint64_t> rows, GroupBy group);
   [[nodiscard]] std::optional<std::vector<Agg>> aggregate_all(GroupBy group);
@@ -169,5 +172,32 @@ class SegmentedReader {
   std::vector<std::optional<Reader>> readers_;  ///< Lazy mmaps.
   double open_ms_ = 0.0;
 };
+
+/// Verdict-distribution comparison between two stores — the cross-run
+/// regression gate behind `gq_trace diff`. Shares are fractions of each
+/// store's total row count; delta is |share_a - share_b|.
+struct VerdictDiff {
+  struct Entry {
+    std::string label;
+    std::uint64_t count_a = 0;
+    std::uint64_t count_b = 0;
+    double share_a = 0.0;
+    double share_b = 0.0;
+    double delta = 0.0;
+  };
+  std::vector<Entry> entries;  ///< Label-sorted union of both stores.
+  std::uint64_t rows_a = 0;
+  std::uint64_t rows_b = 0;
+  double max_delta = 0.0;
+
+  /// True when every verdict share moved by at most `tolerance`.
+  [[nodiscard]] bool within(double tolerance) const {
+    return max_delta <= tolerance;
+  }
+};
+
+/// nullopt when a segment of either store fails validation.
+std::optional<VerdictDiff> diff_verdicts(SegmentedReader& a,
+                                         SegmentedReader& b);
 
 }  // namespace gq::flowdb

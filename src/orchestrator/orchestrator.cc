@@ -283,20 +283,8 @@ const JobRecord* Orchestrator::job(std::uint64_t id) const {
   return it == jobs_.end() ? nullptr : &it->second;
 }
 
-std::size_t Orchestrator::append_flowdb(flowdb::Writer& writer) const {
-  std::size_t rows = 0;
-  // jobs_ is an ordered map: iteration is id order, so a same-seed
-  // batch compacts to byte-identical store contents.
-  for (const auto& [id, job] : jobs_) {
-    if (!job.archive) continue;
-    writer.add_tap(*job.archive);
-    rows += job.archive->index().flow_count();
-  }
-  return rows;
-}
-
-std::size_t Orchestrator::append_flowdb_new(flowdb::Writer& writer,
-                                            bool sealed_only) {
+std::size_t Orchestrator::append_flowdb(flowdb::Writer& writer,
+                                        bool sealed_only) {
   std::size_t rows = 0;
   for (auto& [id, job] : jobs_) {
     if (!job.archive || job.flowdb_appended) continue;
@@ -306,12 +294,6 @@ std::size_t Orchestrator::append_flowdb_new(flowdb::Writer& writer,
     rows += job.archive->index().flow_count();
   }
   return rows;
-}
-
-bool Orchestrator::compact_flowdb(const std::string& path) {
-  flowdb::Writer writer(&farm_.metrics());
-  append_flowdb(writer);
-  return writer.save(path);
 }
 
 bool Orchestrator::cancel(std::uint64_t id) {

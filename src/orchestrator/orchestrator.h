@@ -116,23 +116,14 @@ class Orchestrator {
   /// is unknown or already terminal.
   bool cancel(std::uint64_t id);
 
-  /// Append every job archive's indexed flows into a FlowDB writer,
-  /// jobs in id order (deterministic: same batch → same store bytes).
-  /// Returns the number of rows appended.
-  std::size_t append_flowdb(flowdb::Writer& writer) const;
-
-  /// Incremental variant for segmented stores: append only jobs not
-  /// yet flushed, jobs in id order, and mark them flushed. With
-  /// `sealed_only` (the live-farm case) only jobs whose slot has fully
-  /// recycled — whose archives are immutable — are taken; a final
-  /// drain pass can set it false to also snapshot still-running jobs,
-  /// matching append_flowdb's semantics. Returns rows appended.
-  std::size_t append_flowdb_new(flowdb::Writer& writer, bool sealed_only);
-
-  /// Compact all job archives into one `.fdb` store at `path` (the
-  /// farm metrics registry picks up the writer's flowdb.* counters).
-  /// False on I/O error.
-  bool compact_flowdb(const std::string& path);
+  /// Append the indexed flows of every job archive not yet flushed
+  /// into a FlowDB writer, jobs in id order (deterministic: same batch
+  /// → same segment bytes), and mark them flushed. With `sealed_only`
+  /// (the live-farm case) only jobs whose slot has fully recycled —
+  /// whose archives are immutable — are taken; a final drain pass sets
+  /// it false to also snapshot still-running jobs. Returns rows
+  /// appended.
+  std::size_t append_flowdb(flowdb::Writer& writer, bool sealed_only);
 
   [[nodiscard]] const JobRecord* job(std::uint64_t id) const;
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }

@@ -38,15 +38,6 @@ DetonationService::Submission DetonationService::submit(const JobSpec& spec) {
   return {shard, shards_[shard]->submit(spec)};
 }
 
-std::optional<std::size_t> DetonationService::compact_flowdb(
-    const std::string& path) {
-  flowdb::Writer writer(&shards_.front()->farm().metrics());
-  std::size_t rows = 0;
-  for (const auto& shard : shards_) rows += shard->append_flowdb(writer);
-  if (!writer.save(path)) return std::nullopt;
-  return rows;
-}
-
 std::optional<std::size_t> DetonationService::append_flowdb_store(
     const std::string& dir, bool sealed_only) {
   auto* metrics = &shards_.front()->farm().metrics();
@@ -55,7 +46,7 @@ std::optional<std::size_t> DetonationService::append_flowdb_store(
   flowdb::Writer writer(metrics);
   std::size_t rows = 0;
   for (const auto& shard : shards_)
-    rows += shard->append_flowdb_new(writer, sealed_only);
+    rows += shard->append_flowdb(writer, sealed_only);
   if (rows == 0) return 0;
   if (!store->append_segment(writer)) return std::nullopt;
   return rows;

@@ -41,13 +41,6 @@ class DetonationService {
   /// or rejected — so placement is a pure function of submission order.
   Submission submit(const JobSpec& spec);
 
-  /// Compact every shard's job archives into one `.fdb` store at
-  /// `path`, shards in index order then jobs in id order — a pure
-  /// function of the batch, so same-seed reruns produce byte-identical
-  /// stores. Returns the row count, or nullopt on I/O error. Call
-  /// between run epochs (workers quiescent).
-  std::optional<std::size_t> compact_flowdb(const std::string& path);
-
   /// Incremental flush into the segmented store at `dir` (created on
   /// first use): every job archive not yet flushed — shards in index
   /// order, jobs in id order — is sealed into ONE new segment. With

@@ -3,16 +3,19 @@
 // round trips, predicate scans checked against brute force over
 // reconstructed rows, the serial-vs-parallel bit-identity contract at
 // 1/2/4 threads, aggregation kernels, and the verdict-distribution
-// diff gate. FlowDbReject covers the load-time rejection contract:
+// diff gate. Every query runs against a store directory written through
+// SegmentedStore::append_segment (make_store builds one-segment ones). FlowDbReject covers the load-time rejection contract:
 // corrupt footers, truncation, and self-declared-length lies must all
 // come back nullopt, never a crash or over-read.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,6 +68,66 @@ std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// A fresh, per-process store directory path (ctest runs the
+/// flowdb_smoke lane alongside the individual cases).
+std::string temp_dir(const char* name) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   (std::string(name) + "_" + std::to_string(::getpid()));
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return dir.string();
+}
+
+/// Replace `dir` with a store holding `writer`'s rows as one segment
+/// (no segments when the writer is empty), written through the one
+/// write path, and open it. nullopt if writing or reopening fails.
+std::optional<flowdb::SegmentedReader> make_store(
+    const std::string& dir, const flowdb::Writer& writer) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  auto store = flowdb::SegmentedStore::open(dir);
+  if (!store || !store->append_segment(writer)) return std::nullopt;
+  return flowdb::SegmentedReader::open(dir);
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The brute-force reference for every Filter field.
+bool row_matches(const flowdb::Row& row, const flowdb::Filter& filter) {
+  if (filter.verdict && row.verdict != *filter.verdict) return false;
+  if (filter.source && (row.verdict == 0 || row.source != *filter.source))
+    return false;
+  if (filter.tenant && row.tenant != *filter.tenant) return false;
+  if (filter.policy && row.policy != *filter.policy) return false;
+  if (filter.tap && row.tap != *filter.tap) return false;
+  if (filter.job && row.job != *filter.job) return false;
+  if (filter.vlan && row.vlan != *filter.vlan) return false;
+  if (filter.proto && row.proto != *filter.proto) return false;
+  if (filter.endpoint && row.src.addr != *filter.endpoint &&
+      row.dst.addr != *filter.endpoint)
+    return false;
+  if (filter.prefix && !filter.prefix->contains(row.src.addr) &&
+      !filter.prefix->contains(row.dst.addr))
+    return false;
+  if (filter.port && row.src.port != *filter.port &&
+      row.dst.port != *filter.port)
+    return false;
+  if (filter.since_usec && row.last_usec < *filter.since_usec) return false;
+  if (filter.until_usec && row.first_usec > *filter.until_usec) return false;
+  return true;
+}
+
 TEST(FlowDbSmoke, EncodeParseRoundTripPreservesEveryRow) {
   util::Rng rng(0xFDB0001);
   flowdb::Writer writer;
@@ -83,9 +146,11 @@ TEST(FlowDbSmoke, EncodeParseRoundTripPreservesEveryRow) {
 TEST(FlowDbSmoke, MmapOpenMatchesInMemoryParse) {
   const auto writer = sample_writer(256, 0xFDB0002);
   const auto bytes = writer.encode();
-  const auto path = temp_path("flowdb_test_open.fdb");
-  ASSERT_TRUE(writer.save(path));
-  auto mapped = flowdb::Reader::open(path);
+  const auto dir = temp_dir("flowdb_test_open");
+  const auto store = make_store(dir, writer);
+  ASSERT_TRUE(store);
+  auto mapped =
+      flowdb::Reader::open(dir + "/" + store->manifest().segments[0].file);
   auto parsed = flowdb::Reader::parse(bytes);
   ASSERT_TRUE(mapped);
   ASSERT_TRUE(parsed);
@@ -93,7 +158,7 @@ TEST(FlowDbSmoke, MmapOpenMatchesInMemoryParse) {
   EXPECT_EQ(mapped->file_bytes(), bytes.size());
   for (std::uint64_t i = 0; i < mapped->rows(); ++i)
     ASSERT_EQ(mapped->row(i), parsed->row(i)) << "row " << i;
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FlowDbSmoke, EncodeIsDeterministic) {
@@ -102,8 +167,8 @@ TEST(FlowDbSmoke, EncodeIsDeterministic) {
 }
 
 TEST(FlowDbSmoke, ScanPredicatesMatchBruteForce) {
-  const auto writer = sample_writer(20'000, 0xFDB0004);
-  auto reader = flowdb::Reader::parse(writer.encode());
+  const auto dir = temp_dir("flowdb_scan_predicates");
+  auto reader = make_store(dir, sample_writer(20'000, 0xFDB0004));
   ASSERT_TRUE(reader);
 
   std::vector<flowdb::Filter> filters;
@@ -140,57 +205,50 @@ TEST(FlowDbSmoke, ScanPredicatesMatchBruteForce) {
   filters.push_back(f);
 
   for (std::size_t fi = 0; fi < filters.size(); ++fi) {
-    const auto& filter = filters[fi];
-    const auto matches = flowdb::scan(*reader, filter);
+    const auto matches = reader->scan(filters[fi]);
+    ASSERT_TRUE(matches);
     // Brute force over reconstructed rows.
     std::vector<std::uint64_t> expected;
-    for (std::uint64_t i = 0; i < reader->rows(); ++i) {
-      const auto row = reader->row(i);
-      if (filter.verdict && row.verdict != *filter.verdict) continue;
-      if (filter.source && (row.verdict == 0 || row.source != *filter.source))
-        continue;
-      if (filter.tenant && row.tenant != *filter.tenant) continue;
-      if (filter.port && row.src.port != *filter.port &&
-          row.dst.port != *filter.port)
-        continue;
-      if (filter.prefix && !filter.prefix->contains(row.src.addr) &&
-          !filter.prefix->contains(row.dst.addr))
-        continue;
-      if (filter.vlan && row.vlan != *filter.vlan) continue;
-      if (filter.proto && row.proto != *filter.proto) continue;
-      if (filter.since_usec && row.last_usec < *filter.since_usec) continue;
-      if (filter.until_usec && row.first_usec > *filter.until_usec) continue;
-      expected.push_back(i);
-    }
-    EXPECT_EQ(matches, expected) << "filter " << fi;
+    for (std::uint64_t i = 0; i < reader->rows(); ++i)
+      if (row_matches(*reader->row(i), filters[fi])) expected.push_back(i);
+    EXPECT_EQ(*matches, expected) << "filter " << fi;
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FlowDbSmoke, ParallelScanBitIdenticalAt124Threads) {
   // > kScanChunk rows so the parallel path actually splits chunks.
-  const auto writer = sample_writer(50'000, 0xFDB0005);
-  auto reader = flowdb::Reader::parse(writer.encode());
+  const auto dir = temp_dir("flowdb_parallel_scan");
+  auto reader = make_store(dir, sample_writer(50'000, 0xFDB0005));
   ASSERT_TRUE(reader);
   flowdb::Filter filter;
   filter.port = 80;
-  const auto serial = flowdb::scan(*reader, filter);
-  EXPECT_FALSE(serial.empty());
+  const auto serial = reader->scan(filter);
+  ASSERT_TRUE(serial);
+  EXPECT_FALSE(serial->empty());
   for (const unsigned threads : {2u, 4u}) {
     flowdb::ScanOptions options;
     options.threads = threads;
-    EXPECT_EQ(flowdb::scan(*reader, filter, options), serial)
-        << threads << " threads";
+    EXPECT_EQ(reader->scan(filter, options), serial) << threads << " threads";
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FlowDbSmoke, AggregatesMatchBruteForce) {
-  const auto writer = sample_writer(10'000, 0xFDB0006);
-  auto reader = flowdb::Reader::parse(writer.encode());
+  const auto dir = temp_dir("flowdb_aggregates");
+  auto reader = make_store(dir, sample_writer(10'000, 0xFDB0006));
   ASSERT_TRUE(reader);
+  std::uint64_t want_packets = 0, want_bytes = 0;
+  for (std::uint64_t i = 0; i < reader->rows(); ++i) {
+    want_packets += reader->row(i)->packets;
+    want_bytes += reader->row(i)->bytes;
+  }
   for (const auto group :
        {flowdb::GroupBy::kVerdict, flowdb::GroupBy::kTenant,
         flowdb::GroupBy::kPolicy, flowdb::GroupBy::kTap}) {
-    const auto aggs = flowdb::aggregate_all(*reader, group);
+    const auto all = reader->aggregate_all(group);
+    ASSERT_TRUE(all);
+    const auto& aggs = *all;
     std::uint64_t flows = 0, packets = 0, bytes = 0;
     for (const auto& agg : aggs) {
       flows += agg.flows;
@@ -199,25 +257,28 @@ TEST(FlowDbSmoke, AggregatesMatchBruteForce) {
       EXPECT_FALSE(agg.label.empty());
     }
     EXPECT_EQ(flows, reader->rows());
-    std::uint64_t want_packets = 0, want_bytes = 0;
-    for (const auto p : reader->packets()) want_packets += p;
-    for (const auto b : reader->bytes()) want_bytes += b;
     EXPECT_EQ(packets, want_packets);
     EXPECT_EQ(bytes, want_bytes);
     // Label-sorted, no duplicates.
     for (std::size_t i = 1; i < aggs.size(); ++i)
       EXPECT_LT(aggs[i - 1].label, aggs[i].label);
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FlowDbSmoke, DiffVerdictsGatesPerturbedDistributions) {
   const auto base = sample_writer(8'000, 0xFDB0007);
-  auto a = flowdb::Reader::parse(base.encode());
-  auto b = flowdb::Reader::parse(base.encode());
+  const auto dir_a = temp_dir("flowdb_diff_a");
+  const auto dir_b = temp_dir("flowdb_diff_b");
+  const auto dir_c = temp_dir("flowdb_diff_c");
+  auto a = make_store(dir_a, base);
+  auto b = make_store(dir_b, base);
   ASSERT_TRUE(a);
   ASSERT_TRUE(b);
   // Same store: identical distribution, zero delta.
-  EXPECT_TRUE(flowdb::diff_verdicts(*a, *b).within(0.0));
+  const auto same = flowdb::diff_verdicts(*a, *b);
+  ASSERT_TRUE(same);
+  EXPECT_TRUE(same->within(0.0));
 
   // Perturb: force every verdict to kDrop.
   util::Rng rng(0xFDB0007);
@@ -228,11 +289,23 @@ TEST(FlowDbSmoke, DiffVerdictsGatesPerturbedDistributions) {
     row.source = static_cast<std::uint8_t>(shim::VerdictSource::kShim);
     perturbed.add(std::move(row));
   }
-  auto c = flowdb::Reader::parse(perturbed.encode());
+  auto c = make_store(dir_c, perturbed);
   ASSERT_TRUE(c);
   const auto diff = flowdb::diff_verdicts(*a, *c);
-  EXPECT_FALSE(diff.within(0.02));
-  EXPECT_GT(diff.max_delta, 0.1);
+  ASSERT_TRUE(diff);
+  EXPECT_FALSE(diff->within(0.02));
+  EXPECT_GT(diff->max_delta, 0.1);
+
+  // A segment that fails validation fails the diff instead of
+  // answering from partial counts.
+  const std::string seg_path = dir_c + "/" + c->manifest().segments[0].file;
+  auto bytes = read_bytes(seg_path);
+  bytes[bytes.size() / 2] ^= 0x01;
+  write_bytes(seg_path, bytes);
+  auto tampered = flowdb::SegmentedReader::open(dir_c);
+  ASSERT_TRUE(tampered);
+  EXPECT_FALSE(flowdb::diff_verdicts(*a, *tampered));
+  for (const auto& dir : {dir_a, dir_b, dir_c}) std::filesystem::remove_all(dir);
 }
 
 TEST(FlowDbSmoke, TenantJobCarryFromArchiveIntoStore) {
@@ -256,19 +329,22 @@ TEST(FlowDbSmoke, TenantJobCarryFromArchiveIntoStore) {
   }
   flowdb::Writer writer;
   writer.add_index(index, "job-tap");
-  auto reader = flowdb::Reader::parse(writer.encode());
+  const auto dir = temp_dir("flowdb_tenant_job");
+  auto reader = make_store(dir, writer);
   ASSERT_TRUE(reader);
   flowdb::Filter by_tenant;
   by_tenant.tenant = "acme";
-  EXPECT_EQ(flowdb::scan(*reader, by_tenant).size(), 5u);
+  EXPECT_EQ(reader->scan(by_tenant)->size(), 5u);
   flowdb::Filter by_job;
   by_job.job = 43;
-  const auto match = flowdb::scan(*reader, by_job);
-  ASSERT_EQ(match.size(), 1u);
-  EXPECT_EQ(reader->row(match[0]).tenant, "acme");
+  const auto match = reader->scan(by_job);
+  ASSERT_TRUE(match);
+  ASSERT_EQ(match->size(), 1u);
+  EXPECT_EQ(reader->row((*match)[0])->tenant, "acme");
   flowdb::Filter by_source;
   by_source.source = static_cast<std::uint8_t>(shim::VerdictSource::kTable);
-  EXPECT_EQ(flowdb::scan(*reader, by_source).size(), 4u);
+  EXPECT_EQ(reader->scan(by_source)->size(), 4u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FlowDbSmoke, WriterPublishesMetrics) {
@@ -276,17 +352,19 @@ TEST(FlowDbSmoke, WriterPublishesMetrics) {
   util::Rng rng(0xFDB0008);
   flowdb::Writer writer(&metrics);
   for (std::size_t i = 0; i < 32; ++i) writer.add(sample_row(i, rng));
-  const auto bytes = writer.encode();
+  const auto dir = temp_dir("flowdb_writer_metrics");
+  auto reader = make_store(dir, writer);
+  ASSERT_TRUE(reader);
   EXPECT_EQ(metrics.counter("flowdb.rows_written").value(), 32u);
-  EXPECT_EQ(metrics.counter("flowdb.bytes_written").value(), bytes.size());
+  EXPECT_EQ(metrics.counter("flowdb.bytes_written").value(),
+            reader->manifest().total_bytes());
   flowdb::ScanOptions options;
   options.metrics = &metrics;
-  auto reader = flowdb::Reader::parse(bytes);
-  ASSERT_TRUE(reader);
-  flowdb::scan(*reader, {}, options);
+  ASSERT_TRUE(reader->scan({}, options));
   EXPECT_EQ(metrics.counter("flowdb.scans").value(), 1u);
-  EXPECT_EQ(metrics.counter("flowdb.rows_scanned").value(), 32u);
-  EXPECT_EQ(metrics.counter("flowdb.rows_matched").value(), 32u);
+  EXPECT_EQ(metrics.counter("flowdb.scan.rows_scanned").value(), 32u);
+  EXPECT_EQ(metrics.counter("flowdb.scan.rows_matched").value(), 32u);
+  std::filesystem::remove_all(dir);
 }
 
 // --- Rejection contract ---------------------------------------------------
@@ -378,11 +456,7 @@ TEST(FlowDbReject, OtherFormatVersionsRejected) {
     std::memcpy(bytes.data() + 8, &version, 4);
     bytes = reseal(std::move(bytes));
     const auto path = temp_path("flowdb_old_version.fdb");
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-    }
+    write_bytes(path, bytes);
     EXPECT_FALSE(flowdb::Reader::open(path)) << "version " << version;
     EXPECT_FALSE(flowdb::Reader::parse(std::move(bytes)))
         << "version " << version;
@@ -499,12 +573,16 @@ TEST(FlowDbReject, LyingLocationsAreClampedNotOverRead) {
 
 TEST(FlowDbSmoke, EmptyStoreRoundTrips) {
   flowdb::Writer writer;
-  auto reader = flowdb::Reader::parse(writer.encode());
+  auto segment = flowdb::Reader::parse(writer.encode());
+  ASSERT_TRUE(segment);
+  EXPECT_EQ(segment->rows(), 0u);
+  const auto dir = temp_dir("flowdb_empty_store");
+  auto reader = make_store(dir, writer);
   ASSERT_TRUE(reader);
   EXPECT_EQ(reader->rows(), 0u);
-  EXPECT_TRUE(flowdb::scan(*reader, {}).empty());
-  EXPECT_TRUE(flowdb::aggregate_all(*reader, flowdb::GroupBy::kVerdict)
-                  .empty());
+  EXPECT_TRUE(reader->scan({})->empty());
+  EXPECT_TRUE(reader->aggregate_all(flowdb::GroupBy::kVerdict)->empty());
+  std::filesystem::remove_all(dir);
 }
 
 // --- Zone-map / bloom pruning ---------------------------------------------
@@ -562,27 +640,30 @@ std::vector<flowdb::Filter> canned_filters() {
 }
 
 TEST(FlowDbPrune, PruneOnAndOffAreByteIdentical) {
-  // Single-file store: chunk-granularity pruning only.
-  const auto writer = sample_writer(50'000, 0xFDB0201);
-  auto reader = flowdb::Reader::parse(writer.encode());
+  // One-segment store: the segment is kept or pruned whole, so the
+  // chunk grid does the rest.
+  const auto dir = temp_dir("flowdb_prune_on_off");
+  auto reader = make_store(dir, sample_writer(50'000, 0xFDB0201));
   ASSERT_TRUE(reader);
   const auto filters = canned_filters();
   for (std::size_t fi = 0; fi < filters.size(); ++fi) {
     flowdb::ScanOptions off;
     off.prune = false;
-    const auto full = flowdb::scan(*reader, filters[fi], off);
+    const auto full = reader->scan(filters[fi], off);
+    ASSERT_TRUE(full);
     for (const unsigned threads : {1u, 2u, 4u}) {
       flowdb::ScanOptions on;
       on.threads = threads;
-      EXPECT_EQ(flowdb::scan(*reader, filters[fi], on), full)
+      EXPECT_EQ(reader->scan(filters[fi], on), full)
           << "filter " << fi << " at " << threads << " threads";
     }
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FlowDbPrune, ScanStatsAndCountersTrackPruning) {
-  const auto writer = sample_writer(40'000, 0xFDB0202);
-  auto reader = flowdb::Reader::parse(writer.encode());
+  const auto dir = temp_dir("flowdb_prune_stats");
+  auto reader = make_store(dir, sample_writer(40'000, 0xFDB0202));
   ASSERT_TRUE(reader);
   flowdb::Filter unsatisfiable;
   unsatisfiable.since_usec = 1'000'000'000;  // Newer than every row.
@@ -591,24 +672,51 @@ TEST(FlowDbPrune, ScanStatsAndCountersTrackPruning) {
   flowdb::ScanOptions options;
   options.stats = &stats;
   options.metrics = &metrics;
-  EXPECT_TRUE(flowdb::scan(*reader, unsatisfiable, options).empty());
+  EXPECT_TRUE(reader->scan(unsatisfiable, options)->empty());
   EXPECT_EQ(stats.segments_considered, 1u);
-  EXPECT_EQ(stats.segments_pruned, 1u);  // Zone map kills the whole file.
+  EXPECT_EQ(stats.segments_pruned, 1u);  // Zone map kills the segment.
   EXPECT_EQ(stats.rows_scanned, 0u);
   EXPECT_EQ(metrics.counter("flowdb.scan.segments_pruned").value(), 1u);
-  EXPECT_EQ(metrics.counter("flowdb.rows_scanned").value(), 0u);
+  EXPECT_EQ(metrics.counter("flowdb.scan.rows_scanned").value(), 0u);
 
   // A satisfiable window prunes some chunks but keeps the segment.
   flowdb::Filter window;
   window.since_usec = 1'000'000;
   window.until_usec = 2'000'000;
   stats = {};
-  const auto matches = flowdb::scan(*reader, window, options);
-  EXPECT_FALSE(matches.empty());
+  const auto matches = reader->scan(window, options);
+  ASSERT_TRUE(matches);
+  EXPECT_FALSE(matches->empty());
   EXPECT_EQ(stats.segments_scanned, 1u);
   EXPECT_GT(stats.chunks_pruned, 0u);
   EXPECT_GT(stats.chunks_scanned, 0u);
-  EXPECT_EQ(stats.rows_matched, matches.size());
+  EXPECT_EQ(stats.rows_matched, matches->size());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FlowDbPrune, DictionaryRuledOutFilterScansTheSegmentButNoRows) {
+  // With pruning off the planner keeps the segment and opens it; the
+  // tenant is absent from its dictionary, so no chunk and no row is
+  // visited.
+  const auto dir = temp_dir("flowdb_prune_dictionary");
+  auto reader = make_store(dir, sample_writer(2'000, 0xFDB0205));
+  ASSERT_TRUE(reader);
+  flowdb::Filter absent;
+  absent.tenant = "no-such-tenant";
+  flowdb::ScanStats stats;
+  flowdb::ScanOptions options;
+  options.prune = false;
+  options.stats = &stats;
+  const auto matches = reader->scan(absent, options);
+  ASSERT_TRUE(matches);
+  EXPECT_TRUE(matches->empty());
+  EXPECT_EQ(stats.segments_considered, 1u);
+  EXPECT_EQ(stats.segments_scanned, 1u);
+  EXPECT_EQ(stats.segments_pruned, 0u);
+  EXPECT_EQ(stats.chunks_scanned, 0u);
+  EXPECT_EQ(stats.rows_scanned, 0u);
+  EXPECT_EQ(stats.rows_matched, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FlowDbPrune, ZoneBloomEqualsEveryRowKeyAdded) {
@@ -642,6 +750,7 @@ TEST(FlowDbPrune, ZoneBloomEqualsEveryRowKeyAdded) {
 /// against random filters; whenever brute force finds a match, both
 /// zone_may_match and the end-to-end pruned scan must agree.
 TEST(FlowDbPrune, ZoneNeverPrunesAMatchingRow) {
+  const auto dir = temp_dir("flowdb_prune_never_drops");
   util::Rng rng(0xFDB0203);
   const char* tenants[] = {"", "acme", "umbrella", "tyrell", "hooli"};
   for (int round = 0; round < 120; ++round) {
@@ -661,7 +770,7 @@ TEST(FlowDbPrune, ZoneNeverPrunesAMatchingRow) {
       rows.push_back(row);
       writer.add(std::move(row));
     }
-    auto reader = flowdb::Reader::parse(writer.encode());
+    auto reader = make_store(dir, writer);
     ASSERT_TRUE(reader);
 
     for (int qi = 0; qi < 24; ++qi) {
@@ -690,51 +799,33 @@ TEST(FlowDbPrune, ZoneNeverPrunesAMatchingRow) {
         filter.port =
             static_cast<std::uint16_t>(rng.chance(0.5) ? 80 : rng.below(65536));
 
-      const auto matches_row = [&filter](const flowdb::Row& row) {
-        if (filter.vlan && row.vlan != *filter.vlan) return false;
-        if (filter.tenant && row.tenant != *filter.tenant) return false;
-        if (filter.port && row.src.port != *filter.port &&
-            row.dst.port != *filter.port)
-          return false;
-        if (filter.endpoint && row.src.addr != *filter.endpoint &&
-            row.dst.addr != *filter.endpoint)
-          return false;
-        if (filter.since_usec && row.last_usec < *filter.since_usec)
-          return false;
-        if (filter.until_usec && row.first_usec > *filter.until_usec)
-          return false;
-        return true;
-      };
       bool any = false;
-      for (const auto& row : rows) any = any || matches_row(row);
+      for (const auto& row : rows) any = any || row_matches(row, filter);
       if (any) {
-        EXPECT_TRUE(flowdb::zone_may_match(reader->zone(), filter))
+        EXPECT_TRUE(flowdb::zone_may_match(reader->segment_zone(0), filter))
             << "round " << round << " query " << qi
             << ": zone pruned a segment holding a matching row";
       }
       // End to end: pruning must not change the result, matching or not.
       flowdb::ScanOptions off;
       off.prune = false;
-      EXPECT_EQ(flowdb::scan(*reader, filter), flowdb::scan(*reader, filter, off))
+      const auto pruned = reader->scan(filter);
+      ASSERT_TRUE(pruned);
+      EXPECT_EQ(pruned, reader->scan(filter, off))
           << "round " << round << " query " << qi;
     }
   }
+  std::filesystem::remove_all(dir);
 }
 
 // --- Segmented store ------------------------------------------------------
 
-std::string temp_dir(const char* name) {
-  const auto dir = std::filesystem::temp_directory_path() / name;
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  return dir.string();
-}
-
 TEST(FlowDbStore, SegmentedRoundTripMatchesMonolith) {
   const auto dir = temp_dir("flowdb_store_roundtrip");
+  const auto mono_dir = temp_dir("flowdb_store_roundtrip_mono");
   auto store = flowdb::SegmentedStore::open(dir);
   ASSERT_TRUE(store);
-  // Same rows, split across three appends vs one monolithic writer.
+  // Same rows, split across three appends vs one single-segment store.
   util::Rng rng(0xFDB0301);
   flowdb::Writer monolith;
   std::vector<flowdb::Row> rows;
@@ -753,8 +844,9 @@ TEST(FlowDbStore, SegmentedRoundTripMatchesMonolith) {
   auto seg_reader = flowdb::SegmentedReader::open(dir);
   ASSERT_TRUE(seg_reader);
   ASSERT_EQ(seg_reader->rows(), rows.size());
-  auto mono_reader = flowdb::Reader::parse(monolith.encode());
+  auto mono_reader = make_store(mono_dir, monolith);
   ASSERT_TRUE(mono_reader);
+  ASSERT_EQ(mono_reader->segment_count(), 1u);
 
   // Row reconstruction across segment boundaries.
   for (const std::uint64_t i : {0ull, 499ull, 500ull, 1250ull, 1499ull}) {
@@ -764,39 +856,39 @@ TEST(FlowDbStore, SegmentedRoundTripMatchesMonolith) {
   }
   EXPECT_FALSE(seg_reader->row(rows.size()));
 
-  // Scans agree with the monolithic store on global ids, with pruning
-  // on and off and across thread counts.
-  for (const auto& filter : canned_filters()) {
-    const auto mono = flowdb::scan(*mono_reader, filter);
+  // Both stores return the brute-force global ids, with pruning on and
+  // off and across thread counts.
+  const auto filters = canned_filters();
+  for (std::size_t fi = 0; fi < filters.size(); ++fi) {
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t i = 0; i < rows.size(); ++i)
+      if (row_matches(rows[i], filters[fi])) expected.push_back(i);
     flowdb::ScanOptions off;
     off.prune = false;
-    const auto full = seg_reader->scan(filter, off);
-    ASSERT_TRUE(full);
-    EXPECT_EQ(*full, mono);
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      flowdb::ScanOptions on;
-      on.threads = threads;
-      const auto pruned = seg_reader->scan(filter, on);
-      ASSERT_TRUE(pruned);
-      EXPECT_EQ(*pruned, mono);
+    for (auto* reader : {&*seg_reader, &*mono_reader}) {
+      const auto full = reader->scan(filters[fi], off);
+      ASSERT_TRUE(full);
+      EXPECT_EQ(*full, expected) << "filter " << fi;
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        flowdb::ScanOptions on;
+        on.threads = threads;
+        const auto pruned = reader->scan(filters[fi], on);
+        ASSERT_TRUE(pruned);
+        EXPECT_EQ(*pruned, expected) << "filter " << fi;
+      }
     }
   }
 
-  // Aggregation merges across segments like the monolith.
+  // Aggregation merges across segments like the single segment.
   for (const auto group : {flowdb::GroupBy::kVerdict, flowdb::GroupBy::kTenant,
                            flowdb::GroupBy::kPolicy, flowdb::GroupBy::kTap}) {
     const auto seg_aggs = seg_reader->aggregate_all(group);
-    ASSERT_TRUE(seg_aggs);
-    const auto mono_aggs = flowdb::aggregate_all(*mono_reader, group);
-    ASSERT_EQ(seg_aggs->size(), mono_aggs.size());
-    for (std::size_t i = 0; i < mono_aggs.size(); ++i) {
-      EXPECT_EQ((*seg_aggs)[i].label, mono_aggs[i].label);
-      EXPECT_EQ((*seg_aggs)[i].flows, mono_aggs[i].flows);
-      EXPECT_EQ((*seg_aggs)[i].packets, mono_aggs[i].packets);
-      EXPECT_EQ((*seg_aggs)[i].bytes, mono_aggs[i].bytes);
-    }
+    const auto mono_aggs = mono_reader->aggregate_all(group);
+    ASSERT_TRUE(seg_aggs && mono_aggs);
+    EXPECT_EQ(*seg_aggs, *mono_aggs);
   }
   std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(mono_dir);
 }
 
 TEST(FlowDbStore, ManifestSerializeParseRoundTrip) {
@@ -1041,19 +1133,6 @@ TEST(FlowDbPrune, SegmentSeparableStorePrunesPinnedCounts) {
   }
   std::filesystem::remove_all(dir_a);
   std::filesystem::remove_all(dir_b);
-}
-
-std::vector<std::uint8_t> read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void write_bytes(const std::string& path,
-                 const std::vector<std::uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(FlowDbStore, TamperedSegmentsNeverScanWrong) {

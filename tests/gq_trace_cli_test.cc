@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "flowdb/flowdb.h"
+#include "flowdb/store.h"
 #include "packet/frame.h"
 #include "packet/pcap.h"
 #include "trace/tap.h"
@@ -169,8 +170,8 @@ TEST_F(GqTraceCli, ArchiveCommandsReadTheSavedCapture) {
 }
 
 TEST_F(GqTraceCli, StoreCommandsQueryTheCompactedArchive) {
-  const auto store = path("store.fdb");
-  ok({"compact", store, archive_}, "compacted 1 archives, 2 flows");
+  const auto store = path("store");
+  ok({"appendseg", store, archive_}, "appended 1 archives, 2 flows");
 
   ok({"query", store}, "2 of 2 flows matched");
   ok({"query", store, "--verdict", "rewrite", "--threads", "4"},
@@ -205,33 +206,55 @@ TEST_F(GqTraceCli, SegmentedStoreCommandsAppendQueryAndCompact) {
 }
 
 TEST_F(GqTraceCli, DiffExitsOnePastTheTolerance) {
-  const auto store = path("store.fdb");
-  ok({"compact", store, archive_});
+  const auto store = path("store");
+  ok({"appendseg", store, archive_});
   // Same rows as the archive's two flows, both verdicts forced to DROP.
-  const auto reader = flowdb::Reader::open(store);
+  auto reader = flowdb::SegmentedReader::open(store);
   ASSERT_TRUE(reader);
   flowdb::Writer perturbed;
   for (std::uint64_t i = 0; i < reader->rows(); ++i) {
     auto row = reader->row(i);
-    row.verdict = static_cast<std::uint8_t>(shim::Verdict::kDrop);
-    perturbed.add(std::move(row));
+    ASSERT_TRUE(row);
+    row->verdict = static_cast<std::uint8_t>(shim::Verdict::kDrop);
+    perturbed.add(std::move(*row));
   }
-  const auto perturbed_path = path("perturbed.fdb");
-  ASSERT_TRUE(perturbed.save(perturbed_path));
+  const auto perturbed_dir = path("perturbed");
+  auto perturbed_store = flowdb::SegmentedStore::open(perturbed_dir);
+  ASSERT_TRUE(perturbed_store);
+  ASSERT_TRUE(perturbed_store->append_segment(perturbed));
 
-  const auto run = run_cli({"diff", store, perturbed_path});
+  const auto run = run_cli({"diff", store, perturbed_dir});
   EXPECT_EQ(run.status, 1) << run.output;
   EXPECT_TRUE(contains(run.output, "-> FAIL"));
   // The full tolerance admits any distribution shift.
-  ok({"diff", store, perturbed_path, "--tolerance", "1"}, "-> PASS");
+  ok({"diff", store, perturbed_dir, "--tolerance", "1"}, "-> PASS");
 }
 
 TEST_F(GqTraceCli, UnreadableArtifactsExitOne) {
-  const auto store = path("store.fdb");
-  ok({"compact", store, archive_});
-  const auto corrupt = path("corrupt.fdb");
-  std::ofstream(corrupt) << "not a flowdb store\n";
-  const auto missing = path("missing.fdb");
+  const auto store = path("store");
+  ok({"appendseg", store, archive_});
+  // A store dir whose manifest is junk, one whose only segment has a
+  // flipped byte (it opens, but fails validation once mapped), and a
+  // dir that does not exist.
+  const auto corrupt = path("corrupt");
+  std::filesystem::create_directories(corrupt);
+  std::ofstream(corrupt + "/" + flowdb::kManifestName)
+      << "not a flowdb store\n";
+  const auto tampered = path("tampered");
+  ok({"appendseg", tampered, archive_});
+  const auto segment = tampered + "/" +
+                       flowdb::SegmentedReader::open(tampered)
+                           ->manifest()
+                           .segments[0]
+                           .file;
+  {
+    std::fstream io(segment, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekg(200);
+    const char byte = static_cast<char>(io.get() ^ 0x01);
+    io.seekp(200);
+    io.put(byte);
+  }
+  const auto missing = path("missing");
   const auto no_archive = path("no-archive");
 
   const std::vector<std::vector<std::string>> cases = {
@@ -239,13 +262,16 @@ TEST_F(GqTraceCli, UnreadableArtifactsExitOne) {
       {"summary", no_archive},
       {"extract", no_archive, "0"},
       {"extract", archive_, "99"},
-      {"compact", path("out.fdb"), archive_, no_archive},
+      {"appendseg", path("out"), archive_, no_archive},
       {"appendseg", path("seg"), no_archive},
       {"query", corrupt},
       {"query", missing},
+      {"query", tampered},
       {"stat", corrupt},
+      {"stat", tampered},
       {"diff", corrupt, store},
       {"diff", store, missing},
+      {"diff", store, tampered},
       {"segments", path("no-store")},
       {"compactseg", corrupt},
   };
@@ -257,12 +283,13 @@ TEST_F(GqTraceCli, UnreadableArtifactsExitOne) {
 }
 
 TEST_F(GqTraceCli, UsageErrorsExitTwo) {
-  const auto store = path("store.fdb");
-  ok({"compact", store, archive_});
+  const auto store = path("store");
+  ok({"appendseg", store, archive_});
 
   const std::vector<std::vector<std::string>> cases = {
       {},
       {"bogus"},
+      {"compact", path("out.fdb"), archive_},
       {"list"},
       {"extract", archive_, "first"},
       {"query", store, "--bogus", "1"},
