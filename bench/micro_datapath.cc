@@ -3,9 +3,10 @@
 // checksums, whole-frame decode/re-encode (the gateway's NAT/rewrite
 // path), shim encode/parse, flow-table keying, policy decisions,
 // trigger matching, MD5 hashing, switch forwarding, the telemetry
-// primitives (counter bump, histogram observe, event-bus publish), and
-// the per-segment cost of a FlowDB query (footer seal hash, and the
-// whole validating Reader::open of a 16,384-row segment).
+// primitives (counter bump, histogram observe, event-bus publish), the
+// per-segment cost of a FlowDB query (footer seal hash, and the whole
+// validating Reader::open of a 16,384-row segment), and HostStack::connect
+// against 2,000 and 8,000 open connections.
 // After the benchmarks it runs a miniature farm and prints the built-in
 // flow-decision latency histogram plus a JSON dump of every metric.
 #include <benchmark/benchmark.h>
@@ -22,6 +23,7 @@
 #include "containment/trigger.h"
 #include "core/farm.h"
 #include "flowdb/flowdb.h"
+#include "net/stack.h"
 #include "netsim/event_loop.h"
 #include "netsim/vlan_switch.h"
 #include "obs/events.h"
@@ -422,6 +424,42 @@ void BM_SegmentOpen(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_SegmentOpen)->Unit(benchmark::kMicrosecond);
+
+// HostStack::connect on a host that already holds range(0) open
+// connections: one connect plus close per iteration, so the ephemeral-
+// port choice is timed against a full connection table. The host is
+// unconfigured, so each SYN is dropped before it reaches a wire. The
+// open connections are made before timing starts; the event loop's
+// pending retransmit timers (live or cancelled) are dropped outside the
+// timed region so they do not pile up across iterations.
+void BM_HostStackConnect(benchmark::State& state) {
+  sim::EventLoop loop;
+  net::HostStack host(loop, "bench", util::MacAddr::local(1), 1);
+  std::vector<std::shared_ptr<net::TcpConnection>> open;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    open.push_back(host.connect(
+        {Ipv4Addr(50, 0, static_cast<std::uint8_t>(i >> 8),
+                  static_cast<std::uint8_t>(i)),
+         80}));
+  }
+  loop.drop_pending();
+  const util::Endpoint dst{Ipv4Addr(60, 0, 0, 1), 80};
+  std::int64_t n = 0;
+  for (auto _ : state) {
+    const auto conn = host.connect(dst);
+    benchmark::DoNotOptimize(conn->local().port);
+    conn->close();
+    if (++n % 1024 == 0) {
+      state.PauseTiming();
+      loop.drop_pending();
+      state.ResumeTiming();
+    }
+  }
+  loop.drop_pending();
+}
+// A fixed minimum time, so the smoke run's connect_scaling_perf gate
+// compares two runs of ~100k connects each rather than two 10 ms samples.
+BENCHMARK(BM_HostStackConnect)->Arg(2000)->Arg(8000)->MinTime(0.05);
 
 // A miniature farm serving a burst of contained flows, to demonstrate
 // the gateway's built-in instrumentation: the inmate-SYN-to-verdict-

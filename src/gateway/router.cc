@@ -34,6 +34,20 @@ bool rides_view(const Flow& flow) {
          (flow.proto == pkt::FlowProto::kTcp || !flow.server_is_cs);
 }
 
+// The last instant at which gc_sweep still keeps `flow`: any sweep after
+// it closes the flow. A flow goes when idle past flow_timeout, 2 s after
+// FINs in both directions, or 30 s after a DROP verdict. last_activity
+// only moves forward, so only a FIN flag or the DROP transition can move
+// this earlier.
+util::TimePoint close_due(const Flow& flow, util::Duration flow_timeout) {
+  util::Duration linger = flow_timeout;
+  if (flow.fin_inmate && flow.fin_server)
+    linger = std::min(linger, util::seconds(2));
+  if (flow.phase == FlowPhase::kDenied)
+    linger = std::min(linger, util::seconds(30));
+  return flow.last_activity + linger;
+}
+
 }  // namespace
 
 const char* flow_phase_name(FlowPhase p) {
@@ -379,7 +393,10 @@ void SubfarmRouter::forward_to_server(Flow& flow, pkt::FrameView& view,
                                    static_cast<double>(payload_len))) {
       return;
     }
-    if (fin) flow.fin_inmate = true;
+    if (fin) {
+      flow.fin_inmate = true;
+      note_close_due(flow);
+    }
   } else if (flow.limiter &&
              !flow.limiter->try_consume(flow.last_activity,
                                         static_cast<double>(payload_len))) {
@@ -444,7 +461,10 @@ void SubfarmRouter::forward_to_inmate(Flow& flow, pkt::FrameView& view,
         const std::uint32_t end = view.tcp_seq() + payload_len;
         if (seq_lt(flow.server_rcv_next, end)) flow.server_rcv_next = end;
       }
-      if (view.tcp_fin()) flow.fin_server = true;
+      if (view.tcp_fin()) {
+        flow.fin_server = true;
+        note_close_due(flow);
+      }
     }
   } else {
     flow.bytes_to_inmate += payload_len;
@@ -534,6 +554,7 @@ void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
   flow->created = now;
   flow->last_activity = now;
   flows_[key] = flow;
+  note_close_due(*flow);
   flows_created_ctr_->inc();
   active_flows_gauge_->set(static_cast<std::int64_t>(flows_.size()));
 
@@ -1007,6 +1028,7 @@ void SubfarmRouter::apply_verdict(Flow& flow, const shim::ResponseShim& shim,
       break;
     case shim::Verdict::kDrop:
       flow.phase = FlowPhase::kDenied;
+      note_close_due(flow);
       if (tcp && !flow.served_locally()) send_rst_to_cs(flow);
       if (tcp && config_.drop_sends_rst) send_rst_to_inmate(flow);
       break;
@@ -1182,6 +1204,7 @@ void SubfarmRouter::replay_to_target(FlowPtr flow) {
              flow->inmate_fin_seq, flow->server_rcv_next, {});
     flow->replay_fin_sent = true;
     flow->fin_inmate = true;
+    note_close_due(*flow);
   }
   if (outstanding) {
     std::weak_ptr<Flow> weak = flow;
@@ -1379,18 +1402,26 @@ SubfarmRouter::OpenFlowBytes SubfarmRouter::open_flow_bytes(
   return totals;
 }
 
+void SubfarmRouter::note_close_due(const Flow& flow) {
+  gc_due_ = std::min(gc_due_, close_due(flow, config_.flow_timeout));
+}
+
 void SubfarmRouter::gc_sweep() {
   const auto now = gateway_.loop().now();
-  std::vector<FlowPtr> to_close;
-  for (auto& [key, flow] : flows_) {
-    const bool idle = now - flow->last_activity > config_.flow_timeout;
-    const bool done = flow->fin_inmate && flow->fin_server &&
-                      now - flow->last_activity > util::seconds(2);
-    const bool denied_old = flow->phase == FlowPhase::kDenied &&
-                            now - flow->last_activity > util::seconds(30);
-    if (idle || done || denied_old) to_close.push_back(flow);
+  // gc_due_ is at or before every flow's close_due, so a sweep that does
+  // not pass it would close nothing. A sweep that does walks every flow
+  // and rebuilds gc_due_ as the exact minimum over the survivors.
+  if (now > gc_due_) {
+    gc_due_ = kNever;
+    std::vector<FlowPtr> to_close;
+    for (auto& [key, flow] : flows_) {
+      if (now > close_due(*flow, config_.flow_timeout))
+        to_close.push_back(flow);
+      else
+        note_close_due(*flow);
+    }
+    for (auto& flow : to_close) close_flow(*flow);
   }
-  for (auto& flow : to_close) close_flow(*flow);
   for (auto it = nonce_relays_.begin(); it != nonce_relays_.end();) {
     if (now - it->second.last_activity > config_.flow_timeout) {
       nonce_by_target_key_.erase(

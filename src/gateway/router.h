@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -264,6 +265,9 @@ class SubfarmRouter {
   void report(const Flow& flow, obs::FarmEvent::Kind kind);
   obs::Counter& verdict_counter(shim::Verdict verdict);
   void close_flow(Flow& flow);
+  /// Lower gc_due_ to `flow`'s close_due. Called wherever that can move
+  /// earlier: flow creation, each FIN flag set, the DROP transition.
+  void note_close_due(const Flow& flow);
   void gc_sweep();
 
   Gateway& gateway_;
@@ -332,6 +336,11 @@ class SubfarmRouter {
   // lookup tables are hash maps: the datapath does several lookups per
   // frame and never needs ordered iteration.
   std::unordered_map<pkt::FlowKey, FlowPtr, pkt::FlowKeyHash> flows_;
+  // Lower bound on the close_due of every flow in flows_ (errs only
+  // early); gc_sweep walks flows_ only once the clock has passed it.
+  static constexpr util::TimePoint kNever{
+      std::numeric_limits<std::int64_t>::max()};
+  util::TimePoint gc_due_ = kNever;
   // Server-side index: key is {proto, server_ep, nat_src} as seen in
   // frames arriving from the server side.
   std::unordered_map<pkt::FlowKey, FlowPtr, pkt::FlowKeyHash> server_index_;

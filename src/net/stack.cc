@@ -78,6 +78,14 @@ std::shared_ptr<TcpConnection> HostStack::connect(util::Endpoint dst) {
   const std::uint16_t port = allocate_port();
   auto conn = std::make_shared<TcpConnection>(
       *this, util::Endpoint{addr(), port}, dst);
+  if (port == 0) {
+    // Every ephemeral port is taken: the connection is never tracked and
+    // resets on the next loop turn, as a refused connect would.
+    GQ_WARN(kLog, "%s: no ephemeral port left for %s", name_.c_str(),
+            dst.str().c_str());
+    conn->fail_connect();
+    return conn;
+  }
   connections_[{port, dst}] = conn;
   conn->start_connect();
   return conn;
@@ -101,18 +109,16 @@ std::uint16_t HostStack::allocate_port() {
     const std::uint16_t candidate = next_ephemeral_;
     next_ephemeral_ =
         (next_ephemeral_ >= 65535) ? 1024 : next_ephemeral_ + 1;
-    bool used = listeners_.count(candidate) || udp_sockets_.count(candidate);
-    if (!used) {
-      for (const auto& [key, conn] : connections_) {
-        if (key.first == candidate) {
-          used = true;
-          break;
-        }
-      }
-    }
-    if (!used) return candidate;
+    if (listeners_.count(candidate) || udp_sockets_.count(candidate))
+      continue;
+    // connections_ is ordered by (port, remote), and the default Endpoint
+    // sorts first, so one probe finds any connection on `candidate`
+    // whatever its remote.
+    const auto it = connections_.lower_bound({candidate, util::Endpoint{}});
+    if (it == connections_.end() || it->first.first != candidate)
+      return candidate;
   }
-  return 0;  // Exhausted (practically unreachable).
+  return 0;  // Exhausted.
 }
 
 void HostStack::remove_connection(const TcpConnection& conn) {

@@ -112,6 +112,10 @@ class HostStack {
 
   [[nodiscard]] std::uint64_t ip_rx() const { return ip_rx_; }
   [[nodiscard]] std::uint64_t ip_tx() const { return ip_tx_; }
+  /// TCP connections the stack demultiplexes to (open or closing).
+  [[nodiscard]] std::size_t connection_count() const {
+    return connections_.size();
+  }
 
   // --- Internal interfaces used by TcpConnection / UdpSocket ----------
 

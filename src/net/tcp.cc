@@ -49,6 +49,15 @@ void TcpConnection::start_connect() {
   arm_retransmit();
 }
 
+void TcpConnection::fail_connect() {
+  // The state stays kClosed, so send/close/abort are no-ops meanwhile.
+  auto self = shared_from_this();
+  stack_.loop().schedule_in(util::Duration{}, [self] {
+    if (self->on_reset) self->on_reset();
+    if (self->on_closed) self->on_closed();
+  });
+}
+
 void TcpConnection::start_accept(const pkt::TcpSegment& syn) {
   iss_ = stack_.random_isn();
   snd_una_ = iss_;

@@ -84,6 +84,11 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// Start an active open (SYN).
   void start_connect();
 
+  /// Fail an active open that could not bind a local port: the
+  /// connection stays closed, sends nothing, and on the next loop turn
+  /// reports a reset (on_reset, then on_closed).
+  void fail_connect();
+
   /// Start a passive open in response to `syn`.
   void start_accept(const pkt::TcpSegment& syn);
 

@@ -6,6 +6,7 @@
 // filter, and inbound-flow handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <memory>
@@ -741,6 +742,146 @@ TEST_F(FarmFixture, InboundForwardModeReachesInmate) {
   loop.run_for(util::seconds(10));
   EXPECT_EQ(relayed, "C&C-JOB");
   EXPECT_EQ(reply, "ACK-FROM-BOT");
+}
+
+// Router GC timing, one case per site that can bring a flow's close
+// forward: creation (idle past flow_timeout), a FIN from either side
+// completing the pair (2 s), a FIN replayed onto a spliced target leg
+// (2 s) and a DROP verdict (30 s). The flow must close on the first
+// sweep after its rule comes due and survive every sweep before it.
+// Sweeps run every 5 s from the router's creation at t = 0. Each case
+// starts at 11 s and falls quiet within a second, so the rule comes due
+// inside [11 s + linger, 12 s + linger], a window no sweep splits.
+struct GcTimingFixture : FarmFixture {
+  static constexpr util::TimePoint kStart{util::seconds(11).usec};
+
+  static util::TimePoint first_sweep_after(util::TimePoint t) {
+    const std::int64_t period = util::seconds(5).usec;
+    return {(t.usec / period + 1) * period};
+  }
+
+  void SetUp() override {
+    FarmFixture::SetUp();
+    loop.run_until(kStart);
+    ASSERT_EQ(subfarm->flows_active(), 0u);
+  }
+
+  // One flow per linger, each started at kStart. Runs to just before
+  // each expected sweep (that flow is still open), then to the sweep
+  // itself (it closed at exactly that sweep).
+  void expect_closed_by_sweeps(std::vector<util::Duration> lingers) {
+    std::sort(lingers.begin(), lingers.end());
+    loop.run_until(kStart + util::seconds(1));
+    ASSERT_EQ(subfarm->flows_active(), lingers.size());
+    std::vector<util::TimePoint> sweeps;
+    for (const auto linger : lingers) {
+      const auto sweep = first_sweep_after(kStart + linger);
+      ASSERT_EQ(sweep,
+                first_sweep_after(kStart + util::seconds(1) + linger));
+      const auto open = lingers.size() - sweeps.size();
+      loop.run_until(sweep + util::microseconds(-1));
+      EXPECT_EQ(subfarm->flows_active(), open) << "closed a sweep early";
+      loop.run_until(sweep);
+      EXPECT_EQ(subfarm->flows_active(), open - 1) << "missed its sweep";
+      sweeps.push_back(sweep);
+    }
+    std::vector<util::TimePoint> closes;
+    for (const auto& event : events)
+      if (event.kind == obs::FarmEvent::Kind::kFlowClose)
+        closes.push_back(event.time);
+    EXPECT_EQ(closes, sweeps);
+  }
+  void expect_closed_by_sweep(util::Duration linger) {
+    expect_closed_by_sweeps({linger});
+  }
+};
+
+TEST_F(GcTimingFixture, IdleFlowClosesPastFlowTimeout) {
+  bind(std::make_shared<cs::ForwardAllPolicy>());
+  web.listen(80, [](std::shared_ptr<net::TcpConnection>) {});
+  auto conn = inmate1.connect({kWebAddr, 80});
+  expect_closed_by_sweep(gw::SubfarmConfig{}.flow_timeout);
+  EXPECT_EQ(conn->state(), net::TcpState::kEstablished);
+}
+
+// A sweep that walks rebuilds the bound from the flows it keeps: the
+// DROP flow's sweep keeps the idle flow, which must still close on time.
+TEST_F(GcTimingFixture, WalkingSweepRebuildsTheBoundFromSurvivors) {
+  cs->bind_policy(16, 16, std::make_shared<cs::ForwardAllPolicy>());
+  cs->bind_policy(17, 17, std::make_shared<cs::Policy>("DefaultDeny"));
+  web.listen(80, [](std::shared_ptr<net::TcpConnection>) {});
+  auto idle = inmate1.connect({kWebAddr, 80});
+  auto dropped = inmate2.connect({kWebAddr, 80});
+  expect_closed_by_sweeps(
+      {util::seconds(30), gw::SubfarmConfig{}.flow_timeout});
+}
+
+// A spliced flow that exchanges a request and a reply, then closes from
+// one side and then the other: the second FIN completes the pair. The
+// callbacks hold raw pointers: each stack keeps its connection alive
+// while one can fire, and a self-owning callback would leak it.
+class GcFinFixture : public GcTimingFixture,
+                     public ::testing::WithParamInterface<bool> {};
+
+TEST_P(GcFinFixture, FinnedFlowClosesTwoSecondsAfterBothFins) {
+  const bool inmate_first = GetParam();
+  bind(std::make_shared<cs::ForwardAllPolicy>());
+  web.listen(80, [inmate_first](std::shared_ptr<net::TcpConnection> conn) {
+    conn->on_data = [c = conn.get(), inmate_first](
+                        std::span<const std::uint8_t>) {
+      c->send("y");
+      if (!inmate_first) c->close();
+    };
+    conn->on_remote_close = [c = conn.get()] { c->close(); };
+  });
+  auto conn = inmate1.connect({kWebAddr, 80});
+  conn->on_connected = [c = conn.get()] { c->send("x"); };
+  conn->on_data = [c = conn.get(), inmate_first](
+                      std::span<const std::uint8_t>) {
+    if (inmate_first) c->close();
+  };
+  conn->on_remote_close = [c = conn.get()] { c->close(); };
+  expect_closed_by_sweep(util::seconds(2));
+  EXPECT_EQ(conn->state(), net::TcpState::kClosed);
+}
+
+INSTANTIATE_TEST_SUITE_P(WhoFinsFirst, GcFinFixture,
+                         ::testing::Values(true, false),
+                         [](const auto& info) {
+                           return info.param ? "InmateFirst" : "ServerFirst";
+                         });
+
+// The inmate closes before its verdict arrives, so the router replays
+// its FIN onto the spliced target leg once the replayed byte is acked.
+// The target closes as soon as that byte lands, so the replayed FIN is
+// the one that completes the pair. The inmate goes silent on the
+// target's FIN: a retransmission of its own FIN would complete the pair
+// first, and its RST for the target's last ACK would close the flow.
+TEST_F(GcTimingFixture, ReplayedFinClosesTwoSecondsAfterBothFins) {
+  bind(std::make_shared<cs::ForwardAllPolicy>());
+  web.listen(80, [](std::shared_ptr<net::TcpConnection> conn) {
+    conn->on_data = [c = conn.get()](std::span<const std::uint8_t>) {
+      c->close();
+    };
+  });
+  auto conn = inmate1.connect({kWebAddr, 80});
+  conn->on_connected = [c = conn.get()] {
+    c->send("x");
+    c->close();
+  };
+  conn->on_remote_close = [this] {
+    loop.schedule_in(util::Duration{}, [this] { inmate1.deconfigure(); });
+  };
+  expect_closed_by_sweep(util::seconds(2));
+}
+
+TEST_F(GcTimingFixture, DroppedFlowClosesThirtySecondsAfterItsVerdict) {
+  bind(std::make_shared<cs::Policy>("DefaultDeny"));
+  bool reset = false;
+  auto conn = inmate1.connect({kWebAddr, 80});
+  conn->on_reset = [&] { reset = true; };
+  expect_closed_by_sweep(util::seconds(30));
+  EXPECT_TRUE(reset);
 }
 
 // Verdict sweep: every endpoint verdict produces a report event with the

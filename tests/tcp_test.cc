@@ -5,7 +5,11 @@
 // surgery on live flows.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "net/stack.h"
 #include "net/tcp.h"
@@ -13,6 +17,7 @@
 #include "netsim/event_loop.h"
 #include "netsim/vlan_switch.h"
 #include "util/addr.h"
+#include "util/rng.h"
 
 namespace gq::net {
 namespace {
@@ -199,6 +204,157 @@ TEST_F(TcpFixture, EphemeralPortsDistinct) {
   auto c1 = alice.connect({Ipv4Addr(10, 0, 0, 2), 80});
   auto c2 = alice.connect({Ipv4Addr(10, 0, 0, 2), 80});
   EXPECT_NE(c1->local().port, c2->local().port);
+}
+
+TEST_F(TcpFixture, ExhaustedEphemeralRangeResetsTheConnect) {
+  // Listening sends nothing, so taking every ephemeral port is cheap.
+  for (std::uint32_t port = 1024; port <= 65535; ++port)
+    alice.listen(static_cast<std::uint16_t>(port),
+                 [](std::shared_ptr<TcpConnection>) {});
+  const auto tx_before = alice.ip_tx();
+  const Endpoint dst{Ipv4Addr(10, 0, 0, 2), 80};
+  int resets = 0, closes = 0;
+  const auto first = alice.connect(dst);
+  const auto second = alice.connect(dst);  // Same dst: same would-be key.
+  for (const auto& conn : {first, second}) {
+    EXPECT_EQ(conn->local().port, 0);
+    conn->on_reset = [&] { ++resets; };
+    conn->on_closed = [&] { ++closes; };
+  }
+  EXPECT_EQ(alice.connection_count(), 0u);  // Nothing keyed on port 0.
+  loop.run_for(util::microseconds(1));
+  EXPECT_EQ(resets, 2);
+  EXPECT_EQ(closes, 2);
+  EXPECT_EQ(first->state(), TcpState::kClosed);
+  EXPECT_EQ(alice.ip_tx(), tx_before);  // No SYN left the host.
+
+  // A port freed later is found again, whatever the cursor's position.
+  alice.close_listener(5000);
+  const auto third = alice.connect(dst);
+  EXPECT_EQ(third->local().port, 5000);
+  EXPECT_EQ(alice.connection_count(), 1u);
+  loop.drop_pending();
+}
+
+// The ephemeral-port rule as the reference linear walk: from the cursor,
+// wrapping 65535 -> 1024, the first port that no listener, UDP socket or
+// TCP connection (toward any remote) holds. The model tracks what bob
+// holds through the stack's own callbacks.
+struct PortModel {
+  std::uint16_t cursor = 1024;
+  int wraps = 0;
+  std::set<std::uint16_t> listeners;
+  std::map<std::uint16_t, std::shared_ptr<UdpSocket>> udp;
+  std::map<std::pair<std::uint16_t, Endpoint>, std::shared_ptr<TcpConnection>>
+      conns;
+
+  std::uint16_t allocate() {
+    for (int guard = 0; guard < 65536; ++guard) {
+      const std::uint16_t candidate = cursor;
+      if (cursor >= 65535) ++wraps;
+      cursor = (cursor >= 65535) ? 1024 : cursor + 1;
+      bool used = listeners.count(candidate) || udp.count(candidate);
+      for (const auto& [key, conn] : conns)
+        if (key.first == candidate) used = true;
+      if (!used) return candidate;
+    }
+    return 0;
+  }
+
+  void track(const std::shared_ptr<TcpConnection>& conn) {
+    const auto key = std::make_pair(conn->local().port, conn->remote());
+    conns[key] = conn;
+    conn->on_closed = [this, key] { conns.erase(key); };
+  }
+};
+
+TEST_F(TcpFixture, PortProbeMatchesTheLinearWalk) {
+  PortModel model;
+  util::Rng rng(2024);
+  std::vector<std::shared_ptr<TcpConnection>> alice_side;
+  alice.listen(80, [&](std::shared_ptr<TcpConnection> conn) {
+    alice_side.push_back(conn);
+  });
+  // Near the cursor, so listeners and fixed UDP binds are skipped over.
+  const auto near_cursor = [&] {
+    return static_cast<std::uint16_t>(
+        1024 + (model.cursor - 1024 + rng.below(24)) % 64512);
+  };
+  const auto pick = [&](auto& map) {
+    auto it = map.begin();
+    std::advance(it, static_cast<long>(rng.below(map.size())));
+    return it;
+  };
+  const auto open_udp = [&] {
+    const auto sock = bob.udp_open(0);
+    EXPECT_EQ(sock->port(), model.allocate());
+    model.udp[sock->port()] = sock;
+  };
+  const auto close_udp = [&](std::map<std::uint16_t,
+                                      std::shared_ptr<UdpSocket>>::iterator it) {
+    it->second->close();
+    model.udp.erase(it);
+  };
+  const Endpoint dsts[] = {{Ipv4Addr(10, 0, 0, 1), 80},   // Accepted.
+                           {Ipv4Addr(10, 0, 0, 1), 81},   // Refused.
+                           {Ipv4Addr(10, 0, 0, 99), 80}};  // Unreachable.
+  for (int step = 0; step < 3000 || model.wraps < 2; ++step) {
+    switch (rng.below(10)) {
+      case 0:
+      case 1: {
+        const auto conn = bob.connect(dsts[rng.below(3)]);
+        ASSERT_EQ(conn->local().port, model.allocate()) << "step " << step;
+        model.track(conn);
+        break;
+      }
+      case 2:
+        if (!model.conns.empty()) pick(model.conns)->second->abort();
+        break;
+      case 3: {
+        const std::uint16_t port = near_cursor();
+        bob.listen(port, [&](std::shared_ptr<TcpConnection> conn) {
+          model.track(conn);
+        });
+        model.listeners.insert(port);
+        break;
+      }
+      case 4:
+        if (!model.listeners.empty()) {
+          const auto it = pick(model.listeners);
+          bob.close_listener(*it);
+          model.listeners.erase(it);
+        }
+        break;
+      case 5:
+        // Several remotes on one of bob's ports: alice dials a listener.
+        if (!model.listeners.empty())
+          alice.connect({Ipv4Addr(10, 0, 0, 2), *pick(model.listeners)});
+        break;
+      case 6:
+        open_udp();
+        break;
+      case 7: {
+        const std::uint16_t port = near_cursor();
+        if (model.udp.count(port) == 0) model.udp[port] = bob.udp_open(port);
+        break;
+      }
+      case 8:
+        if (!model.udp.empty()) close_udp(pick(model.udp));
+        break;
+      case 9:
+        if (rng.chance(0.5)) {
+          loop.run_for(util::milliseconds(rng.range(1, 50)));
+        } else {
+          // Sweep the cursor forward through a burst of binds.
+          for (int i = 0; i < 4000; ++i) open_udp();
+          while (model.udp.size() > 8) close_udp(model.udp.begin());
+        }
+        break;
+    }
+    ASSERT_EQ(bob.connection_count(), model.conns.size()) << "step " << step;
+  }
+  EXPECT_GE(model.wraps, 2);
+  loop.drop_pending();
 }
 
 TEST_F(TcpFixture, UdpRoundTrip) {
