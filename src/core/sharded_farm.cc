@@ -37,7 +37,7 @@ ShardedFarm::ShardedFarm(ShardedFarmOptions options,
     auto capture = std::make_unique<ShardCapture>();
     capture->shard = s;
     ShardCapture* slot = capture.get();
-    // Runs on the shard's worker thread; the per-shard buffer makes it
+    // Runs on the thread running the shard; the per-shard buffer makes it
     // race-free (see header). Rendered eagerly so the stream reflects
     // the event exactly as published.
     farms_.back()->telemetry().bus().subscribe(

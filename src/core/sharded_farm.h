@@ -95,9 +95,9 @@ class ShardedFarm {
     std::int64_t usec;
     std::string line;
   };
-  /// Filled by the owning shard's worker thread during epochs; read only
+  /// Filled by the thread running the shard during epochs; read only
   /// at barriers / after run_for returns (ordering via the coordinator's
-  /// barrier mutex — see netsim/lockstep.h).
+  /// barrier hand-off — see netsim/lockstep.h).
   struct ShardCapture {
     std::size_t shard = 0;
     std::vector<CapturedEvent> events;

@@ -8,7 +8,7 @@
 // execution exactly one worker thread runs a given loop during an
 // epoch, and the coordinator may schedule cross-shard deliveries onto
 // it only at epoch barriers while every worker is quiescent (the
-// barrier's mutex hand-off orders those accesses).
+// barrier's release/acquire hand-off orders those accesses).
 #pragma once
 
 #include <cstdint>
@@ -73,6 +73,13 @@ class EventLoop {
   /// Number of events currently pending (scheduled, not yet run or
   /// cancelled).
   [[nodiscard]] std::size_t pending() const { return live_; }
+
+  /// Time of the earliest heap entry, or TimePoint{INT64_MAX} when the
+  /// heap is empty. The entry may be a cancelled one, so this only errs
+  /// early: no event runs before it.
+  [[nodiscard]] util::TimePoint next_at() const {
+    return heap_.empty() ? util::TimePoint{INT64_MAX} : heap_.front().at;
+  }
 
  private:
   struct Entry {

@@ -31,8 +31,8 @@
 //     references.
 //   * Cross-thread reads (render_text/render_json, find_*, value())
 //     are exact only at a lockstep epoch barrier: the coordinator's
-//     barrier mutex hand-off makes every relaxed update from the
-//     preceding epoch happen-before the reader. ShardedFarm therefore
+//     barrier hand-off (seq_cst atomics) makes every relaxed update
+//     from the preceding epoch happen-before the reader. ShardedFarm therefore
 //     snapshots metrics only between run_for() calls.
 #pragma once
 

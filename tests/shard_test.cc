@@ -7,16 +7,24 @@
 // not "empty or constant". A teardown test covers the multi-threaded
 // incarnation of the PR 3 use-after-free class: destroying the farm
 // mid-flight, with cross-shard frames parked in mailboxes and pending
-// closures on every shard loop.
+// closures on every shard loop. The LockstepCoordinator cases pin the
+// barrier schedule on hand-built loops: idle epochs are stepped over
+// without a barrier, the epoch grid never moves, and the critical-path
+// count is the per-barrier maximum.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <ctime>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/sharded_farm.h"
 #include "extnet/extnet.h"
 #include "malware/spambot.h"
+#include "netsim/lockstep.h"
 #include "util/strings.h"
 
 namespace gq {
@@ -158,6 +166,176 @@ TEST(ShardedFarm, TeardownWithoutRunning) {
   core::ShardedFarm farm(options, build_spam_shard);
   // Builders scheduled power-on and DHCP closures that never run.
 }
+
+// Two loops bridged twice: a 10 ms link that sets the epoch (so epochs
+// end on a 10 ms grid) and a 500 ms link whose frames cross a long idle
+// stretch.
+struct TwoDomains {
+  explicit TwoDomains(unsigned threads) : coord(threads) {
+    coord.add_domain(a);
+    coord.add_domain(b);
+    coord.bridge(0, a_fast, 1, b_fast, util::milliseconds(10));
+    coord.bridge(0, a_slow, 1, b_slow, util::milliseconds(500));
+  }
+  sim::EventLoop a;
+  sim::EventLoop b;
+  sim::Port a_fast{a, "a_fast"};
+  sim::Port b_fast{b, "b_fast"};
+  sim::Port a_slow{a, "a_slow"};
+  sim::Port b_slow{b, "b_slow"};
+  sim::LockstepCoordinator coord;  // Last member: detaches bridges first.
+};
+
+util::TimePoint at_us(std::int64_t usec) { return util::TimePoint{usec}; }
+
+class LockstepCoordinator : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(LockstepCoordinator, BarriersOnlyForEpochsWithAnEventDue) {
+  TwoDomains d(GetParam());
+  std::vector<std::int64_t> ran_a;
+  std::vector<std::int64_t> ran_b;
+  for (std::int64_t us : {5'000, 5'000, 5'000, 500'000}) {
+    d.a.schedule_at(at_us(us), [&] { ran_a.push_back(d.a.now().usec); });
+  }
+  for (std::int64_t us : {7'000, 995'000, 995'000}) {
+    d.b.schedule_at(at_us(us), [&] { ran_b.push_back(d.b.now().usec); });
+  }
+  d.coord.run_until(at_us(1'000'000));
+
+  // Of the 100 epochs, three have an event due: the one ending at 10 ms
+  // (both loops), the one ending at 500 ms (an event on an epoch's end
+  // runs in that epoch) and the one ending at 1 s.
+  const sim::LockstepStats stats = d.coord.stats();
+  EXPECT_EQ(stats.epochs, 3u);
+  EXPECT_EQ(stats.epochs_skipped, 97u);
+  // Per barrier, the busier loop's events: max(3, 1) + 1 + 2 of 7.
+  EXPECT_EQ(stats.events, 7u);
+  EXPECT_EQ(stats.critical_path_events, 6u);
+  EXPECT_EQ(ran_a,
+            (std::vector<std::int64_t>{5'000, 5'000, 5'000, 500'000}));
+  EXPECT_EQ(ran_b, (std::vector<std::int64_t>{7'000, 995'000, 995'000}));
+  EXPECT_EQ(d.coord.now(), at_us(1'000'000));
+  EXPECT_EQ(d.a.now(), at_us(1'000'000));
+  EXPECT_EQ(d.b.now(), at_us(1'000'000));
+}
+
+TEST_P(LockstepCoordinator, FrameSentBeforeAnIdleStretchArrivesOnTime) {
+  TwoDomains d(GetParam());
+  std::vector<std::pair<std::int64_t, std::uint8_t>> got;
+  auto record = [&](sim::Frame f) {
+    got.emplace_back(d.b.now().usec, f.bytes.at(0));
+  };
+  d.b_fast.set_rx(record);
+  d.b_slow.set_rx(record);
+  // Sent in the last microsecond of the first epoch: the fast frame
+  // lands in the next epoch, the slow ones after 48 skipped epochs.
+  d.a.schedule_at(at_us(9'999), [&] {
+    for (std::uint8_t i = 1; i <= 3; ++i) d.a_slow.transmit(sim::Frame{{i}});
+    d.a_fast.transmit(sim::Frame{{9}});
+  });
+  d.coord.run_until(at_us(1'000'000));
+
+  const std::vector<std::pair<std::int64_t, std::uint8_t>> want = {
+      {19'999, 9}, {509'999, 1}, {509'999, 2}, {509'999, 3}};
+  EXPECT_EQ(got, want);
+  const sim::LockstepStats stats = d.coord.stats();
+  EXPECT_EQ(stats.messages, 4u);
+  // Barriers at 10 ms (send), 20 ms (fast arrival), 510 ms (slow).
+  EXPECT_EQ(stats.epochs, 3u);
+  EXPECT_EQ(stats.epochs_skipped, 97u);
+}
+
+TEST_P(LockstepCoordinator, WorkersUseNoCpuBetweenRuns) {
+  TwoDomains d(GetParam());
+  d.a.schedule_at(at_us(5'000), [] {});
+  d.b.schedule_at(at_us(5'000), [] {});
+  d.coord.run_until(at_us(20'000));
+  auto cpu_ms = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  const double before = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // A worker that kept spinning would burn ~100 ms here; one that
+  // parks after its bounded spin burns at most a few.
+  EXPECT_LT(cpu_ms() - before, 40.0);
+  d.coord.run_until(at_us(40'000));
+  EXPECT_EQ(d.coord.stats().epochs, 1u);
+}
+
+// Four chain-bridged loops, every one due in every epoch: each epoch is
+// shared out by claims. What each loop saw, and when, must not depend
+// on the thread count.
+struct ChainTrace {
+  std::vector<std::vector<std::pair<std::int64_t, int>>> seen;
+  sim::LockstepStats stats;
+};
+
+ChainTrace run_busy_chain(unsigned threads) {
+  constexpr int kDomains = 4;
+  std::vector<std::unique_ptr<sim::EventLoop>> loops;
+  std::vector<std::unique_ptr<sim::Port>> left;   // Port i toward i - 1.
+  std::vector<std::unique_ptr<sim::Port>> right;  // Port i toward i + 1.
+  ChainTrace trace;
+  trace.seen.resize(kDomains);
+  {
+    sim::LockstepCoordinator coord(threads);
+    for (int i = 0; i < kDomains; ++i) {
+      loops.push_back(std::make_unique<sim::EventLoop>());
+      coord.add_domain(*loops[i]);
+      left.push_back(std::make_unique<sim::Port>(*loops[i], "left"));
+      right.push_back(std::make_unique<sim::Port>(*loops[i], "right"));
+    }
+    for (int i = 0; i + 1 < kDomains; ++i) {
+      coord.bridge(i, *right[i], i + 1, *left[i + 1],
+                   util::milliseconds(10));
+    }
+    for (int i = 0; i < kDomains; ++i) {
+      sim::EventLoop& loop = *loops[i];
+      auto& seen = trace.seen[i];
+      left[i]->set_rx([&loop, &seen](sim::Frame f) {
+        seen.emplace_back(loop.now().usec, 1000 + f.bytes.at(0));
+      });
+      sim::Port& out = *right[i];
+      for (int k = 0; k < 100; ++k) {
+        loop.schedule_at(at_us(k * 10'000 + i * 1'000 + 1),
+                         [&loop, &seen, &out, k] {
+                           seen.emplace_back(loop.now().usec, k);
+                           out.transmit(
+                               sim::Frame{{static_cast<std::uint8_t>(k)}});
+                         });
+      }
+    }
+    coord.run_until(at_us(1'000'000));
+    trace.stats = coord.stats();
+  }
+  return trace;
+}
+
+TEST(LockstepCoordinatorClaims, BusyEpochsMatchTheSerialRun) {
+  const ChainTrace serial = run_busy_chain(1);
+  EXPECT_EQ(serial.stats.epochs, 100u);
+  EXPECT_EQ(serial.stats.epochs_skipped, 0u);
+  EXPECT_EQ(serial.seen[0].size(), 100u);
+  EXPECT_EQ(serial.seen[3].size(), 199u);  // 100 ticks, 99 arrivals.
+  for (unsigned threads : {2u, 4u}) {
+    const ChainTrace parallel = run_busy_chain(threads);
+    EXPECT_EQ(parallel.seen, serial.seen) << threads << " threads";
+    EXPECT_EQ(parallel.stats.epochs, serial.stats.epochs);
+    EXPECT_EQ(parallel.stats.messages, serial.stats.messages);
+    EXPECT_EQ(parallel.stats.events, serial.stats.events);
+    EXPECT_EQ(parallel.stats.critical_path_events,
+              serial.stats.critical_path_events);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, LockstepCoordinator,
+                         ::testing::Values(1u, 2u),
+                         [](const auto& info) {
+                           return "t" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace gq
