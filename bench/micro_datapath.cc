@@ -285,7 +285,12 @@ BENCHMARK(BM_SwitchForward);
 void BM_MetricsCounterInc(benchmark::State& state) {
   obs::MetricsRegistry registry;
   auto& counter = registry.counter("bench.frames");
-  for (auto _ : state) counter.inc();
+  // ClobberMemory keeps each increment a store the compiler cannot fold
+  // into one add after the loop.
+  for (auto _ : state) {
+    counter.inc();
+    benchmark::ClobberMemory();
+  }
   benchmark::DoNotOptimize(counter.value());
 }
 BENCHMARK(BM_MetricsCounterInc);
@@ -336,6 +341,7 @@ void BM_HistogramObserve(benchmark::State& state) {
   double value = 1.0;
   for (auto _ : state) {
     hist.observe(value);
+    benchmark::ClobberMemory();
     value = value < 1e6 ? value * 1.7 : 1.0;
   }
   benchmark::DoNotOptimize(hist.count());
