@@ -17,7 +17,6 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "containment/policy.h"
@@ -293,23 +292,17 @@ TableStats run_table(bool table_on, util::Duration duration) {
 
 // --- Sweep F: sharded execution. One complete farm replica per shard
 // (own event loop, gateway, CS, sinks), external switches L2-bridged in
-// a chain, advanced in deterministic lockstep epochs by a worker pool
-// (DESIGN.md §12). Same Grum workload as sweep A, with the C&C homed on
-// shard 0 so every other shard's polls cross the bridges. Three gates:
-// zero escapes (TCP port-25 frames at any shard's upstream choke
-// point), bit-identical observable streams serial-vs-parallel, and a
-// hardware-aware wall-clock bound. Threads can only overlap shards that
-// have events due in the same epoch, so the run's own schedule caps the
-// speedup: the parallel ceiling is loop events divided by critical-path
-// events (per epoch, the busiest shard's count). With >=4 cores the
-// 4-thread speedup must reach half that ceiling (2x where the ceiling
-// is 4); with fewer, coordination overhead stays bounded. The first two
-// exit the bench; the third is recorded in BENCH_s1.json for the perf
-// lane.
+// a chain, advanced in deterministic lockstep epochs (DESIGN.md §12).
+// Same Grum workload as sweep A, with the C&C homed on shard 0 so every
+// other shard's polls cross the bridges. Gates: zero escapes (TCP
+// port-25 frames at any shard's upstream choke point) and nonzero
+// cross-shard traffic; ctest scalability_stream_hash pins the merged
+// stream hash. The run also records the parallel ceiling: threads could
+// only overlap shards that have events due in the same epoch, so the
+// schedule caps any speedup at loop events divided by critical-path
+// events (per epoch, the busiest shard's count).
 
 struct ShardStats {
-  unsigned threads_requested = 0;
-  unsigned threads_effective = 0;
   std::uint64_t events = 0;
   std::uint64_t cc_requests = 0;
   std::uint64_t cross_shard_messages = 0;
@@ -322,11 +315,10 @@ struct ShardStats {
   double wall_ms = 0;
 };
 
-ShardStats run_sharded(unsigned threads, std::size_t shards,
-                       int inmates_per_shard, util::Duration duration) {
+ShardStats run_sharded(std::size_t shards, int inmates_per_shard,
+                       util::Duration duration) {
   core::ShardedFarmOptions options;
   options.shards = shards;
-  options.threads = threads;
   options.seed = 0x5EEDF;
   core::ShardedFarm farm(
       options, [inmates_per_shard](core::Farm& shard_farm, std::size_t s) {
@@ -357,9 +349,7 @@ ShardStats run_sharded(unsigned threads, std::size_t shards,
   // Escape oracle at every shard's upstream choke point: Grum's policy
   // REFLECTs all port-25 traffic into the shard-local banner sink, so
   // any TCP port-25 frame here means spam reached the (simulated)
-  // Internet. One counter slot per shard — taps run on the one thread
-  // running that shard in an epoch, reads happen after run_for (the
-  // lockstep barrier orders them).
+  // Internet. One counter slot per shard, read after run_for.
   std::vector<std::uint64_t> escapes_per_shard(farm.shard_count(), 0);
   for (std::size_t s = 0; s < farm.shard_count(); ++s) {
     std::uint64_t* slot = &escapes_per_shard[s];
@@ -384,8 +374,6 @@ ShardStats run_sharded(unsigned threads, std::size_t shards,
   const auto wall_end = std::chrono::steady_clock::now();
 
   ShardStats stats;
-  stats.threads_requested = threads;
-  stats.threads_effective = farm.threads();
   stats.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start)
           .count();
@@ -622,141 +610,61 @@ int main(int argc, char** argv) {
       "A\nand is flattened by per-subfarm containment servers in sweep "
       "B.\n");
 
-  const unsigned hw_threads = std::thread::hardware_concurrency();
   std::printf(
       "\nSweep F: sharded execution, 4 shards (one farm replica per\n"
       "shard, external switches chain-bridged, lockstep epochs = 10ms\n"
-      "cross-shard latency), same seed at 1/2/4 worker threads.\n"
-      "Hardware threads available: %u\n",
-      hw_threads);
-  std::printf("%9s %10s %12s %12s %10s %10s %10s\n", "THREADS", "EVENTS",
-              "CC REQS", "X-SHARD MSG", "ESCAPES", "WALL(ms)", "SPEEDUP");
-  std::printf("%s\n", std::string(80, '-').c_str());
+      "cross-shard latency).\n");
+  std::printf("%10s %12s %12s %10s %10s\n", "EVENTS", "CC REQS",
+              "X-SHARD MSG", "ESCAPES", "WALL(ms)");
+  std::printf("%s\n", std::string(58, '-').c_str());
   const std::size_t f_shards = 4;
   const int f_inmates = smoke ? 2 : 6;
-  // Each thread count is timed as the median of several runs: the work
-  // is deterministic, the host's scheduling is not. Rounds interleave
-  // the thread counts so that a slow stretch of the host hits all of
-  // them alike. Every run doubles as a determinism check against the
-  // first.
-  constexpr int kTimedRuns = 5;
-  constexpr unsigned kThreadCounts[] = {1, 2, 4};
-  std::vector<ShardStats> runs[3];
-  for (int r = 0; r < kTimedRuns; ++r) {
-    for (int t = 0; t < 3; ++t) {
-      runs[t].push_back(
-          run_sharded(kThreadCounts[t], f_shards, f_inmates, duration));
-    }
-  }
-  const ShardStats first = runs[0][0];
-  double serial_wall = 0;
-  bool f_streams_identical = true;
-  std::uint64_t f_escapes = 0;
-  std::uint64_t f_cross_messages = 0;
-  std::uint64_t f_cc_requests = 0;
-  double f_speedup4 = 0;
-  double f_wall4 = 0;
-  std::uint64_t f_epochs4 = 0;
-  for (int t = 0; t < 3; ++t) {
-    const unsigned threads = kThreadCounts[t];
-    std::vector<double> walls;
-    for (const ShardStats& run : runs[t]) {
-      walls.push_back(run.wall_ms);
-      f_escapes += run.escapes;
-      if (run.stream_hash != first.stream_hash ||
-          run.events != first.events ||
-          run.loop_events != first.loop_events ||
-          run.critical_path_events != first.critical_path_events) {
-        f_streams_identical = false;
-      }
-    }
-    std::nth_element(walls.begin(), walls.begin() + kTimedRuns / 2,
-                     walls.end());
-    ShardStats stats = runs[t].back();
-    stats.wall_ms = walls[kTimedRuns / 2];
-    if (threads == 1) serial_wall = stats.wall_ms;
-    if (threads == 4) {
-      f_speedup4 = stats.wall_ms > 0 ? serial_wall / stats.wall_ms : 0;
-      f_wall4 = stats.wall_ms;
-      f_epochs4 = stats.epochs;
-    }
-    f_cross_messages = stats.cross_shard_messages;
-    f_cc_requests = stats.cc_requests;
-    // A wall-clock ratio on a host without the cores to run the workers
-    // is time-slicing noise, not a speedup; report the coordination
-    // overhead (wall minus serial) there instead of a misleading 0.2x.
-    const bool speedup_meaningful = threads == 1 || hw_threads >= 4;
-    std::printf("%9u %10llu %12llu %12llu %10llu %10.0f ", threads,
-                static_cast<unsigned long long>(stats.events),
-                static_cast<unsigned long long>(stats.cc_requests),
-                static_cast<unsigned long long>(stats.cross_shard_messages),
-                static_cast<unsigned long long>(stats.escapes),
-                stats.wall_ms);
-    if (speedup_meaningful) {
-      std::printf("%9.2fx\n",
-                  stats.wall_ms > 0 ? serial_wall / stats.wall_ms : 0.0);
-    } else {
-      std::printf("%+9.0fms\n", stats.wall_ms - serial_wall);
-    }
-
-    json.begin_object();
-    json.key("sweep");
-    json.value("sharded");
-    json.key("shards");
-    json.value(static_cast<std::uint64_t>(f_shards));
-    json.key("inmates_per_shard");
-    json.value(f_inmates);
-    json.key("threads");
-    json.value(static_cast<std::uint64_t>(threads));
-    json.key("threads_effective");
-    json.value(static_cast<std::uint64_t>(stats.threads_effective));
-    json.key("events");
-    json.value(stats.events);
-    json.key("cc_requests");
-    json.value(stats.cc_requests);
-    json.key("cross_shard_messages");
-    json.value(stats.cross_shard_messages);
-    json.key("lockstep_epochs");
-    json.value(stats.epochs);
-    json.key("escapes");
-    json.value(stats.escapes);
-    json.key("stream_hash");
-    json.value(util::format("%016llx",
-                            static_cast<unsigned long long>(
-                                stats.stream_hash)));
-    json.key("wall_ms");
-    json.value(stats.wall_ms);
-    json.key("timed_runs");
-    json.value(kTimedRuns);
-    if (speedup_meaningful) {
-      json.key("speedup_vs_serial");
-      json.value(stats.wall_ms > 0 ? serial_wall / stats.wall_ms : 0.0);
-    } else {
-      json.key("skipped_reason");
-      json.value("insufficient_cores");
-      json.key("coordination_overhead_ms");
-      json.value(stats.wall_ms - serial_wall);
-    }
-    json.end_object();
-  }
-  // Deterministic, so the same at every thread count: the speedup that
-  // one thread per shard could reach with a free barrier.
+  const ShardStats f = run_sharded(f_shards, f_inmates, duration);
+  std::printf("%10llu %12llu %12llu %10llu %10.0f\n",
+              static_cast<unsigned long long>(f.events),
+              static_cast<unsigned long long>(f.cc_requests),
+              static_cast<unsigned long long>(f.cross_shard_messages),
+              static_cast<unsigned long long>(f.escapes), f.wall_ms);
+  const std::string f_hash = util::format(
+      "%016llx", static_cast<unsigned long long>(f.stream_hash));
+  json.begin_object();
+  json.key("sweep");
+  json.value("sharded");
+  json.key("shards");
+  json.value(static_cast<std::uint64_t>(f_shards));
+  json.key("inmates_per_shard");
+  json.value(f_inmates);
+  json.key("events");
+  json.value(f.events);
+  json.key("cc_requests");
+  json.value(f.cc_requests);
+  json.key("cross_shard_messages");
+  json.value(f.cross_shard_messages);
+  json.key("lockstep_epochs");
+  json.value(f.epochs);
+  json.key("escapes");
+  json.value(f.escapes);
+  json.key("stream_hash");
+  json.value(f_hash);
+  json.key("wall_ms");
+  json.value(f.wall_ms);
+  json.end_object();
+  // The speedup that one thread per shard could reach with a free
+  // barrier.
   const double f_ceiling =
-      first.critical_path_events > 0
-          ? static_cast<double>(first.loop_events) /
-                static_cast<double>(first.critical_path_events)
+      f.critical_path_events > 0
+          ? static_cast<double>(f.loop_events) /
+                static_cast<double>(f.critical_path_events)
           : 1.0;
-  std::printf("\nSharded streams bit-identical across thread counts: %s\n",
-              f_streams_identical ? "yes" : "NO");
+  std::printf("\nMerged event-stream hash: %s\n", f_hash.c_str());
   std::printf(
       "Lockstep: %llu barriers, %llu idle epochs skipped; %llu loop events,\n"
       "%llu on the per-epoch critical path: parallel ceiling %.2fx at 4 "
       "threads\n",
-      static_cast<unsigned long long>(first.epochs),
-      static_cast<unsigned long long>(first.epochs_skipped),
-      static_cast<unsigned long long>(first.loop_events),
-      static_cast<unsigned long long>(first.critical_path_events),
-      f_ceiling);
+      static_cast<unsigned long long>(f.epochs),
+      static_cast<unsigned long long>(f.epochs_skipped),
+      static_cast<unsigned long long>(f.loop_events),
+      static_cast<unsigned long long>(f.critical_path_events), f_ceiling);
 
   json.end_array();
   json.key("cache_speedup");
@@ -764,54 +672,15 @@ int main(int argc, char** argv) {
   json.key("table_speedup");
   json.value(table_speedup);
   json.key("loop_events");
-  json.value(first.loop_events);
+  json.value(f.loop_events);
   json.key("critical_path_events");
-  json.value(first.critical_path_events);
+  json.value(f.critical_path_events);
   json.key("parallel_ceiling_4t");
   json.value(f_ceiling);
   json.key("epochs_skipped");
-  json.value(first.epochs_skipped);
-  // The sweep F wall-clock gate, recorded for the scalability_perf
-  // ctest (bench/s1_wall_gate.cmake) rather than enforced here: timing
-  // depends on the host, so it lives in the perf lane while every
-  // deterministic gate below stays in tier-1. 4 workers can only beat 1
-  // when the machine has cores to run them on, and only as far as the
-  // schedule lets shards overlap: with >= 4 hardware threads the
-  // sharded loop must reach half the parallel ceiling (2x where every
-  // epoch keeps all 4 shards equally busy). On smaller machines (CI
-  // containers are often pinned to 1-2 cores) the enforceable claim is
-  // bounded coordination overhead per barrier crossed: on a time-sliced
-  // core a barrier costs a handful of context switches, roughly 15us
-  // measured; 150us per barrier (plus scheduling noise slack) still
-  // catches a lock convoy or an accidental sleep in the barrier.
-  const bool gate_speedup = hw_threads >= 4;
-  const double wall_value = gate_speedup ? f_speedup4 : f_wall4;
-  const double wall_bound =
-      gate_speedup
-          ? 0.5 * f_ceiling
-          : serial_wall + 250.0 + 0.15 * static_cast<double>(f_epochs4);
-  json.key("wall_gate");
-  json.begin_object();
-  json.key("metric");
-  json.value(gate_speedup ? "sharded_speedup_4t" : "sharded_wall_4t_ms");
-  json.key("value");
-  json.value(wall_value);
-  json.key("bound");
-  json.value(wall_bound);
-  json.key("pass_if");
-  json.value(gate_speedup ? "at_least" : "at_most");
-  json.end_object();
-  json.key("sharded_streams_identical");
-  json.value(f_streams_identical);
-  json.key("hardware_threads");
-  json.value(static_cast<std::uint64_t>(hw_threads));
+  json.value(f.epochs_skipped);
   json.end_object();
 
-  std::printf(
-      "\nWall-clock gate (ctest scalability_perf): %s %.2f, needs %s %.2f "
-      "on %u hardware threads\n",
-      gate_speedup ? "4-thread speedup" : "4-thread wall ms", wall_value,
-      gate_speedup ? ">=" : "<=", wall_bound, hw_threads);
   if (write_summary(json, "BENCH_s1.json") != 0) return 1;
 
   // Self-validation: the verdict cache's reason to exist is taking the
@@ -840,26 +709,20 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(table_on_cs_decisions));
     return 1;
   }
-  // Sweep F contracts. Containment and determinism are unconditional:
-  // parallel execution must never leak a frame or reorder an observable
-  // event, whatever the hardware.
-  if (f_escapes != 0) {
+  // Sweep F contracts: sharded execution must never leak a frame, and
+  // the run must actually cross shards.
+  if (f.escapes != 0) {
     std::fprintf(stderr, "s1: %llu containment escapes in sharded runs\n",
-                 static_cast<unsigned long long>(f_escapes));
+                 static_cast<unsigned long long>(f.escapes));
     return 1;
   }
-  if (!f_streams_identical) {
-    std::fprintf(stderr,
-                 "s1: sharded event streams diverged across thread counts\n");
-    return 1;
-  }
-  if (f_cross_messages == 0 || f_cc_requests == 0) {
+  if (f.cross_shard_messages == 0 || f.cc_requests == 0) {
     std::fprintf(stderr,
                  "s1: sharded sweep exercised no cross-shard traffic "
                  "(messages=%llu cc_requests=%llu) — the gates above are "
                  "vacuous\n",
-                 static_cast<unsigned long long>(f_cross_messages),
-                 static_cast<unsigned long long>(f_cc_requests));
+                 static_cast<unsigned long long>(f.cross_shard_messages),
+                 static_cast<unsigned long long>(f.cc_requests));
     return 1;
   }
   return 0;

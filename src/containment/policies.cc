@@ -1,7 +1,5 @@
 #include "containment/policies.h"
 
-#include <mutex>
-
 #include "containment/handlers.h"
 #include "services/dns.h"
 #include "util/glob.h"
@@ -432,42 +430,42 @@ Decision WormFarmPolicy::decide(const FlowInfo& info) {
 // --- Registration -----------------------------------------------------------
 
 void register_builtin_policies() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    auto& registry = PolicyRegistry::instance();
-    registry.register_policy("DefaultDeny", [](const PolicyEnv&) {
-      return std::make_shared<DefaultDenyPolicy>();
-    });
-    registry.register_policy("SinkAll", [](const PolicyEnv& env) {
-      return std::make_shared<SinkAllPolicy>(env);
-    });
-    registry.register_policy("ForwardAll", [](const PolicyEnv&) {
-      return std::make_shared<ForwardAllPolicy>();
-    });
-    registry.register_policy("Rustock", [](const PolicyEnv& env) {
-      return std::make_shared<RustockPolicy>(env);
-    });
-    registry.register_policy("Grum", [](const PolicyEnv& env) {
-      return std::make_shared<GrumPolicy>(env);
-    });
-    registry.register_policy("Waledac", [](const PolicyEnv& env) {
-      return std::make_shared<WaledacPolicy>(env, false);
-    });
-    registry.register_policy("WaledacTest", [](const PolicyEnv& env) {
-      return std::make_shared<WaledacPolicy>(env, true);
-    });
-    registry.register_policy("Storm", [](const PolicyEnv& env) {
-      return std::make_shared<StormPolicy>(env);
-    });
-    registry.register_policy("MegaD", [](const PolicyEnv& env) {
-      return std::make_shared<MegaDPolicy>(env);
-    });
-    registry.register_policy("Clickbot", [](const PolicyEnv& env) {
-      return std::make_shared<ClickbotPolicy>(env);
-    });
-    registry.register_policy("WormFarm", [](const PolicyEnv& env) {
-      return std::make_shared<WormFarmPolicy>(env);
-    });
+  static bool registered = false;
+  if (registered) return;
+  registered = true;
+  auto& registry = PolicyRegistry::instance();
+  registry.register_policy("DefaultDeny", [](const PolicyEnv&) {
+    return std::make_shared<DefaultDenyPolicy>();
+  });
+  registry.register_policy("SinkAll", [](const PolicyEnv& env) {
+    return std::make_shared<SinkAllPolicy>(env);
+  });
+  registry.register_policy("ForwardAll", [](const PolicyEnv&) {
+    return std::make_shared<ForwardAllPolicy>();
+  });
+  registry.register_policy("Rustock", [](const PolicyEnv& env) {
+    return std::make_shared<RustockPolicy>(env);
+  });
+  registry.register_policy("Grum", [](const PolicyEnv& env) {
+    return std::make_shared<GrumPolicy>(env);
+  });
+  registry.register_policy("Waledac", [](const PolicyEnv& env) {
+    return std::make_shared<WaledacPolicy>(env, false);
+  });
+  registry.register_policy("WaledacTest", [](const PolicyEnv& env) {
+    return std::make_shared<WaledacPolicy>(env, true);
+  });
+  registry.register_policy("Storm", [](const PolicyEnv& env) {
+    return std::make_shared<StormPolicy>(env);
+  });
+  registry.register_policy("MegaD", [](const PolicyEnv& env) {
+    return std::make_shared<MegaDPolicy>(env);
+  });
+  registry.register_policy("Clickbot", [](const PolicyEnv& env) {
+    return std::make_shared<ClickbotPolicy>(env);
+  });
+  registry.register_policy("WormFarm", [](const PolicyEnv& env) {
+    return std::make_shared<WormFarmPolicy>(env);
   });
 }
 

@@ -11,8 +11,8 @@ ShardedFarm::ShardedFarm(ShardedFarmOptions options,
                          const ShardBuilder& builder)
     : options_(options) {
   if (options_.shards == 0) options_.shards = 1;
-  coordinator_ = std::make_unique<sim::LockstepCoordinator>(
-      options_.threads, options_.mailbox_capacity);
+  coordinator_ =
+      std::make_unique<sim::LockstepCoordinator>(options_.mailbox_capacity);
 
   // Independent per-shard seed streams derived from the master seed:
   // shard 0 of a 4-shard farm and shard 0 of an 8-shard farm see the
@@ -37,9 +37,8 @@ ShardedFarm::ShardedFarm(ShardedFarmOptions options,
     auto capture = std::make_unique<ShardCapture>();
     capture->shard = s;
     ShardCapture* slot = capture.get();
-    // Runs on the thread running the shard; the per-shard buffer makes it
-    // race-free (see header). Rendered eagerly so the stream reflects
-    // the event exactly as published.
+    // Rendered eagerly so the stream reflects the event exactly as
+    // published.
     farms_.back()->telemetry().bus().subscribe(
         [slot](const obs::FarmEvent& ev) {
           slot->events.push_back(
@@ -80,8 +79,7 @@ std::vector<std::string> ShardedFarm::merged_event_lines() const {
     }
   }
   // (time, shard) with per-shard publication order preserved by the
-  // stable sort — deterministic for any thread count because each
-  // shard's own stream already is.
+  // stable sort — deterministic because each shard's own stream is.
   std::stable_sort(all.begin(), all.end(),
                    [](const Tagged& a, const Tagged& b) {
                      if (a.usec != b.usec) return a.usec < b.usec;

@@ -1,10 +1,10 @@
-// gq::core::ShardedFarm — parallel farm execution over subfarm shards
+// gq::core::ShardedFarm — farm execution over subfarm shards
 // (DESIGN.md §12). GQ's scaling unit is the subfarm: an independent
 // containment domain with its own packet router, containment server,
 // sinks, and VLAN range. A ShardedFarm instantiates one complete Farm
 // replica per shard — each with its own EventLoop, gateway, telemetry,
-// and Rng stream — and runs them on a sim::LockstepCoordinator worker
-// pool. Shards share one simulated Internet: their external switches
+// and Rng stream — and advances them in lockstep epochs with a
+// sim::LockstepCoordinator. Shards share one simulated Internet: their external switches
 // are L2-bridged in a chain through cross-domain mailbox links, so a
 // host homed on shard 0 (a C&C server, say) is reachable from inmates
 // on every shard, with the gateways' disjoint proxy-ARP ranges doing
@@ -20,10 +20,8 @@
 //     ranges 198.<18+i>.0.0/24 are disjoint across shards.
 //
 // Determinism: with a fixed options.seed, run_for() produces
-// bit-identical observable event streams (merged_event_lines) for ANY
-// worker-thread count — the lockstep epoch/barrier discipline makes
-// thread scheduling invisible. tests/shard_test.cc holds this as a
-// differential gate.
+// bit-identical observable event streams (merged_event_lines) on every
+// rerun. tests/shard_test.cc holds this as a same-seed rerun gate.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +37,14 @@ namespace gq::core {
 
 struct ShardedFarmOptions {
   std::size_t shards = 4;
-  /// Lockstep worker threads (clamped to the shard count); 1 runs every
-  /// shard inline on the calling thread with identical results.
+  /// Ignored; the next benchmark PR deletes the perfbench assignments
+  /// and then this field.
   unsigned threads = 1;
   std::uint64_t seed = 0x6071;
   /// One-way latency of the chain links bridging neighbouring shards'
   /// external switches. This is the conservative lookahead: the epoch
   /// length equals the minimum cross-shard latency, so a WAN-scale
-  /// value keeps per-epoch compute large relative to barrier cost.
+  /// value keeps barriers few.
   util::Duration cross_shard_latency = util::milliseconds(10);
   /// Per-direction bound on frames parked at a bridge link per epoch.
   std::size_t mailbox_capacity = 65536;
@@ -73,7 +71,6 @@ class ShardedFarm {
 
   [[nodiscard]] std::size_t shard_count() const { return farms_.size(); }
   [[nodiscard]] Farm& shard(std::size_t i) { return *farms_.at(i); }
-  [[nodiscard]] unsigned threads() const { return coordinator_->threads(); }
   [[nodiscard]] sim::LockstepStats lockstep_stats() const {
     return coordinator_->stats();
   }
@@ -83,8 +80,8 @@ class ShardedFarm {
 
   /// The canonical observable stream: every FarmEvent from every shard,
   /// rendered with obs::format_event, merged in (time, shard,
-  /// per-shard seq) order. Byte-identical across worker-thread counts
-  /// for the same seed — the differential gates compare exactly this.
+  /// per-shard seq) order. Byte-identical across reruns with the same
+  /// seed — the determinism gates compare exactly this.
   [[nodiscard]] std::vector<std::string> merged_event_lines() const;
 
   /// Total FarmEvents captured across shards.
@@ -95,9 +92,7 @@ class ShardedFarm {
     std::int64_t usec;
     std::string line;
   };
-  /// Filled by the thread running the shard during epochs; read only
-  /// at barriers / after run_for returns (ordering via the coordinator's
-  /// barrier hand-off — see netsim/lockstep.h).
+  /// Filled while the shard runs its epochs; read after run_for returns.
   struct ShardCapture {
     std::size_t shard = 0;
     std::vector<CapturedEvent> events;
@@ -105,8 +100,8 @@ class ShardedFarm {
 
   ShardedFarmOptions options_;
   // Declaration order is teardown order in reverse and it matters:
-  // coordinator_ dies first (joins workers, detaches bridge closures
-  // from ports), farms_ next (their loops drop pending closures), and
+  // coordinator_ dies first (detaches bridge closures from ports),
+  // farms_ next (their loops drop pending closures), and
   // captures_ last because bus subscriptions inside farms reference it.
   std::vector<std::unique_ptr<ShardCapture>> captures_;
   std::vector<std::unique_ptr<Farm>> farms_;

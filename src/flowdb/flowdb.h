@@ -65,9 +65,8 @@ inline constexpr std::uint64_t kMagic = 0x0000314244465147ull;    // "GQFDB1"
 inline constexpr std::uint64_t kEndMagic = 0x444E454244465147ull; // "GQFDBEND"
 inline constexpr std::uint32_t kVersion = 3;
 
-/// Fixed scan-chunk size (rows). Part of the determinism contract: the
-/// chunk grid never depends on the thread count — and also part of
-/// the file format (one ChunkZone per kScanChunk rows).
+/// Fixed scan-chunk size (rows): the grid chunk pruning works on, and
+/// part of the file format (one ChunkZone per kScanChunk rows).
 inline constexpr std::uint64_t kScanChunk = 16384;
 
 /// Bloom filter geometry (ZoneMap::bloom): 1 KiB, k=4, FNV-mixed keys.
@@ -231,8 +230,7 @@ class Writer {
 /// Zero-copy reader over one sealed segment. Columns are handed out as
 /// typed spans directly over the underlying bytes (an mmap'd file via
 /// open(), or an owned buffer via parse()); nothing is deserialized
-/// row-by-row. A Reader is immutable and safe to scan from many
-/// threads concurrently.
+/// row-by-row. A Reader is immutable once opened.
 class Reader {
  public:
   Reader(Reader&& other) noexcept;

@@ -1,8 +1,5 @@
 #include "flowdb/query.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "flowdb/scan_impl.h"
 #include "shim/shim.h"
 
@@ -57,37 +54,6 @@ bool chunk_may_match(const ChunkZone& zone, const Filter& filter) {
 }
 
 namespace detail {
-
-std::vector<std::vector<std::uint64_t>> run_tasks(
-    std::span<const RowPredicate> preds, std::span<const ScanTask> tasks,
-    unsigned thread_opt) {
-  // Task t belongs to worker (t % threads); per-task match lists are
-  // concatenated in task (== segment, chunk) order afterwards, so the
-  // output is identical to the serial scan regardless of thread count.
-  std::vector<std::vector<std::uint64_t>> per_task(tasks.size());
-  const auto run_one = [&](std::size_t t) {
-    const ScanTask& task = tasks[t];
-    const RowPredicate& pred = preds[task.pred];
-    auto& out = per_task[t];
-    for (std::uint64_t i = task.begin; i < task.end; ++i)
-      if (pred(i)) out.push_back(task.base + i);
-  };
-  const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
-      std::max(1u, thread_opt), tasks.size()));
-  if (threads <= 1) {
-    for (std::size_t t = 0; t < tasks.size(); ++t) run_one(t);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) {
-      workers.emplace_back([&, w] {
-        for (std::size_t t = w; t < tasks.size(); t += threads) run_one(t);
-      });
-    }
-    for (auto& worker : workers) worker.join();
-  }
-  return per_task;
-}
 
 void aggregate_into(const Reader& reader, std::span<const std::uint64_t> rows,
                     GroupBy group, std::map<std::string, Agg>& buckets) {

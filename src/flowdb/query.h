@@ -3,12 +3,11 @@
 // (DESIGN.md §14). SegmentedReader (flowdb/store.h) is the one query
 // engine that runs them.
 //
-// Determinism contract: a scan partitions each segment into fixed
-// kScanChunk-row chunks, assigns task t to thread (t % threads), and
-// concatenates per-task match lists in (segment, chunk) order — so the
-// result is bit-identical to the serial scan at any thread count. The
-// ctest lane (flowdb_smoke) and the s7 bench both assert this at 1/2/4
-// threads.
+// A scan walks each surviving segment in fixed kScanChunk-row chunks,
+// in (segment, chunk) order, so matches come out as ascending global
+// row ids. Pruning skips segments and chunks but never changes the
+// result: flowdb_test and the s7 bench assert byte-identity with
+// pruning off.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +74,8 @@ struct ScanStats {
 };
 
 struct ScanOptions {
-  /// Worker threads; <= 1 scans serially (same results either way).
+  /// Ignored; the next benchmark PR deletes the perfbench assignments
+  /// and then this field.
   unsigned threads = 1;
   /// Zone-map / bloom skip-scans. Pruning never changes results (the
   /// differential suite asserts byte-identity on vs. off); turning it

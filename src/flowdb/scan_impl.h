@@ -43,9 +43,7 @@ inline CompiledFilter compile(const Reader& reader, const Filter& filter) {
 }
 
 /// Evaluate the conjunction for one row. Columns are captured once per
-/// scan; this runs over typed spans straight from the mapping. Plain
-/// value type (spans + compiled ids) so segmented scans can keep one
-/// per surviving segment in a vector.
+/// segment; this runs over typed spans straight from the mapping.
 struct RowPredicate {
   CompiledFilter cf;
   std::span<const std::uint8_t> proto;
@@ -106,22 +104,6 @@ struct RowPredicate {
     return true;
   }
 };
-
-/// One surviving chunk of work: rows [begin, end) of the segment whose
-/// predicate is preds[pred], emitted as global ids base + row.
-struct ScanTask {
-  std::size_t pred = 0;
-  std::uint64_t base = 0;
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-};
-
-/// Run the task grid — serially or with task t on worker (t % threads)
-/// — returning per-task match lists in task order. Concatenating them
-/// reproduces the serial scan bit-for-bit at any thread count.
-std::vector<std::vector<std::uint64_t>> run_tasks(
-    std::span<const RowPredicate> preds, std::span<const ScanTask> tasks,
-    unsigned thread_opt);
 
 /// Add one segment's local row ids to the label-keyed `buckets`
 /// (ids past the segment's end are skipped; Agg::label is left unset).

@@ -411,8 +411,9 @@ std::optional<std::vector<std::uint64_t>> SegmentedReader::scan(
   ScanStats& stats = options.stats ? *options.stats : local;
   stats = {};
 
-  std::vector<detail::RowPredicate> preds;
-  std::vector<detail::ScanTask> tasks;
+  // Segments, then chunks, in order: matches come out as ascending
+  // global ids.
+  std::vector<std::uint64_t> matches;
   for (std::size_t s = 0; s < manifest_.segments.size(); ++s) {
     ++stats.segments_considered;
     if (options.prune && !zone_may_match(zones_[s], filter)) {
@@ -425,8 +426,7 @@ std::optional<std::vector<std::uint64_t>> SegmentedReader::scan(
     ++stats.segments_scanned;
     const detail::CompiledFilter cf = detail::compile(*reader, filter);
     if (cf.impossible) continue;  // Dictionary short-circuit, both modes.
-    const std::size_t pred_index = preds.size();
-    preds.emplace_back(*reader, cf);
+    const detail::RowPredicate pred(*reader, cf);
     const auto chunk_zones = reader->chunk_zones();
     const std::uint64_t nrows = reader->rows();
     for (std::uint64_t c = 0; c < chunk_zones.size(); ++c) {
@@ -436,18 +436,12 @@ std::optional<std::vector<std::uint64_t>> SegmentedReader::scan(
       }
       const std::uint64_t begin = c * kScanChunk;
       const std::uint64_t end = std::min(nrows, begin + kScanChunk);
-      tasks.push_back({pred_index, bases_[s], begin, end});
+      for (std::uint64_t i = begin; i < end; ++i)
+        if (pred(i)) matches.push_back(bases_[s] + i);
       ++stats.chunks_scanned;
       stats.rows_scanned += end - begin;
     }
   }
-
-  // Tasks are in (segment, chunk) order, so concatenation yields
-  // ascending global ids — identical to a serial full scan.
-  const auto per_task = detail::run_tasks(preds, tasks, options.threads);
-  std::vector<std::uint64_t> matches;
-  for (const auto& task_matches : per_task)
-    matches.insert(matches.end(), task_matches.begin(), task_matches.end());
 
   stats.rows_matched = matches.size();
   stats.open_ms = open_ms_ - open_ms_before;

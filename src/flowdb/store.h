@@ -35,7 +35,7 @@
 // picks the pair with the smallest combined row count (ties: earliest
 // position), so the same segment sequence always compacts to byte-
 // identical segments and manifests — the s3 bench folds this into its
-// threaded-vs-serial store-hash gate.
+// same-seed rerun store-hash gate.
 #pragma once
 
 #include <cstdint>
@@ -117,9 +117,9 @@ class SegmentedStore {
 
 /// Query side: plans Filters against per-segment zone maps (read from
 /// segment tails at open, without mapping column data), mmaps only
-/// surviving segments, and extends the chunk-parallel scan across them
-/// while preserving ascending global row order — bit-identical to the
-/// serial, pruning-off scan at any thread count.
+/// surviving segments, and scans their chunks in order, so matches come
+/// out in ascending global row order — bit-identical to the pruning-off
+/// scan.
 ///
 /// Methods return nullopt on store corruption (a segment that fails
 /// validation, including detected zone lies); pruning never silently

@@ -25,8 +25,7 @@ class VlanPool {
   /// allocate/reserve/release afterwards keeps it current. Multiple
   /// pools (one per subfarm) share the one gauge, so the farm value is
   /// total free VLANs across subfarms. Resolve-once at bind: the
-  /// registry is never mutated from the data path (see obs/metrics.h
-  /// thread-safety contract).
+  /// registry is never mutated from the data path.
   void bind_metrics(obs::MetricsRegistry& metrics);
 
   /// Allocate the lowest free ID; nullopt when exhausted.

@@ -4,11 +4,9 @@
 // experiment with a 30-minute trigger window completes in milliseconds
 // of wall time and replays identically given the same seed.
 //
-// Threading contract: an EventLoop is single-threaded. Under sharded
-// execution exactly one worker thread runs a given loop during an
-// epoch, and the coordinator may schedule cross-shard deliveries onto
-// it only at epoch barriers while every worker is quiescent (the
-// barrier's release/acquire hand-off orders those accesses).
+// Under sharded execution the coordinator schedules cross-shard
+// deliveries onto a loop only at epoch barriers, between the epochs it
+// runs the loop through.
 #pragma once
 
 #include <cstdint>

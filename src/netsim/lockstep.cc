@@ -2,70 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <utility>
 
 namespace gq::sim {
 
-namespace {
-
-// How long a waiter spins before it parks. On a virtualised host a
-// parked thread's wake-up can cost more than a busy epoch, so the spin
-// covers the gap between two busy epochs of one run_until().
-constexpr auto kSpinBudget = std::chrono::milliseconds(2);
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-}  // namespace
-
-template <class Ready, class KeepSpinning>
-void LockstepCoordinator::Rendezvous::wait(Ready ready,
-                                           KeepSpinning keep_spinning) {
-  const auto give_up = std::chrono::steady_clock::now() + kSpinBudget;
-  for (unsigned i = 1; keep_spinning(); ++i) {
-    if (ready()) return;
-    cpu_relax();
-    if (i % 64 == 0) {
-      if (std::chrono::steady_clock::now() >= give_up) break;
-      // The scheduler tends to queue a thread we just woke on our own
-      // core; without a yield it would wait out the whole spin.
-      std::this_thread::yield();
-    }
-  }
-  parked_.fetch_add(1);
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, ready);
-  }
-  parked_.fetch_sub(1);
-}
-
-void LockstepCoordinator::Rendezvous::wake() {
-  // Dekker pairing with wait(): the caller's seq_cst store precedes this
-  // seq_cst load, and a waiter's seq_cst increment precedes its re-check
-  // of the predicate under mu_. So either that re-check sees the store,
-  // or this load sees the waiter and the notify (taken under mu_, so it
-  // cannot fall between the re-check and the sleep) wakes it.
-  if (parked_.load() == 0) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  cv_.notify_all();
-}
-
-LockstepCoordinator::LockstepCoordinator(unsigned threads,
-                                         std::size_t mailbox_capacity)
-    : mailbox_capacity_(mailbox_capacity),
-      threads_(threads == 0 ? 1 : threads) {}
+LockstepCoordinator::LockstepCoordinator(std::size_t mailbox_capacity)
+    : mailbox_capacity_(mailbox_capacity) {}
 
 LockstepCoordinator::~LockstepCoordinator() {
-  shutdown_.store(true);
-  idle_.wake();
-  for (std::thread& w : workers_) w.join();
   // Bridge closures capture Link pointers owned by this coordinator;
   // detach them so a port outliving the coordinator cannot call into
   // freed state.
@@ -86,15 +30,14 @@ void LockstepCoordinator::bridge(std::size_t domain_a, Port& a,
   assert(latency.usec > 0 && "cross-domain latency bounds the lookahead");
   if (epoch_.usec == 0 || latency < epoch_) epoch_ = latency;
 
-  auto install = [this](std::size_t src, std::size_t dst, Port& src_port,
-                        Port& dst_port, util::Duration lat) {
+  auto install = [this](std::size_t src, Port& src_port, Port& dst_port,
+                        util::Duration lat) {
     links_.push_back(std::make_unique<Link>(
-        Link{src, dst, &dst_port, Mailbox{mailbox_capacity_}}));
+        Link{&dst_port, Mailbox{mailbox_capacity_}}));
     Link* link = links_.back().get();
     EventLoop* src_loop = domains_[src];
-    // Runs on the thread running `src` during an epoch: stamp the
-    // absolute delivery time from the source clock and park the frame
-    // until the barrier.
+    // Runs while `src` runs its epoch: stamp the absolute delivery
+    // time from the source clock and park the frame until the barrier.
     src_port.set_bridge(
         [link, src_loop](util::Duration delay, Frame frame) {
           link->box.push(TimedFrame{src_loop->now() + delay,
@@ -103,81 +46,15 @@ void LockstepCoordinator::bridge(std::size_t domain_a, Port& a,
         lat);
     bridged_ports_.push_back(&src_port);
   };
-  install(domain_a, domain_b, a, b, latency);
-  install(domain_b, domain_a, b, a, latency);
-}
-
-void LockstepCoordinator::start_workers() {
-  started_ = true;
-  now_ = util::TimePoint{};
-  for (EventLoop* loop : domains_) now_ = std::max(now_, loop->now());
-  executed_before_.resize(domains_.size());
-  assert(domains_.size() <= 0xFFFF && "claim_ packs 16-bit indices");
-  threads_ = std::min<unsigned>(
-      threads_, static_cast<unsigned>(std::max<std::size_t>(domains_.size(), 1)));
-  for (unsigned w = 1; w < threads_; ++w) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
-}
-
-void LockstepCoordinator::run_claims(std::uint32_t gen) {
-  std::uint64_t word = claim_.load();
-  for (;;) {
-    if (static_cast<std::uint32_t>(word >> 32) != gen) return;
-    const std::uint32_t count = (word >> 16) & 0xFFFF;
-    const std::uint32_t next = word & 0xFFFF;
-    if (next >= count) return;
-    // A successful claim reads the store that published epoch `gen`, so
-    // due_ and epoch_deadline_ are that epoch's; the calling thread
-    // rewrites them only after every claimed domain is done.
-    if (!claim_.compare_exchange_weak(word, word + 1)) continue;
-    domains_[due_[next]]->run_until(epoch_deadline_);
-    if (done_count_.fetch_add(1) + 1 == count) done_.wake();
-    word = claim_.load();
-  }
-}
-
-void LockstepCoordinator::worker_main() {
-  std::uint32_t seen = 0;
-  for (;;) {
-    idle_.wait(
-        [&] {
-          return shutdown_.load() ||
-                 static_cast<std::uint32_t>(claim_.load() >> 32) != seen;
-        },
-        [&] { return running_.load(std::memory_order_relaxed); });
-    if (shutdown_.load()) return;
-    seen = static_cast<std::uint32_t>(claim_.load() >> 32);
-    run_claims(seen);
-  }
-}
-
-void LockstepCoordinator::advance_domains(util::TimePoint epoch_end) {
-  // A lone due domain runs here: another thread could only add a
-  // hand-off. Two or more are shared with whichever workers are
-  // spinning; the calling thread claims domains too, so an epoch never
-  // waits for a worker that has not started on it.
-  if (workers_.empty() || due_.size() < 2) {
-    for (std::uint32_t d : due_) domains_[d]->run_until(epoch_end);
-    return;
-  }
-  const auto count = static_cast<std::uint32_t>(due_.size());
-  epoch_deadline_ = epoch_end;
-  done_count_.store(0, std::memory_order_relaxed);
-  ++gen_;
-  claim_.store(static_cast<std::uint64_t>(gen_) << 32 |
-               static_cast<std::uint64_t>(count) << 16);
-  idle_.wake();
-  run_claims(gen_);
-  done_.wait([&] { return done_count_.load() == count; },
-             [] { return true; });
+  install(domain_a, a, b, latency);
+  install(domain_b, b, a, latency);
 }
 
 void LockstepCoordinator::drain_mailboxes(util::TimePoint epoch_end) {
   // Canonical delivery order: (deliver_at, link id, per-link production
   // seq). Iterating links in creation order and stable-sorting on
-  // deliver_at alone yields exactly that, independent of which thread
-  // ran which domain.
+  // deliver_at alone yields exactly that, independent of the order in
+  // which the domains ran.
   struct Pending {
     TimedFrame tf;
     Port* dst_port;
@@ -205,15 +82,9 @@ void LockstepCoordinator::drain_mailboxes(util::TimePoint epoch_end) {
   }
 }
 
-util::TimePoint LockstepCoordinator::collect_due(
-    util::TimePoint epoch_end) {
-  due_.clear();
+util::TimePoint LockstepCoordinator::next_due() const {
   util::TimePoint due{INT64_MAX};
-  for (std::size_t d = 0; d < domains_.size(); ++d) {
-    const util::TimePoint at = domains_[d]->next_at();
-    due = std::min(due, at);
-    if (at <= epoch_end) due_.push_back(static_cast<std::uint32_t>(d));
-  }
+  for (const EventLoop* loop : domains_) due = std::min(due, loop->next_at());
   return due;
 }
 
@@ -239,16 +110,12 @@ void LockstepCoordinator::skip_idle_epochs(util::TimePoint due,
 }
 
 void LockstepCoordinator::run_epoch(util::TimePoint epoch_end) {
-  for (std::size_t d = 0; d < domains_.size(); ++d) {
-    executed_before_[d] = domains_[d]->events_executed();
-  }
-  advance_domains(epoch_end);
   // Domains with nothing due only move their clocks.
-  for (EventLoop* loop : domains_) loop->run_until(epoch_end);
   std::uint64_t widest = 0;
-  for (std::size_t d = 0; d < domains_.size(); ++d) {
-    const std::uint64_t ran =
-        domains_[d]->events_executed() - executed_before_[d];
+  for (EventLoop* loop : domains_) {
+    const std::uint64_t before = loop->events_executed();
+    loop->run_until(epoch_end);
+    const std::uint64_t ran = loop->events_executed() - before;
     stats_.events += ran;
     widest = std::max(widest, ran);
   }
@@ -259,22 +126,23 @@ void LockstepCoordinator::run_epoch(util::TimePoint epoch_end) {
 }
 
 void LockstepCoordinator::run_until(util::TimePoint deadline) {
-  if (!started_) start_workers();
+  if (!started_) {
+    started_ = true;
+    for (const EventLoop* loop : domains_) now_ = std::max(now_, loop->now());
+  }
   assert((links_.empty() || epoch_.usec > 0) && "epoch needs a latency");
-  running_.store(true, std::memory_order_relaxed);
   while (now_ < deadline) {
     util::TimePoint epoch_end = deadline;
     if (!links_.empty() && now_ + epoch_ < deadline) {
       epoch_end = now_ + epoch_;
     }
-    const util::TimePoint due = collect_due(epoch_end);
+    const util::TimePoint due = next_due();
     if (due > epoch_end) {
       skip_idle_epochs(due, deadline);
     } else {
       run_epoch(epoch_end);
     }
   }
-  running_.store(false, std::memory_order_relaxed);
 }
 
 LockstepStats LockstepCoordinator::stats() const {

@@ -37,7 +37,7 @@ class Port {
  public:
   using RxHandler = std::function<void(Frame)>;
   /// Transmit sink for a port bridged across execution domains: called
-  /// on the owning domain's thread with the fault-adjusted delivery
+  /// while the owning domain runs, with the fault-adjusted delivery
   /// delay; the sink (a LockstepCoordinator mailbox) carries the frame
   /// to the peer domain, which hands it back via deliver_bridged().
   using BridgeTx = std::function<void(util::Duration delay, Frame frame)>;
@@ -68,7 +68,7 @@ class Port {
   /// Entry point for frames arriving from a bridged peer domain:
   /// schedules the frame's arrival at absolute time `at` on this port's
   /// own loop. Called only by the lockstep coordinator at epoch
-  /// barriers, while the loop's worker is quiescent.
+  /// barriers.
   void schedule_bridged(util::TimePoint at, Frame frame);
 
   /// Queue a frame for delivery to the peer after the link latency.

@@ -12,12 +12,11 @@
 // subscription order, which keeps the whole farm deterministic under the
 // simulated clock.
 //
-// Threading contract: an EventBus is single-domain-affine — publishers
-// and subscribers of one bus all live in the same execution domain (one
-// farm shard), so dispatch needs no locks and stays deterministic.
-// Sharded runs keep one bus per shard and merge observable streams at
-// epoch barriers (core::ShardedFarm::merged_event_lines, built on
-// format_event below); nothing ever publishes across shard threads.
+// An EventBus is single-domain-affine: publishers and subscribers of
+// one bus all live in the same execution domain (one farm shard).
+// Sharded runs keep one bus per shard and merge the observable streams
+// afterwards (core::ShardedFarm::merged_event_lines, built on
+// format_event below); nothing ever publishes across shards.
 #pragma once
 
 #include <cstdint>
@@ -102,8 +101,8 @@ const char* farm_event_kind_name(FarmEvent::Kind kind);
 /// Canonical one-line rendering of an event, covering every field a
 /// publisher sets. Two runs are observably identical iff their
 /// format_event streams are byte-identical — this is the comparison key
-/// of the serial-vs-parallel differential gates (tests/shard_test.cc,
-/// bench sweep F), so keep it exhaustive: a field omitted here is a
+/// of the same-seed rerun gates (tests/shard_test.cc) and of sweep F's
+/// pinned stream hash, so keep it exhaustive: a field omitted here is a
 /// field divergence can hide in.
 std::string format_event(const FarmEvent& event);
 

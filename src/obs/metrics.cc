@@ -38,30 +38,19 @@ Histogram::Histogram(std::vector<double> upper_bounds)
     : upper_bounds_(std::move(upper_bounds)) {
   if (upper_bounds_.empty()) upper_bounds_ = default_latency_bounds_us();
   std::sort(upper_bounds_.begin(), upper_bounds_.end());
-  buckets_ = std::vector<std::atomic<std::uint64_t>>(upper_bounds_.size() + 1);
+  buckets_.assign(upper_bounds_.size() + 1, 0);
 }
 
 void Histogram::observe(double value) {
   const auto it = std::lower_bound(upper_bounds_.begin(),
                                    upper_bounds_.end(), value);
-  buckets_[static_cast<std::size_t>(it - upper_bounds_.begin())].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // C++20 floating-point fetch_add (a CAS loop on this target): relaxed
-  // like the rest — concurrent observes never lose a sample.
-  sum_.fetch_add(value, std::memory_order_relaxed);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
+  ++buckets_[static_cast<std::size_t>(it - upper_bounds_.begin())];
+  ++count_;
+  sum_ += value;
 }
 
 double Histogram::quantile(double q) const {
-  const std::vector<std::uint64_t> buckets = bucket_counts();
+  const std::vector<std::uint64_t>& buckets = bucket_counts();
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -83,7 +72,7 @@ double Histogram::quantile(double q) const {
 }
 
 std::string Histogram::render(const std::string& title) const {
-  const std::vector<std::uint64_t> buckets = bucket_counts();
+  const std::vector<std::uint64_t>& buckets = bucket_counts();
   std::string out = title + "\n";
   out += util::format("  count %llu  mean %.1f  p50 %.1f  p95 %.1f  p99 %.1f\n",
                       static_cast<unsigned long long>(count()), mean(),
@@ -192,7 +181,7 @@ std::string MetricsRegistry::render_json() const {
         static_cast<unsigned long long>(histogram->count()),
         json_number(histogram->sum()).c_str());
     const auto& bounds = histogram->upper_bounds();
-    const std::vector<std::uint64_t> buckets = histogram->bucket_counts();
+    const std::vector<std::uint64_t>& buckets = histogram->bucket_counts();
     for (std::size_t i = 0; i < buckets.size(); ++i) {
       const std::string le =
           (i < bounds.size()) ? json_number(bounds[i]) : "\"+inf\"";

@@ -17,26 +17,10 @@
 // document (for scripted consumers of bench/micro_datapath and future
 // scrape endpoints).
 //
-// Memory-ordering contract under sharded (multi-threaded) execution:
-//
-//   * Instrument updates (Counter::inc, Gauge::add/set, Histogram::
-//     observe) are relaxed atomics: concurrent publishers from
-//     different shard worker threads never lose increments, but an
-//     in-epoch reader on another thread sees no ordering between
-//     instruments. No publisher ever blocks.
-//   * Registry *mutation* (counter()/gauge()/histogram() creating a new
-//     instrument) is NOT thread-safe. Components resolve their handles
-//     at construction time — before the lockstep workers start — which
-//     is also what keeps instrument addresses stable for cached
-//     references.
-//   * Cross-thread reads (render_text/render_json, find_*, value())
-//     are exact only at a lockstep epoch barrier: the coordinator's
-//     barrier hand-off (seq_cst atomics) makes every relaxed update
-//     from the preceding epoch happen-before the reader. ShardedFarm therefore
-//     snapshots metrics only between run_for() calls.
+// Everything runs on one thread, so instruments are plain integers and
+// doubles: an update is one add, a read is one load.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -47,32 +31,22 @@ namespace gq::obs {
 
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void inc(std::uint64_t n = 1) { value_ += n; }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 class Gauge {
  public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void sub(std::int64_t delta) {
-    value_.fetch_sub(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void set(std::int64_t v) { value_ = v; }
+  void add(std::int64_t delta) { value_ += delta; }
+  void sub(std::int64_t delta) { value_ -= delta; }
+  [[nodiscard]] std::int64_t value() const { return value_; }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  std::int64_t value_ = 0;
 };
 
 /// Fixed-bucket histogram. Bounds are inclusive upper edges in ascending
@@ -84,12 +58,8 @@ class Histogram {
 
   void observe(double value);
 
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double mean() const {
     const std::uint64_t n = count();
     return n == 0 ? 0.0 : sum() / static_cast<double>(n);
@@ -97,9 +67,10 @@ class Histogram {
   [[nodiscard]] const std::vector<double>& upper_bounds() const {
     return upper_bounds_;
   }
-  /// Snapshot of the per-bucket counts (copy: the live buckets are
-  /// atomics a concurrent publisher may still be bumping).
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
+  /// Per-bucket counts.
+  [[nodiscard]] const std::vector<std::uint64_t>& bucket_counts() const {
+    return buckets_;
+  }
 
   /// Estimate of the q-quantile (0 < q <= 1) assuming a uniform spread
   /// within the winning bucket. Good enough for operator dashboards.
@@ -111,11 +82,9 @@ class Histogram {
 
  private:
   std::vector<double> upper_bounds_;
-  // upper_bounds_.size() + 1 entries; sized once in the constructor and
-  // never resized, so element addresses stay valid for publishers.
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::vector<std::uint64_t> buckets_;  // upper_bounds_.size() + 1 entries.
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
 };
 
 /// Default bucket edges for microsecond-scale latency histograms:

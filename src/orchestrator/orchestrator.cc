@@ -157,9 +157,8 @@ void Orchestrator::allocate(JobRecord& job, PoolSlot& slot) {
   }
 
   // Per-job raw-ingress archive: every tagged frame this inmate sends
-  // is mirrored here for the job's lifetime. No telemetry handle — the
-  // tap may be created from a shard worker thread (pump runs on the
-  // shard loop) and registry mutation is not thread-safe.
+  // is mirrored here for the job's lifetime. No telemetry handle, so
+  // per-job archives add no instruments to the shard's registry.
   job.archive = std::make_unique<trace::TraceTap>(
       util::format("job-%llu", static_cast<unsigned long long>(job.id)),
       options_.job_archive, nullptr);

@@ -9,10 +9,9 @@
 // FarmEvent — part of the canonical observable stream, so job
 // scheduling itself is covered by the bit-identical replay gates.
 //
-// Threading: an Orchestrator is shard-affine like everything else that
-// touches a Farm. submit()/cancel() are called either from inside the
-// shard's loop or from the main thread between run_for() calls (the
-// ShardedFarm quiescence windows); actual allocation always happens on
+// An Orchestrator is shard-affine like everything else that touches a
+// Farm. submit()/cancel() are called either from inside the shard's
+// loop or between run_for() calls; actual allocation always happens on
 // the loop via a scheduled pump.
 #pragma once
 

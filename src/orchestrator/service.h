@@ -25,9 +25,7 @@ class DetonationService {
     std::uint64_t job = 0;
   };
 
-  /// Construct on the main thread after the ShardedFarm, before any
-  /// run_for (the workers are quiescent, so per-shard construction —
-  /// subfarms, inmates, registry mutation — is safe). The SlotBuilder
+  /// Construct after the ShardedFarm, before any run_for. The SlotBuilder
   /// runs once per slot per shard; slot subfarm names get a per-shard
   /// prefix so they stay unique within each shard's gateway.
   DetonationService(core::ShardedFarm& farm, OrchestratorOptions options,
@@ -46,11 +44,10 @@ class DetonationService {
   /// order, jobs in id order — is sealed into ONE new segment. With
   /// `sealed_only` (the live-farm default) only fully recycled jobs
   /// are taken, so the segment content at a lockstep-epoch boundary is
-  /// a pure function of the batch and identical at any worker-thread
-  /// count; a final drain flush passes false to also snapshot
-  /// still-running jobs. Zero new jobs appends nothing (returns 0).
-  /// Call between run epochs (workers quiescent); nullopt on I/O
-  /// error or a corrupt store dir.
+  /// a pure function of the batch; a final drain flush passes false to
+  /// also snapshot still-running jobs. Zero new jobs appends nothing
+  /// (returns 0). Call between run_for() calls; nullopt on I/O error or
+  /// a corrupt store dir.
   std::optional<std::size_t> append_flowdb_store(const std::string& dir,
                                                  bool sealed_only = true);
 

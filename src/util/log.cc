@@ -1,7 +1,6 @@
 #include "util/log.h"
 
 #include <cstdio>
-#include <mutex>
 
 namespace gq::util {
 
@@ -11,7 +10,6 @@ struct LogState {
   LogLevel level = LogLevel::kWarn;
   Log::Sink sink;
   std::function<TimePoint()> clock;
-  std::mutex mutex;
 };
 
 LogState& state() {
@@ -44,7 +42,6 @@ void Log::set_clock(std::function<TimePoint()> clock) {
 void Log::write(LogLevel level, std::string_view component,
                 std::string message) {
   auto& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
   if (s.sink) {
     s.sink(level, component, message);
     return;

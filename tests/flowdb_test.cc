@@ -1,9 +1,8 @@
 // FlowDB store + query engine coverage (src/flowdb). The FlowDbSmoke
 // suite doubles as the `flowdb_smoke` ctest lane: encode/parse/open
 // round trips, predicate scans checked against brute force over
-// reconstructed rows, the serial-vs-parallel bit-identity contract at
-// 1/2/4 threads, aggregation kernels, and the verdict-distribution
-// diff gate. Every query runs against a store directory written through
+// reconstructed rows, aggregation kernels, and the
+// verdict-distribution diff gate. Every query runs against a store directory written through
 // SegmentedStore::append_segment (make_store builds one-segment ones). FlowDbReject covers the load-time rejection contract:
 // corrupt footers, truncation, and self-declared-length lies must all
 // come back nullopt, never a crash or over-read.
@@ -212,24 +211,6 @@ TEST(FlowDbSmoke, ScanPredicatesMatchBruteForce) {
     for (std::uint64_t i = 0; i < reader->rows(); ++i)
       if (row_matches(*reader->row(i), filters[fi])) expected.push_back(i);
     EXPECT_EQ(*matches, expected) << "filter " << fi;
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(FlowDbSmoke, ParallelScanBitIdenticalAt124Threads) {
-  // > kScanChunk rows so the parallel path actually splits chunks.
-  const auto dir = temp_dir("flowdb_parallel_scan");
-  auto reader = make_store(dir, sample_writer(50'000, 0xFDB0005));
-  ASSERT_TRUE(reader);
-  flowdb::Filter filter;
-  filter.port = 80;
-  const auto serial = reader->scan(filter);
-  ASSERT_TRUE(serial);
-  EXPECT_FALSE(serial->empty());
-  for (const unsigned threads : {2u, 4u}) {
-    flowdb::ScanOptions options;
-    options.threads = threads;
-    EXPECT_EQ(reader->scan(filter, options), serial) << threads << " threads";
   }
   std::filesystem::remove_all(dir);
 }
@@ -651,12 +632,7 @@ TEST(FlowDbPrune, PruneOnAndOffAreByteIdentical) {
     off.prune = false;
     const auto full = reader->scan(filters[fi], off);
     ASSERT_TRUE(full);
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      flowdb::ScanOptions on;
-      on.threads = threads;
-      EXPECT_EQ(reader->scan(filters[fi], on), full)
-          << "filter " << fi << " at " << threads << " threads";
-    }
+    EXPECT_EQ(reader->scan(filters[fi]), full) << "filter " << fi;
   }
   std::filesystem::remove_all(dir);
 }
@@ -857,7 +833,7 @@ TEST(FlowDbStore, SegmentedRoundTripMatchesMonolith) {
   EXPECT_FALSE(seg_reader->row(rows.size()));
 
   // Both stores return the brute-force global ids, with pruning on and
-  // off and across thread counts.
+  // off.
   const auto filters = canned_filters();
   for (std::size_t fi = 0; fi < filters.size(); ++fi) {
     std::vector<std::uint64_t> expected;
@@ -869,13 +845,9 @@ TEST(FlowDbStore, SegmentedRoundTripMatchesMonolith) {
       const auto full = reader->scan(filters[fi], off);
       ASSERT_TRUE(full);
       EXPECT_EQ(*full, expected) << "filter " << fi;
-      for (const unsigned threads : {1u, 2u, 4u}) {
-        flowdb::ScanOptions on;
-        on.threads = threads;
-        const auto pruned = reader->scan(filters[fi], on);
-        ASSERT_TRUE(pruned);
-        EXPECT_EQ(*pruned, expected) << "filter " << fi;
-      }
+      const auto pruned = reader->scan(filters[fi]);
+      ASSERT_TRUE(pruned);
+      EXPECT_EQ(*pruned, expected) << "filter " << fi;
     }
   }
 
@@ -1100,11 +1072,9 @@ TEST(FlowDbPrune, SegmentSeparableStorePrunesPinnedCounts) {
     for (const auto& q : queries) {
       flowdb::ScanStats stats;
       flowdb::ScanOptions on;
-      on.threads = 2;
       on.stats = &stats;
       const auto pruned = reader->scan(q.filter, on);
       flowdb::ScanOptions off;
-      off.threads = 2;
       off.prune = false;
       const auto full = reader->scan(q.filter, off);
       ASSERT_TRUE(pruned && full) << q.name;
@@ -1125,9 +1095,7 @@ TEST(FlowDbPrune, SegmentSeparableStorePrunesPinnedCounts) {
   auto compacted = flowdb::SegmentedReader::open(dir_a);
   ASSERT_TRUE(compacted);
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    flowdb::ScanOptions options;
-    options.threads = 2;
-    const auto matches = compacted->scan(queries[qi].filter, options);
+    const auto matches = compacted->scan(queries[qi].filter);
     ASSERT_TRUE(matches) << queries[qi].name;
     EXPECT_EQ(*matches, before[qi]) << queries[qi].name;
   }

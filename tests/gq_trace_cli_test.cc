@@ -174,8 +174,7 @@ TEST_F(GqTraceCli, StoreCommandsQueryTheCompactedArchive) {
   ok({"appendseg", store, archive_}, "appended 1 archives, 2 flows");
 
   ok({"query", store}, "2 of 2 flows matched");
-  ok({"query", store, "--verdict", "rewrite", "--threads", "4"},
-     "1 of 2 flows matched");
+  ok({"query", store, "--verdict", "rewrite"}, "1 of 2 flows matched");
   ok({"query", store, "--source", "cached", "--no-prune"},
      "1 of 2 flows matched");
   ok({"query", store, "--limit", "1"}, "(1 more matches)");
