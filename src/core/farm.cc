@@ -15,14 +15,18 @@ constexpr std::uint16_t kMgmtVlan = 2;
 constexpr std::uint16_t kExternalVlan = 3;
 constexpr util::Duration kLinkLatency = util::microseconds(50);
 constexpr util::Duration kUpstreamLatency = util::microseconds(500);
+// Switch sizes; each switch's last port is the gateway's uplink.
+constexpr std::size_t kInmateSwitchPorts = 72;
+constexpr std::size_t kMgmtSwitchPorts = 48;
+constexpr std::size_t kExternalSwitchPorts = 48;
 }  // namespace
 
 Farm::Farm(FarmOptions options)
     : options_(options),
       rng_(options.seed),
-      inmate_switch_(loop_, "inmate-sw", options.inmate_switch_ports),
-      mgmt_switch_(loop_, "mgmt-sw", options.mgmt_switch_ports),
-      external_switch_(loop_, "ext-sw", options.external_switch_ports) {
+      inmate_switch_(loop_, "inmate-sw", kInmateSwitchPorts),
+      mgmt_switch_(loop_, "mgmt-sw", kMgmtSwitchPorts),
+      external_switch_(loop_, "ext-sw", kExternalSwitchPorts) {
   next_subfarm_index_ = options_.subfarm_index_base;
   gw::GatewayConfig gwc;
   gwc.upstream_addr = options_.gateway_upstream;
@@ -36,17 +40,17 @@ Farm::Farm(FarmOptions options)
 
   // Wire the gateway's three legs: trunk into the inmate switch, access
   // ports on the management and external switches.
-  const std::size_t inmate_trunk = options.inmate_switch_ports - 1;
+  const std::size_t inmate_trunk = kInmateSwitchPorts - 1;
   inmate_switch_.set_trunk_all(inmate_trunk);
   sim::Port::connect(gateway_->inmate_port(), inmate_switch_.port(inmate_trunk),
                      kLinkLatency);
 
-  const std::size_t mgmt_uplink = options.mgmt_switch_ports - 1;
+  const std::size_t mgmt_uplink = kMgmtSwitchPorts - 1;
   mgmt_switch_.set_access(mgmt_uplink, kMgmtVlan);
   sim::Port::connect(gateway_->mgmt_port(), mgmt_switch_.port(mgmt_uplink),
                      kLinkLatency);
 
-  const std::size_t ext_uplink = options.external_switch_ports - 1;
+  const std::size_t ext_uplink = kExternalSwitchPorts - 1;
   external_switch_.set_access(ext_uplink, kExternalVlan);
   sim::Port::connect(gateway_->upstream_port(),
                      external_switch_.port(ext_uplink), kUpstreamLatency);
@@ -90,7 +94,7 @@ Farm::~Farm() {
 
 net::HostStack& Farm::add_external_host(const std::string& name,
                                         util::Ipv4Addr addr) {
-  if (next_external_port_ >= options_.external_switch_ports - 1)
+  if (next_external_port_ >= kExternalSwitchPorts - 1)
     throw std::runtime_error("external switch full");
   auto host = std::make_unique<net::HostStack>(
       loop_, name,
@@ -111,7 +115,7 @@ net::HostStack& Farm::add_external_host(const std::string& name,
 }
 
 net::HostStack& Farm::add_mgmt_host(const std::string& name) {
-  if (next_mgmt_port_ >= options_.mgmt_switch_ports - 1)
+  if (next_mgmt_port_ >= kMgmtSwitchPorts - 1)
     throw std::runtime_error("management switch full");
   auto host = std::make_unique<net::HostStack>(
       loop_, name,
@@ -146,14 +150,14 @@ void Farm::set_link_faults(sim::Port& port, const sim::FaultProfile& profile) {
 }
 
 sim::Port& Farm::claim_external_bridge_port() {
-  if (next_external_port_ >= options_.external_switch_ports - 1)
+  if (next_external_port_ >= kExternalSwitchPorts - 1)
     throw std::runtime_error("external switch full");
   external_switch_.set_access(next_external_port_, kExternalVlan);
   return external_switch_.port(next_external_port_++);
 }
 
 sim::Port& Farm::next_inmate_access_port(std::uint16_t vlan) {
-  if (next_inmate_port_ >= options_.inmate_switch_ports - 1)
+  if (next_inmate_port_ >= kInmateSwitchPorts - 1)
     throw std::runtime_error("inmate switch full");
   inmate_switch_.set_access(next_inmate_port_, vlan);
   return inmate_switch_.port(next_inmate_port_++);
@@ -186,9 +190,6 @@ Subfarm& Farm::add_subfarm(const std::string& name, SubfarmOptions options) {
   sfc.external_net = options.external_net;
   sfc.containment_server = {cs_host.addr(), kCsPort};
   sfc.inbound_mode = options.inbound_mode;
-  sfc.max_conns_per_inmate = options.max_conns_per_inmate;
-  sfc.max_conns_per_dest = options.max_conns_per_dest;
-  sfc.drop_sends_rst = options.drop_sends_rst;
   sfc.dns_service = options.dns_service;
   sfc.infra_services = options.infra_services;
   auto& router = gateway_->add_subfarm(sfc);
@@ -250,7 +251,6 @@ sinks::SmtpSink& Subfarm::add_smtp_sink(sinks::SmtpSinkConfig config,
   sink->set_telemetry(&farm_.telemetry(), name(),
                       util::to_lower(service_name));
   env_.services[util::to_lower(service_name)] = {host.addr(), config.port};
-  farm_.reporter().register_smtp_sink(name(), sink.get());
   auto& ref = *sink;
   smtp_sinks_[service_name] = std::move(sink);
   return ref;

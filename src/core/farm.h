@@ -47,9 +47,6 @@ struct FarmOptions {
   std::uint64_t seed = 0x6071;
   util::Ipv4Addr gateway_upstream = util::Ipv4Addr(203, 0, 113, 1);
   util::Ipv4Net mgmt_net{util::Ipv4Addr(10, 3, 0, 0), 16};
-  std::size_t inmate_switch_ports = 72;
-  std::size_t mgmt_switch_ports = 48;
-  std::size_t external_switch_ports = 48;
   /// Rotation budget for every gateway trace tap (upstream, mgmt,
   /// inmate-ingress, one per subfarm). Defaults keep a few MB per farm.
   trace::ArchiveConfig trace_archive;
@@ -76,9 +73,6 @@ struct SubfarmOptions {
   util::Ipv4Net internal_net;    ///< Default: 10.<n>.0.0/24.
   util::Ipv4Net external_net;    ///< Default: 198.<18+n>.0.0/24.
   gw::InboundMode inbound_mode = gw::InboundMode::kDrop;
-  std::size_t max_conns_per_inmate = 2000;
-  std::size_t max_conns_per_dest = 500;
-  bool drop_sends_rst = true;
   /// Resolver address handed to inmates via DHCP. Flows to it are
   /// contained like any other unless the address is also added to
   /// `infra_services` (the restricted broadcast domain).

@@ -7,12 +7,19 @@
 
 namespace gq::core {
 
+namespace {
+// One-way latency of the chain links bridging neighbouring shards'
+// external switches. This is the conservative lookahead: the epoch
+// length equals the minimum cross-shard latency, so a WAN-scale value
+// keeps barriers few.
+constexpr util::Duration kCrossShardLatency = util::milliseconds(10);
+}  // namespace
+
 ShardedFarm::ShardedFarm(ShardedFarmOptions options,
                          const ShardBuilder& builder)
     : options_(options) {
   if (options_.shards == 0) options_.shards = 1;
-  coordinator_ =
-      std::make_unique<sim::LockstepCoordinator>(options_.mailbox_capacity);
+  coordinator_ = std::make_unique<sim::LockstepCoordinator>();
 
   // Independent per-shard seed streams derived from the master seed:
   // shard 0 of a 4-shard farm and shard 0 of an 8-shard farm see the
@@ -54,7 +61,7 @@ ShardedFarm::ShardedFarm(ShardedFarmOptions options,
     sim::Port& left = farms_[s]->claim_external_bridge_port();
     sim::Port& right = farms_[s + 1]->claim_external_bridge_port();
     coordinator_->bridge(domains[s], left, domains[s + 1], right,
-                         options_.cross_shard_latency);
+                         kCrossShardLatency);
   }
 
   if (builder) {

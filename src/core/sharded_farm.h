@@ -41,13 +41,6 @@ struct ShardedFarmOptions {
   /// and then this field.
   unsigned threads = 1;
   std::uint64_t seed = 0x6071;
-  /// One-way latency of the chain links bridging neighbouring shards'
-  /// external switches. This is the conservative lookahead: the epoch
-  /// length equals the minimum cross-shard latency, so a WAN-scale
-  /// value keeps barriers few.
-  util::Duration cross_shard_latency = util::milliseconds(10);
-  /// Per-direction bound on frames parked at a bridge link per epoch.
-  std::size_t mailbox_capacity = 65536;
   /// Applied to every shard's FarmOptions.
   gw::DatapathOptions datapath;
   trace::ArchiveConfig trace_archive;

@@ -2,7 +2,9 @@
 // routers. Mirrors the paper's split (§6.1): an invariant, reusable
 // forwarding mechanism configured by a small per-subfarm description
 // (external address range, VLAN ID range, containment server location,
-// safety thresholds, trace naming).
+// trace naming). Values no caller varies, such as the safety-filter
+// thresholds and the shim retry schedule, are constants beside the
+// code that reads them (router.cc, gateway.cc).
 #pragma once
 
 #include <cstdint>
@@ -29,10 +31,6 @@ enum class InboundMode { kDrop, kForward };
 struct DatapathOptions {
   /// Gateway-side verdict cache (repeat flows resolved locally).
   bool verdict_cache = true;
-  /// LRU bound on cached entries.
-  std::size_t verdict_cache_capacity = 4096;
-  /// TTL applied when a cacheable response carries cache_ttl_ms == 0.
-  util::Duration verdict_cache_default_ttl = util::seconds(60);
 
   /// Compiled in-gateway policy table (first-contact flows resolved
   /// locally from the containment server's pushed match-action rules).
@@ -72,25 +70,13 @@ struct SubfarmConfig {
 
   InboundMode inbound_mode = InboundMode::kDrop;
 
-  /// Safety filter thresholds (§5.1): new connections per inmate per
-  /// window, and to any single destination per window.
-  std::size_t max_conns_per_inmate = 2000;
-  std::size_t max_conns_per_dest = 500;
-  util::Duration safety_window = util::minutes(1);
-
-  /// Whether DROP verdicts answer the inmate with a RST (visible refusal)
-  /// or drop silently (black hole).
-  bool drop_sends_rst = true;
-
-  /// Idle flow garbage-collection timeout.
-  util::Duration flow_timeout = util::minutes(5);
-
   // --- Fail-closed verdict resolution ---------------------------------
   // Containment must hold when the containment server is slow, sheds
   // load, or is unreachable (lossy/flapping management link). Each new
   // flow carries a verdict deadline; request shims are retransmitted
-  // with bounded exponential backoff; a flow still undecided at the
-  // deadline is locally enforced with fail_closed_verdict.
+  // with bounded exponential backoff (router.cc's kShimRetry*); a flow
+  // still undecided at the deadline is locally enforced with
+  // fail_closed_verdict.
 
   /// How long a flow may sit in kAwaitVerdict before the router
   /// enforces the fail-closed verdict itself.
@@ -105,12 +91,6 @@ struct SubfarmConfig {
   /// catch-all service). An unset address degrades kReflect to kDrop.
   util::Endpoint fail_closed_reflect_target;
 
-  /// Request-shim retransmission: exponential backoff from initial to
-  /// max, at most retry_limit retransmits, then fail-closed immediately.
-  util::Duration shim_retry_initial = util::seconds(1);
-  util::Duration shim_retry_max = util::seconds(8);
-  int shim_retry_limit = 6;
-
   [[nodiscard]] bool owns_vlan(std::uint16_t vlan) const {
     return vlan >= vlan_first && vlan <= vlan_last;
   }
@@ -122,11 +102,6 @@ struct GatewayConfig {
   util::Ipv4Addr upstream_addr;   ///< On the external network.
   util::Ipv4Addr mgmt_addr;       ///< On the management network.
   util::Ipv4Net mgmt_net;
-
-  /// Nonce ports for containment-server proxy legs are allocated from
-  /// this range on the management interface.
-  std::uint16_t nonce_port_first = 40000;
-  std::uint16_t nonce_port_last = 49999;
 
   /// Offset added to the gateway's locally-administered interface MAC
   /// ids (0xE0001..0xE0003). Zero for a standalone farm; a sharded

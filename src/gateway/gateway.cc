@@ -12,6 +12,11 @@ namespace {
 
 constexpr const char* kLog = "gw";
 
+// Nonce ports for containment-server proxy legs are allocated from this
+// range on the management interface.
+constexpr std::uint16_t kNoncePortFirst = 40000;
+constexpr std::uint16_t kNoncePortLast = 49999;
+
 std::vector<std::uint8_t> encode_untagged(pkt::DecodedFrame& frame) {
   frame.eth.vlan.reset();
   return frame.encode();
@@ -43,7 +48,7 @@ Gateway::Gateway(sim::EventLoop& loop, GatewayConfig config,
       upstream_trace_("upstream", config.trace_archive, telemetry_),
       mgmt_trace_("mgmt", config.trace_archive, telemetry_),
       inmate_rx_trace_("inmate_rx", config.trace_archive, telemetry_),
-      next_nonce_(config.nonce_port_first) {
+      next_nonce_(kNoncePortFirst) {
   // The management/control network has its own external connectivity
   // (the paper dedicates one of its five /24s to control infrastructure,
   // §6.7): the gateway proxy-ARPs the range upstream and routes it.
@@ -91,13 +96,11 @@ SubfarmRouter* Gateway::subfarm_for_global(util::Ipv4Addr addr) {
 }
 
 std::uint16_t Gateway::allocate_nonce(SubfarmRouter* owner) {
-  const std::uint32_t pool_size = static_cast<std::uint32_t>(
-      config_.nonce_port_last - config_.nonce_port_first + 1);
-  for (std::uint32_t guard = 0; guard < pool_size; ++guard) {
+  constexpr std::uint32_t kPoolSize = kNoncePortLast - kNoncePortFirst + 1;
+  for (std::uint32_t guard = 0; guard < kPoolSize; ++guard) {
     const std::uint16_t candidate = next_nonce_;
-    next_nonce_ = (next_nonce_ >= config_.nonce_port_last)
-                      ? config_.nonce_port_first
-                      : next_nonce_ + 1;
+    next_nonce_ = (next_nonce_ >= kNoncePortLast) ? kNoncePortFirst
+                                                  : next_nonce_ + 1;
     if (!nonce_owners_.count(candidate)) {
       nonce_owners_[candidate] = owner;
       return candidate;

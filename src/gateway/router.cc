@@ -11,6 +11,26 @@ namespace {
 
 constexpr const char* kLog = "gw.router";
 
+// Safety filter thresholds (§5.1): new connections per inmate per
+// window, and to any single destination per window.
+constexpr std::size_t kMaxConnsPerInmate = 2000;
+constexpr std::size_t kMaxConnsPerDest = 500;
+constexpr util::Duration kSafetyWindow = util::minutes(1);
+
+// Request-shim retransmission: the backoff starts at kShimRetryInitial
+// and doubles up to kShimRetryMax; past kShimRetryLimit retransmits the
+// flow fails closed at once. With the default 30 s verdict deadline the
+// retransmits land 1, 3, 7, 15 and 23 s after the first shim, and the
+// deadline fires before the sixth.
+constexpr util::Duration kShimRetryInitial = util::seconds(1);
+constexpr util::Duration kShimRetryMax = util::seconds(8);
+constexpr int kShimRetryLimit = 6;
+
+// Verdict cache: LRU bound on entries, and the TTL applied when a
+// cacheable response carries cache_ttl_ms == 0.
+constexpr std::size_t kVerdictCacheCapacity = 4096;
+constexpr util::Duration kVerdictCacheDefaultTtl = util::seconds(60);
+
 // Sequence comparison helpers (mod-2^32).
 bool seq_lt(std::uint32_t a, std::uint32_t b) {
   return static_cast<std::int32_t>(a - b) < 0;
@@ -35,12 +55,12 @@ bool rides_view(const Flow& flow) {
 }
 
 // The last instant at which gc_sweep still keeps `flow`: any sweep after
-// it closes the flow. A flow goes when idle past flow_timeout, 2 s after
+// it closes the flow. A flow goes when idle past kFlowTimeout, 2 s after
 // FINs in both directions, or 30 s after a DROP verdict. last_activity
 // only moves forward, so only a FIN flag or the DROP transition can move
 // this earlier.
-util::TimePoint close_due(const Flow& flow, util::Duration flow_timeout) {
-  util::Duration linger = flow_timeout;
+util::TimePoint close_due(const Flow& flow) {
+  util::Duration linger = kFlowTimeout;
   if (flow.fin_inmate && flow.fin_server)
     linger = std::min(linger, util::seconds(2));
   if (flow.phase == FlowPhase::kDenied)
@@ -68,11 +88,11 @@ SubfarmRouter::SubfarmRouter(Gateway& gateway, SubfarmConfig config)
                config_.internal_net.host(
                    static_cast<std::uint32_t>(config_.internal_net.size() - 2)),
                config_.dns_service),
-      safety_(config_.max_conns_per_inmate, config_.max_conns_per_dest,
-              config_.safety_window),
+      safety_(kMaxConnsPerInmate, kMaxConnsPerDest, kSafetyWindow),
       trace_(config_.name, gateway.config().trace_archive,
              &gateway.telemetry()),
-      rng_(0x5afef00d ^ config_.vlan_first) {
+      rng_(0x5afef00d ^ config_.vlan_first),
+      verdict_cache_(kVerdictCacheCapacity) {
   // Resolve this subfarm's metric handles once; the per-frame path then
   // updates them through plain pointers.
   auto& metrics = gateway_.telemetry().metrics();
@@ -116,8 +136,6 @@ SubfarmRouter::SubfarmRouter(Gateway& gateway, SubfarmConfig config)
         prefix + "verdicts." +
         shim::verdict_name(static_cast<shim::Verdict>(v)));
   }
-  verdict_cache_ =
-      VerdictCache(gateway_.config().datapath.verdict_cache_capacity);
   // Periodic flow garbage collection.
   gateway_.loop().schedule_in(util::seconds(5), [this] { gc_sweep(); });
 }
@@ -757,7 +775,7 @@ void SubfarmRouter::relay_inmate_to_server(Flow& flow,
   }
 }
 
-void SubfarmRouter::inject_request_shim(Flow& flow) {
+void SubfarmRouter::send_request_shim(const Flow& flow) {
   shim::RequestShim shim;
   shim.orig = flow.inmate_ep;
   shim.resp = flow.orig_dst;
@@ -767,9 +785,13 @@ void SubfarmRouter::inject_request_shim(Flow& flow) {
   // leg; all subsequent inmate bytes are bumped by 24 (Figure 5).
   emit_tcp(flow.cs_src, flow.server_ep, pkt::kTcpAck | pkt::kTcpPsh,
            flow.inmate_isn + 1, flow.cs_isn + 1, shim.encode());
+}
+
+void SubfarmRouter::inject_request_shim(Flow& flow) {
+  send_request_shim(flow);
   flow.req_shim_sent = true;
   flow.req_shim_sent_at = gateway_.loop().now();
-  flow.req_shim_backoff = config_.shim_retry_initial;
+  flow.req_shim_backoff = kShimRetryInitial;
   flow.d_out = shim::kRequestShimSize;
 
   // Gateway-side reliability for the injected segment: bounded
@@ -787,7 +809,7 @@ void SubfarmRouter::inject_request_shim(Flow& flow) {
 void SubfarmRouter::retransmit_request_shim(FlowPtr flow) {
   if (flow->req_shim_acked || flow->phase != FlowPhase::kAwaitVerdict)
     return;
-  if (++flow->req_shim_retries > config_.shim_retry_limit) {
+  if (++flow->req_shim_retries > kShimRetryLimit) {
     // Retries exhausted with the CS still silent: enforce the
     // fail-closed verdict now rather than waiting out the deadline.
     GQ_WARN(kLog, "[%s] request shim never acked for %s, failing closed",
@@ -796,16 +818,10 @@ void SubfarmRouter::retransmit_request_shim(FlowPtr flow) {
     return;
   }
   shim_retries_ctr_->inc();
-  shim::RequestShim shim;
-  shim.orig = flow->inmate_ep;
-  shim.resp = flow->orig_dst;
-  shim.vlan = flow->vlan;
-  shim.nonce_port = flow->nonce_port;
-  emit_tcp(flow->cs_src, flow->server_ep, pkt::kTcpAck | pkt::kTcpPsh,
-           flow->inmate_isn + 1, flow->cs_isn + 1, shim.encode());
+  send_request_shim(*flow);
   flow->req_shim_backoff =
       std::min(flow->req_shim_backoff + flow->req_shim_backoff,
-               config_.shim_retry_max);
+               kShimRetryMax);
   std::weak_ptr<Flow> weak = flow;
   gateway_.loop().schedule_in(flow->req_shim_backoff, [this, weak] {
     if (auto f = weak.lock()) retransmit_request_shim(f);
@@ -1030,7 +1046,7 @@ void SubfarmRouter::apply_verdict(Flow& flow, const shim::ResponseShim& shim,
       flow.phase = FlowPhase::kDenied;
       note_close_due(flow);
       if (tcp && !flow.served_locally()) send_rst_to_cs(flow);
-      if (tcp && config_.drop_sends_rst) send_rst_to_inmate(flow);
+      if (tcp) send_rst_to_inmate(flow);
       break;
     case shim::Verdict::kForward:
     case shim::Verdict::kLimit:
@@ -1087,7 +1103,7 @@ void SubfarmRouter::maybe_cache_verdict(const Flow& flow,
   const util::Duration ttl =
       shim.cache_ttl_ms > 0
           ? util::milliseconds(shim.cache_ttl_ms)
-          : gateway_.config().datapath.verdict_cache_default_ttl;
+          : kVerdictCacheDefaultTtl;
   entry.expires = gateway_.loop().now() + ttl;
   const std::size_t evicted =
       verdict_cache_.insert(flow.proto, flow.vlan, flow.inmate_ep,
@@ -1403,7 +1419,7 @@ SubfarmRouter::OpenFlowBytes SubfarmRouter::open_flow_bytes(
 }
 
 void SubfarmRouter::note_close_due(const Flow& flow) {
-  gc_due_ = std::min(gc_due_, close_due(flow, config_.flow_timeout));
+  gc_due_ = std::min(gc_due_, close_due(flow));
 }
 
 void SubfarmRouter::gc_sweep() {
@@ -1415,7 +1431,7 @@ void SubfarmRouter::gc_sweep() {
     gc_due_ = kNever;
     std::vector<FlowPtr> to_close;
     for (auto& [key, flow] : flows_) {
-      if (now > close_due(*flow, config_.flow_timeout))
+      if (now > close_due(*flow))
         to_close.push_back(flow);
       else
         note_close_due(*flow);
@@ -1423,7 +1439,7 @@ void SubfarmRouter::gc_sweep() {
     for (auto& flow : to_close) close_flow(*flow);
   }
   for (auto it = nonce_relays_.begin(); it != nonce_relays_.end();) {
-    if (now - it->second.last_activity > config_.flow_timeout) {
+    if (now - it->second.last_activity > kFlowTimeout) {
       nonce_by_target_key_.erase(
           {pkt::FlowProto::kTcp, it->second.target, it->second.nat_src});
       it = nonce_relays_.erase(it);
@@ -1432,7 +1448,7 @@ void SubfarmRouter::gc_sweep() {
     }
   }
   for (auto it = inbound_flows_.begin(); it != inbound_flows_.end();) {
-    if (now - it->second > config_.flow_timeout)
+    if (now - it->second > kFlowTimeout)
       it = inbound_flows_.erase(it);
     else
       ++it;

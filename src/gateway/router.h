@@ -34,6 +34,10 @@ namespace gq::gw {
 
 class Gateway;
 
+/// Idle timeout after which the periodic sweep closes a flow, and drops
+/// an idle nonce relay or inbound NAT entry.
+inline constexpr util::Duration kFlowTimeout = util::minutes(5);
+
 class SubfarmRouter {
  public:
   SubfarmRouter(Gateway& gateway, SubfarmConfig config);
@@ -122,7 +126,7 @@ class SubfarmRouter {
 
   /// Byte totals over this VLAN's flows that have not yet closed — the
   /// complement of kFlowClose accounting. Short-lived detonation jobs
-  /// end well inside flow_timeout, so their flows' close events land
+  /// end well inside kFlowTimeout, so their flows' close events land
   /// after the job window; the orchestrator sweeps this at harvest.
   struct OpenFlowBytes {
     std::uint64_t to_server = 0;
@@ -179,6 +183,9 @@ class SubfarmRouter {
   // --- Containment-server leg -------------------------------------------
   void relay_inmate_to_server(Flow& flow, pkt::DecodedFrame& frame);
   void cs_to_inmate(Flow& flow, pkt::DecodedFrame& frame);
+  /// Emit the flow's request shim to its containment server: the first
+  /// send and every retransmit put the same segment on the wire.
+  void send_request_shim(const Flow& flow);
   void inject_request_shim(Flow& flow);
   /// The CS acked past the request shim: record the shim round trip.
   void note_request_shim_ack(Flow& flow, std::uint32_t ack);
@@ -318,9 +325,9 @@ class SubfarmRouter {
   std::array<obs::Counter*, 6> verdict_ctrs_{};
 
   // Gateway-side verdict cache: repeat flows matching a cacheable
-  // decision are resolved here, without a CS round trip. Sized and
-  // switched from the gateway's DatapathOptions.
-  VerdictCache verdict_cache_{0};
+  // decision are resolved here, without a CS round trip. Switched on
+  // and off by the gateway's DatapathOptions.
+  VerdictCache verdict_cache_;
   /// Highest containment-policy epoch observed (from response shims,
   /// table syncs, or on_policy_epoch()); entries cached under older
   /// epochs are flushed, and a policy table from an older epoch is

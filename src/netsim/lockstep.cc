@@ -6,8 +6,10 @@
 
 namespace gq::sim {
 
-LockstepCoordinator::LockstepCoordinator(std::size_t mailbox_capacity)
-    : mailbox_capacity_(mailbox_capacity) {}
+namespace {
+// Bound on each link direction's per-epoch backlog.
+constexpr std::size_t kMailboxCapacity = 65536;
+}  // namespace
 
 LockstepCoordinator::~LockstepCoordinator() {
   // Bridge closures capture Link pointers owned by this coordinator;
@@ -33,7 +35,7 @@ void LockstepCoordinator::bridge(std::size_t domain_a, Port& a,
   auto install = [this](std::size_t src, Port& src_port, Port& dst_port,
                         util::Duration lat) {
     links_.push_back(std::make_unique<Link>(
-        Link{&dst_port, Mailbox{mailbox_capacity_}}));
+        Link{&dst_port, Mailbox{kMailboxCapacity}}));
     Link* link = links_.back().get();
     EventLoop* src_loop = domains_[src];
     // Runs while `src` runs its epoch: stamp the absolute delivery

@@ -88,8 +88,7 @@ struct LockstepStats {
 /// after another in domain order.
 class LockstepCoordinator {
  public:
-  /// `mailbox_capacity` bounds each link direction's per-epoch backlog.
-  explicit LockstepCoordinator(std::size_t mailbox_capacity = 65536);
+  LockstepCoordinator() = default;
   ~LockstepCoordinator();
 
   LockstepCoordinator(const LockstepCoordinator&) = delete;
@@ -133,7 +132,6 @@ class LockstepCoordinator {
   // pointers, so links are held by unique_ptr.
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Port*> bridged_ports_;
-  std::size_t mailbox_capacity_;
   util::TimePoint now_{};
   util::Duration epoch_{};  // min cross-domain link latency
   LockstepStats stats_;

@@ -196,21 +196,14 @@ void Orchestrator::harvest(JobRecord& job, bool cancelled) {
     job.budget_timer = 0;
   }
   PoolSlot& slot = pool_.slot(job.slot);
-  // Flows shorter than the router's flow_timeout have not emitted
+  // Flows shorter than the router's kFlowTimeout have not emitted
   // kFlowClose yet; fold their live byte counters into the harvest.
   const auto open = slot.subfarm->router().open_flow_bytes(job.vlan);
   job.bytes_to_server += open.to_server;
   job.bytes_to_inmate += open.to_inmate;
   farm_.gateway().clear_vlan_tap(job.vlan);
   vlan_jobs_.erase(job.vlan);
-  if (job.archive) {
-    job.archived_packets = job.archive->packet_count();
-    if (!options_.archive_dir.empty()) {
-      job.archive->save(util::format(
-          "%s/job-%llu", options_.archive_dir.c_str(),
-          static_cast<unsigned long long>(job.id)));
-    }
-  }
+  if (job.archive) job.archived_packets = job.archive->packet_count();
   job.harvested = farm_.loop().now();
   job_latency_->observe(
       static_cast<double>((job.harvested - job.submitted).usec));

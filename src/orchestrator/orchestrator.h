@@ -41,9 +41,6 @@ struct OrchestratorOptions {
   std::size_t max_queue = 0;
   /// Rotation budget for each per-job trace archive.
   trace::ArchiveConfig job_archive;
-  /// When non-empty, each harvested job's archive is saved under
-  /// "<archive_dir>/job-<id>" (load_trace-compatible).
-  std::string archive_dir;
 };
 
 /// Everything the orchestrator knows about one job. Map-node storage:

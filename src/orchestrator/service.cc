@@ -14,10 +14,6 @@ DetonationService::DetonationService(core::ShardedFarm& farm,
     OrchestratorOptions shard_options = options;
     shard_options.pool.name_prefix =
         util::format("S%zu%s", s, options.pool.name_prefix.c_str());
-    if (!options.archive_dir.empty()) {
-      shard_options.archive_dir =
-          util::format("%s/shard%zu", options.archive_dir.c_str(), s);
-    }
     shards_.push_back(std::make_unique<Orchestrator>(
         farm.shard(s), std::move(shard_options), builder));
   }

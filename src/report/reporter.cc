@@ -42,11 +42,6 @@ void Reporter::on_event(const obs::FarmEvent& event) {
       ++trigger_firings_;
       return;
 
-    case obs::FarmEvent::Kind::kDhcpBind:
-      dhcp_bindings_[event.subfarm][event.vlan] =
-          AddressPair{event.inmate_internal, event.inmate_global};
-      return;
-
     case obs::FarmEvent::Kind::kSinkSession:
     case obs::FarmEvent::Kind::kSinkData: {
       // Only SMTP-flavoured sinks feed the per-inmate "SMTP sessions /
@@ -70,10 +65,13 @@ void Reporter::on_event(const obs::FarmEvent& event) {
       return;
     }
 
+    case obs::FarmEvent::Kind::kDhcpBind:
     case obs::FarmEvent::Kind::kFlowOpen:
     case obs::FarmEvent::Kind::kFlowClose:
     case obs::FarmEvent::Kind::kCsDecision:
-      return;  // The verdict event carries the facts the report needs.
+      // The verdict event carries the facts the report needs, and
+      // render() reads inmate addresses from the registered routers.
+      return;
   }
 }
 
@@ -87,11 +85,6 @@ std::uint64_t Reporter::jobs_observed(const std::string& tenant,
 
 void Reporter::register_subfarm(gw::SubfarmRouter* subfarm) {
   routers_.push_back(subfarm);
-}
-
-void Reporter::register_smtp_sink(const std::string& subfarm_name,
-                                  sinks::SmtpSink* sink) {
-  smtp_sinks_[subfarm_name] = sink;
 }
 
 void Reporter::register_trace_tap(const trace::TraceTap* tap) {
@@ -143,14 +136,6 @@ std::string Reporter::render(util::TimePoint now) const {
                       binding->internal_addr.str();
           internal_addr = binding->internal_addr;
         }
-      } else if (auto sf = dhcp_bindings_.find(name);
-                 sf != dhcp_bindings_.end()) {
-        // No router registered: fall back to bus-fed kDhcpBind records.
-        if (auto bound = sf->second.find(vlan); bound != sf->second.end()) {
-          addresses = bound->second.global_addr.str() + "/" +
-                      bound->second.internal_addr.str();
-          internal_addr = bound->second.internal_addr;
-        }
       }
       out += util::format(
           "\n%s [%s, VLAN %u]\n",
@@ -195,10 +180,8 @@ std::string Reporter::render(util::TimePoint now) const {
         out += util::format("  autoinfection %s %s\n", md5.c_str(),
                             sample.c_str());
       }
-      // SMTP statistics by internal address: bus-fed kSinkSession /
-      // kSinkData aggregates first, pull from a registered sink when the
-      // sink was wired without telemetry.
-      bool smtp_printed = false;
+      // SMTP statistics by internal address, from the bus-fed
+      // kSinkSession / kSinkData aggregates.
       if (!internal_addr.is_unspecified()) {
         if (auto sf = sink_smtp_.find(name); sf != sink_smtp_.end()) {
           if (auto stats = sf->second.find(internal_addr);
@@ -208,21 +191,7 @@ std::string Reporter::render(util::TimePoint now) const {
                 static_cast<unsigned long long>(stats->second.sessions),
                 static_cast<unsigned long long>(
                     stats->second.data_transfers));
-            smtp_printed = true;
           }
-        }
-      }
-      if (auto sink_it = smtp_sinks_.find(name);
-          !smtp_printed && sink_it != smtp_sinks_.end() &&
-          !internal_addr.is_unspecified()) {
-        const auto& by_source = sink_it->second->by_source();
-        if (auto stats = by_source.find(internal_addr);
-            stats != by_source.end()) {
-          out += util::format(
-              "\nSMTP sessions       %llu\nSMTP DATA transfers %llu\n",
-              static_cast<unsigned long long>(stats->second.sessions),
-              static_cast<unsigned long long>(
-                  stats->second.data_transfers));
         }
       }
       // Blacklist verification (§6.5: "we check all global IP addresses

@@ -1,7 +1,7 @@
 // Reporting and monitoring (paper §6.5): the Bro role. The reporter
 // taps the gateway's per-flow event stream (the shim-protocol analyzer)
-// and the containment server's decision/infection/trigger events, pulls
-// SMTP session statistics from the sinks, cross-checks inmate global
+// and the containment server's decision/infection/trigger events, counts
+// SMTP sessions from the sinks' events, cross-checks inmate global
 // addresses against external blacklists, and renders periodic activity
 // reports in the paper's Figure 7 format — broken down by subfarm,
 // inmate, and containment decision, so an operator can verify that the
@@ -18,7 +18,6 @@
 #include "gateway/router.h"
 #include "netsim/event_loop.h"
 #include "obs/events.h"
-#include "sinks/smtp_sink.h"
 #include "trace/tap.h"
 
 namespace gq::rep {
@@ -35,8 +34,6 @@ class Reporter {
 
   /// Registration for render-time lookups.
   void register_subfarm(gw::SubfarmRouter* subfarm);
-  void register_smtp_sink(const std::string& subfarm_name,
-                          sinks::SmtpSink* sink);
   /// Register a gateway trace tap; the report then appends a "Trace
   /// archives" section summarising each tap's retained segments and its
   /// flow index (per-flow verdicts and byte counts).
@@ -114,19 +111,11 @@ class Reporter {
     std::uint64_t sessions = 0;
     std::uint64_t data_transfers = 0;
   };
-  /// Bus-fed DHCP address bindings (kDhcpBind), used when no router is
-  /// registered for render-time lookups: vlan -> (internal, global).
-  struct AddressPair {
-    util::Ipv4Addr internal_addr;
-    util::Ipv4Addr global_addr;
-  };
 
   std::map<std::string, SubfarmReport> subfarms_;
   std::vector<gw::SubfarmRouter*> routers_;
   std::vector<const trace::TraceTap*> trace_taps_;
-  std::map<std::string, sinks::SmtpSink*> smtp_sinks_;
   std::map<std::string, std::map<util::Ipv4Addr, SmtpStats>> sink_smtp_;
-  std::map<std::string, std::map<std::uint16_t, AddressPair>> dhcp_bindings_;
   const ext::Cbl* cbl_ = nullptr;
   std::vector<std::string> rotated_;
   std::uint64_t trigger_firings_ = 0;

@@ -223,10 +223,17 @@ void HttpClient::fetch(net::HostStack& stack, util::Endpoint server,
   auto done = std::make_shared<bool>(false);
   auto cb = std::make_shared<Callback>(std::move(callback));
 
+  // A failure hands the callback a fresh nullopt rather than moving the
+  // disengaged argument: GCC cannot see that the moved payload is never
+  // read and warns (-Wmaybe-uninitialized) on every failure path.
   auto finish = [done, cb](std::optional<HttpResponse> response) {
     if (*done) return;
     *done = true;
-    if (*cb) (*cb)(std::move(response));
+    if (!*cb) return;
+    if (response)
+      (*cb)(std::move(response));
+    else
+      (*cb)(std::nullopt);
   };
 
   conn->on_connected = [conn, request = std::move(request)] {

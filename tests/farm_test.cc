@@ -151,7 +151,7 @@ Infection = unknown.sample.*
 Trigger = *:25/tcp / 30min < 1 -> revert
 )";
   sub->configure_containment(config_text);
-  auto& inmate = sub->create_inmate(inm::HostingKind::kVm, 17);
+  sub->create_inmate(inm::HostingKind::kVm, 17);
 
   int reverts_seen = 0;
   farm.controller().set_action_handler(
@@ -267,6 +267,60 @@ TEST(Farm, MultipleSubfarmsIsolated) {
       binding_b->internal_addr));
   EXPECT_NE(binding_a->internal_addr, binding_b->internal_addr);
   EXPECT_NE(binding_a->global_addr, binding_b->global_addr);
+}
+
+// Addresses in SubfarmOptions::infra_services sit in the inmates'
+// restricted broadcast domain (§5.3): their flows bypass containment,
+// with no containment-server decision and no verdict. The same exchange
+// with any other management host is contained.
+TEST(Farm, InfraServicesBypassContainment) {
+  core::Farm farm;
+  auto& resolver = farm.add_mgmt_host("resolver");
+  auto& other = farm.add_mgmt_host("other");
+  for (net::HostStack* host : {&resolver, &other}) {
+    host->listen(53, [](std::shared_ptr<net::TcpConnection> conn) {
+      std::weak_ptr<net::TcpConnection> weak = conn;
+      conn->on_data = [weak](std::span<const std::uint8_t> data) {
+        if (auto c = weak.lock()) c->send(data);
+      };
+    });
+  }
+  core::SubfarmOptions options;
+  options.infra_services = {resolver.addr()};
+  auto& sub = farm.add_subfarm("Infra", options);
+  auto& inmate = sub.create_inmate(inm::HostingKind::kVm);
+  farm.run_for(util::minutes(2));  // Boot + DHCP.
+  std::vector<obs::FarmEvent> verdicts;
+  farm.telemetry().bus().subscribe(
+      obs::FarmEvent::Kind::kFlowVerdict,
+      [&verdicts](const obs::FarmEvent& event) { verdicts.push_back(event); });
+
+  // One echo exchange with <addr>:53; returns the bytes echoed back.
+  auto exchange = [&](Ipv4Addr addr) {
+    std::string answer;
+    auto conn = inmate.host().connect({addr, 53});
+    std::weak_ptr<net::TcpConnection> weak = conn;
+    conn->on_connected = [weak] {
+      if (auto c = weak.lock()) c->send("query");
+    };
+    conn->on_data = [weak, &answer](std::span<const std::uint8_t> data) {
+      answer.append(reinterpret_cast<const char*>(data.data()), data.size());
+      if (auto c = weak.lock()) c->close();
+    };
+    farm.run_for(util::seconds(30));
+    return answer;
+  };
+
+  EXPECT_EQ(exchange(resolver.addr()), "query");
+  EXPECT_EQ(sub.containment().flows_decided(), 0u);
+  EXPECT_EQ(sub.router().flows_created(), 0u);
+  EXPECT_TRUE(verdicts.empty());
+
+  EXPECT_EQ(exchange(other.addr()), "");
+  EXPECT_EQ(sub.containment().flows_decided(), 1u);
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].orig_dst, (util::Endpoint{other.addr(), 53}));
+  EXPECT_EQ(verdicts[0].verdict, shim::Verdict::kDrop);
 }
 
 TEST(Farm, RawIronInmateBootsSlower) {

@@ -291,7 +291,9 @@ TEST(FuzzTableSync, InstallAndLookupNeverCrashOnFuzzedTables) {
       const auto proto = static_cast<std::uint8_t>(rng.below(3));
       const util::Endpoint dst = random_endpoint(rng);
       const auto* hit = table.lookup(vlan, proto, dst);
-      if (hit) ASSERT_TRUE(hit->matches(vlan, proto, dst));
+      if (hit) {
+        ASSERT_TRUE(hit->matches(vlan, proto, dst));
+      }
     }
   }
 }

@@ -232,6 +232,68 @@ TEST_F(FarmFixture, NonV3ResponseShimFailsClosedAtDeadline) {
   EXPECT_EQ(verdicts, 1u);
 }
 
+// A containment server that completes the handshake but whose acks
+// never come back: every CS-to-gateway TCP segment after the SYN-ACK is
+// lost. The request shim is retransmitted with a backoff that starts at
+// 1 s and doubles to an 8 s cap, i.e. 1, 3, 7, 15 and 23 s after the
+// first send, until the 30 s verdict deadline fails the flow closed.
+TEST_F(FarmFixture, RequestShimRetransmitsUntilTheVerdictDeadline) {
+  // Reroute the CS host's cable through a filter: frames toward the CS
+  // pass untouched, frames from it only when they are not TCP or carry
+  // SYN (ARP replies and the SYN-ACK).
+  sim::Port cs_side{loop, "filter-cs"};
+  sim::Port switch_side{loop, "filter-sw"};
+  sim::Port::connect(cs_host.nic(), cs_side, util::microseconds(10));
+  sim::Port::connect(switch_side, mgmt_sw.port(0), util::microseconds(10));
+  switch_side.set_rx(
+      [&](sim::Frame frame) { cs_side.transmit(std::move(frame)); });
+  cs_side.set_rx([&](sim::Frame frame) {
+    const auto decoded = pkt::decode_frame(frame.bytes);
+    if (decoded && decoded->tcp && !decoded->tcp->syn()) return;
+    switch_side.transmit(std::move(frame));
+  });
+  bool web_accepted = false;
+  web.listen(80, [&](std::shared_ptr<net::TcpConnection>) {
+    web_accepted = true;
+  });
+
+  auto& metrics = gateway->telemetry().metrics();
+  auto counter = [&](const std::string& name) {
+    const auto* c = metrics.find_counter("gw.TestFarm." + name);
+    return c ? c->value() : 0;
+  };
+  const util::TimePoint start = loop.now();
+  auto conn = inmate1.connect({kWebAddr, 80});
+  // shim_retries read half a second either side of each retransmit.
+  const std::vector<std::pair<std::int64_t, std::uint64_t>> schedule = {
+      {500, 0},    {1500, 1},   {2500, 1},   {3500, 2},
+      {6500, 2},   {7500, 3},   {14500, 3},  {15500, 4},
+      {22500, 4},  {23500, 5},  {29500, 5}};
+  for (const auto& [at_ms, retries] : schedule) {
+    loop.run_until(start + util::milliseconds(at_ms));
+    EXPECT_EQ(counter("shim_retries"), retries) << "at " << at_ms << " ms";
+  }
+  EXPECT_EQ(counter("fail_closed"), 0u);
+  loop.run_until(start + util::seconds(35));
+  EXPECT_EQ(counter("shim_retries"), 5u);
+  EXPECT_EQ(counter("fail_closed"), 1u);
+  EXPECT_EQ(counter("verdict_timeouts"), 1u);
+  EXPECT_FALSE(web_accepted);
+  std::vector<util::TimePoint> verdict_times;
+  for (const auto& event : events) {
+    if (event.kind != obs::FarmEvent::Kind::kFlowVerdict) continue;
+    verdict_times.push_back(event.time);
+    EXPECT_EQ(event.verdict, shim::Verdict::kDrop);
+    EXPECT_EQ(event.policy_name, "FailClosed");
+  }
+  ASSERT_EQ(verdict_times.size(), 1u);
+  EXPECT_GE(verdict_times[0], start + util::seconds(30));
+  EXPECT_LT(verdict_times[0], start + util::milliseconds(30500));
+  // Unhook the filter before its ports go out of scope.
+  loop.drop_pending();
+  sim::Port::connect(cs_host.nic(), mgmt_sw.port(0), util::microseconds(20));
+}
+
 TEST_F(FarmFixture, ForwardVerdictSplicesAndNats) {
   bind(std::make_shared<cs::ForwardAllPolicy>());
   util::Endpoint seen_client;
@@ -565,7 +627,7 @@ TEST_F(FarmFixture, SafetyFilterCapsConnectionRate) {
   // Rebuild with a tighter filter by making a second subfarm on other
   // VLANs is heavy; instead verify the counter via many rapid flows
   // against the default threshold using a tiny custom threshold subfarm.
-  // Simpler: hammer > max_conns_per_dest flows at one destination.
+  // Simpler: hammer > kMaxConnsPerDest (500) flows at one destination.
   bind(std::make_shared<cs::ForwardAllPolicy>());
   web.listen(80, [](std::shared_ptr<net::TcpConnection>) {});
   for (int i = 0; i < 600; ++i) {
@@ -745,7 +807,7 @@ TEST_F(FarmFixture, InboundForwardModeReachesInmate) {
 }
 
 // Router GC timing, one case per site that can bring a flow's close
-// forward: creation (idle past flow_timeout), a FIN from either side
+// forward: creation (idle past kFlowTimeout), a FIN from either side
 // completing the pair (2 s), a FIN replayed onto a spliced target leg
 // (2 s) and a DROP verdict (30 s). The flow must close on the first
 // sweep after its rule comes due and survive every sweep before it.
@@ -800,7 +862,7 @@ TEST_F(GcTimingFixture, IdleFlowClosesPastFlowTimeout) {
   bind(std::make_shared<cs::ForwardAllPolicy>());
   web.listen(80, [](std::shared_ptr<net::TcpConnection>) {});
   auto conn = inmate1.connect({kWebAddr, 80});
-  expect_closed_by_sweep(gw::SubfarmConfig{}.flow_timeout);
+  expect_closed_by_sweep(gw::kFlowTimeout);
   EXPECT_EQ(conn->state(), net::TcpState::kEstablished);
 }
 
@@ -813,7 +875,7 @@ TEST_F(GcTimingFixture, WalkingSweepRebuildsTheBoundFromSurvivors) {
   auto idle = inmate1.connect({kWebAddr, 80});
   auto dropped = inmate2.connect({kWebAddr, 80});
   expect_closed_by_sweeps(
-      {util::seconds(30), gw::SubfarmConfig{}.flow_timeout});
+      {util::seconds(30), gw::kFlowTimeout});
 }
 
 // A spliced flow that exchanges a request and a reply, then closes from

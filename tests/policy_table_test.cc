@@ -574,10 +574,8 @@ TEST(PolicyTableFarm, DisablingTheTableRestoresShimDecisions) {
 TEST(PolicyTableFarm, DatapathOptionsFlowThroughToEveryLayer) {
   core::FarmOptions options;
   options.datapath.verdict_cache = false;
-  options.datapath.verdict_cache_capacity = 7;
   options.datapath.policy_table = false;
   TableFarm f(options);
-  EXPECT_EQ(f.sub->router().verdict_cache().capacity(), 7u);
 
   // With the table off, a compilable policy still works — every flow
   // just pays the shim round trip again; with the cache off, SplitPolicy's
