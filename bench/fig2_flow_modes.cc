@@ -2,9 +2,13 @@
 // demonstrated end-to-end on a live flow. For every verdict we run one
 // inmate-initiated HTTP flow and report what each party observed — the
 // inmate, the true destination, and the sink — which is exactly the
-// semantics the figure illustrates.
+// semantics the figure illustrates. Exits 1, naming the row on stderr,
+// when any row breaks the shape EXPERIMENTS.md states for it.
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "containment/handlers.h"
 #include "containment/policies.h"
@@ -16,6 +20,8 @@ namespace {
 
 using namespace gq;
 using util::Ipv4Addr;
+
+constexpr const char* kAltContent = "redirected-target-content";
 
 struct Outcome {
   bool inmate_got_answer = false;
@@ -76,8 +82,8 @@ Outcome run_verdict(shim::Verdict verdict) {
   auto& alt = farm.add_external_host("alt", Ipv4Addr(198, 51, 100, 5));
   svc::HttpServer alt_httpd(alt, 80,
                             [&](const svc::HttpRequest&, util::Endpoint) {
-                              return svc::HttpResponse::make(
-                                  200, "OK", "redirected-target-content");
+                              return svc::HttpResponse::make(200, "OK",
+                                                             kAltContent);
                             });
 
   auto& sub = farm.add_subfarm("Fig2");
@@ -112,6 +118,47 @@ Outcome run_verdict(shim::Verdict verdict) {
   return outcome;
 }
 
+// Why `outcome` breaks the row shape EXPERIMENTS.md states for
+// `verdict` (nullptr when it holds). `forward` is the FORWARD row, which
+// LIMIT must be slower than.
+const char* shape_violation(shim::Verdict verdict, const Outcome& outcome,
+                            const Outcome& forward) {
+  const bool target_hit = outcome.server_requests > 0;
+  const bool full_answer = outcome.inmate_answer == "200 (4096 B)";
+  switch (verdict) {
+    case shim::Verdict::kForward:
+      if (!full_answer || !target_hit)
+        return "expected 200 (4096 B) from the target";
+      break;
+    case shim::Verdict::kLimit:
+      if (!full_answer || !target_hit)
+        return "expected 200 (4096 B) from the target";
+      if (outcome.elapsed_s <= forward.elapsed_s)
+        return "expected a slower answer than FORWARD";
+      break;
+    case shim::Verdict::kDrop:
+      if (!outcome.inmate_reset || target_hit)
+        return "expected a refused connection and no target contact";
+      break;
+    case shim::Verdict::kRedirect:
+      if (outcome.inmate_answer !=
+              util::format("200 (%zu B)", std::strlen(kAltContent)) ||
+          target_hit)
+        return "expected the alternate target's answer and no target "
+               "contact";
+      break;
+    case shim::Verdict::kReflect:
+      if (outcome.inmate_got_answer || target_hit || outcome.sink_flows != 1)
+        return "expected no answer, no target contact and one sink flow";
+      break;
+    case shim::Verdict::kRewrite:
+      if (!target_hit || outcome.inmate_answer.rfind("404 ", 0) != 0)
+        return "expected target contact and a rewritten 404";
+      break;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main() {
@@ -120,11 +167,13 @@ int main() {
   std::printf("%-9s %-22s %-10s %-6s %-10s\n", "VERDICT", "INMATE SAW",
               "TARGET HIT", "SINK", "ELAPSED");
   std::printf("%s\n", std::string(64, '-').c_str());
+  std::vector<std::pair<shim::Verdict, Outcome>> rows;
   for (auto verdict :
        {shim::Verdict::kForward, shim::Verdict::kLimit, shim::Verdict::kDrop,
         shim::Verdict::kRedirect, shim::Verdict::kReflect,
         shim::Verdict::kRewrite}) {
-    const Outcome outcome = run_verdict(verdict);
+    const Outcome& outcome =
+        rows.emplace_back(verdict, run_verdict(verdict)).second;
     std::string saw = outcome.inmate_reset ? "connection refused"
                       : outcome.inmate_got_answer ? outcome.inmate_answer
                                                   : "nothing (hang)";
@@ -140,5 +189,14 @@ int main() {
       "REFLECT lands in the sink (no answer, no target contact);\n"
       "REWRITE reaches the target but the inmate sees the rewritten "
       "404.\n");
-  return 0;
+  int broken = 0;
+  for (const auto& [verdict, outcome] : rows) {
+    if (const char* why =
+            shape_violation(verdict, outcome, rows.front().second)) {
+      std::fprintf(stderr, "fig2: %s row breaks the expected shape: %s\n",
+                   shim::verdict_name(verdict), why);
+      ++broken;
+    }
+  }
+  return broken == 0 ? 0 : 1;
 }

@@ -17,9 +17,41 @@ constexpr const char* kLog = "gw";
 constexpr std::uint16_t kNoncePortFirst = 40000;
 constexpr std::uint16_t kNoncePortLast = 49999;
 
-std::vector<std::uint8_t> encode_untagged(pkt::DecodedFrame& frame) {
-  frame.eth.vlan.reset();
-  return frame.encode();
+constexpr std::uint16_t kDhcpServerPort = 67;
+
+// What the one ingress parse found in a frame.
+struct Ingress {
+  /// TCP or UDP: the canonical view over the frame's bytes.
+  std::optional<pkt::FrameView> view;
+  std::optional<pkt::ArpMessage> arp;
+  /// IPv4; keyless (ICMP and friends) when `view` is empty.
+  bool ipv4 = false;
+};
+
+// The one ingress parse all three legs share: views the frame in place.
+// A frame the view declines — ARP, other non-IPv4, ICMP, or a
+// non-canonical TCP/UDP frame (IP or TCP options, trailing padding, a
+// zero UDP checksum, an 802.1Q tag) — is decoded, the gateway's only
+// decode, and re-encoded canonical and untagged in place, then viewed
+// when it is TCP or UDP. A TCP/UDP frame whose L4 checksum fails decodes
+// as keyless IPv4. Returns nullopt for a frame too short to carry an
+// Ethernet header.
+std::optional<Ingress> parse_ingress(std::vector<std::uint8_t>& bytes) {
+  Ingress in;
+  in.view = pkt::FrameView::parse(bytes);
+  if (in.view && !in.view->vlan()) {
+    in.ipv4 = true;
+    return in;
+  }
+  auto frame = pkt::decode_frame(bytes);
+  if (!frame) return std::nullopt;
+  frame->eth.vlan.reset();
+  bytes = frame->encode();
+  in.arp = frame->arp;
+  in.ipv4 = frame->ip.has_value();
+  in.view.reset();
+  if (frame->tcp || frame->udp) in.view = pkt::FrameView::parse(bytes);
+  return in;
 }
 
 }  // namespace
@@ -165,45 +197,30 @@ void Gateway::transmit_upstream(std::vector<std::uint8_t> bytes) {
   upstream_port_.transmit(sim::Frame{std::move(bytes)});
 }
 
-void Gateway::emit_to_mgmt(pkt::DecodedFrame frame) {
-  const util::Ipv4Addr dst = frame.ip ? frame.ip->dst : util::Ipv4Addr();
-  emit_via(mgmt_arp_, dst, encode_untagged(frame));
-}
-
-void Gateway::emit_to_upstream(pkt::DecodedFrame frame) {
-  const util::Ipv4Addr dst = frame.ip ? frame.ip->dst : util::Ipv4Addr();
-  emit_via(upstream_arp_, dst, encode_untagged(frame));
-}
-
-void Gateway::emit_auto(pkt::DecodedFrame frame) {
-  if (frame.ip) emit_raw(encode_untagged(frame));
-}
-
 // --- Ingress ----------------------------------------------------------------
 
 void Gateway::on_upstream_frame(sim::Frame raw) {
   upstream_trace_.record(loop_.now(), raw.bytes);
-  if (const auto dst = pkt::ipv4_dst_of(raw.bytes)) {
-    if (auto* subfarm = subfarm_for_global(*dst)) {
-      if (subfarm->forward_from_server(raw.bytes)) return;
-    }
-  }
-  auto frame = pkt::decode_frame(raw.bytes);
-  if (!frame) return;
-  if (frame->arp) {
-    upstream_arp_.handle(*frame->arp);
+  auto in = parse_ingress(raw.bytes);
+  if (!in) return;
+  if (in->arp) {
+    upstream_arp_.handle(*in->arp);
     return;
   }
-  if (!frame->ip) return;
-  if (auto* subfarm = subfarm_for_global(frame->ip->dst)) {
-    subfarm->from_upstream(std::move(*frame));
+  if (!in->ipv4) return;
+  // A source inside the farm cannot arrive from outside: a spoofed one
+  // would make the gateway's egress route an inbound-forward reply back
+  // onto the inmate or management leg.
+  const util::Ipv4Addr src = *pkt::ipv4_src_of(raw.bytes);
+  if (config_.mgmt_net.contains(src) || subfarm_for_internal(src)) return;
+  const util::Ipv4Addr dst = *pkt::ipv4_dst_of(raw.bytes);
+  if (auto* subfarm = subfarm_for_global(dst)) {
+    subfarm->from_server(in->view, raw.bytes, /*upstream=*/true);
     return;
   }
   // Return traffic for control-infrastructure hosts (banner grabbing,
   // blacklist lookups) routes straight onto the management network.
-  if (config_.mgmt_net.contains(frame->ip->dst)) {
-    emit_to_mgmt(std::move(*frame));
-  }
+  if (config_.mgmt_net.contains(dst)) emit_raw(std::move(raw.bytes));
 }
 
 void Gateway::on_inmate_frame(sim::Frame raw) {
@@ -220,17 +237,17 @@ void Gateway::on_inmate_frame(sim::Frame raw) {
     auto it = vlan_taps_.find(vlan);
     if (it != vlan_taps_.end()) it->second->record(loop_.now(), raw.bytes);
   }
-  // Normalize to untagged in place (capacity retained, so an eventual
-  // same-buffer re-tag on egress cannot reallocate); established flows
-  // are forwarded over the wire bytes, everything else is decoded.
+  // Untag in place (capacity retained, so an eventual same-buffer re-tag
+  // on egress cannot reallocate).
   pkt::strip_vlan_tag(raw.bytes);
-  if (subfarm->forward_from_inmate(vlan, raw.bytes)) return;
-  auto frame = pkt::decode_frame(raw.bytes);
-  if (!frame) return;
-  subfarm->trace().record(loop_.now(), frame->encode(), vlan);
+  auto in = parse_ingress(raw.bytes);
+  if (!in) return;
+  // The subfarm trace records the bytes the classifier sees (untagged,
+  // internal perspective, §5.6).
+  subfarm->trace().record(loop_.now(), raw.bytes, vlan);
 
-  if (frame->arp) {
-    const auto& arp = *frame->arp;
+  if (in->arp) {
+    const auto& arp = *in->arp;
     // Local proxy ARP: the gateway answers for its own internal address
     // and for any other internal address (inmates are L2-isolated per
     // VLAN, so even inmate-to-inmate traffic — e.g. honeyfarm redirects —
@@ -252,12 +269,14 @@ void Gateway::on_inmate_frame(sim::Frame raw) {
     }
     return;
   }
-  if (!frame->ip) return;
+  if (!in->ipv4) return;
+  auto& view = in->view;
 
   // In-path DHCP responder: the paper's gateway assigns internal
   // addresses triggered by boot-time chatter (§5.3).
-  if (frame->udp && frame->udp->dst_port == 67) {
-    auto request = svc::DhcpMessage::parse(frame->udp->payload);
+  if (view && view->is_udp() && view->dst_port() == kDhcpServerPort &&
+      pkt::FrameView::parse(raw.bytes, pkt::ViewVerify::kFull)) {
+    auto request = svc::DhcpMessage::parse(view->payload());
     if (!request) return;
     if (auto reply = subfarm->inmates().handle_dhcp(vlan, *request)) {
       if (const InmateBinding* binding = subfarm->inmates().by_vlan(vlan)) {
@@ -277,77 +296,66 @@ void Gateway::on_inmate_frame(sim::Frame raw) {
       out.ip = pkt::Ipv4Packet{};
       out.ip->src = subfarm->inmates().gateway_internal();
       out.ip->dst = util::Ipv4Addr(255, 255, 255, 255);
-      out.udp = pkt::UdpDatagram{67, 68, reply->encode()};
+      out.udp = pkt::UdpDatagram{kDhcpServerPort, 68, reply->encode()};
       subfarm->trace().record(loop_.now(), out.encode(), vlan);
       out.eth.vlan = vlan;
       inmate_port_.transmit(sim::Frame{out.encode()});
     }
     return;
   }
-
-  subfarm->from_inmate(vlan, std::move(*frame));
+  subfarm->from_inmate(vlan, view, raw.bytes);
 }
 
 void Gateway::on_mgmt_frame(sim::Frame raw) {
   mgmt_trace_.record(loop_.now(), raw.bytes);
-  if (const auto dst = pkt::ipv4_dst_of(raw.bytes)) {
-    // Nonce legs and table syncs terminate on the gateway's own address.
-    if (*dst != config_.mgmt_addr) {
-      if (auto* subfarm = subfarm_for_internal(*dst)) {
-        if (subfarm->forward_from_server(raw.bytes)) return;
+  auto in = parse_ingress(raw.bytes);
+  if (!in) return;
+  if (in->arp) {
+    mgmt_arp_.handle(*in->arp);
+    return;
+  }
+  if (!in->ipv4) return;
+  auto& view = in->view;
+  const util::Ipv4Addr dst = *pkt::ipv4_dst_of(raw.bytes);
+
+  // Policy-table syncs (shim wire v4) and containment-server nonce legs
+  // terminate on the gateway's own management address; nothing else
+  // addressed to it goes anywhere.
+  if (dst == config_.mgmt_addr) {
+    if (!view || !pkt::FrameView::parse(raw.bytes, pkt::ViewVerify::kFull))
+      return;
+    if (view->is_udp() && view->dst_port() == shim::kTableSyncPort) {
+      // The pushing containment server's source address selects which
+      // subfarm routers install the table: any router that lists it as
+      // its (or a cluster member's) CS.
+      const util::Ipv4Addr cs_addr = view->ip_src();
+      const auto sync = shim::TableSync::parse(view->payload());
+      if (!sync) {
+        GQ_WARN(kLog, "malformed policy-table sync from %s dropped",
+                cs_addr.str().c_str());
+        return;
       }
-    }
-  }
-  auto frame = pkt::decode_frame(raw.bytes);
-  if (!frame) return;
-  if (frame->arp) {
-    mgmt_arp_.handle(*frame->arp);
-    return;
-  }
-  if (!frame->ip) return;
-
-  // Policy-table syncs (shim wire v4) arrive as UDP datagrams on the
-  // gateway's own management address. The pushing containment server's
-  // source address selects which subfarm routers install the table: any
-  // router that lists it as its (or a cluster member's) CS.
-  if (frame->ip->dst == config_.mgmt_addr && frame->udp &&
-      frame->udp->dst_port == shim::kTableSyncPort) {
-    const auto sync = shim::TableSync::parse(frame->udp->payload);
-    if (!sync) {
-      GQ_WARN(kLog, "malformed policy-table sync from %s dropped",
-              frame->ip->src.str().c_str());
-      return;
-    }
-    const util::Ipv4Addr cs_addr = frame->ip->src;
-    for (auto& subfarm : subfarms_) {
-      const auto& cfg = subfarm->config();
-      bool owned = cfg.containment_server.addr == cs_addr;
-      for (const auto& extra : cfg.extra_containment_servers)
-        owned = owned || extra.addr == cs_addr;
-      if (owned) subfarm->install_policy_table(*sync);
+      for (auto& subfarm : subfarms_) {
+        const auto& cfg = subfarm->config();
+        bool owned = cfg.containment_server.addr == cs_addr;
+        for (const auto& extra : cfg.extra_containment_servers)
+          owned = owned || extra.addr == cs_addr;
+        if (owned) subfarm->install_policy_table(*sync);
+      }
+    } else if (view->is_tcp()) {
+      if (auto it = nonce_owners_.find(view->dst_port());
+          it != nonce_owners_.end())
+        it->second->on_nonce_frame(view->dst_port(), *view, raw.bytes);
     }
     return;
   }
-
-  // Containment-server nonce legs terminate on the gateway's own
-  // management address.
-  if (frame->ip->dst == config_.mgmt_addr && frame->tcp) {
-    const std::uint16_t port = frame->tcp->dst_port;
-    if (auto it = nonce_owners_.find(port); it != nonce_owners_.end()) {
-      it->second->on_nonce_frame(port, std::move(*frame));
-      return;
-    }
-    return;
-  }
-  if (auto* subfarm = subfarm_for_internal(frame->ip->dst)) {
-    subfarm->from_mgmt(std::move(*frame));
+  if (auto* subfarm = subfarm_for_internal(dst)) {
+    subfarm->from_server(view, raw.bytes, /*upstream=*/false);
     return;
   }
   // Outbound traffic from trusted control-infrastructure hosts (e.g. the
   // banner-grabbing SMTP sink dialing the real target) goes upstream.
-  if (!config_.mgmt_net.contains(frame->ip->dst)) {
-    emit_to_upstream(std::move(*frame));
-  }
+  if (!config_.mgmt_net.contains(dst)) emit_raw(std::move(raw.bytes));
 }
 
 }  // namespace gq::gw

@@ -96,19 +96,14 @@ class Gateway {
 
   // --- Services used by SubfarmRouter ---------------------------------
 
-  /// The gateway's one egress. `bytes` is an untagged IPv4 frame whose
-  /// IP/L4 fields are final. Routes on the IP destination: an inmate's
-  /// VLAN (dropped when no inmate holds the address), the management
-  /// network, or upstream. Stamps the leg's Ethernet addresses, records
-  /// the leg's trace, and 802.1Q-tags inmate-leg frames; on a cold ARP
-  /// cache the frame queues behind ArpProxy::resolve.
+  /// The gateway's one egress, for forwarded and synthesised frames
+  /// alike. `bytes` is an untagged IPv4 frame whose IP/L4 fields are
+  /// final. Routes on the IP destination: an inmate's VLAN (dropped when
+  /// no inmate holds the address), the management network, or upstream.
+  /// Stamps the leg's Ethernet addresses, records the leg's trace, and
+  /// 802.1Q-tags inmate-leg frames; on a cold ARP cache the frame queues
+  /// behind ArpProxy::resolve.
   void emit_raw(std::vector<std::uint8_t> bytes);
-
-  /// Encode-once wrappers over that egress for decoded and synthesised
-  /// frames: emit_auto routes like emit_raw, the other two pin the leg.
-  void emit_auto(pkt::DecodedFrame frame);
-  void emit_to_mgmt(pkt::DecodedFrame frame);
-  void emit_to_upstream(pkt::DecodedFrame frame);
 
   /// Allocate / release a nonce port for a REWRITE proxy leg.
   std::uint16_t allocate_nonce(SubfarmRouter* owner);

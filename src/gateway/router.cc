@@ -47,11 +47,19 @@ double limit_rate_of(const shim::ResponseShim& shim) {
   return 8192.0;
 }
 
-// Established flows take the FrameView datapath; a UDP REWRITE flow
-// re-wraps every datagram in a shim, so it stays on the decoded path.
-bool rides_view(const Flow& flow) {
+// Established flows are forwarded as they are by forward_to_server /
+// forward_to_inmate; a UDP REWRITE flow re-wraps every datagram in a
+// shim instead.
+bool forwarded_as_is(const Flow& flow) {
   return flow.phase == FlowPhase::kEstablished &&
          (flow.proto == pkt::FlowProto::kTcp || !flow.server_is_cs);
+}
+
+// Outside an established flow a frame is keyed only when its L4
+// checksum holds; one whose checksum fails is keyless IP there, like
+// ICMP, and meets only the stateless rules.
+bool l4_intact(std::span<std::uint8_t> bytes) {
+  return pkt::FrameView::parse(bytes, pkt::ViewVerify::kFull).has_value();
 }
 
 // The last instant at which gc_sweep still keeps `flow`: any sweep after
@@ -244,7 +252,7 @@ void SubfarmRouter::emit_tcp(util::Endpoint src, util::Endpoint dst,
   frame.tcp->seq = seq;
   frame.tcp->ack = ack;
   frame.tcp->payload = std::move(payload);
-  gateway_.emit_auto(std::move(frame));
+  gateway_.emit_raw(frame.encode());
 }
 
 void SubfarmRouter::emit_udp(util::Endpoint src, util::Endpoint dst,
@@ -256,7 +264,7 @@ void SubfarmRouter::emit_udp(util::Endpoint src, util::Endpoint dst,
   frame.ip->dst = dst.addr;
   frame.ip->ttl = 63;
   frame.udp = pkt::UdpDatagram{src.port, dst.port, std::move(payload)};
-  gateway_.emit_auto(std::move(frame));
+  gateway_.emit_raw(frame.encode());
 }
 
 util::Endpoint SubfarmRouter::nat_source_for(const Flow& flow,
@@ -284,107 +292,136 @@ util::Endpoint SubfarmRouter::cs_for_vlan(std::uint16_t vlan) const {
   return config_.extra_containment_servers[index - 1];
 }
 
-// --- Ingress: inmate side ---------------------------------------------------
+// --- Ingress ------------------------------------------------------------------
+//
+// One pipeline for every frame: parse (the gateway views the untagged
+// wire bytes once) → classify (one classifier per leg, each table looked
+// up once) → rewrite (in place through the view's setters) → emit (the
+// gateway's one raw egress). Frames of an established flow are forwarded
+// as they are by forward_to_server / forward_to_inmate, the only places
+// such a frame is rewritten; every other class — flow setup, shim
+// surgery, nonce relays, inbound NAT, the infrastructure bypass — reads
+// and rewrites the same view.
 
-void SubfarmRouter::from_inmate(std::uint16_t vlan, pkt::DecodedFrame frame) {
+void SubfarmRouter::from_inmate(std::uint16_t vlan,
+                                std::optional<pkt::FrameView>& view,
+                                std::vector<std::uint8_t>& bytes) {
   frames_from_inmates_ctr_->inc();
-  if (!frame.ip) return;
-
   // Infrastructure services bypass containment (restricted broadcast
   // domain, §5.3).
-  if (is_infra(frame.ip->dst)) {
-    gateway_.emit_auto(std::move(frame));
+  if (is_infra(pkt::ipv4_dst_of(bytes).value_or(util::Ipv4Addr()))) {
+    gateway_.emit_raw(std::move(bytes));
+    return;
+  }
+  if (!view) return;  // ICMP and friends: default-deny.
+  // This inmate may be the server side of a redirected flow (worm
+  // honeyfarm reflection) or the target of a nonce relay — check before
+  // anything else. A frame that turns out keyless there is dropped.
+  if (from_flow_server(view, bytes) || !view) return;
+  const pkt::FlowKey key = view->flow_key();
+
+  // Return path of an inbound (outside-initiated) flow: NAT out.
+  if (auto it = inbound_flows_.find(key); it != inbound_flows_.end()) {
+    if (!l4_intact(bytes)) return;
+    it->second = gateway_.loop().now();
+    if (const InmateBinding* binding = inmates_.by_vlan(vlan)) {
+      view->set_ip_src(binding->global_addr);
+      gateway_.emit_raw(std::move(bytes));
+    }
     return;
   }
 
-  // This inmate may be the server side of a redirected flow (worm
-  // honeyfarm reflection) — check before anything else.
-  if (handle_server_side(frame)) return;
-
-  // Return path of an inbound (outside-initiated) flow: NAT out.
-  if (auto key = pkt::flow_key_of(frame)) {
-    if (auto it = inbound_flows_.find(*key); it != inbound_flows_.end()) {
-      it->second = gateway_.loop().now();
-      const InmateBinding* binding = inmates_.by_vlan(vlan);
-      if (binding) {
-        frame.ip->src = binding->global_addr;
-        gateway_.emit_to_upstream(std::move(frame));
-      }
+  if (auto it = flows_.find(key); it != flows_.end()) {
+    if (forwarded_as_is(*it->second)) {
+      forward_to_server(*it->second, *view, bytes);
       return;
     }
+    if (!l4_intact(bytes)) return;
+    const FlowPtr flow = it->second;
+    if (flow->proto == pkt::FlowProto::kTcp)
+      relay_inmate_to_server(*flow, *view, bytes);
+    else
+      udp_from_inmate(*flow, view->payload());
+    return;
   }
 
-  inmate_ip(vlan, frame);
-}
-
-// --- Established-flow datapath ----------------------------------------------
-//
-// Every frame of a kEstablished flow — spliced to a target, or a TCP
-// REWRITE flow relayed through the containment server — is forwarded in
-// place over its wire bytes: parse (FrameView) → classify (flow lookup,
-// in the decoded path's dispatch order) → rewrite (addresses, ports,
-// seq/ack with incrementally maintained checksums) → emit (the
-// gateway's one raw egress). forward_to_server and forward_to_inmate
-// are the only places an established frame is rewritten. The entry
-// points decline before touching any state, so everything else — flow
-// setup, shim surgery, nonce relays, inbound NAT, infrastructure
-// bypass — takes the decoded path; a UDP REWRITE flow re-wraps every
-// datagram in a shim and stays there too.
-
-bool SubfarmRouter::forward_from_inmate(std::uint16_t vlan,
-                                        std::vector<std::uint8_t>& bytes) {
-  auto view = pkt::FrameView::parse(bytes);
-  if (!view || is_infra(view->ip_dst())) return false;
-  // from_inmate()'s order: nonce relay return legs, then the inmate as
-  // the server side of a redirected flow, then inbound NAT flows, then
-  // the inmate's own flows.
-  const pkt::FlowKey key = view->flow_key();
-  if (nonce_by_target_key_.count(key)) return false;
-  Flow* flow = nullptr;
-  const auto server_it = server_index_.find(key);
-  const bool from_server = server_it != server_index_.end();
-  if (from_server) {
-    flow = server_it->second.get();
-  } else if (inbound_flows_.count(key)) {
-    return false;
-  } else if (const auto it = flows_.find(key); it != flows_.end()) {
-    flow = it->second.get();
+  // A new flow opens with a TCP SYN or any UDP datagram; anything else
+  // (a stray RST/FIN for an expired flow) is dropped.
+  if ((view->is_udp() || (view->tcp_syn() && !view->tcp_has_ack())) &&
+      l4_intact(bytes)) {
+    handle_new_inmate_flow(vlan, *view, bytes);
   }
-  if (!flow || !rides_view(*flow)) return false;
-  // Ingress trace first (pre-rewrite, as received).
-  trace_.record(gateway_.loop().now(), bytes, vlan);
-  frames_from_inmates_ctr_->inc();
-  if (from_server)
-    forward_to_inmate(*flow, *view, bytes);
-  else
-    forward_to_server(*flow, *view, bytes);
-  return true;
 }
 
-bool SubfarmRouter::forward_from_server(std::vector<std::uint8_t>& bytes) {
-  auto view = pkt::FrameView::parse(bytes);
-  if (!view) return false;
+void SubfarmRouter::from_server(std::optional<pkt::FrameView>& view,
+                                std::vector<std::uint8_t>& bytes,
+                                bool upstream) {
+  if (view && from_flow_server(view, bytes)) return;
+  if (!upstream) {
+    // Infrastructure replies (DNS resolver, etc.) pass straight back.
+    if (is_infra(pkt::ipv4_src_of(bytes).value_or(util::Ipv4Addr())))
+      gateway_.emit_raw(std::move(bytes));
+    return;
+  }
+  // Unsolicited inbound traffic is dropped (home-NAT emulation) unless
+  // the subfarm forwards it (§5.3: Internet-reachable servers).
+  if (config_.inbound_mode != InboundMode::kForward) return;
+  const InmateBinding* binding =
+      inmates_.by_global(pkt::ipv4_dst_of(bytes).value_or(util::Ipv4Addr()));
+  if (!binding) return;
+  if (view && l4_intact(bytes)) {
+    // Rewrite the destination to the internal address and remember the
+    // flow so the inmate's replies NAT back out.
+    view->set_ip_dst(binding->internal_addr);
+    inbound_flows_[view->flow_key().reversed()] = gateway_.loop().now();
+  } else {
+    pkt::set_ipv4_dst(bytes, binding->internal_addr);
+  }
+  gateway_.emit_raw(std::move(bytes));
+}
+
+bool SubfarmRouter::from_flow_server(std::optional<pkt::FrameView>& view,
+                                     std::vector<std::uint8_t>& bytes) {
   const pkt::FlowKey key = view->flow_key();
-  if (nonce_by_target_key_.count(key)) return false;
+  // Nonce relay return path (target -> CS proxy leg).
+  if (auto it = nonce_by_target_key_.find(key);
+      it != nonce_by_target_key_.end()) {
+    if (!l4_intact(bytes)) {
+      view.reset();
+      return false;
+    }
+    if (auto relay_it = nonce_relays_.find(it->second);
+        relay_it != nonce_relays_.end()) {
+      auto& relay = relay_it->second;
+      relay.last_activity = gateway_.loop().now();
+      view->set_ip_src(gateway_.config().mgmt_addr);
+      view->set_src_port(relay.nonce);
+      view->set_ip_dst(relay.cs_ep.addr);
+      view->set_dst_port(relay.cs_ep.port);
+      gateway_.emit_raw(std::move(bytes));
+    }
+    return true;
+  }
+
   const auto it = server_index_.find(key);
-  if (it == server_index_.end() || !rides_view(*it->second)) return false;
-  forward_to_inmate(*it->second, *view, bytes);
+  if (it == server_index_.end()) return false;
+  if (forwarded_as_is(*it->second)) {
+    forward_to_inmate(*it->second, *view, bytes);
+    return true;
+  }
+  if (!l4_intact(bytes)) {
+    view.reset();
+    return false;
+  }
+  const FlowPtr flow = it->second;
+  if (flow->proto == pkt::FlowProto::kUdp) {
+    udp_from_server(*flow, view->payload());
+  } else if (flow->server_is_cs) {
+    cs_to_inmate(*flow, *view, bytes);
+  } else {
+    target_to_inmate(*flow, *view);
+  }
   return true;
-}
-
-void SubfarmRouter::forward_decoded(Flow& flow, pkt::DecodedFrame& frame,
-                                    bool to_server) {
-  // Non-canonical frames (IP or TCP options, trailing padding, a zero
-  // UDP checksum) and frames decoded during flow setup are made
-  // canonical once; the view then forwards them like any other.
-  frame.eth.vlan.reset();
-  auto bytes = frame.encode();
-  auto view = pkt::FrameView::parse(bytes);
-  if (!view) return;
-  if (to_server)
-    forward_to_server(flow, *view, bytes);
-  else
-    forward_to_inmate(flow, *view, bytes);
 }
 
 void SubfarmRouter::forward_to_server(Flow& flow, pkt::FrameView& view,
@@ -498,36 +535,9 @@ void SubfarmRouter::forward_to_inmate(Flow& flow, pkt::FrameView& view,
   gateway_.emit_raw(std::move(bytes));
 }
 
-void SubfarmRouter::inmate_ip(std::uint16_t vlan, pkt::DecodedFrame& frame) {
-  auto key = pkt::flow_key_of(frame);
-  if (!key) return;  // ICMP and friends: default-deny.
-
-  if (auto it = flows_.find(*key); it != flows_.end()) {
-    auto flow = it->second;
-    dispatch_inmate_frame(*flow, frame);
-    return;
-  }
-
-  const bool tcp_open =
-      frame.tcp && frame.tcp->syn() && !frame.tcp->has_ack();
-  if (tcp_open || frame.udp) {
-    handle_new_inmate_flow(vlan, frame);
-  }
-  // Anything else (stray RST/FIN for an expired flow) is dropped.
-}
-
-void SubfarmRouter::dispatch_inmate_frame(Flow& flow,
-                                          pkt::DecodedFrame& frame) {
-  if (rides_view(flow))
-    forward_decoded(flow, frame, /*to_server=*/true);
-  else if (flow.proto == pkt::FlowProto::kTcp)
-    relay_inmate_to_server(flow, frame);
-  else
-    udp_from_inmate(flow, frame);
-}
-
 void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
-                                           pkt::DecodedFrame& frame) {
+                                           pkt::FrameView& view,
+                                           std::vector<std::uint8_t>& bytes) {
   const InmateBinding* binding = inmates_.by_vlan(vlan);
   if (!binding) {
     GQ_DEBUG(kLog, "[%s] flow from unbound vlan %u dropped",
@@ -535,7 +545,7 @@ void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
     return;
   }
   const auto now = gateway_.loop().now();
-  auto key = *pkt::flow_key_of(frame);
+  const pkt::FlowKey key = view.flow_key();
 
   if (!safety_.admit(now, vlan, key.dst.addr)) {
     safety_rejects_ctr_->inc();
@@ -577,7 +587,7 @@ void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
   active_flows_gauge_->set(static_cast<std::int64_t>(flows_.size()));
 
   if (local) {
-    serve_local_verdict(*flow, source, std::move(*local), frame);
+    serve_local_verdict(*flow, source, std::move(*local), view, bytes);
     return;
   }
 
@@ -601,16 +611,16 @@ void SubfarmRouter::handle_new_inmate_flow(std::uint16_t vlan,
   arm_verdict_deadline(flow);
 
   if (flow->proto == pkt::FlowProto::kTcp) {
-    flow->inmate_isn = frame.tcp->seq;
-    flow->inmate_snd_nxt = frame.tcp->seq + 1;
+    flow->inmate_isn = view.tcp_seq();
+    flow->inmate_snd_nxt = view.tcp_seq() + 1;
     flow->nonce_port = gateway_.allocate_nonce(this);
     // Redirect the SYN to the containment server (Figure 5, step 1).
-    frame.tcp->src_port = flow->cs_src.port;
-    frame.ip->dst = flow->server_ep.addr;
-    frame.tcp->dst_port = flow->server_ep.port;
-    gateway_.emit_to_mgmt(std::move(frame));
+    view.set_src_port(flow->cs_src.port);
+    view.set_ip_dst(flow->server_ep.addr);
+    view.set_dst_port(flow->server_ep.port);
+    gateway_.emit_raw(std::move(bytes));
   } else {
-    udp_from_inmate(*flow, frame);
+    udp_from_inmate(*flow, view.payload());
   }
 }
 
@@ -663,7 +673,8 @@ std::optional<shim::ResponseShim> SubfarmRouter::probe_verdict_cache(
 
 void SubfarmRouter::serve_local_verdict(Flow& flow, shim::VerdictSource source,
                                         shim::ResponseShim synthesized,
-                                        pkt::DecodedFrame& frame) {
+                                        pkt::FrameView& view,
+                                        std::vector<std::uint8_t>& bytes) {
   flow.verdict_source = source;
   flow.cs_src = flow.inmate_ep;  // No CS leg: never remapped, never indexed.
   // Symmetric with the shim path: the flow joins the pending-verdict
@@ -674,8 +685,8 @@ void SubfarmRouter::serve_local_verdict(Flow& flow, shim::VerdictSource source,
 
   const bool tcp = flow.proto == pkt::FlowProto::kTcp;
   if (tcp) {
-    flow.inmate_isn = frame.tcp->seq;
-    flow.inmate_snd_nxt = frame.tcp->seq + 1;
+    flow.inmate_isn = view.tcp_seq();
+    flow.inmate_snd_nxt = view.tcp_seq() + 1;
     // The router plays the server's side of the handshake with a
     // synthetic ISN; the splice machinery then treats it exactly like a
     // CS ISN (the inmate believes the server's ISN is this one, and
@@ -691,21 +702,26 @@ void SubfarmRouter::serve_local_verdict(Flow& flow, shim::VerdictSource source,
   apply_verdict(flow, synthesized);
   // Deliver the datagram that opened a UDP flow through the now-decided
   // flow state (forwarded, limited, redirected — or silently dropped).
-  if (!tcp) dispatch_inmate_frame(flow, frame);
+  if (tcp) return;
+  if (forwarded_as_is(flow))
+    forward_to_server(flow, view, bytes);
+  else
+    udp_from_inmate(flow, view.payload());
 }
 
 // --- TCP: inmate -> server side ---------------------------------------------
 
-void SubfarmRouter::relay_inmate_to_server(Flow& flow,
-                                           pkt::DecodedFrame& frame) {
-  auto& seg = *frame.tcp;
+void SubfarmRouter::relay_inmate_to_server(Flow& flow, pkt::FrameView& view,
+                                           std::vector<std::uint8_t>& bytes) {
   flow.last_activity = gateway_.loop().now();
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(seg.payload.size());
-  if (payload_len > 0 || seg.fin())
+  const auto payload = view.payload();
+  const std::uint32_t payload_len = view.payload_len();
+  const std::uint32_t seq = view.tcp_seq();
+  const std::uint32_t ack = view.tcp_ack();
+  const bool fin = view.tcp_fin();
+  if (payload_len > 0 || fin)
     flow.inmate_snd_nxt =
-        std::max(flow.inmate_snd_nxt,
-                 seg.seq + payload_len + (seg.fin() ? 1 : 0),
+        std::max(flow.inmate_snd_nxt, seq + payload_len + (fin ? 1 : 0),
                  [](std::uint32_t a, std::uint32_t b) { return seq_lt(a, b); });
 
   switch (flow.phase) {
@@ -715,46 +731,45 @@ void SubfarmRouter::relay_inmate_to_server(Flow& flow,
       return;
 
     case FlowPhase::kAwaitVerdict: {
-      if (seg.rst()) {
+      if (view.tcp_rst()) {
         // Inmate aborted before the verdict: tear down the CS leg.
         emit_tcp(flow.cs_src, flow.server_ep, pkt::kTcpRst | pkt::kTcpAck,
-                 seg.seq + flow.d_out, 0, {});
+                 seq + flow.d_out, 0, {});
         close_flow(flow);
         return;
       }
-      if (seg.syn()) {  // Retransmitted SYN.
-        frame.ip->dst = flow.server_ep.addr;
-        frame.tcp->dst_port = flow.server_ep.port;
-        gateway_.emit_to_mgmt(std::move(frame));
+      if (view.tcp_syn()) {  // Retransmitted SYN.
+        view.set_ip_dst(flow.server_ep.addr);
+        view.set_dst_port(flow.server_ep.port);
+        gateway_.emit_raw(std::move(bytes));
         return;
       }
       // First non-SYN packet completes the handshake: inject the request
       // shim (Figure 5, step 2) before relaying anything else.
-      if (!flow.req_shim_sent && seg.has_ack() && flow.cs_isn_known) {
+      if (!flow.req_shim_sent && view.tcp_has_ack() && flow.cs_isn_known) {
         inject_request_shim(flow);
       }
       if (payload_len > 0) {
-        flow.replay_buf[seg.seq].assign(seg.payload.begin(),
-                                        seg.payload.end());
+        flow.replay_buf[seq].assign(payload.begin(), payload.end());
         flow.bytes_to_server += payload_len;
         emit_tcp(flow.cs_src, flow.server_ep,
-                 pkt::kTcpAck | pkt::kTcpPsh, seg.seq + flow.d_out,
-                 seg.ack - flow.d_in, seg.payload);
-      } else if (seg.has_ack() && flow.req_shim_sent && !seg.fin()) {
+                 pkt::kTcpAck | pkt::kTcpPsh, seq + flow.d_out,
+                 ack - flow.d_in, {payload.begin(), payload.end()});
+      } else if (view.tcp_has_ack() && flow.req_shim_sent && !fin) {
         emit_tcp(flow.cs_src, flow.server_ep, pkt::kTcpAck,
-                 seg.seq + flow.d_out, seg.ack - flow.d_in, {});
+                 seq + flow.d_out, ack - flow.d_in, {});
       }
-      if (seg.fin()) {
+      if (fin) {
         flow.inmate_fin_seen = true;
-        flow.inmate_fin_seq = seg.seq + payload_len;
+        flow.inmate_fin_seq = seq + payload_len;
         emit_tcp(flow.cs_src, flow.server_ep, pkt::kTcpFin | pkt::kTcpAck,
-                 flow.inmate_fin_seq + flow.d_out, seg.ack - flow.d_in, {});
+                 flow.inmate_fin_seq + flow.d_out, ack - flow.d_in, {});
       }
       return;
     }
 
     case FlowPhase::kSplicing: {
-      if (seg.rst()) {
+      if (view.tcp_rst()) {
         close_flow(flow);
         return;
       }
@@ -762,13 +777,12 @@ void SubfarmRouter::relay_inmate_to_server(Flow& flow,
       // the kAwaitVerdict buffer: the replay drain re-emits without
       // accounting.
       if (payload_len > 0) {
-        flow.replay_buf[seg.seq].assign(seg.payload.begin(),
-                                        seg.payload.end());
+        flow.replay_buf[seq].assign(payload.begin(), payload.end());
         flow.bytes_to_server += payload_len;
       }
-      if (seg.fin()) {
+      if (fin) {
         flow.inmate_fin_seen = true;
-        flow.inmate_fin_seq = seg.seq + payload_len;
+        flow.inmate_fin_seq = seq + payload_len;
       }
       return;
     }
@@ -872,47 +886,11 @@ void SubfarmRouter::fail_close_flow(Flow& flow) {
 
 // --- TCP: server side -> inmate ---------------------------------------------
 
-bool SubfarmRouter::handle_server_side(pkt::DecodedFrame& frame) {
-  auto key = pkt::flow_key_of(frame);
-  if (!key) return false;
-
-  // Nonce relay return path (target -> CS proxy leg).
-  if (auto it = nonce_by_target_key_.find(*key);
-      it != nonce_by_target_key_.end()) {
-    auto relay_it = nonce_relays_.find(it->second);
-    if (relay_it != nonce_relays_.end()) {
-      auto& relay = relay_it->second;
-      relay.last_activity = gateway_.loop().now();
-      frame.ip->src = gateway_.config().mgmt_addr;
-      frame.ip->dst = relay.cs_ep.addr;
-      if (frame.tcp) {
-        frame.tcp->src_port = relay.nonce;
-        frame.tcp->dst_port = relay.cs_ep.port;
-      }
-      gateway_.emit_to_mgmt(std::move(frame));
-    }
-    return true;
-  }
-
-  auto it = server_index_.find(*key);
-  if (it == server_index_.end()) return false;
-  auto flow = it->second;
-  if (rides_view(*flow))
-    forward_decoded(*flow, frame, /*to_server=*/false);
-  else if (flow->proto == pkt::FlowProto::kUdp)
-    udp_from_server(*flow, frame);
-  else if (flow->server_is_cs)
-    cs_to_inmate(*flow, frame);
-  else
-    target_to_inmate(*flow, frame);
-  return true;
-}
-
-void SubfarmRouter::cs_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
-  auto& seg = *frame.tcp;
+void SubfarmRouter::cs_to_inmate(Flow& flow, pkt::FrameView& view,
+                                 std::vector<std::uint8_t>& bytes) {
   flow.last_activity = gateway_.loop().now();
 
-  if (seg.rst()) {
+  if (view.tcp_rst()) {
     if (flow.phase == FlowPhase::kAwaitVerdict) {
       send_rst_to_inmate(flow);
       close_flow(flow);
@@ -920,29 +898,29 @@ void SubfarmRouter::cs_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
     return;
   }
 
-  if (seg.syn()) {  // SYN-ACK from the containment server.
+  if (view.tcp_syn()) {  // SYN-ACK from the containment server.
     if (!flow.cs_isn_known) {
-      flow.cs_isn = seg.seq;
+      flow.cs_isn = view.tcp_seq();
       flow.cs_isn_known = true;
-      flow.cs_in_expected = seg.seq + 1;
+      flow.cs_in_expected = view.tcp_seq() + 1;
     }
     // Relay to the inmate as if it came from the intended target.
-    frame.ip->src = flow.orig_dst.addr;
-    frame.tcp->src_port = flow.orig_dst.port;
-    frame.ip->dst = flow.inmate_ep.addr;
-    frame.tcp->dst_port = flow.inmate_ep.port;
-    gateway_.emit_auto(std::move(frame));
+    view.set_ip_src(flow.orig_dst.addr);
+    view.set_src_port(flow.orig_dst.port);
+    view.set_ip_dst(flow.inmate_ep.addr);
+    view.set_dst_port(flow.inmate_ep.port);
+    gateway_.emit_raw(std::move(bytes));
     return;
   }
 
-  if (seg.has_ack()) note_request_shim_ack(flow, seg.ack);
+  if (view.tcp_has_ack()) note_request_shim_ack(flow, view.tcp_ack());
   // Past the verdict the CS leg is either a REWRITE relay (forwarded by
   // forward_to_inmate) or dead to us.
   if (flow.phase != FlowPhase::kAwaitVerdict) return;
 
-  if (!seg.payload.empty()) {
+  if (const auto payload = view.payload(); !payload.empty()) {
     // Reassemble the CS stream prefix to extract the response shim.
-    flow.cs_in_ooo[seg.seq].assign(seg.payload.begin(), seg.payload.end());
+    flow.cs_in_ooo[view.tcp_seq()].assign(payload.begin(), payload.end());
     for (auto ooo = flow.cs_in_ooo.begin(); ooo != flow.cs_in_ooo.end();) {
       if (seq_lt(flow.cs_in_expected, ooo->first)) break;
       const std::uint32_t overlap = flow.cs_in_expected - ooo->first;
@@ -963,10 +941,11 @@ void SubfarmRouter::cs_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
       emit_tcp(flow.cs_src, flow.server_ep, pkt::kTcpAck,
                flow.inmate_snd_nxt + flow.d_out, flow.cs_in_expected, {});
     }
-  } else if (seg.has_ack()) {
+  } else if (view.tcp_has_ack()) {
     // Pure ACK: keep the inmate's retransmission timers happy.
     emit_tcp({flow.orig_dst.addr, flow.orig_dst.port}, flow.inmate_ep,
-             pkt::kTcpAck, seg.seq + flow.d_in, seg.ack - flow.d_out, {});
+             pkt::kTcpAck, view.tcp_seq() + flow.d_in,
+             view.tcp_ack() - flow.d_out, {});
   }
 }
 
@@ -1149,20 +1128,19 @@ void SubfarmRouter::start_udp_relay(Flow& flow) {
   flow.udp_buffer.clear();
 }
 
-void SubfarmRouter::target_to_inmate(Flow& flow, pkt::DecodedFrame& frame) {
+void SubfarmRouter::target_to_inmate(Flow& flow, const pkt::FrameView& view) {
   // The target leg while splicing; once established, forward_to_inmate.
-  auto& seg = *frame.tcp;
   flow.last_activity = gateway_.loop().now();
 
-  if (seg.rst()) {
+  if (view.tcp_rst()) {
     send_rst_to_inmate(flow);
     close_flow(flow);
     return;
   }
-  if (!seg.syn()) return;
-  if (seg.has_ack()) {
-    flow.server_isn = seg.seq;
-    flow.server_rcv_next = seg.seq + 1;
+  if (!view.tcp_syn()) return;
+  if (view.tcp_has_ack()) {
+    flow.server_isn = view.tcp_seq();
+    flow.server_rcv_next = view.tcp_seq() + 1;
     // The inmate believes the server's ISN is the CS's ISN.
     flow.d_in = flow.cs_isn - flow.server_isn;
     flow.d_out = 0;
@@ -1245,15 +1223,15 @@ void SubfarmRouter::send_rst_to_inmate(Flow& flow) {
 
 // --- UDP ---------------------------------------------------------------------
 
-void SubfarmRouter::udp_from_inmate(Flow& flow, pkt::DecodedFrame& frame) {
+void SubfarmRouter::udp_from_inmate(Flow& flow,
+                                    std::span<const std::uint8_t> payload) {
   // Before the verdict, and for a UDP REWRITE flow after it; every other
   // established UDP flow rides forward_to_server.
-  auto& dgram = *frame.udp;
   flow.last_activity = gateway_.loop().now();
   if (flow.phase == FlowPhase::kDenied || flow.phase == FlowPhase::kClosed)
     return;
   if (flow.phase != FlowPhase::kEstablished) {
-    flow.udp_buffer.push_back(dgram.payload);
+    flow.udp_buffer.emplace_back(payload.begin(), payload.end());
     if (!flow.req_shim_sent) {
       flow.req_shim_sent = true;
       flow.req_shim_sent_at = flow.last_activity;
@@ -1265,19 +1243,19 @@ void SubfarmRouter::udp_from_inmate(Flow& flow, pkt::DecodedFrame& frame) {
   shim.orig = flow.inmate_ep;
   shim.resp = flow.orig_dst;
   shim.vlan = flow.vlan;
-  auto payload = shim.encode();
-  payload.insert(payload.end(), dgram.payload.begin(), dgram.payload.end());
-  emit_udp(flow.cs_src, flow.cs_ep, std::move(payload));
-  flow.bytes_to_server += dgram.payload.size();
+  auto shimmed = shim.encode();
+  shimmed.insert(shimmed.end(), payload.begin(), payload.end());
+  emit_udp(flow.cs_src, flow.cs_ep, std::move(shimmed));
+  flow.bytes_to_server += payload.size();
 }
 
-void SubfarmRouter::udp_from_server(Flow& flow, pkt::DecodedFrame& frame) {
+void SubfarmRouter::udp_from_server(Flow& flow,
+                                    std::span<const std::uint8_t> payload) {
   // Datagram from the CS: response shim (+ optional rewritten payload).
   // Targets' datagrams ride forward_to_inmate.
-  auto& dgram = *frame.udp;
   flow.last_activity = gateway_.loop().now();
   std::size_t consumed = 0;
-  auto shim = shim::ResponseShim::parse(dgram.payload, &consumed);
+  auto shim = shim::ResponseShim::parse(payload, &consumed);
   if (!shim) return;  // Malformed; default-deny.
   if (flow.req_shim_sent && !flow.req_shim_acked) {
     // The CS answered the shim-prefixed datagram: its round trip.
@@ -1285,8 +1263,7 @@ void SubfarmRouter::udp_from_server(Flow& flow, pkt::DecodedFrame& frame) {
     shim_rtt_hist_->observe(static_cast<double>(
         (flow.last_activity - flow.req_shim_sent_at).usec));
   }
-  std::span<const std::uint8_t> remainder(dgram.payload);
-  remainder = remainder.subspan(consumed);
+  const auto remainder = payload.subspan(consumed);
   if (flow.phase == FlowPhase::kAwaitVerdict) {
     apply_verdict(flow, *shim, remainder);
   } else if (flow.phase == FlowPhase::kEstablished && !remainder.empty()) {
@@ -1296,51 +1273,15 @@ void SubfarmRouter::udp_from_server(Flow& flow, pkt::DecodedFrame& frame) {
   }
 }
 
-// --- Ingress: management / upstream -----------------------------------------
-
-void SubfarmRouter::from_mgmt(pkt::DecodedFrame frame) {
-  if (!frame.ip) return;
-  if (handle_server_side(frame)) return;
-  // Infrastructure replies (DNS resolver, etc.) pass straight back.
-  if (is_infra(frame.ip->src)) {
-    gateway_.emit_auto(std::move(frame));
-    return;
-  }
-  GQ_DEBUG(kLog, "[%s] unmatched mgmt frame %s dropped",
-           config_.name.c_str(), frame.summary().c_str());
-}
-
-void SubfarmRouter::from_upstream(pkt::DecodedFrame frame) {
-  if (!frame.ip) return;
-  if (handle_server_side(frame)) return;
-
-  if (config_.inbound_mode == InboundMode::kForward) {
-    const InmateBinding* binding = inmates_.by_global(frame.ip->dst);
-    if (binding) {
-      // Rewrite destination to the internal address and remember the
-      // flow so the inmate's replies NAT back out (§5.3: Internet-
-      // reachable servers).
-      frame.ip->dst = binding->internal_addr;
-      if (auto key = pkt::flow_key_of(frame)) {
-        inbound_flows_[key->reversed()] = gateway_.loop().now();
-      }
-      gateway_.emit_auto(std::move(frame));
-      return;
-    }
-  }
-  // Default: unsolicited inbound traffic is dropped (home-NAT emulation).
-}
-
 // --- Nonce relays -------------------------------------------------------------
 
-void SubfarmRouter::on_nonce_frame(std::uint16_t nonce,
-                                   pkt::DecodedFrame frame) {
-  if (!frame.ip || !frame.tcp) return;
+void SubfarmRouter::on_nonce_frame(std::uint16_t nonce, pkt::FrameView& view,
+                                   std::vector<std::uint8_t>& bytes) {
   auto relay_it = nonce_relays_.find(nonce);
   if (relay_it == nonce_relays_.end()) {
     // First packet on this nonce: it must be a SYN from the CS, and the
     // nonce must belong to a REWRITE flow awaiting its outbound leg.
-    if (!frame.tcp->syn()) return;
+    if (!view.tcp_syn()) return;
     FlowPtr owner;
     for (auto& [key, flow] : flows_) {
       if (flow->nonce_port == nonce &&
@@ -1355,7 +1296,7 @@ void SubfarmRouter::on_nonce_frame(std::uint16_t nonce,
       return;
     }
     NonceRelay relay;
-    relay.cs_ep = {frame.ip->src, frame.tcp->src_port};
+    relay.cs_ep = {view.ip_src(), view.src_port()};
     relay.nonce = nonce;
     relay.target = owner->orig_dst;
     relay.nat_src = nat_source_for(*owner, owner->orig_dst);
@@ -1369,11 +1310,11 @@ void SubfarmRouter::on_nonce_frame(std::uint16_t nonce,
   relay.last_activity = gateway_.loop().now();
   // Pure NAT relay toward the target: the CS's fresh connection needs no
   // sequence surgery, only address rewriting.
-  frame.ip->src = relay.nat_src.addr;
-  frame.tcp->src_port = relay.nat_src.port;
-  frame.ip->dst = relay.target.addr;
-  frame.tcp->dst_port = relay.target.port;
-  gateway_.emit_auto(std::move(frame));
+  view.set_ip_src(relay.nat_src.addr);
+  view.set_src_port(relay.nat_src.port);
+  view.set_ip_dst(relay.target.addr);
+  view.set_dst_port(relay.target.port);
+  gateway_.emit_raw(std::move(bytes));
 }
 
 // --- Lifecycle -----------------------------------------------------------------

@@ -57,32 +57,32 @@ class SubfarmRouter {
   [[nodiscard]] trace::TraceTap& trace() { return trace_; }
   [[nodiscard]] SafetyFilter& safety() { return safety_; }
 
-  /// Frame from an inmate on `vlan` (tag already stripped).
-  void from_inmate(std::uint16_t vlan, pkt::DecodedFrame frame);
+  // --- Ingress classifiers ---------------------------------------------
+  // The gateway parses every frame once into a view over its untagged
+  // wire bytes (pkt::FrameView, canonical, aliasing `bytes`) and hands it
+  // to one classifier per leg; every handler reads and rewrites that
+  // view in place. `view` is empty for an IPv4 frame that is neither TCP
+  // nor UDP (ICMP and friends), which only the stateless rules forward.
 
-  /// Established-flow datapath entry: `bytes` is the untagged wire
-  /// frame from an inmate on `vlan`. Returns true when it belonged to
-  /// an established flow and was handled in place (forwarded, or
-  /// dropped by LIMIT, RST teardown, or an unbound destination); false,
-  /// with no state touched, means flow setup or other traffic for the
-  /// decoded path (from_inmate).
-  bool forward_from_inmate(std::uint16_t vlan,
-                           std::vector<std::uint8_t>& bytes);
+  /// A frame from an inmate on `vlan`. In order: the infrastructure
+  /// bypass, nonce-relay return legs, the inmate as the server side of a
+  /// redirected flow, inbound NAT flows, the inmate's own flows, and
+  /// flow setup.
+  void from_inmate(std::uint16_t vlan, std::optional<pkt::FrameView>& view,
+                   std::vector<std::uint8_t>& bytes);
 
-  /// The same for a frame arriving from the server side (upstream or
-  /// management leg) addressed into this subfarm.
-  bool forward_from_server(std::vector<std::uint8_t>& bytes);
+  /// A frame addressed into this subfarm from the server side: from
+  /// upstream (`upstream`) or from the management network (containment
+  /// server, sink and infrastructure replies). In order: nonce-relay
+  /// return legs, flows by their server side, then inbound-forward NAT
+  /// (upstream) or infrastructure replies (management).
+  void from_server(std::optional<pkt::FrameView>& view,
+                   std::vector<std::uint8_t>& bytes, bool upstream);
 
-  /// Frame from the management network whose destination is inside this
-  /// subfarm's internal range (containment server / sink replies).
-  void from_mgmt(pkt::DecodedFrame frame);
-
-  /// Frame from upstream addressed into this subfarm's external range.
-  void from_upstream(pkt::DecodedFrame frame);
-
-  /// Frame from the containment server to one of this subfarm's nonce
-  /// ports (REWRITE proxy outbound leg).
-  void on_nonce_frame(std::uint16_t nonce, pkt::DecodedFrame frame);
+  /// A TCP frame from the containment server to one of this subfarm's
+  /// nonce ports (REWRITE proxy outbound leg).
+  void on_nonce_frame(std::uint16_t nonce, pkt::FrameView& view,
+                      std::vector<std::uint8_t>& bytes);
 
   // Statistics (reads of the registry metrics this router maintains;
   // events go to the gateway's telemetry bus).
@@ -163,11 +163,15 @@ class SubfarmRouter {
   using FlowPtr = std::shared_ptr<Flow>;
 
   // --- Ingress dispatch -------------------------------------------------
-  void inmate_ip(std::uint16_t vlan, pkt::DecodedFrame& frame);
-  /// A decoded frame of one of the inmate's flows, by flow state.
-  void dispatch_inmate_frame(Flow& flow, pkt::DecodedFrame& frame);
-  void handle_new_inmate_flow(std::uint16_t vlan, pkt::DecodedFrame& frame);
-  bool handle_server_side(pkt::DecodedFrame& frame);
+  /// A frame from the server side of one of this subfarm's flows, on any
+  /// leg: a nonce-relay return leg, or a flow indexed by its server side.
+  /// Returns false, touching nothing, when neither claims it or when its
+  /// L4 checksum fails outside an established flow (it is then keyless,
+  /// and `view` is cleared).
+  bool from_flow_server(std::optional<pkt::FrameView>& view,
+                        std::vector<std::uint8_t>& bytes);
+  void handle_new_inmate_flow(std::uint16_t vlan, pkt::FrameView& view,
+                              std::vector<std::uint8_t>& bytes);
 
   // --- Established-flow datapath ------------------------------------------
   /// The one rewrite per direction for established flows, in place over
@@ -176,13 +180,12 @@ class SubfarmRouter {
                          std::vector<std::uint8_t>& bytes);
   void forward_to_inmate(Flow& flow, pkt::FrameView& view,
                          std::vector<std::uint8_t>& bytes);
-  /// Encode a decoded frame of an established flow once (canonical) and
-  /// hand it to the forwarder for its direction.
-  void forward_decoded(Flow& flow, pkt::DecodedFrame& frame, bool to_server);
 
   // --- Containment-server leg -------------------------------------------
-  void relay_inmate_to_server(Flow& flow, pkt::DecodedFrame& frame);
-  void cs_to_inmate(Flow& flow, pkt::DecodedFrame& frame);
+  void relay_inmate_to_server(Flow& flow, pkt::FrameView& view,
+                              std::vector<std::uint8_t>& bytes);
+  void cs_to_inmate(Flow& flow, pkt::FrameView& view,
+                    std::vector<std::uint8_t>& bytes);
   /// Emit the flow's request shim to its containment server: the first
   /// send and every retransmit put the same segment on the wire.
   void send_request_shim(const Flow& flow);
@@ -208,7 +211,8 @@ class SubfarmRouter {
   /// flow state.
   void serve_local_verdict(Flow& flow, shim::VerdictSource source,
                            shim::ResponseShim synthesized,
-                           pkt::DecodedFrame& frame);
+                           pkt::FrameView& view,
+                           std::vector<std::uint8_t>& bytes);
 
   // --- Fail-closed resolution ---------------------------------------------
   /// Arm (or re-arm) the flow's verdict deadline.
@@ -225,7 +229,7 @@ class SubfarmRouter {
   /// UDP's counterpart: re-home the flow from the CS to its server and
   /// flush the datagrams buffered while the verdict was pending.
   void start_udp_relay(Flow& flow);
-  void target_to_inmate(Flow& flow, pkt::DecodedFrame& frame);
+  void target_to_inmate(Flow& flow, const pkt::FrameView& view);
   /// ACK the target's SYN-ACK on the inmate's behalf.
   void ack_target_syn(Flow& flow);
   void replay_to_target(FlowPtr flow);
@@ -233,8 +237,8 @@ class SubfarmRouter {
   void send_rst_to_inmate(Flow& flow);
 
   // --- UDP ----------------------------------------------------------------
-  void udp_from_inmate(Flow& flow, pkt::DecodedFrame& frame);
-  void udp_from_server(Flow& flow, pkt::DecodedFrame& frame);
+  void udp_from_inmate(Flow& flow, std::span<const std::uint8_t> payload);
+  void udp_from_server(Flow& flow, std::span<const std::uint8_t> payload);
 
   // --- Verdict cache ------------------------------------------------------
   /// Probe the verdict cache for a brand-new flow, counting hits, misses
@@ -264,6 +268,8 @@ class SubfarmRouter {
   [[nodiscard]] util::Endpoint cs_for_vlan(std::uint16_t vlan) const;
   [[nodiscard]] bool is_internal(util::Ipv4Addr addr) const;
   [[nodiscard]] bool is_infra(util::Ipv4Addr addr) const;
+  /// Synthesised segments: built, encoded once, and handed to the
+  /// gateway's one egress.
   void emit_tcp(util::Endpoint src, util::Endpoint dst, std::uint8_t flags,
                 std::uint32_t seq, std::uint32_t ack,
                 std::vector<std::uint8_t> payload);

@@ -118,17 +118,45 @@ std::optional<std::uint16_t> vlan_vid_of(
       ((bytes[kTypeOffset + 2] << 8) | bytes[kTypeOffset + 3]) & 0x0FFF);
 }
 
-std::optional<util::Ipv4Addr> ipv4_dst_of(
-    std::span<const std::uint8_t> bytes) {
+namespace {
+
+std::optional<util::Ipv4Addr> ipv4_addr_at(std::span<const std::uint8_t> bytes,
+                                           std::size_t at) {
   if (bytes.size() < kEthHeader + 20) return std::nullopt;
   const std::uint16_t type = static_cast<std::uint16_t>(
       (bytes[kTypeOffset] << 8) | bytes[kTypeOffset + 1]);
   if (type != kEtherTypeIpv4) return std::nullopt;
-  const std::size_t at = kEthHeader + 16;
   return util::Ipv4Addr((static_cast<std::uint32_t>(bytes[at]) << 24) |
                         (static_cast<std::uint32_t>(bytes[at + 1]) << 16) |
                         (static_cast<std::uint32_t>(bytes[at + 2]) << 8) |
                         static_cast<std::uint32_t>(bytes[at + 3]));
+}
+
+}  // namespace
+
+std::optional<util::Ipv4Addr> ipv4_dst_of(
+    std::span<const std::uint8_t> bytes) {
+  return ipv4_addr_at(bytes, kEthHeader + 16);
+}
+
+std::optional<util::Ipv4Addr> ipv4_src_of(
+    std::span<const std::uint8_t> bytes) {
+  return ipv4_addr_at(bytes, kEthHeader + 12);
+}
+
+void set_ipv4_dst(std::span<std::uint8_t> bytes, util::Ipv4Addr addr) {
+  const auto old_addr = ipv4_dst_of(bytes);
+  if (!old_addr) return;
+  const std::size_t at = kEthHeader + 16;
+  const std::uint32_t v = addr.value();
+  for (std::size_t i = 0; i < 4; ++i)
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+  const std::size_t csum_at = kEthHeader + 10;
+  const std::uint16_t csum = checksum_update32(
+      static_cast<std::uint16_t>((bytes[csum_at] << 8) | bytes[csum_at + 1]),
+      old_addr->value(), v);
+  bytes[csum_at] = static_cast<std::uint8_t>(csum >> 8);
+  bytes[csum_at + 1] = static_cast<std::uint8_t>(csum);
 }
 
 void strip_vlan_tag(std::vector<std::uint8_t>& bytes) {

@@ -12,7 +12,9 @@
 // length consistent and checksum nonzero, no trailing padding). For a
 // canonical frame, rewriting through the view is byte-identical to
 // decode → mutate → encode; anything else fails to parse, and the
-// gateway re-encodes it once (making it canonical) before viewing it.
+// gateway's ingress re-encodes it once (making it canonical) before
+// viewing it. Every frame the gateway classifies is read and rewritten
+// through this view.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +27,11 @@
 
 namespace gq::pkt {
 
-/// How much of the frame FrameView::parse verifies. The gateway's
-/// established-flow datapath uses kIpHeader — like a hardware router it checks the 20-byte IP
+/// How much of the frame FrameView::parse verifies. The gateway parses
+/// with kIpHeader — like a hardware router it checks the 20-byte IP
 /// header checksum but does not scan the payload; kFull additionally
-/// verifies the L4 checksum (tests, defensive callers).
+/// verifies the L4 checksum, which the gateway requires before it keys
+/// any frame outside an established flow.
 enum class ViewVerify { kNone, kIpHeader, kFull };
 
 class FrameView {
@@ -65,6 +68,11 @@ class FrameView {
   [[nodiscard]] bool tcp_has_ack() const { return tcp_flags() & kTcpAck; }
   /// L4 payload length (TCP payload bytes / UDP datagram payload bytes).
   [[nodiscard]] std::uint32_t payload_len() const { return payload_len_; }
+  /// The L4 payload in place: payload_len() bytes behind the TCP or UDP
+  /// header.
+  [[nodiscard]] std::span<const std::uint8_t> payload() const {
+    return {base_ + l4_ + (is_tcp() ? 20u : 8u), payload_len_};
+  }
 
   /// The directional flow key of this frame, extracted in place.
   [[nodiscard]] FlowKey flow_key() const {
@@ -119,10 +127,19 @@ class FrameView {
 std::optional<std::uint16_t> vlan_vid_of(
     std::span<const std::uint8_t> bytes);
 
-/// Peek the IPv4 destination of a raw untagged frame (nullopt when not
-/// IPv4 or truncated). Used by ingress dispatch before any decode.
+/// Peek the IPv4 destination / source of a raw untagged frame (nullopt
+/// when not IPv4 or truncated). Used by ingress routing, and for frames
+/// that are neither TCP nor UDP, which no view covers.
 std::optional<util::Ipv4Addr> ipv4_dst_of(
     std::span<const std::uint8_t> bytes);
+std::optional<util::Ipv4Addr> ipv4_src_of(
+    std::span<const std::uint8_t> bytes);
+
+/// Overwrite the IPv4 destination of a raw untagged frame with a
+/// 20-byte IP header in place, maintaining only the IP header checksum:
+/// the L4 bytes are left exactly as they are (for a frame that is not
+/// TCP or UDP, or whose L4 checksum already fails). No-op when truncated.
+void set_ipv4_dst(std::span<std::uint8_t> bytes, util::Ipv4Addr addr);
 
 /// Strip the 802.1Q tag in place (no-op when untagged). The buffer
 /// shrinks by four bytes; capacity is retained, so a later re-tag via

@@ -1,32 +1,13 @@
 #include "trace/replay.h"
 
-#include <sstream>
-
 #include "gateway/gateway.h"
 #include "netsim/event_loop.h"
 
 namespace gq::trace {
 
-std::string event_line(const obs::FarmEvent& e) {
-  std::ostringstream os;
-  os << e.time.usec << ' ' << obs::farm_event_kind_name(e.kind) << ' '
-     << e.subfarm << " vlan=" << e.vlan << ' '
-     << (e.proto == pkt::FlowProto::kTcp ? "tcp" : "udp")
-     << " dst=" << e.orig_dst.str() << ' ' << shim::verdict_name(e.verdict)
-     << " src=" << shim::verdict_source_name(e.verdict_source)
-     << " policy=" << e.policy_name << " ann=" << e.annotation;
-  if (e.limit_bytes_per_sec) os << " limit=" << *e.limit_bytes_per_sec;
-  os << " b2s=" << e.bytes_to_server << " b2i=" << e.bytes_to_inmate
-     << " int=" << e.inmate_internal.str()
-     << " glob=" << e.inmate_global.str() << " sink=" << e.sink_service
-     << " ssrc=" << e.sink_source.str() << " job=" << e.job_id
-     << " tenant=" << e.tenant << " jstate=" << e.job_state;
-  return os.str();
-}
-
 EventRecorder::EventRecorder(obs::EventBus& bus)
     : bus_(bus), id_(bus.subscribe([this](const obs::FarmEvent& event) {
-        lines_.push_back(event_line(event));
+        lines_.push_back(obs::format_event(event));
       })) {}
 
 EventRecorder::~EventRecorder() { bus_.unsubscribe(id_); }

@@ -20,8 +20,8 @@
 //   * schedule_replay() pre-schedules every archived frame for injection
 //     at its recorded virtual time; external hosts and containment
 //     servers react exactly as they did live.
-//   * Equality is judged on EventRecorder::joined() (canonical event
-//     serialization) and the upstream tap's archive bytes.
+//   * Equality is judged on EventRecorder::joined() (obs::format_event
+//     lines) and the upstream tap's archive bytes.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +37,8 @@ class Gateway;
 
 namespace gq::trace {
 
-/// Canonical one-line serialization of a FarmEvent — every field that
-/// makes two event streams comparable, stable across runs.
-std::string event_line(const obs::FarmEvent& event);
-
-/// Subscribes to a bus and accumulates canonical event lines; the
-/// golden-trace comparison runs on joined().
+/// Subscribes to a bus and accumulates each event's obs::format_event
+/// line; the golden-trace comparison runs on joined().
 class EventRecorder {
  public:
   explicit EventRecorder(obs::EventBus& bus);

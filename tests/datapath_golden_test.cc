@@ -9,7 +9,8 @@
 // the format_event stream, and the gateway's metrics. Each scenario runs
 // past the flow timeout, so every flow closes and reports its byte
 // counts. Any change to forwarding bytes, trace timing, counters, or
-// event order moves a hash.
+// event order moves a hash. The same farm also takes mutated ingress on
+// every leg, which must neither crash it nor let an inmate out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,9 +31,11 @@
 #include "netsim/event_loop.h"
 #include "netsim/vlan_switch.h"
 #include "obs/events.h"
+#include "packet/frame_view.h"
 #include "services/dhcp.h"
 #include "services/http.h"
 #include "util/bytes.h"
+#include "util/rng.h"
 
 namespace gq {
 namespace {
@@ -632,6 +635,137 @@ TEST_F(GoldenFarm, NonCanonicalFramesOnEstablishedFlow) {
   expect_golden({0xbf70c27cf3367068ull, 0xe01409539082b326ull,
                  0xf4deb6828944e583ull, 0xed050697fc562f85ull,
                  0xc641360722ae6cc6ull});
+}
+
+// One ingress mutation: truncate, pad, flip bits, change the 802.1Q tag
+// (strip it, add one, re-number it, or stack a second), or overwrite the
+// ethertype.
+void mutate_frame(util::Rng& rng, std::vector<std::uint8_t>& frame) {
+  const bool tagged = frame.size() >= 16 && frame[12] == 0x81 &&
+                      frame[13] == 0x00;
+  const std::uint8_t tag[4] = {0x81, 0x00,
+                               static_cast<std::uint8_t>(rng.below(16)),
+                               static_cast<std::uint8_t>(rng.next())};
+  switch (rng.below(5)) {
+    case 0:
+      frame.resize(rng.below(frame.size() + 1));
+      break;
+    case 1:
+      for (auto n = 1 + rng.below(32); n > 0; --n)
+        frame.push_back(static_cast<std::uint8_t>(rng.next()));
+      break;
+    case 2:
+      for (auto n = 1 + rng.below(8); n > 0 && !frame.empty(); --n)
+        frame[rng.below(frame.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.below(8));
+      break;
+    case 3:
+      if (frame.size() < 14) break;
+      if (tagged && rng.below(3) == 0) {
+        frame.erase(frame.begin() + 12, frame.begin() + 16);
+      } else if (tagged && rng.below(2) == 0) {
+        frame[15] = static_cast<std::uint8_t>(16 + rng.below(4));
+      } else {
+        frame.insert(frame.begin() + 12, tag, tag + 4);
+      }
+      break;
+    case 4: {
+      const std::size_t at = tagged ? 16 : 12;
+      if (frame.size() < at + 2) break;
+      static constexpr std::uint16_t kTypes[] = {0x0800, 0x0806, 0x86DD,
+                                                 0x8100, 0x88CC};
+      const std::uint16_t type = kTypes[rng.below(5)];
+      frame[at] = static_cast<std::uint8_t>(type >> 8);
+      frame[at + 1] = static_cast<std::uint8_t>(type);
+      break;
+    }
+  }
+}
+
+// Frames recorded from a live run — an established TCP flow, UDP both
+// ways, a denied TCP flow and a denied UDP flow — replayed with one to
+// three mutations each into the inmate port, and straight onto the
+// upstream and management legs. The run must not crash (run it under the
+// asan and ubsan presets), and no inmate frame may leave upstream except
+// toward the two destinations the bound policy forwards.
+TEST_F(GoldenFarm, MutatedIngressOnEveryLegNeverEscapes) {
+  class ForwardWebOnly : public cs::Policy {
+   public:
+    ForwardWebOnly() : Policy("ForwardWebOnly") {}
+    cs::Decision decide(const cs::FlowInfo& flow) override {
+      const bool http = flow.proto == pkt::FlowProto::kTcp &&
+                        flow.dst() == Endpoint{kWebAddr, 80};
+      const bool dns = flow.proto == pkt::FlowProto::kUdp &&
+                       flow.dst() == Endpoint{kWebAddr, 53};
+      return http || dns ? cs::Decision::forward() : cs::Decision::drop();
+    }
+  };
+  bind(std::make_shared<ForwardWebOnly>());
+  listen_echo();
+  auto dns = web.udp_open(53);
+  std::weak_ptr<net::UdpSocket> weak_dns = dns;
+  dns->on_datagram = [weak_dns](Endpoint from,
+                                std::vector<std::uint8_t> payload) {
+    if (auto s = weak_dns.lock()) s->send_to(from, payload);
+  };
+  auto conn = inmate1.connect({kWebAddr, 80});
+  conn->on_connected = [conn] { conn->send("hello"); };
+  auto denied = inmate1.connect({kWebAddr, 25});
+  auto client = inmate2.udp_open(0);
+  for (int i = 0; i < 2; ++i) {
+    client->send_to({kWebAddr, 53}, util::to_bytes("q" + std::to_string(i)));
+    client->send_to({kWebAddr, 5353}, util::to_bytes("x"));
+    loop.run_for(util::milliseconds(300));
+  }
+  loop.run_for(util::seconds(2));
+
+  const auto inmate_rx = gateway->inmate_rx_trace().archive().records();
+  const auto upstream = gateway->upstream_trace().archive().records();
+  const auto mgmt = gateway->mgmt_trace().archive().records();
+  ASSERT_FALSE(inmate_rx.empty());
+  ASSERT_FALSE(upstream.empty());
+  ASSERT_FALSE(mgmt.empty());
+
+  constexpr int kFramesPerLeg = 3000;
+  util::Rng rng(0x1A6E55);
+  auto pick = [&](const std::vector<pkt::PcapRecord>& records) {
+    auto frame = records[rng.below(records.size())].frame;
+    for (auto n = 1 + rng.below(3); n > 0; --n) mutate_frame(rng, frame);
+    return sim::Frame{std::move(frame)};
+  };
+  util::TimePoint at = loop.now();
+  for (int i = 0; i < kFramesPerLeg; ++i) {
+    at = at + util::microseconds(500);
+    loop.schedule_at(at, [this, frame = pick(inmate_rx)]() mutable {
+      gateway->inject_inmate_frame(std::move(frame.bytes));
+    });
+    gateway->upstream_port().schedule_bridged(at, pick(upstream));
+    gateway->mgmt_port().schedule_bridged(at, pick(mgmt));
+  }
+  loop.run_for(util::minutes(6));  // Past the flow timeout.
+
+  // Established flows are forwarded without an L4 checksum check, like a
+  // hardware router's, so read the ports without one too.
+  std::size_t allowed = 0;
+  for (auto bytes : upstream_emitted) {
+    const auto src = pkt::ipv4_src_of(bytes);
+    if (!src || !kExternalNet.contains(*src)) continue;
+    const auto view = pkt::FrameView::parse(bytes, pkt::ViewVerify::kNone);
+    const bool to_http = view && view->is_tcp() &&
+                         view->ip_dst() == kWebAddr && view->dst_port() == 80;
+    const bool to_dns = view && view->is_udp() &&
+                        view->ip_dst() == kWebAddr && view->dst_port() == 53;
+    EXPECT_TRUE(to_http || to_dns)
+        << "inmate frame escaped upstream: "
+        << pkt::decode_frame(bytes)->summary();
+    allowed += to_http || to_dns;
+  }
+  EXPECT_GT(allowed, 0u);
+  // The denied flows of the recorded run did meet the DROP policy.
+  const auto* drops = gateway->telemetry().metrics().find_counter(
+      "gw.GoldenFarm.verdicts.DROP");
+  ASSERT_NE(drops, nullptr);
+  EXPECT_GE(drops->value(), 2u);
 }
 
 }  // namespace

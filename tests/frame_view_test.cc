@@ -7,6 +7,8 @@
 // the hashed flow tables are built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -72,6 +74,16 @@ TEST(FrameView, ParseLocatesFields) {
   EXPECT_EQ(view->tcp_ack(), decoded->tcp->ack);
   EXPECT_EQ(view->payload_len(), decoded->tcp->payload.size());
   EXPECT_EQ(view->flow_key(), *flow_key_of(*decoded));
+  const auto payload = view->payload();
+  EXPECT_EQ(std::vector<std::uint8_t>(payload.begin(), payload.end()),
+            decoded->tcp->payload);
+
+  auto udp_bytes = make_frame({false, false, 17}, rng);
+  auto udp_view = FrameView::parse(udp_bytes, ViewVerify::kFull);
+  ASSERT_TRUE(udp_view);
+  const auto udp_payload = udp_view->payload();
+  EXPECT_EQ(std::vector<std::uint8_t>(udp_payload.begin(), udp_payload.end()),
+            decode_frame(udp_bytes)->udp->payload);
 }
 
 // The core property: rewriting through the view must produce the exact
@@ -210,10 +222,40 @@ TEST(FrameView, VlanHelpers) {
   EXPECT_EQ(work, tagged);
   EXPECT_EQ(work.data(), data_before);
 
-  // ipv4_dst_of peeks the destination of untagged frames only.
+  // ipv4_dst_of / ipv4_src_of peek the addresses of untagged frames only.
   auto decoded = decode_frame(untagged);
   EXPECT_EQ(ipv4_dst_of(untagged), decoded->ip->dst);
+  EXPECT_EQ(ipv4_src_of(untagged), decoded->ip->src);
   EXPECT_EQ(ipv4_dst_of(tagged), std::nullopt);
+  EXPECT_EQ(ipv4_src_of(tagged), std::nullopt);
+}
+
+// set_ipv4_dst rewrites only the IP header: for ICMP it matches a decode
+// / mutate / re-encode, and a TCP segment's bytes (checksum included)
+// stay exactly as they were.
+TEST(FrameView, SetIpv4DstLeavesL4BytesAlone) {
+  DecodedFrame icmp;
+  icmp.eth.ethertype = kEtherTypeIpv4;
+  icmp.ip = Ipv4Packet{};
+  icmp.ip->src = Ipv4Addr(203, 0, 113, 9);
+  icmp.ip->dst = Ipv4Addr(198, 18, 0, 10);
+  icmp.icmp = IcmpMessage{8, 0, 7, 1, {1, 2, 3}};
+  auto bytes = icmp.encode();
+  set_ipv4_dst(bytes, Ipv4Addr(10, 0, 0, 10));
+  icmp.ip->dst = Ipv4Addr(10, 0, 0, 10);
+  EXPECT_EQ(bytes, icmp.encode());
+
+  util::Rng rng(6);
+  auto tcp = make_frame({true, false, 9}, rng);
+  auto rewritten = tcp;
+  set_ipv4_dst(rewritten, Ipv4Addr(10, 0, 0, 10));
+  EXPECT_EQ(ipv4_dst_of(rewritten), Ipv4Addr(10, 0, 0, 10));
+  EXPECT_EQ(checksum(std::span(rewritten).subspan(14, 20)), 0);
+  EXPECT_TRUE(std::equal(tcp.begin() + 34, tcp.end(), rewritten.begin() + 34));
+
+  std::vector<std::uint8_t> runt(20, 0);
+  set_ipv4_dst(runt, Ipv4Addr(10, 0, 0, 10));
+  EXPECT_EQ(runt, std::vector<std::uint8_t>(20, 0));
 }
 
 TEST(FlowKeyHash, DeterministicAndEqualConsistent) {

@@ -447,7 +447,11 @@ TEST(FuzzFrame, FrameViewRejectsOrParsesNeverCrashes) {
     auto view = pkt::FrameView::parse(buf, pkt::ViewVerify::kFull);
     if (view) {
       (void)view->flow_key();
-      (void)view->payload_len();
+      // The payload lies inside the buffer and spans payload_len() bytes.
+      const auto payload = view->payload();
+      ASSERT_EQ(payload.size(), view->payload_len());
+      ASSERT_GE(payload.data(), buf.data());
+      ASSERT_LE(payload.data() + payload.size(), buf.data() + buf.size());
       if (view->is_tcp()) {
         (void)view->tcp_seq();
         (void)view->tcp_flags();
@@ -461,6 +465,9 @@ TEST(FuzzFrame, FrameViewRejectsOrParsesNeverCrashes) {
     }
     (void)pkt::vlan_vid_of(buf);
     (void)pkt::ipv4_dst_of(buf);
+    (void)pkt::ipv4_src_of(buf);
+    pkt::set_ipv4_dst(buf,
+                      util::Ipv4Addr(static_cast<std::uint32_t>(rng.next())));
   }
 }
 

@@ -294,6 +294,59 @@ TEST_F(FarmFixture, RequestShimRetransmitsUntilTheVerdictDeadline) {
   sim::Port::connect(cs_host.nic(), mgmt_sw.port(0), util::microseconds(20));
 }
 
+// The same silent containment server under a 60 s verdict deadline: the
+// request shim is retransmitted 1, 3, 7, 15, 23 and 31 s after the
+// first send, and once those six retries are spent the next backoff
+// expiry, at 39 s, fails the flow closed without waiting for the
+// deadline.
+TEST_F(FarmFixture, RequestShimRetriesExhaustedFailClosedBeforeTheDeadline) {
+  subfarm->set_fail_closed(shim::Verdict::kDrop, util::seconds(60));
+  sim::Port cs_side{loop, "filter-cs"};
+  sim::Port switch_side{loop, "filter-sw"};
+  sim::Port::connect(cs_host.nic(), cs_side, util::microseconds(10));
+  sim::Port::connect(switch_side, mgmt_sw.port(0), util::microseconds(10));
+  switch_side.set_rx(
+      [&](sim::Frame frame) { cs_side.transmit(std::move(frame)); });
+  cs_side.set_rx([&](sim::Frame frame) {
+    const auto decoded = pkt::decode_frame(frame.bytes);
+    if (decoded && decoded->tcp && !decoded->tcp->syn()) return;
+    switch_side.transmit(std::move(frame));
+  });
+  bool web_accepted = false;
+  web.listen(80, [&](std::shared_ptr<net::TcpConnection>) {
+    web_accepted = true;
+  });
+
+  auto& metrics = gateway->telemetry().metrics();
+  auto counter = [&](const std::string& name) {
+    const auto* c = metrics.find_counter("gw.TestFarm." + name);
+    return c ? c->value() : 0;
+  };
+  const util::TimePoint start = loop.now();
+  auto conn = inmate1.connect({kWebAddr, 80});
+  loop.run_until(start + util::milliseconds(31500));
+  EXPECT_EQ(counter("shim_retries"), 6u);
+  EXPECT_EQ(counter("fail_closed"), 0u);
+  loop.run_until(start + util::seconds(45));
+  EXPECT_EQ(counter("shim_retries"), 6u);
+  EXPECT_EQ(counter("fail_closed"), 1u);
+  EXPECT_EQ(counter("verdict_timeouts"), 0u);
+  EXPECT_FALSE(web_accepted);
+  std::vector<util::TimePoint> verdict_times;
+  for (const auto& event : events) {
+    if (event.kind != obs::FarmEvent::Kind::kFlowVerdict) continue;
+    verdict_times.push_back(event.time);
+    EXPECT_EQ(event.verdict, shim::Verdict::kDrop);
+    EXPECT_EQ(event.policy_name, "FailClosed");
+  }
+  ASSERT_EQ(verdict_times.size(), 1u);
+  EXPECT_GE(verdict_times[0], start + util::seconds(39));
+  EXPECT_LT(verdict_times[0], start + util::milliseconds(39500));
+  // Unhook the filter before its ports go out of scope.
+  loop.drop_pending();
+  sim::Port::connect(cs_host.nic(), mgmt_sw.port(0), util::microseconds(20));
+}
+
 TEST_F(FarmFixture, ForwardVerdictSplicesAndNats) {
   bind(std::make_shared<cs::ForwardAllPolicy>());
   util::Endpoint seen_client;

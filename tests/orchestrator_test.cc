@@ -542,7 +542,7 @@ BatchLog record_batch(std::uint64_t seed, bool check_archives) {
   std::vector<std::string> verdicts;
   rig.farm->telemetry().bus().subscribe(
       obs::FarmEvent::Kind::kFlowVerdict, [&](const obs::FarmEvent& e) {
-        verdicts.push_back(trace::event_line(e));
+        verdicts.push_back(obs::format_event(e));
       });
   rig.farm->run_for(kBatchWarm);
   std::vector<std::uint64_t> ids;
@@ -599,7 +599,7 @@ BatchLog replay_batch(std::uint64_t seed,
   std::vector<std::string> verdicts;
   rig.farm->telemetry().bus().subscribe(
       obs::FarmEvent::Kind::kFlowVerdict, [&](const obs::FarmEvent& e) {
-        verdicts.push_back(trace::event_line(e));
+        verdicts.push_back(obs::format_event(e));
       });
   const auto scheduled = trace::schedule_replay(rig.farm->gateway(), records);
   EXPECT_EQ(scheduled, records.size());

@@ -23,8 +23,8 @@
 
 #include "containment/policy.h"
 #include "core/farm.h"
+#include "obs/events.h"
 #include "packet/frame.h"
-#include "trace/replay.h"
 #include "util/strings.h"
 
 namespace gq {
@@ -214,7 +214,7 @@ Decider = DefaultDeny
   std::ostringstream log;
   farm.telemetry().bus().subscribe([&](const obs::FarmEvent& e) {
     events.push_back(e);
-    log << trace::event_line(e) << '\n';
+    log << obs::format_event(e) << '\n';
   });
 
   // --- Inmates: VLANs 16-25, one per policy-range slot ------------------

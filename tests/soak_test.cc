@@ -30,6 +30,7 @@
 #include "containment/policy.h"
 #include "core/farm.h"
 #include "netsim/fault.h"
+#include "obs/events.h"
 #include "packet/frame.h"
 #include "util/strings.h"
 
@@ -124,22 +125,6 @@ struct SoakResult {
   std::uint64_t fail_closed_reflects = 0;  // FailClosed verdicts = REFLECT.
 };
 
-std::string event_line(const obs::FarmEvent& e) {
-  std::ostringstream os;
-  os << e.time.usec << ' ' << obs::farm_event_kind_name(e.kind) << ' '
-     << e.subfarm << " vlan=" << e.vlan << ' '
-     << (e.proto == pkt::FlowProto::kTcp ? "tcp" : "udp")
-     << " dst=" << e.orig_dst.str() << ' ' << shim::verdict_name(e.verdict)
-     << " src="
-     << (e.verdict_source == shim::VerdictSource::kCached ? "cached"
-                                                          : "shim")
-     << " policy=" << e.policy_name << " ann=" << e.annotation
-     << " b2s=" << e.bytes_to_server << " b2i=" << e.bytes_to_inmate
-     << " int=" << e.inmate_internal.str()
-     << " glob=" << e.inmate_global.str() << " sink=" << e.sink_service;
-  return os.str();
-}
-
 SoakResult run_soak(const SoakOptions& opts) {
   core::FarmOptions farm_options;
   farm_options.seed = opts.seed;
@@ -201,7 +186,7 @@ SoakResult run_soak(const SoakOptions& opts) {
   std::ostringstream log;
   farm.telemetry().bus().subscribe([&](const obs::FarmEvent& e) {
     events.push_back(e);
-    log << event_line(e) << '\n';
+    log << obs::format_event(e) << '\n';
   });
 
   // --- Inmates and link faults ------------------------------------------
@@ -495,7 +480,10 @@ TEST(Soak, VerdictCachingKeepsContainment) {
   EXPECT_GT(result.cache_hits, 0u);
   // Cached verdicts still publish FlowVerdict events, labelled by
   // source, and all six verdicts still flow (REWRITE via the CS).
-  EXPECT_NE(result.event_log.find("src=cached"), std::string::npos);
+  const std::string cached_source =
+      " src=" +
+      std::to_string(static_cast<int>(shim::VerdictSource::kCached)) + " ";
+  EXPECT_NE(result.event_log.find(cached_source), std::string::npos);
   auto totals = result.verdict_totals;
   EXPECT_GE(totals[shim::Verdict::kForward], 1u);
   EXPECT_GE(totals[shim::Verdict::kRewrite], 1u);
@@ -504,8 +492,8 @@ TEST(Soak, VerdictCachingKeepsContainment) {
 TEST(Soak, VerdictCachingReplaysBitIdentically) {
   // The cache must not perturb determinism: with faults, outages and
   // caching all enabled, identical seeds still produce byte-identical
-  // event and upstream logs (which now embed the src=cached/shim
-  // labels, so a hit/miss divergence cannot hide).
+  // event and upstream logs (which embed each verdict's source, so a
+  // hit/miss divergence cannot hide).
   SoakOptions opts;
   opts.duration = util::minutes(8);
   opts.cacheable = true;
