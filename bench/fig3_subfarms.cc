@@ -4,8 +4,12 @@
 // (spambot, clickbot, default-deny development); the bench verifies and
 // reports their mutual independence: disjoint address bindings, per-
 // subfarm containment decisions, and per-subfarm trace/report streams.
+// Exits 1, with a `fig3:` line on stderr, when a row breaks the shape
+// EXPERIMENTS.md states for it.
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "containment/policies.h"
 #include "core/farm.h"
@@ -13,6 +17,21 @@
 #include "malware/clickbot.h"
 #include "malware/spambot.h"
 #include "util/strings.h"
+
+namespace {
+
+// One printed row of the subfarm table.
+struct Row {
+  std::uint16_t vlan_first = 0;
+  std::uint16_t vlan_last = 0;
+  std::uint64_t flows = 0;
+  std::uint64_t forward = 0;
+  std::uint64_t reflect = 0;
+  std::uint64_t rewrite = 0;
+  std::size_t pcap_packets = 0;
+};
+
+}  // namespace
 
 int main() {
   using namespace gq;
@@ -90,25 +109,30 @@ int main() {
   std::printf("%-14s %8s %10s %10s %10s %8s %9s\n", "SUBFARM", "VLANs",
               "FLOWS", "FORWARD", "REFLECT", "REWRITE", "PCAP pkts");
   std::printf("%s\n", std::string(76, '-').c_str());
+  std::map<std::string, Row> rows;
   for (const auto& sub : farm.gateway().subfarms()) {
     const auto& config = sub->config();
-    std::uint64_t fwd = 0, refl = 0, rewr = 0;
+    Row& row = rows[config.name];
+    row.vlan_first = config.vlan_first;
+    row.vlan_last = config.vlan_last;
+    row.flows = sub->flows_created();
+    row.pcap_packets = sub->trace().packet_count();
     for (std::uint16_t vlan = config.vlan_first; vlan <= config.vlan_last;
          ++vlan) {
-      fwd += farm.reporter().flows(config.name, vlan,
-                                   shim::Verdict::kForward);
-      refl += farm.reporter().flows(config.name, vlan,
-                                    shim::Verdict::kReflect);
-      rewr += farm.reporter().flows(config.name, vlan,
-                                    shim::Verdict::kRewrite);
+      row.forward += farm.reporter().flows(config.name, vlan,
+                                           shim::Verdict::kForward);
+      row.reflect += farm.reporter().flows(config.name, vlan,
+                                           shim::Verdict::kReflect);
+      row.rewrite += farm.reporter().flows(config.name, vlan,
+                                           shim::Verdict::kRewrite);
     }
     std::printf("%-14s %3u-%-4u %10llu %10llu %10llu %8llu %9zu\n",
                 config.name.c_str(), config.vlan_first, config.vlan_last,
-                static_cast<unsigned long long>(sub->flows_created()),
-                static_cast<unsigned long long>(fwd),
-                static_cast<unsigned long long>(refl),
-                static_cast<unsigned long long>(rewr),
-                sub->trace().packet_count());
+                static_cast<unsigned long long>(row.flows),
+                static_cast<unsigned long long>(row.forward),
+                static_cast<unsigned long long>(row.reflect),
+                static_cast<unsigned long long>(row.rewrite),
+                row.pcap_packets);
   }
   std::printf("%s\n", std::string(76, '-').c_str());
   std::printf(
@@ -122,5 +146,38 @@ int main() {
       static_cast<unsigned long long>(dev_sink.tcp_flows()),
       static_cast<unsigned long long>(farm.reporter().flows(
           "Development", 48, shim::Verdict::kForward)));
-  return 0;
+
+  // The shape EXPERIMENTS.md states: every flow carries one of the three
+  // verdicts, each subfarm shows its own workload in its own trace, and
+  // no two subfarms share a VLAN.
+  int broken = 0;
+  auto expect = [&broken](bool holds, const std::string& what) {
+    if (holds) return;
+    std::fprintf(stderr, "fig3: %s\n", what.c_str());
+    ++broken;
+  };
+  for (const auto& [name, row] : rows) {
+    expect(row.forward + row.reflect + row.rewrite == row.flows,
+           name + ": FORWARD + REFLECT + REWRITE != FLOWS");
+    expect(row.pcap_packets > 0, name + ": empty PCAP");
+    for (const auto& [other_name, other] : rows)
+      expect(name == other_name || row.vlan_last < other.vlan_first ||
+                 other.vlan_last < row.vlan_first,
+             name + ": VLAN range overlaps " + other_name + "'s");
+  }
+  const Row& spam_row = rows["Spam"];
+  expect(spam_row.forward > 0 && spam_row.reflect > 0,
+         "Spam: expected FORWARDed C&C and REFLECTed SMTP");
+  expect(smtp_sink.data_transfers() > 0, "Spam: no harvested messages");
+  const Row& click_row = rows["Clickbots"];
+  expect(click_row.rewrite == click_row.flows,
+         "Clickbots: expected every flow REWRITE-observed");
+  expect(ads.clicks() > 0 && ads.clicks() <= click_row.rewrite,
+         "Clickbots: expected 0 < ad clicks <= REWRITE");
+  const Row& dev_row = rows["Development"];
+  expect(dev_row.forward == 0, "Development: FORWARDed a flow");
+  expect(dev_row.reflect == dev_row.flows &&
+             dev_row.flows == dev_sink.tcp_flows(),
+         "Development: expected REFLECT == FLOWS == its sink's TCP flows");
+  return broken == 0 ? 0 : 1;
 }

@@ -4,7 +4,9 @@
 // FORWARDed C&C lifelines, the REFLECTed SMTP containment (with the
 // session/flow gap caused by the sink's probabilistic connection
 // drops), the auto-infection REWRITEs with sample MD5 hashes, and the
-// SMTP session / DATA transfer counters.
+// SMTP session / DATA transfer counters. Exits 1, with a `fig7:` line
+// on stderr, when the verification lines break the accounting
+// EXPERIMENTS.md states.
 #include <cstdio>
 
 #include "core/farm.h"
@@ -109,5 +111,21 @@ Trigger = *:25/tcp / 30min < 1 -> revert
               static_cast<unsigned long long>(grum_sink.data_transfers()));
   std::printf("  Hourly reports rotated: %zu\n",
               farm.reporter().rotated_reports().size());
-  return 0;
+
+  int broken = 0;
+  auto expect = [&broken](bool holds, const char* what) {
+    if (holds) return;
+    std::fprintf(stderr, "fig7: %s\n", what);
+    ++broken;
+  };
+  expect(rustock_flows ==
+             rustock_sink.sessions() + rustock_sink.dropped_connections(),
+         "Rustock: REFLECTed flows != sink sessions + dropped");
+  expect(rustock_sink.dropped_connections() > 0,
+         "Rustock: the sink dropped no connection");
+  expect(grum_sink.sessions() == grum_sink.data_transfers(),
+         "Grum: sink sessions != DATA transfers");
+  expect(farm.reporter().rotated_reports().size() == 2,
+         "expected 2 hourly reports rotated");
+  return broken == 0 ? 0 : 1;
 }

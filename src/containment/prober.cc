@@ -19,17 +19,6 @@ PolicyProber::PolicyProber(std::shared_ptr<Policy> policy)
   };
 }
 
-void PolicyProber::add_port(std::uint16_t port) { ports_.push_back(port); }
-
-void PolicyProber::add_destination(util::Ipv4Addr addr) {
-  destinations_.push_back(addr);
-}
-
-void PolicyProber::clear_matrix() {
-  ports_.clear();
-  destinations_.clear();
-}
-
 void PolicyProber::expect(const FlowPattern& pattern,
                           std::set<shim::Verdict> allowed,
                           std::string rationale) {

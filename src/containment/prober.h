@@ -43,12 +43,6 @@ class PolicyProber {
 
   explicit PolicyProber(std::shared_ptr<Policy> policy);
 
-  /// Extend the probe matrix (sensible defaults are preloaded: common
-  /// service ports, a spread of external destinations, TCP and UDP).
-  void add_port(std::uint16_t port);
-  void add_destination(util::Ipv4Addr addr);
-  void clear_matrix();
-
   /// Declare a safety expectation: flows matching `pattern` may only
   /// receive verdicts in `allowed`.
   void expect(const FlowPattern& pattern, std::set<shim::Verdict> allowed,

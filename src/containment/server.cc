@@ -309,17 +309,44 @@ std::optional<std::string> ContainmentServer::next_sample_name(
   return std::nullopt;
 }
 
-void ContainmentServer::fill_cache_block(shim::ResponseShim& response,
-                                         const Decision& decision) const {
+shim::ResponseShim ContainmentServer::make_response(
+    const shim::RequestShim& request, const Decision& decision,
+    std::string policy_name) const {
+  shim::ResponseShim response;
+  response.orig = request.orig;
+  response.resp = (decision.verdict == shim::Verdict::kRedirect ||
+                   decision.verdict == shim::Verdict::kReflect)
+                      ? decision.target
+                      : request.resp;
+  response.verdict = decision.verdict;
+  response.policy_name = std::move(policy_name);
+  response.annotation = decision.annotation;
+  response.limit_bytes_per_sec = decision.limit_bytes_per_sec;
   response.policy_epoch = policy_epoch_;
-  if (!decision.cacheable) return;
+  if (!decision.cacheable) return response;
   if (decision.verdict == shim::Verdict::kRewrite) {
     GQ_WARN(kLog, "policy marked a REWRITE decision cacheable; refusing");
-    return;
+    return response;
   }
   response.cacheable = true;
   response.cache_scope = decision.cache_scope;
   response.cache_ttl_ms = decision.cache_ttl_ms;
+  return response;
+}
+
+void ContainmentServer::publish_decision(const shim::RequestShim& request,
+                                         pkt::FlowProto proto,
+                                         const Decision& decision,
+                                         std::string policy_name) {
+  auto event = make_event(obs::FarmEvent::Kind::kCsDecision);
+  event.vlan = request.vlan;
+  event.orig_dst = request.resp;
+  event.proto = proto;
+  event.verdict = decision.verdict;
+  event.policy_name = std::move(policy_name);
+  event.annotation = decision.annotation;
+  event.limit_bytes_per_sec = decision.limit_bytes_per_sec;
+  telemetry_->publish(event);
 }
 
 std::shared_ptr<Policy> ContainmentServer::policy_for(std::uint16_t vlan) {
@@ -345,15 +372,8 @@ Decision ContainmentServer::decide(
   triggers_.observe_flow(info.vlan(), info.dst(), info.proto,
                          stack_.loop().now());
 
-  auto event = make_event(obs::FarmEvent::Kind::kCsDecision);
-  event.vlan = info.vlan();
-  event.orig_dst = info.dst();
-  event.proto = info.proto;
-  event.verdict = decision.verdict;
-  event.policy_name = policy_out ? policy_out->name() : "DefaultDeny";
-  event.annotation = decision.annotation;
-  event.limit_bytes_per_sec = decision.limit_bytes_per_sec;
-  telemetry_->publish(event);
+  publish_decision(info.shim, info.proto, decision,
+                   policy_out ? policy_out->name() : "DefaultDeny");
   return decision;
 }
 
@@ -409,30 +429,13 @@ void ContainmentServer::on_inmate_data(std::shared_ptr<Session> session,
   session->buffer.clear();
 
   submit_decision(
+      *request, pkt::FlowProto::kTcp,
       [this, session, leftover = std::move(leftover)]() mutable {
         finish_tcp_decision(session, std::move(leftover));
       },
-      [this, session] {
-        // Refused under overload: an explicit DROP, attributed to
-        // "OverloadShed" so the report stream can tell shedding apart
-        // from a lost or timed-out shim exchange.
-        shim::ResponseShim response;
-        response.orig = session->info.shim.orig;
-        response.resp = session->info.shim.resp;
-        response.verdict = shim::Verdict::kDrop;
-        response.policy_name = "OverloadShed";
-        response.annotation = "decision queue full";
-        response.policy_epoch = policy_epoch_;
-        session->inmate->send(response.encode());
+      [session](std::span<const std::uint8_t> refusal) {
+        session->inmate->send(refusal);
         session->inmate->close();
-        auto event = make_event(obs::FarmEvent::Kind::kCsDecision);
-        event.vlan = session->info.vlan();
-        event.orig_dst = session->info.dst();
-        event.proto = pkt::FlowProto::kTcp;
-        event.verdict = shim::Verdict::kDrop;
-        event.policy_name = "OverloadShed";
-        event.annotation = "decision queue full";
-        telemetry_->publish(event);
       });
 }
 
@@ -444,19 +447,10 @@ void ContainmentServer::finish_tcp_decision(
   Decision decision =
       decide(session->info, session->policy, &session->handler);
 
-  shim::ResponseShim response;
-  response.orig = session->info.shim.orig;
-  response.resp = (decision.verdict == shim::Verdict::kRedirect ||
-                   decision.verdict == shim::Verdict::kReflect)
-                      ? decision.target
-                      : session->info.shim.resp;
-  response.verdict = decision.verdict;
-  response.policy_name =
-      session->policy ? session->policy->name() : "DefaultDeny";
-  response.annotation = decision.annotation;
-  response.limit_bytes_per_sec = decision.limit_bytes_per_sec;
-  fill_cache_block(response, decision);
-  session->inmate->send(response.encode());
+  session->inmate->send(
+      make_response(session->info.shim, decision,
+                    session->policy ? session->policy->name() : "DefaultDeny")
+          .encode());
 
   if (decision.verdict == shim::Verdict::kRewrite && session->handler) {
     ++rewrites_active_;
@@ -473,8 +467,10 @@ void ContainmentServer::finish_tcp_decision(
   }
 }
 
-void ContainmentServer::submit_decision(std::function<void()> run,
-                                        std::function<void()> refuse) {
+void ContainmentServer::submit_decision(
+    const shim::RequestShim& request, pkt::FlowProto proto,
+    std::function<void()> run,
+    const std::function<void(std::span<const std::uint8_t>)>& reply) {
   if (!overload_.active()) {
     run();
     return;
@@ -482,8 +478,13 @@ void ContainmentServer::submit_decision(std::function<void()> run,
   if (overload_.shed_queue_depth > 0 &&
       pending_decisions_.size() >= overload_.shed_queue_depth) {
     if (overload_.refuse) {
+      // Refused under overload: an explicit DROP, attributed to
+      // "OverloadShed" so the report stream can tell shedding apart
+      // from a lost or timed-out shim exchange.
       shed_refused_ctr_->inc();
-      refuse();
+      const Decision refusal = Decision::drop("decision queue full");
+      reply(make_response(request, refusal, "OverloadShed").encode());
+      publish_decision(request, proto, refusal, "OverloadShed");
       return;
     }
     shed_deferred_ctr_->inc();
@@ -518,26 +519,12 @@ void ContainmentServer::on_udp(util::Endpoint from,
   std::vector<std::uint8_t> payload(data.begin() + shim::kRequestShimSize,
                                     data.end());
   submit_decision(
+      *request, pkt::FlowProto::kUdp,
       [this, from, request = *request, payload = std::move(payload)]() mutable {
         finish_udp_decision(from, request, std::move(payload));
       },
-      [this, from, request = *request] {
-        shim::ResponseShim response;
-        response.orig = request.orig;
-        response.resp = request.resp;
-        response.verdict = shim::Verdict::kDrop;
-        response.policy_name = "OverloadShed";
-        response.annotation = "decision queue full";
-        response.policy_epoch = policy_epoch_;
-        udp_sock_->send_to(from, response.encode());
-        auto event = make_event(obs::FarmEvent::Kind::kCsDecision);
-        event.vlan = request.vlan;
-        event.orig_dst = request.resp;
-        event.proto = pkt::FlowProto::kUdp;
-        event.verdict = shim::Verdict::kDrop;
-        event.policy_name = "OverloadShed";
-        event.annotation = "decision queue full";
-        telemetry_->publish(event);
+      [this, from](std::span<const std::uint8_t> refusal) {
+        udp_sock_->send_to(from, refusal);
       });
 }
 
@@ -561,18 +548,10 @@ void ContainmentServer::finish_udp_decision(util::Endpoint from,
     decision = cached->second;
   }
 
-  shim::ResponseShim response;
-  response.orig = request.orig;
-  response.resp = (decision.verdict == shim::Verdict::kRedirect ||
-                   decision.verdict == shim::Verdict::kReflect)
-                      ? decision.target
-                      : request.resp;
-  response.verdict = decision.verdict;
-  response.policy_name = policy ? policy->name() : "DefaultDeny";
-  response.annotation = decision.annotation;
-  response.limit_bytes_per_sec = decision.limit_bytes_per_sec;
-  fill_cache_block(response, decision);
-  auto reply = response.encode();
+  auto reply =
+      make_response(request, decision,
+                    policy ? policy->name() : "DefaultDeny")
+          .encode();
 
   if (decision.verdict == shim::Verdict::kRewrite && policy) {
     if (auto rewritten = policy->rewrite_udp(info, payload)) {

@@ -150,16 +150,27 @@ class ContainmentServer : public PolicyServices {
                            std::vector<std::uint8_t> leftover);
   void finish_udp_decision(util::Endpoint from, shim::RequestShim request,
                            std::vector<std::uint8_t> payload);
-  /// Route a decision through the overload queue (or run it inline when
-  /// shedding is disabled). `refuse` is invoked instead when the queue
-  /// is full and the policy says to refuse.
-  void submit_decision(std::function<void()> run, std::function<void()> refuse);
+  /// Route `request`'s decision through the overload queue (or run it
+  /// inline when shedding is disabled). When the queue is full and the
+  /// policy says to refuse, the flow is refused instead: `reply` sends
+  /// an "OverloadShed" DROP response, and a kCsDecision event records
+  /// it.
+  void submit_decision(
+      const shim::RequestShim& request, pkt::FlowProto proto,
+      std::function<void()> run,
+      const std::function<void(std::span<const std::uint8_t>)>& reply);
   void drain_decisions();
-  /// Stamp the v3 cache block onto an outgoing response: the current
-  /// policy epoch plus the decision's cacheability — which is refused
-  /// for kRewrite (the server must stay in-path to proxy the flow).
-  void fill_cache_block(shim::ResponseShim& response,
-                        const Decision& decision) const;
+  /// The response shim answering `request` with `decision`, stamped with
+  /// the v3 cache block: the current policy epoch plus the decision's
+  /// cacheability — which is refused for kRewrite (the server must stay
+  /// in-path to proxy the flow).
+  [[nodiscard]] shim::ResponseShim make_response(
+      const shim::RequestShim& request, const Decision& decision,
+      std::string policy_name) const;
+  /// Publish the kCsDecision event for `decision` on `request`'s flow.
+  void publish_decision(const shim::RequestShim& request,
+                        pkt::FlowProto proto, const Decision& decision,
+                        std::string policy_name);
   std::shared_ptr<Policy> policy_for(std::uint16_t vlan);
   Decision decide(FlowInfo& info, std::shared_ptr<Policy>& policy_out,
                   std::unique_ptr<RewriteHandler>* handler_out);

@@ -79,8 +79,6 @@ class TriggerEngine {
   /// Evaluate all triggers; returns the rules that fired.
   std::vector<Firing> evaluate(util::TimePoint now);
 
-  [[nodiscard]] std::size_t trigger_count() const { return rules_.size(); }
-
  private:
   struct Rule {
     std::uint16_t vlan_first, vlan_last;

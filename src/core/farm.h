@@ -143,9 +143,6 @@ class Subfarm {
       const {
     return inmates_;
   }
-  [[nodiscard]] sinks::CatchAllSink* catchall_sink() {
-    return catchall_.get();
-  }
   [[nodiscard]] sinks::SmtpSink* smtp_sink(const std::string& service) {
     auto it = smtp_sinks_.find(service);
     return it == smtp_sinks_.end() ? nullptr : it->second.get();

@@ -136,10 +136,6 @@ class SegmentedReader {
   [[nodiscard]] const ZoneMap& segment_zone(std::size_t i) const {
     return zones_[i];
   }
-  /// Global row id of segment i's first row.
-  [[nodiscard]] std::uint64_t segment_base(std::size_t i) const {
-    return bases_[i];
-  }
 
   /// Matching global row ids, ascending. Lazy-opens only the segments
   /// the planner could not prune.

@@ -19,41 +19,6 @@ constexpr std::uint16_t kNoncePortLast = 49999;
 
 constexpr std::uint16_t kDhcpServerPort = 67;
 
-// What the one ingress parse found in a frame.
-struct Ingress {
-  /// TCP or UDP: the canonical view over the frame's bytes.
-  std::optional<pkt::FrameView> view;
-  std::optional<pkt::ArpMessage> arp;
-  /// IPv4; keyless (ICMP and friends) when `view` is empty.
-  bool ipv4 = false;
-};
-
-// The one ingress parse all three legs share: views the frame in place.
-// A frame the view declines — ARP, other non-IPv4, ICMP, or a
-// non-canonical TCP/UDP frame (IP or TCP options, trailing padding, a
-// zero UDP checksum, an 802.1Q tag) — is decoded, the gateway's only
-// decode, and re-encoded canonical and untagged in place, then viewed
-// when it is TCP or UDP. A TCP/UDP frame whose L4 checksum fails decodes
-// as keyless IPv4. Returns nullopt for a frame too short to carry an
-// Ethernet header.
-std::optional<Ingress> parse_ingress(std::vector<std::uint8_t>& bytes) {
-  Ingress in;
-  in.view = pkt::FrameView::parse(bytes);
-  if (in.view && !in.view->vlan()) {
-    in.ipv4 = true;
-    return in;
-  }
-  auto frame = pkt::decode_frame(bytes);
-  if (!frame) return std::nullopt;
-  frame->eth.vlan.reset();
-  bytes = frame->encode();
-  in.arp = frame->arp;
-  in.ipv4 = frame->ip.has_value();
-  in.view.reset();
-  if (frame->tcp || frame->udp) in.view = pkt::FrameView::parse(bytes);
-  return in;
-}
-
 }  // namespace
 
 Gateway::Gateway(sim::EventLoop& loop, GatewayConfig config,
@@ -101,12 +66,6 @@ SubfarmRouter& Gateway::add_subfarm(const SubfarmConfig& config) {
   // The gateway answers upstream ARP for the whole NATed global range.
   upstream_arp_.add_proxy_range(config.external_net);
   return subfarm;
-}
-
-SubfarmRouter* Gateway::subfarm_by_name(const std::string& name) {
-  for (auto& subfarm : subfarms_)
-    if (subfarm->config().name == name) return subfarm.get();
-  return nullptr;
 }
 
 SubfarmRouter* Gateway::subfarm_for_vlan(std::uint16_t vlan) {
@@ -201,7 +160,7 @@ void Gateway::transmit_upstream(std::vector<std::uint8_t> bytes) {
 
 void Gateway::on_upstream_frame(sim::Frame raw) {
   upstream_trace_.record(loop_.now(), raw.bytes);
-  auto in = parse_ingress(raw.bytes);
+  auto in = pkt::parse_ingress(raw.bytes, pkt::ViewVerify::kIpHeader);
   if (!in) return;
   if (in->arp) {
     upstream_arp_.handle(*in->arp);
@@ -240,7 +199,7 @@ void Gateway::on_inmate_frame(sim::Frame raw) {
   // Untag in place (capacity retained, so an eventual same-buffer re-tag
   // on egress cannot reallocate).
   pkt::strip_vlan_tag(raw.bytes);
-  auto in = parse_ingress(raw.bytes);
+  auto in = pkt::parse_ingress(raw.bytes, pkt::ViewVerify::kIpHeader);
   if (!in) return;
   // The subfarm trace records the bytes the classifier sees (untagged,
   // internal perspective, §5.6).
@@ -308,7 +267,7 @@ void Gateway::on_inmate_frame(sim::Frame raw) {
 
 void Gateway::on_mgmt_frame(sim::Frame raw) {
   mgmt_trace_.record(loop_.now(), raw.bytes);
-  auto in = parse_ingress(raw.bytes);
+  auto in = pkt::parse_ingress(raw.bytes, pkt::ViewVerify::kIpHeader);
   if (!in) return;
   if (in->arp) {
     mgmt_arp_.handle(*in->arp);

@@ -50,7 +50,6 @@ class Gateway {
       const {
     return subfarms_;
   }
-  SubfarmRouter* subfarm_by_name(const std::string& name);
 
   /// The metrics registry + event bus every subfarm router publishes to.
   [[nodiscard]] obs::Telemetry& telemetry() { return *telemetry_; }

@@ -24,10 +24,6 @@ void InmateController::register_inmate(Inmate& inmate) {
   inmates_[inmate.vlan()] = &inmate;
 }
 
-void InmateController::unregister_inmate(std::uint16_t vlan) {
-  inmates_.erase(vlan);
-}
-
 Inmate* InmateController::by_vlan(std::uint16_t vlan) {
   auto it = inmates_.find(vlan);
   return it == inmates_.end() ? nullptr : it->second;
@@ -74,19 +70,11 @@ bool InmateController::apply(const std::string& verb, std::uint16_t vlan) {
 void RawIronController::bind_metrics(obs::MetricsRegistry& metrics) {
   if (reimages_counter_) return;
   reimages_counter_ = &metrics.counter("inmate.pool.reimages");
-  power_cycles_counter_ = &metrics.counter("inmate.pool.power_cycles");
+  metrics.counter("inmate.pool.power_cycles");
 }
 
 void RawIronController::register_system(Inmate& inmate) {
   systems_[inmate.vlan()] = &inmate;
-}
-
-void RawIronController::power_cycle(std::uint16_t vlan) {
-  auto it = systems_.find(vlan);
-  if (it == systems_.end()) return;
-  ++power_cycles_;
-  if (power_cycles_counter_) power_cycles_counter_->inc();
-  it->second->reboot();
 }
 
 void RawIronController::reimage(std::uint16_t vlan) {

@@ -38,7 +38,6 @@ class InmateController {
   /// Register an inmate in the inventory ("at startup, the controller
   /// scans the VMMs ... to assemble an inventory", §6.3).
   void register_inmate(Inmate& inmate);
-  void unregister_inmate(std::uint16_t vlan);
 
   [[nodiscard]] Inmate* by_vlan(std::uint16_t vlan);
   [[nodiscard]] std::size_t inventory_size() const { return inmates_.size(); }
@@ -73,16 +72,13 @@ class InmateController {
 /// bookkeeping.
 class RawIronController {
  public:
-  /// Surface fleet bookkeeping through obs::: `inmate.pool.reimages`
-  /// and `inmate.pool.power_cycles` counters track every reimage /
-  /// power-cycle issued after the bind (resolve-once, same contract as
-  /// VlanPool::bind_metrics).
+  /// Surface fleet bookkeeping through obs::: the `inmate.pool.reimages`
+  /// counter tracks every reimage issued after the bind (resolve-once,
+  /// same contract as VlanPool::bind_metrics). `inmate.pool.power_cycles`
+  /// is registered beside it and stays zero: the fleet is only reimaged.
   void bind_metrics(obs::MetricsRegistry& metrics);
 
   void register_system(Inmate& inmate);
-
-  /// Power-cycle one system.
-  void power_cycle(std::uint16_t vlan);
 
   /// Reimage one system over the network (~6 min, modelled by the
   /// inmate's revert).
@@ -93,15 +89,12 @@ class RawIronController {
   void reimage_all();
 
   [[nodiscard]] std::size_t fleet_size() const { return systems_.size(); }
-  [[nodiscard]] std::uint64_t power_cycles() const { return power_cycles_; }
   [[nodiscard]] std::uint64_t reimages() const { return reimages_; }
 
  private:
   std::map<std::uint16_t, Inmate*> systems_;
-  std::uint64_t power_cycles_ = 0;
   std::uint64_t reimages_ = 0;
   obs::Counter* reimages_counter_ = nullptr;
-  obs::Counter* power_cycles_counter_ = nullptr;
 };
 
 }  // namespace gq::inm

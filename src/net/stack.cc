@@ -212,13 +212,13 @@ void HostStack::transmit_to_mac(util::MacAddr dst_mac, std::uint16_t ethertype,
 }
 
 void HostStack::handle_frame(sim::Frame frame) {
-  auto decoded = pkt::decode_frame(frame.bytes);
-  if (!decoded) return;
-  if (decoded->arp) {
-    handle_arp(*decoded->arp);
+  auto in = pkt::parse_ingress(frame.bytes, pkt::ViewVerify::kFull);
+  if (!in) return;
+  if (in->arp) {
+    handle_arp(*in->arp);
     return;
   }
-  if (decoded->ip) handle_ipv4(*decoded);
+  if (in->ipv4) handle_ipv4(*in, frame.bytes);
 }
 
 void HostStack::handle_arp(const pkt::ArpMessage& arp) {
@@ -251,50 +251,53 @@ void HostStack::handle_arp(const pkt::ArpMessage& arp) {
   }
 }
 
-void HostStack::handle_ipv4(const pkt::DecodedFrame& frame) {
-  const auto& ip = *frame.ip;
+void HostStack::handle_ipv4(const pkt::Ingress& in,
+                            std::span<const std::uint8_t> bytes) {
+  const util::Ipv4Addr src = *pkt::ipv4_src_of(bytes);
+  const util::Ipv4Addr dst = *pkt::ipv4_dst_of(bytes);
   const bool to_me =
-      config_ && (ip.dst == config_->addr || ip.dst.is_broadcast());
-  const bool broadcast_while_unconfigured =
-      !config_ && ip.dst.is_broadcast();
+      config_ && (dst == config_->addr || dst.is_broadcast());
+  const bool broadcast_while_unconfigured = !config_ && dst.is_broadcast();
   if (!to_me && !broadcast_while_unconfigured) return;
   ++ip_rx_;
 
-  if (frame.tcp) {
-    handle_tcp_segment(ip.src, *frame.tcp);
-  } else if (frame.udp) {
-    if (auto it = udp_sockets_.find(frame.udp->dst_port);
+  if (in.view && in.view->is_tcp()) {
+    handle_tcp_segment(*in.view);
+  } else if (in.view) {
+    const auto& dgram = *in.view;
+    if (auto it = udp_sockets_.find(dgram.dst_port());
         it != udp_sockets_.end()) {
       if (auto sock = it->second.lock()) {
-        if (sock->on_datagram)
-          sock->on_datagram(util::Endpoint{ip.src, frame.udp->src_port},
-                            frame.udp->payload);
+        if (sock->on_datagram) {
+          const auto payload = dgram.payload();
+          sock->on_datagram(util::Endpoint{src, dgram.src_port()},
+                            {payload.begin(), payload.end()});
+        }
       } else {
         udp_sockets_.erase(it);
       }
     }
-  } else if (frame.icmp && frame.icmp->type == 8 && config_) {
+  } else if (in.icmp && in.icmp->type == 8 && config_) {
     // Echo request: reply in kind.
-    pkt::IcmpMessage reply = *frame.icmp;
+    pkt::IcmpMessage reply = *in.icmp;
     reply.type = 0;
-    send_ipv4(ip.src, pkt::kProtoIcmp, pkt::serialize_icmp(reply));
+    send_ipv4(src, pkt::kProtoIcmp, pkt::serialize_icmp(reply));
   }
 }
 
-void HostStack::handle_tcp_segment(util::Ipv4Addr src,
-                                   const pkt::TcpSegment& seg) {
-  const util::Endpoint remote{src, seg.src_port};
-  if (auto it = connections_.find({seg.dst_port, remote});
+void HostStack::handle_tcp_segment(const pkt::FrameView& seg) {
+  const util::Endpoint remote{seg.ip_src(), seg.src_port()};
+  if (auto it = connections_.find({seg.dst_port(), remote});
       it != connections_.end()) {
     auto conn = it->second;  // Keep alive during input().
     conn->input(seg);
     return;
   }
-  if (seg.syn() && !seg.has_ack()) {
-    if (auto it = listeners_.find(seg.dst_port); it != listeners_.end()) {
+  if (seg.tcp_syn() && !seg.tcp_has_ack()) {
+    if (auto it = listeners_.find(seg.dst_port()); it != listeners_.end()) {
       auto conn = std::make_shared<TcpConnection>(
-          *this, util::Endpoint{addr(), seg.dst_port}, remote);
-      connections_[{seg.dst_port, remote}] = conn;
+          *this, util::Endpoint{addr(), seg.dst_port()}, remote);
+      connections_[{seg.dst_port(), remote}] = conn;
       // Enter SYN_RCVD before handing the connection to the application:
       // servers commonly send a greeting straight from the accept
       // callback, and send() buffers in SYN_RCVD until establishment.
@@ -307,16 +310,15 @@ void HostStack::handle_tcp_segment(util::Ipv4Addr src,
       return;
     }
   }
-  if (!seg.rst()) {
+  if (!seg.tcp_rst()) {
     // No listener / unknown connection: refuse.
     pkt::TcpSegment rst;
-    rst.src_port = seg.dst_port;
-    rst.dst_port = seg.src_port;
+    rst.src_port = seg.dst_port();
+    rst.dst_port = seg.src_port();
     rst.flags = pkt::kTcpRst | pkt::kTcpAck;
-    rst.seq = seg.has_ack() ? seg.ack : 0;
-    rst.ack = seg.seq + (seg.syn() ? 1 : 0) +
-              static_cast<std::uint32_t>(seg.payload.size());
-    send_tcp(src, rst);
+    rst.seq = seg.tcp_has_ack() ? seg.tcp_ack() : 0;
+    rst.ack = seg.tcp_seq() + (seg.tcp_syn() ? 1 : 0) + seg.payload_len();
+    send_tcp(remote.addr, rst);
   }
 }
 

@@ -18,7 +18,7 @@
 #include "net/tcp.h"
 #include "netsim/event_loop.h"
 #include "netsim/port.h"
-#include "packet/frame.h"
+#include "packet/frame_view.h"
 #include "packet/headers.h"
 #include "util/addr.h"
 #include "util/rng.h"
@@ -130,8 +130,9 @@ class HostStack {
  private:
   void handle_frame(sim::Frame frame);
   void handle_arp(const pkt::ArpMessage& arp);
-  void handle_ipv4(const pkt::DecodedFrame& frame);
-  void handle_tcp_segment(util::Ipv4Addr src, const pkt::TcpSegment& seg);
+  void handle_ipv4(const pkt::Ingress& in,
+                   std::span<const std::uint8_t> bytes);
+  void handle_tcp_segment(const pkt::FrameView& seg);
   void send_ipv4(util::Ipv4Addr dst, std::uint8_t proto,
                  std::vector<std::uint8_t> payload,
                  std::optional<util::Ipv4Addr> src_override = std::nullopt);

@@ -58,11 +58,11 @@ void TcpConnection::fail_connect() {
   });
 }
 
-void TcpConnection::start_accept(const pkt::TcpSegment& syn) {
+void TcpConnection::start_accept(const pkt::FrameView& syn) {
   iss_ = stack_.random_isn();
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;
-  rcv_nxt_ = syn.seq + 1;
+  rcv_nxt_ = syn.tcp_seq() + 1;
   state_ = TcpState::kSynReceived;
   emit(pkt::kTcpSyn | pkt::kTcpAck, iss_, {});
   arm_retransmit();
@@ -184,8 +184,8 @@ void TcpConnection::process_ack(std::uint32_t ack) {
     arm_retransmit();
 }
 
-void TcpConnection::input(const pkt::TcpSegment& seg) {
-  if (seg.rst()) {
+void TcpConnection::input(const pkt::FrameView& seg) {
+  if (seg.tcp_rst()) {
     if (state_ != TcpState::kClosed) {
       GQ_DEBUG(kLog, "%s: RST from %s", stack_.name().c_str(),
                remote_.str().c_str());
@@ -196,9 +196,9 @@ void TcpConnection::input(const pkt::TcpSegment& seg) {
 
   switch (state_) {
     case TcpState::kSynSent: {
-      if (seg.syn() && seg.has_ack() && seg.ack == iss_ + 1) {
-        rcv_nxt_ = seg.seq + 1;
-        process_ack(seg.ack);
+      if (seg.tcp_syn() && seg.tcp_has_ack() && seg.tcp_ack() == iss_ + 1) {
+        rcv_nxt_ = seg.tcp_seq() + 1;
+        process_ack(seg.tcp_ack());
         state_ = TcpState::kEstablished;
         send_ack();
         if (on_connected) on_connected();
@@ -207,14 +207,14 @@ void TcpConnection::input(const pkt::TcpSegment& seg) {
       return;
     }
     case TcpState::kSynReceived: {
-      if (seg.has_ack() && seg.ack == iss_ + 1) {
-        process_ack(seg.ack);
+      if (seg.tcp_has_ack() && seg.tcp_ack() == iss_ + 1) {
+        process_ack(seg.tcp_ack());
         state_ = TcpState::kEstablished;
         if (on_connected) on_connected();
         // Fall through to handle any data carried on the ACK.
         handle_established_data(seg);
         pump_output();
-      } else if (seg.syn()) {
+      } else if (seg.tcp_syn()) {
         // Retransmitted SYN: repeat our SYN-ACK.
         emit(pkt::kTcpSyn | pkt::kTcpAck, iss_, {});
       }
@@ -226,19 +226,19 @@ void TcpConnection::input(const pkt::TcpSegment& seg) {
       break;
   }
 
-  if (seg.syn()) {
+  if (seg.tcp_syn()) {
     // Spurious SYN on an established connection: retransmitted handshake;
     // re-ACK our current position.
     send_ack();
     return;
   }
 
-  if (seg.has_ack()) process_ack(seg.ack);
+  if (seg.tcp_has_ack()) process_ack(seg.tcp_ack());
 
   handle_established_data(seg);
 
   // FIN processing (only once all preceding data has been received).
-  if (seg.fin() && !fin_received_ && seg.seq == rcv_nxt_) {
+  if (seg.tcp_fin() && !fin_received_ && seg.tcp_seq() == rcv_nxt_) {
     fin_received_ = true;
     rcv_nxt_ += 1;
     send_ack();
@@ -256,7 +256,7 @@ void TcpConnection::input(const pkt::TcpSegment& seg) {
       default:
         break;
     }
-  } else if (seg.fin() && fin_received_) {
+  } else if (seg.tcp_fin() && fin_received_) {
     send_ack();  // Retransmitted FIN.
   }
 
@@ -277,10 +277,10 @@ void TcpConnection::input(const pkt::TcpSegment& seg) {
   pump_output();
 }
 
-void TcpConnection::handle_established_data(const pkt::TcpSegment& seg) {
-  if (seg.payload.empty()) return;
-  std::uint32_t seq = seg.seq;
-  std::span<const std::uint8_t> payload(seg.payload);
+void TcpConnection::handle_established_data(const pkt::FrameView& seg) {
+  if (seg.payload_len() == 0) return;
+  std::uint32_t seq = seg.tcp_seq();
+  std::span<const std::uint8_t> payload = seg.payload();
 
   if (seq_lt(rcv_nxt_, seq)) {
     // Future data: stash for reassembly.

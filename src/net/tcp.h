@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "netsim/event_loop.h"
+#include "packet/frame_view.h"
 #include "packet/headers.h"
 #include "util/addr.h"
 
@@ -90,10 +91,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void fail_connect();
 
   /// Start a passive open in response to `syn`.
-  void start_accept(const pkt::TcpSegment& syn);
+  void start_accept(const pkt::FrameView& syn);
 
   /// Process one inbound segment addressed to this connection.
-  void input(const pkt::TcpSegment& seg);
+  void input(const pkt::FrameView& seg);
 
  private:
   static constexpr std::size_t kMss = 1460;
@@ -104,7 +105,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
             std::span<const std::uint8_t> payload);
   void send_ack();
   void pump_output();
-  void handle_established_data(const pkt::TcpSegment& seg);
+  void handle_established_data(const pkt::FrameView& seg);
   void process_ack(std::uint32_t ack);
   void deliver_in_order();
   void maybe_send_fin();

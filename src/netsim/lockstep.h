@@ -112,7 +112,6 @@ class LockstepCoordinator {
   void run_for(util::Duration d) { run_until(now_ + d); }
 
   [[nodiscard]] util::TimePoint now() const { return now_; }
-  [[nodiscard]] util::Duration epoch_length() const { return epoch_; }
   [[nodiscard]] LockstepStats stats() const;
 
  private:

@@ -66,13 +66,6 @@ void VlanSwitch::set_trunk(std::size_t index,
   flush_learning_for_port(index);
 }
 
-void VlanSwitch::clear_port(std::size_t index) {
-  configs_.at(index) = PortConfig{};
-  flush_learning_for_port(index);
-}
-
-void VlanSwitch::flush_learning() { table_.clear(); }
-
 void VlanSwitch::flush_learning_for_port(std::size_t index) {
   for (auto it = table_.begin(); it != table_.end();) {
     if (it->second == index)
@@ -133,7 +126,6 @@ void VlanSwitch::handle_frame(std::size_t ingress, Frame frame) {
     }
   }
   // Broadcast / unknown unicast: flood within the VLAN.
-  ++flooded_;
   std::size_t last = ports_.size();
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     if (i == ingress || !configs_[i].carries(vlan)) continue;

@@ -39,14 +39,9 @@ class VlanSwitch {
   /// Configure a port as a trunk carrying only the listed VLANs.
   void set_trunk(std::size_t index, std::set<std::uint16_t> allowed);
 
-  /// Remove any configuration (port goes back to dropping frames).
-  void clear_port(std::size_t index);
-
-  /// Forget learned MAC entries (all, or only one port's).
-  void flush_learning();
+  /// Forget one port's learned MAC entries.
   void flush_learning_for_port(std::size_t index);
 
-  [[nodiscard]] std::uint64_t flooded_frames() const { return flooded_; }
   [[nodiscard]] std::uint64_t dropped_frames() const { return dropped_; }
 
  private:
@@ -85,7 +80,6 @@ class VlanSwitch {
   std::vector<PortConfig> configs_;
   // Learning table: (vlan, mac) -> port index.
   std::unordered_map<TableKey, std::size_t, TableKeyHash> table_;
-  std::uint64_t flooded_ = 0;
   std::uint64_t dropped_ = 0;
 };
 

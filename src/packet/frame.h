@@ -28,7 +28,6 @@ struct DecodedFrame {
   std::optional<UdpDatagram> udp;
   std::optional<IcmpMessage> icmp;
 
-  [[nodiscard]] bool is_arp() const { return arp.has_value(); }
   [[nodiscard]] bool is_tcp() const { return tcp.has_value(); }
   [[nodiscard]] bool is_udp() const { return udp.has_value(); }
 

@@ -108,6 +108,26 @@ void FrameView::set_l4_u32(std::size_t at, std::uint32_t v) {
   l4_csum_update32(old_word, v);
 }
 
+std::optional<Ingress> parse_ingress(std::vector<std::uint8_t>& bytes,
+                                     ViewVerify verify) {
+  Ingress in;
+  in.view = FrameView::parse(bytes, verify);
+  if (in.view && !in.view->vlan()) {
+    in.ipv4 = true;
+    return in;
+  }
+  auto frame = decode_frame(bytes);
+  if (!frame) return std::nullopt;
+  frame->eth.vlan.reset();
+  bytes = frame->encode();
+  in.arp = std::move(frame->arp);
+  in.icmp = std::move(frame->icmp);
+  in.ipv4 = frame->ip.has_value();
+  in.view.reset();
+  if (frame->tcp || frame->udp) in.view = FrameView::parse(bytes, verify);
+  return in;
+}
+
 std::optional<std::uint16_t> vlan_vid_of(
     std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kEthHeader + kVlanTag) return std::nullopt;

@@ -11,10 +11,11 @@
 // TCP data offset 5 with zero reserved bits and urgent pointer, UDP
 // length consistent and checksum nonzero, no trailing padding). For a
 // canonical frame, rewriting through the view is byte-identical to
-// decode → mutate → encode; anything else fails to parse, and the
-// gateway's ingress re-encodes it once (making it canonical) before
-// viewing it. Every frame the gateway classifies is read and rewritten
-// through this view.
+// decode → mutate → encode; anything else fails to parse, and
+// parse_ingress re-encodes it once (making it canonical) before viewing
+// it. parse_ingress is the one receive parse of every simulated device:
+// the gateway classifies and rewrites every frame through its view, and
+// each host stack reads received TCP and UDP through it.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,8 @@ namespace gq::pkt {
 /// with kIpHeader — like a hardware router it checks the 20-byte IP
 /// header checksum but does not scan the payload; kFull additionally
 /// verifies the L4 checksum, which the gateway requires before it keys
-/// any frame outside an established flow.
+/// any frame outside an established flow, and which a host requires
+/// before it accepts any segment.
 enum class ViewVerify { kNone, kIpHeader, kFull };
 
 class FrameView {
@@ -121,6 +123,29 @@ class FrameView {
   std::uint8_t proto_ = 0;
   std::optional<std::uint16_t> vlan_;
 };
+
+/// What parse_ingress found in a frame.
+struct Ingress {
+  /// TCP or UDP: the canonical view over the frame's bytes.
+  std::optional<FrameView> view;
+  std::optional<ArpMessage> arp;
+  /// ICMP, as the fallback decoded it.
+  std::optional<IcmpMessage> icmp;
+  /// IPv4; keyless (ICMP and friends) when `view` is empty.
+  bool ipv4 = false;
+};
+
+/// The one receive parse every device shares: views the frame in place,
+/// verified to `verify`. A frame the view declines — ARP, other
+/// non-IPv4, ICMP, a non-canonical TCP/UDP frame (IP or TCP options,
+/// trailing padding, a zero UDP checksum, an 802.1Q tag), or one that
+/// fails `verify` — is decoded, the only decode on any receive path, and
+/// re-encoded canonical and untagged in place, then viewed when it is
+/// TCP or UDP. A TCP/UDP frame whose L4 checksum fails decodes as
+/// keyless IPv4. Returns nullopt for a frame too short to carry an
+/// Ethernet header.
+std::optional<Ingress> parse_ingress(std::vector<std::uint8_t>& bytes,
+                                     ViewVerify verify);
 
 /// Peek the 802.1Q VID of a raw frame without building a view (nullopt
 /// when untagged or truncated).

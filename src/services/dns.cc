@@ -113,11 +113,6 @@ void DnsServer::add_record(std::string name, util::Ipv4Addr addr) {
   records_.emplace_back(util::to_lower(name), addr);
 }
 
-void DnsServer::remove_record(const std::string& name) {
-  const std::string lower = util::to_lower(name);
-  std::erase_if(records_, [&](const auto& r) { return r.first == lower; });
-}
-
 void DnsServer::handle(util::Endpoint from, std::vector<std::uint8_t> data) {
   auto query = DnsMessage::parse(data);
   if (!query || query->is_response) return;

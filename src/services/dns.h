@@ -42,7 +42,6 @@ class DnsServer {
 
   /// Add an exact or glob record.
   void add_record(std::string name, util::Ipv4Addr addr);
-  void remove_record(const std::string& name);
 
   [[nodiscard]] std::uint64_t queries_served() const { return queries_; }
 

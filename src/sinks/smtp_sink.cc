@@ -194,7 +194,6 @@ void SmtpSink::handle_line(std::shared_ptr<Session> session,
       session->data_buffer.clear();
       session->message.received = stack_.loop().now();
       harvest_.push_back(session->message);
-      if (on_message_) on_message_(harvest_.back());
       session->message.rcpt_to.clear();
       session->message.mail_from.clear();
       conn.send("250 OK queued\r\n");

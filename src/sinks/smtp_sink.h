@@ -61,18 +61,12 @@ struct HarvestedMessage {
 
 class SmtpSink {
  public:
-  using MessageHandler = std::function<void(const HarvestedMessage&)>;
-
   SmtpSink(net::HostStack& stack, SmtpSinkConfig config);
 
   /// Record that flows from `inmate` were originally destined to
   /// `orig_dst` (sent by the containment server via the hint channel,
   /// or directly by test code).
   void add_destination_hint(util::Ipv4Addr inmate, util::Endpoint orig_dst);
-
-  void set_message_handler(MessageHandler handler) {
-    on_message_ = std::move(handler);
-  }
 
   /// Join the farm-wide telemetry: sessions and completed DATA
   /// transfers are published as kSinkSession / kSinkData events and
@@ -113,7 +107,6 @@ class SmtpSink {
 
   void on_accept(std::shared_ptr<net::TcpConnection> conn);
   void begin_session(std::shared_ptr<Session> session);
-  void send_banner(std::shared_ptr<Session> session);
   void handle_line(std::shared_ptr<Session> session, std::string line);
   void grab_banner(util::Endpoint target,
                    std::function<void(std::string)> done);
@@ -125,7 +118,6 @@ class SmtpSink {
   std::shared_ptr<net::UdpSocket> hint_sock_;
   std::map<util::Ipv4Addr, util::Endpoint> hints_;
   std::map<util::Ipv4Addr, std::string> banner_cache_;  // By target host.
-  MessageHandler on_message_;
   std::vector<HarvestedMessage> harvest_;
   std::map<util::Ipv4Addr, SourceStats> by_source_;
   std::uint64_t sessions_ = 0;

@@ -101,15 +101,6 @@ std::vector<pkt::PcapRecord> TraceTap::extract_flow(
   return records;
 }
 
-bool TraceTap::save_pcap(const std::string& path) const {
-  const auto bytes = contents();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return false;
-  const bool ok =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 bool TraceTap::save(const std::string& dir) const {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);

@@ -94,10 +94,6 @@ class TraceTap {
   /// Persist to `dir` (created if missing). Returns false on I/O error.
   bool save(const std::string& dir) const;
 
-  /// Write the retained capture as one pcap file (operator convenience,
-  /// matches the old PcapWriter::save shape).
-  bool save_pcap(const std::string& path) const;
-
  private:
   friend std::optional<TraceTap> load_trace(const std::string& dir);
 

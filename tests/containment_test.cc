@@ -1,13 +1,17 @@
 // Unit tests for the containment module: trigger grammar and engine,
 // the Figure 6 configuration format, the sample library, the policy
-// registry, and the decision logic of the built-in family policies.
+// registry, the decision logic of the built-in family policies, and the
+// containment server's overload refusal on the wire.
 #include <gtest/gtest.h>
 
 #include "containment/config.h"
 #include "containment/policies.h"
 #include "containment/policy.h"
 #include "containment/samples.h"
+#include "containment/server.h"
 #include "containment/trigger.h"
+#include "net/stack.h"
+#include "netsim/event_loop.h"
 #include "util/strings.h"
 
 namespace gq::cs {
@@ -375,6 +379,103 @@ TEST(Policies, WormFarmDropsWithoutVictims) {
   WormFarmPolicy policy(env);
   EXPECT_EQ(policy.decide(flow_to({Ipv4Addr(99, 1, 2, 3), 445}, 20)).verdict,
             shim::Verdict::kDrop);
+}
+
+// --- ContainmentServer overload refusal -----------------------------------
+
+// A server whose decision queue holds one entry and refuses beyond it:
+// the first TCP request shim occupies the queue for five simulated
+// seconds, so the TCP and UDP requests behind it are shed. Both refusals
+// must carry the same "OverloadShed" DROP response shim and publish the
+// same kCsDecision event, differing only in the flow and protocol.
+TEST(ContainmentServerOverload, RefusesTcpAndUdpWithOneShedResponse) {
+  constexpr std::uint16_t kCsPort = 7000;
+  const Ipv4Addr cs_addr(10, 9, 0, 1);
+  const Ipv4Addr client_addr(10, 9, 0, 2);
+  const util::Ipv4Net net(Ipv4Addr(10, 9, 0, 0), 24);
+
+  sim::EventLoop loop;
+  net::HostStack cs_host(loop, "cs", util::MacAddr::local(0x91), 1);
+  net::HostStack client(loop, "client", util::MacAddr::local(0x92), 2);
+  sim::Port::connect(cs_host.nic(), client.nic(), util::microseconds(20));
+  cs_host.configure({cs_addr, net, client_addr, {}});
+  client.configure({client_addr, net, cs_addr, {}});
+
+  ContainmentServer cs(cs_host, kCsPort, client_addr);
+  cs.set_overload({util::seconds(5), 1, /*refuse=*/true});
+  std::vector<std::string> events;
+  cs.telemetry().bus().subscribe(
+      obs::FarmEvent::Kind::kCsDecision,
+      [&](const obs::FarmEvent& event) {
+        events.push_back(obs::format_event(event));
+      });
+
+  shim::RequestShim queued{{Ipv4Addr(10, 0, 0, 16), 1111},
+                           {Ipv4Addr(203, 0, 113, 5), 25}, 16, 0};
+  shim::RequestShim shed_tcp{{Ipv4Addr(10, 0, 0, 17), 2222},
+                             {Ipv4Addr(198, 51, 100, 7), 25}, 17, 0};
+  shim::RequestShim shed_udp{{Ipv4Addr(10, 0, 0, 18), 3333},
+                             {Ipv4Addr(192, 0, 2, 53), 53}, 18, 0};
+
+  auto open_with = [&](const shim::RequestShim& request,
+                       std::vector<std::uint8_t>* reply, bool* closed) {
+    auto conn = client.connect({cs_addr, kCsPort});
+    conn->on_connected = [conn, request] { conn->send(request.encode()); };
+    conn->on_data = [reply](std::span<const std::uint8_t> data) {
+      reply->insert(reply->end(), data.begin(), data.end());
+    };
+    conn->on_remote_close = [closed] { *closed = true; };
+    return conn;
+  };
+  std::vector<std::uint8_t> queued_reply, tcp_reply, udp_reply;
+  bool queued_closed = false, tcp_closed = false;
+  auto queued_conn = open_with(queued, &queued_reply, &queued_closed);
+  loop.run_for(util::milliseconds(100));
+  auto tcp_conn = open_with(shed_tcp, &tcp_reply, &tcp_closed);
+  loop.run_for(util::milliseconds(100));
+  auto sock = client.udp_open(4444);
+  sock->on_datagram = [&](util::Endpoint from, std::vector<std::uint8_t> data) {
+    EXPECT_EQ(from, (util::Endpoint{cs_addr, kCsPort}));
+    udp_reply = std::move(data);
+  };
+  std::vector<std::uint8_t> datagram = shed_udp.encode();
+  datagram.push_back(0x42);  // Payload behind the shim.
+  sock->send_to({cs_addr, kCsPort}, datagram);
+  loop.run_for(util::seconds(1));
+
+  // The first request still waits in the queue; the other two were shed.
+  EXPECT_EQ(cs.pending_decisions(), 1u);
+  EXPECT_TRUE(queued_reply.empty());
+  EXPECT_FALSE(queued_closed);
+  EXPECT_TRUE(tcp_closed);
+
+  auto refusal = [&](const shim::RequestShim& request) {
+    shim::ResponseShim response;
+    response.orig = request.orig;
+    response.resp = request.resp;
+    response.verdict = shim::Verdict::kDrop;
+    response.policy_name = "OverloadShed";
+    response.annotation = "decision queue full";
+    response.policy_epoch = cs.policy_epoch();
+    return response.encode();
+  };
+  EXPECT_EQ(tcp_reply, refusal(shed_tcp));
+  EXPECT_EQ(udp_reply, refusal(shed_udp));
+  const auto parsed = shim::ResponseShim::parse(udp_reply);
+  ASSERT_TRUE(parsed);
+  EXPECT_EQ(parsed->verdict, shim::Verdict::kDrop);
+  EXPECT_FALSE(parsed->cacheable);
+  EXPECT_FALSE(parsed->limit_bytes_per_sec);
+
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0],
+            "100060 cs_decision  vlan=17 proto=6 dst=198.51.100.7:25 "
+            "verdict=3 src=0 policy=OverloadShed ann=decision queue full "
+            "b2s=0 b2i=0 trigger= action=revert");
+  EXPECT_EQ(events[1],
+            "200020 cs_decision  vlan=18 proto=17 dst=192.0.2.53:53 "
+            "verdict=3 src=0 policy=OverloadShed ann=decision queue full "
+            "b2s=0 b2i=0 trigger= action=revert");
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Property/fuzz tests for the wire parsers that face attacker-shaped
 // bytes: the shim protocol codecs (shim::RequestShim / shim::ResponseShim
-// / complete_shim_length) and the frame parsers (pkt::decode_frame and
-// the zero-copy pkt::FrameView). Each suite runs 100k seeded cases built
+// / complete_shim_length) and the frame parsers (pkt::decode_frame, the
+// zero-copy pkt::FrameView and pkt::parse_ingress, the receive parse every
+// device shares, also driven end to end through a net::HostStack). Each
+// suite runs 100k seeded cases built
 // by mutating canonical encodings — truncation, padding, bit flips — plus
 // purely random buffers. The property under test is "reject or parse,
 // never crash or over-read": run these under the ASan preset
@@ -21,6 +23,8 @@
 #include "flowdb/flowdb.h"
 #include "flowdb/store.h"
 #include "gateway/policy_table.h"
+#include "net/stack.h"
+#include "netsim/event_loop.h"
 #include "orchestrator/job.h"
 #include "packet/frame.h"
 #include "packet/frame_view.h"
@@ -469,6 +473,163 @@ TEST(FuzzFrame, FrameViewRejectsOrParsesNeverCrashes) {
     pkt::set_ipv4_dst(buf,
                       util::Ipv4Addr(static_cast<std::uint32_t>(rng.next())));
   }
+}
+
+// An ARP or ICMP echo frame, which the view declines and parse_ingress
+// decodes.
+std::vector<std::uint8_t> random_arp_or_icmp_frame(util::Rng& rng) {
+  pkt::DecodedFrame frame;
+  frame.eth.dst = util::MacAddr::local(static_cast<std::uint32_t>(rng.next()));
+  frame.eth.src = util::MacAddr::local(static_cast<std::uint32_t>(rng.next()));
+  const util::Ipv4Addr a(static_cast<std::uint32_t>(rng.next()));
+  const util::Ipv4Addr b(static_cast<std::uint32_t>(rng.next()));
+  if (rng.below(2) == 0) {
+    frame.eth.ethertype = pkt::kEtherTypeArp;
+    frame.arp = pkt::ArpMessage{rng.below(2) == 0
+                                    ? pkt::ArpMessage::Op::kRequest
+                                    : pkt::ArpMessage::Op::kReply,
+                                frame.eth.src, a, frame.eth.dst, b};
+  } else {
+    frame.eth.ethertype = pkt::kEtherTypeIpv4;
+    frame.ip = pkt::Ipv4Packet{a, b, pkt::kProtoIcmp, 64, 0, {}};
+    frame.icmp = pkt::IcmpMessage{8, 0, static_cast<std::uint16_t>(rng.next()),
+                                  static_cast<std::uint16_t>(rng.next()),
+                                  random_bytes(rng, rng.below(32))};
+  }
+  return frame.encode();
+}
+
+TEST(FuzzFrame, ParseIngressRejectsOrParsesNeverCrashes) {
+  util::Rng rng(0xF00D0005);
+  for (int i = 0; i < kCases; ++i) {
+    std::vector<std::uint8_t> input;
+    if (rng.below(4) == 0) {
+      input = random_bytes(rng, rng.below(128));
+    } else {
+      input = rng.below(4) == 0 ? random_arp_or_icmp_frame(rng)
+                                : random_canonical_frame(rng);
+      const auto mutations = rng.below(4);
+      for (std::uint64_t m = 0; m < mutations; ++m) mutate(rng, input);
+    }
+    // The gateway parses with kIpHeader, every host with kFull.
+    for (const auto verify : {pkt::ViewVerify::kIpHeader,
+                              pkt::ViewVerify::kFull}) {
+      auto buf = input;
+      const auto in = pkt::parse_ingress(buf, verify);
+      if (!in || !in->view) continue;
+      // A returned view is untagged IPv4 over the (possibly re-encoded)
+      // buffer, and its payload lies inside that buffer.
+      ASSERT_TRUE(in->ipv4);
+      ASSERT_FALSE(in->view->vlan());
+      const auto payload = in->view->payload();
+      ASSERT_EQ(payload.size(), in->view->payload_len());
+      ASSERT_GE(payload.data(), buf.data());
+      ASSERT_LE(payload.data() + payload.size(), buf.data() + buf.size());
+    }
+  }
+}
+
+// Mutated frames addressed to a host that has a listener, an established
+// connection and a bound UDP socket: every receive path, the ingress
+// fallback included, must reject or handle them without an out-of-bounds
+// read (run under the asan and ubsan presets).
+TEST(FuzzFrame, HostStackSurvivesMutatedFrames) {
+  const util::MacAddr host_mac = util::MacAddr::local(2);
+  const util::MacAddr peer_mac = util::MacAddr::local(1);
+  const util::Ipv4Addr host_addr(10, 0, 0, 2);
+  const util::Ipv4Addr peer_addr(10, 0, 0, 1);
+  sim::EventLoop loop;
+  net::HostStack host(loop, "host", host_mac, 7);
+  sim::Port wire(loop, "wire");
+  sim::Port::connect(host.nic(), wire, util::microseconds(10));
+  std::uint32_t host_iss = 0;
+  wire.set_rx([&](sim::Frame frame) {
+    const auto sent = pkt::decode_frame(frame.bytes);
+    if (sent && sent->tcp && sent->tcp->syn()) host_iss = sent->tcp->seq;
+  });
+  host.configure({host_addr, util::Ipv4Net(util::Ipv4Addr(10, 0, 0, 0), 24),
+                  peer_addr, {}});
+  std::uint64_t delivered = 0;
+  host.listen(80, [&](std::shared_ptr<net::TcpConnection> conn) {
+    conn->on_data = [&](std::span<const std::uint8_t> data) {
+      for (const auto b : data) delivered += b;
+    };
+  });
+  auto sock = host.udp_open(53);
+  sock->on_datagram = [&](util::Endpoint, std::vector<std::uint8_t> data) {
+    delivered += data.size();
+  };
+
+  auto frame_to_host = [&](std::uint8_t proto) {
+    pkt::DecodedFrame frame;
+    frame.eth = {host_mac, peer_mac, std::nullopt, pkt::kEtherTypeIpv4};
+    frame.ip = pkt::Ipv4Packet{peer_addr, host_addr, proto, 64, 0, {}};
+    return frame;
+  };
+  auto inject = [&](std::vector<std::uint8_t> bytes) {
+    wire.transmit(sim::Frame{std::move(bytes)});
+    loop.run_for(util::milliseconds(1));
+  };
+  // Establish 10.0.0.1:5000 -> :80 by hand.
+  pkt::DecodedFrame arp;
+  arp.eth = {util::MacAddr::broadcast(), peer_mac, std::nullopt,
+             pkt::kEtherTypeArp};
+  arp.arp = pkt::ArpMessage{pkt::ArpMessage::Op::kRequest, peer_mac,
+                            peer_addr, util::MacAddr{}, host_addr};
+  inject(arp.encode());
+  auto syn = frame_to_host(pkt::kProtoTcp);
+  syn.tcp = pkt::TcpSegment{5000, 80, 1000, 0, pkt::kTcpSyn, 65535, {}};
+  inject(syn.encode());
+  auto ack = frame_to_host(pkt::kProtoTcp);
+  ack.tcp = pkt::TcpSegment{5000, 80, 1001, host_iss + 1, pkt::kTcpAck,
+                            65535, {}};
+  inject(ack.encode());
+  ASSERT_EQ(host.connection_count(), 1u);
+
+  util::Rng rng(0xF00D0006);
+  std::uint32_t seq = 1001;
+  for (int i = 0; i < kCases; ++i) {
+    pkt::DecodedFrame frame = frame_to_host(pkt::kProtoTcp);
+    switch (rng.below(4)) {
+      case 0:  // Data on the established connection.
+        frame.tcp = pkt::TcpSegment{5000, 80, seq, host_iss + 1,
+                                    pkt::kTcpAck | pkt::kTcpPsh, 65535,
+                                    random_bytes(rng, rng.below(64))};
+        seq += static_cast<std::uint32_t>(frame.tcp->payload.size());
+        break;
+      case 1:  // Any segment to the listener's or another port.
+        frame.tcp = pkt::TcpSegment{
+            static_cast<std::uint16_t>(rng.next()),
+            static_cast<std::uint16_t>(rng.below(2) == 0 ? 80 : rng.next()),
+            static_cast<std::uint32_t>(rng.next()),
+            static_cast<std::uint32_t>(rng.next()),
+            static_cast<std::uint8_t>(rng.next()), 65535,
+            random_bytes(rng, rng.below(64))};
+        break;
+      case 2:  // A datagram to the bound socket.
+        frame = frame_to_host(pkt::kProtoUdp);
+        frame.udp = pkt::UdpDatagram{static_cast<std::uint16_t>(rng.next()),
+                                     53, random_bytes(rng, rng.below(64))};
+        break;
+      default: {  // ICMP echo, or ARP.
+        auto bytes = random_arp_or_icmp_frame(rng);
+        std::copy(host_mac.bytes().begin(), host_mac.bytes().end(),
+                  bytes.begin());
+        const auto mutations = rng.below(4);
+        for (std::uint64_t m = 0; m < mutations; ++m) mutate(rng, bytes);
+        inject(std::move(bytes));
+        continue;
+      }
+    }
+    if (rng.below(4) == 0) frame.eth.vlan = 5;
+    auto bytes = frame.encode();
+    const auto mutations = rng.below(4);
+    for (std::uint64_t m = 0; m < mutations; ++m) mutate(rng, bytes);
+    inject(std::move(bytes));
+  }
+  EXPECT_GT(host.ip_rx(), 0u);
+  EXPECT_GT(delivered, 0u);
+  loop.drop_pending();
 }
 
 // --- detonation-job specs -------------------------------------------------

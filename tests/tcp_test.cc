@@ -2,7 +2,10 @@
 // transfer, segmentation, teardown, RST behaviour, ARP resolution, UDP,
 // and — critically for GQ — survival under packet loss (retransmission)
 // and out-of-order delivery, since the gateway performs sequence-space
-// surgery on live flows.
+// surgery on live flows. The host receive contract is pinned on raw
+// frames: a segment whose L4 checksum fails is ignored, and the
+// non-canonical frames the shared ingress parse re-encodes are handled
+// exactly like their canonical twins.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -13,9 +16,12 @@
 
 #include "net/stack.h"
 #include "net/tcp.h"
-#include "util/bytes.h"
 #include "netsim/event_loop.h"
 #include "netsim/vlan_switch.h"
+#include "packet/checksum.h"
+#include "packet/frame.h"
+#include "packet/frame_view.h"
+#include "util/bytes.h"
 #include "util/addr.h"
 #include "util/rng.h"
 
@@ -443,6 +449,304 @@ TEST_P(TcpLossSweep, DeliversDespiteLoss) {
 
 INSTANTIATE_TEST_SUITE_P(LossRates, TcpLossSweep,
                          ::testing::Values(0, 1, 5, 10, 25));
+
+// --- Host receive contract, on raw frames ---------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+using Mutation = Bytes (*)(Bytes);
+
+constexpr std::size_t kL3 = 14;  // Untagged IPv4 header offset.
+constexpr std::size_t kL4 = 34;  // TCP/UDP header offset behind it.
+
+Bytes canonical(Bytes frame) { return frame; }
+
+void put16(Bytes& bytes, std::size_t at, std::uint16_t v) {
+  bytes[at] = static_cast<std::uint8_t>(v >> 8);
+  bytes[at + 1] = static_cast<std::uint8_t>(v);
+}
+
+// Recompute the IPv4 header checksum after an edit.
+void reseal_ip(Bytes& frame) {
+  put16(frame, kL3 + 10, 0);
+  put16(frame, kL3 + 10,
+        pkt::checksum(std::span<const std::uint8_t>(frame).subspan(kL3, 20)));
+}
+
+// A 4-byte MSS option behind the TCP header (data offset 6), both
+// checksums resealed.
+Bytes with_tcp_options(Bytes frame) {
+  const std::uint8_t mss[4] = {0x02, 0x04, 0x05, 0xB4};
+  frame.insert(frame.begin() + kL4 + 20, mss, mss + 4);
+  frame[kL4 + 12] = 0x60;
+  put16(frame, kL3 + 2, static_cast<std::uint16_t>(frame.size() - kL3));
+  reseal_ip(frame);
+  put16(frame, kL4 + 16, 0);
+  const auto segment = std::span<const std::uint8_t>(frame).subspan(kL4);
+  put16(frame, kL4 + 16,
+        pkt::l4_checksum(Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2),
+                         pkt::kProtoTcp, segment));
+  return frame;
+}
+
+// Ethernet trailing padding past the IPv4 total length.
+Bytes with_padding(Bytes frame) {
+  frame.resize(frame.size() + 12, 0);
+  return frame;
+}
+
+// RFC 768: a zero UDP checksum means "none".
+Bytes with_zero_udp_checksum(Bytes frame) {
+  put16(frame, kL4 + 6, 0);
+  return frame;
+}
+
+Bytes with_vlan_tag(Bytes frame) {
+  pkt::insert_vlan_tag(frame, 5);
+  return frame;
+}
+
+// What a host did with a scripted exchange: the bytes its application
+// read, its ip_rx count and every frame it put on the wire.
+struct Observed {
+  std::string app;
+  std::uint64_t ip_rx = 0;
+  std::vector<Bytes> sent;
+  bool operator==(const Observed&) const = default;
+};
+
+// One host on a raw link: the test plays its peer 10.0.0.1 frame by
+// frame.
+struct RawHost {
+  static constexpr std::uint16_t kPeerPort = 5000;
+  const util::MacAddr host_mac = util::MacAddr::local(2);
+  const util::MacAddr peer_mac = util::MacAddr::local(0x77);
+  const Ipv4Addr host_addr{10, 0, 0, 2};
+  const Ipv4Addr peer_addr{10, 0, 0, 1};
+
+  sim::EventLoop loop;
+  HostStack host{loop, "host", host_mac, 222};
+  sim::Port wire{loop, "wire"};
+  Observed seen;
+
+  RawHost() {
+    sim::Port::connect(host.nic(), wire, util::microseconds(10));
+    wire.set_rx([this](sim::Frame frame) {
+      seen.sent.push_back(std::move(frame.bytes));
+    });
+    host.configure(
+        {host_addr, Ipv4Net(Ipv4Addr(10, 0, 0, 0), 24), peer_addr, {}});
+  }
+
+  pkt::DecodedFrame ip_frame() const {
+    pkt::DecodedFrame frame;
+    frame.eth = {host_mac, peer_mac, std::nullopt, pkt::kEtherTypeIpv4};
+    frame.ip = pkt::Ipv4Packet{};
+    frame.ip->src = peer_addr;
+    frame.ip->dst = host_addr;
+    return frame;
+  }
+
+  Bytes tcp(std::uint16_t dst_port, std::uint32_t seq, std::uint32_t ack,
+            std::uint8_t flags, std::string_view payload = {}) const {
+    auto frame = ip_frame();
+    frame.tcp = pkt::TcpSegment{kPeerPort, dst_port, seq, ack, flags, 65535,
+                                util::to_bytes(payload)};
+    return frame.encode();
+  }
+
+  Bytes udp(std::uint16_t dst_port, std::string_view payload) const {
+    auto frame = ip_frame();
+    frame.udp = pkt::UdpDatagram{kPeerPort, dst_port, util::to_bytes(payload)};
+    return frame.encode();
+  }
+
+  Bytes arp(pkt::ArpMessage::Op op) const {
+    pkt::DecodedFrame frame;
+    frame.eth = {op == pkt::ArpMessage::Op::kRequest
+                     ? util::MacAddr::broadcast()
+                     : host_mac,
+                 peer_mac, std::nullopt, pkt::kEtherTypeArp};
+    frame.arp = pkt::ArpMessage{op, peer_mac, peer_addr,
+                                op == pkt::ArpMessage::Op::kRequest
+                                    ? util::MacAddr{}
+                                    : host_mac,
+                                host_addr};
+    return frame.encode();
+  }
+
+  void inject(Bytes frame) {
+    wire.transmit(sim::Frame{std::move(frame)});
+    loop.run_for(util::milliseconds(1));
+  }
+
+  // The peer's ARP request teaches the host the peer's MAC.
+  void introduce_peer() { inject(arp(pkt::ArpMessage::Op::kRequest)); }
+
+  std::optional<pkt::DecodedFrame> last_sent() const {
+    if (seen.sent.empty()) return std::nullopt;
+    return pkt::decode_frame(seen.sent.back());
+  }
+
+  // Handshake on port 80 from sequence 1000; returns the host's ISS.
+  std::uint32_t establish(Mutation mutate = canonical) {
+    host.listen(80, [this](std::shared_ptr<TcpConnection> conn) {
+      conn->on_data = [this](std::span<const std::uint8_t> data) {
+        seen.app.append(data.begin(), data.end());
+      };
+    });
+    introduce_peer();
+    inject(mutate(tcp(80, 1000, 0, pkt::kTcpSyn)));
+    const auto syn_ack = last_sent();
+    EXPECT_TRUE(syn_ack && syn_ack->tcp && syn_ack->tcp->syn());
+    const std::uint32_t iss = syn_ack && syn_ack->tcp ? syn_ack->tcp->seq : 0;
+    inject(mutate(tcp(80, 1001, iss + 1, pkt::kTcpAck)));
+    return iss;
+  }
+
+  // A handshake, two data segments and a FIN, each frame mutated.
+  Observed tcp_exchange(Mutation mutate) {
+    const std::uint32_t iss = establish(mutate);
+    inject(mutate(tcp(80, 1001, iss + 1, pkt::kTcpAck | pkt::kTcpPsh,
+                      "hello ")));
+    inject(mutate(tcp(80, 1007, iss + 1, pkt::kTcpAck | pkt::kTcpPsh,
+                      "world")));
+    inject(mutate(tcp(80, 1012, iss + 1, pkt::kTcpAck | pkt::kTcpFin)));
+    seen.ip_rx = host.ip_rx();
+    return seen;
+  }
+
+  // A datagram to an echoing socket, then one to a closed port.
+  Observed udp_exchange(Mutation mutate) {
+    auto sock = host.udp_open(53);
+    sock->on_datagram = [this, sock](Endpoint from, Bytes data) {
+      seen.app.append(data.begin(), data.end());
+      sock->send_to(from, data);
+    };
+    introduce_peer();
+    inject(mutate(udp(53, "query")));
+    inject(mutate(udp(54, "nobody")));
+    seen.ip_rx = host.ip_rx();
+    return seen;
+  }
+};
+
+TEST(HostRx, SegmentFailingItsL4ChecksumIsIgnored) {
+  RawHost h;
+  const std::uint32_t iss = h.establish();
+  const auto sent_before = h.seen.sent.size();
+  const auto rx_before = h.host.ip_rx();
+  Bytes bad = h.tcp(80, 1001, iss + 1, pkt::kTcpAck | pkt::kTcpPsh, "hello");
+  bad[kL4 + 16] ^= 0x5A;  // The IP header stays valid.
+  h.inject(bad);
+  EXPECT_EQ(h.seen.app, "");
+  EXPECT_EQ(h.seen.sent.size(), sent_before);  // No ACK for it.
+  EXPECT_EQ(h.host.ip_rx(), rx_before + 1);
+
+  // The intact retransmission is delivered and acknowledged.
+  h.inject(h.tcp(80, 1001, iss + 1, pkt::kTcpAck | pkt::kTcpPsh, "hello"));
+  EXPECT_EQ(h.seen.app, "hello");
+  const auto ack = h.last_sent();
+  ASSERT_TRUE(ack && ack->tcp);
+  EXPECT_EQ(ack->tcp->ack, 1006u);
+}
+
+TEST(HostRx, DatagramFailingItsL4ChecksumIsIgnored) {
+  RawHost h;
+  auto sock = h.host.udp_open(53);
+  sock->on_datagram = [&h](Endpoint, Bytes data) {
+    h.seen.app.append(data.begin(), data.end());
+  };
+  Bytes bad = h.udp(53, "query");
+  bad[kL4 + 6] ^= 0x5A;
+  h.inject(bad);
+  EXPECT_EQ(h.seen.app, "");
+  EXPECT_EQ(h.host.ip_rx(), 1u);
+}
+
+// Each non-canonical shape runs the same exchange on a fresh host as its
+// canonical twin; the two hosts must read, count and send the same.
+struct HostRxTwin {
+  const char* name;
+  Mutation mutate;
+  bool tcp;
+};
+
+class HostRxTwins : public ::testing::TestWithParam<HostRxTwin> {};
+
+TEST_P(HostRxTwins, HandledLikeTheCanonicalTwin) {
+  const auto& twin = GetParam();
+  RawHost canonical_host, twin_host;
+  // The shape must really be one the view declines (or a tagged frame),
+  // so the twin takes the decode fallback.
+  Bytes sample = twin.mutate(twin.tcp ? canonical_host.tcp(80, 1, 0, 0, "x")
+                                      : canonical_host.udp(53, "x"));
+  const auto view = pkt::FrameView::parse(sample, pkt::ViewVerify::kFull);
+  EXPECT_TRUE(!view || view->vlan());
+  const Observed want = twin.tcp ? canonical_host.tcp_exchange(canonical)
+                                 : canonical_host.udp_exchange(canonical);
+  const Observed got = twin.tcp ? twin_host.tcp_exchange(twin.mutate)
+                                : twin_host.udp_exchange(twin.mutate);
+  EXPECT_EQ(want.app, twin.tcp ? "hello world" : "query");
+  EXPECT_EQ(got, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NonCanonical, HostRxTwins,
+    ::testing::Values(HostRxTwin{"TcpOptions", with_tcp_options, true},
+                      HostRxTwin{"TcpPadding", with_padding, true},
+                      HostRxTwin{"TcpVlanTag", with_vlan_tag, true},
+                      HostRxTwin{"UdpZeroChecksum", with_zero_udp_checksum,
+                                 false},
+                      HostRxTwin{"UdpPadding", with_padding, false},
+                      HostRxTwin{"UdpVlanTag", with_vlan_tag, false}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(HostRx, IcmpEchoRequestIsAnsweredInKind) {
+  RawHost h;
+  h.introduce_peer();
+  auto frame = h.ip_frame();
+  frame.icmp = pkt::IcmpMessage{8, 0, 0x1234, 7, util::to_bytes("ping!")};
+  h.inject(frame.encode());
+  const auto reply = h.last_sent();
+  ASSERT_TRUE(reply && reply->ip && reply->icmp);
+  EXPECT_EQ(reply->ip->src, h.host_addr);
+  EXPECT_EQ(reply->ip->dst, h.peer_addr);
+  EXPECT_EQ(reply->icmp->type, 0);
+  EXPECT_EQ(reply->icmp->ident, 0x1234);
+  EXPECT_EQ(reply->icmp->sequence, 7);
+  EXPECT_EQ(reply->icmp->payload, util::to_bytes("ping!"));
+  EXPECT_EQ(h.host.ip_rx(), 1u);
+}
+
+TEST(HostRx, ArpRequestIsAnswered) {
+  RawHost h;
+  h.introduce_peer();
+  const auto is_at = h.last_sent();
+  ASSERT_TRUE(is_at && is_at->arp);
+  EXPECT_EQ(is_at->arp->op, pkt::ArpMessage::Op::kReply);
+  EXPECT_EQ(is_at->arp->sender_mac, h.host_mac);
+  EXPECT_EQ(is_at->arp->sender_ip, h.host_addr);
+  EXPECT_EQ(is_at->arp->target_ip, h.peer_addr);
+  EXPECT_EQ(is_at->eth.dst, h.peer_mac);
+  EXPECT_EQ(h.host.ip_rx(), 0u);
+}
+
+TEST(HostRx, ArpReplyReleasesTheQueuedPacket) {
+  RawHost h;
+  auto sock = h.host.udp_open(4000);
+  sock->send_to({h.peer_addr, 53}, util::to_bytes("query"));
+  h.loop.run_for(util::milliseconds(1));
+  const auto who_has = h.last_sent();
+  ASSERT_TRUE(who_has && who_has->arp);
+  EXPECT_EQ(who_has->arp->op, pkt::ArpMessage::Op::kRequest);
+  EXPECT_EQ(who_has->arp->target_ip, h.peer_addr);
+
+  h.inject(h.arp(pkt::ArpMessage::Op::kReply));
+  const auto released = h.last_sent();
+  ASSERT_TRUE(released && released->udp);
+  EXPECT_EQ(released->eth.dst, h.peer_mac);
+  EXPECT_EQ(released->udp->payload, util::to_bytes("query"));
+}
 
 }  // namespace
 }  // namespace gq::net
