@@ -174,7 +174,13 @@ int main() {
         shim::Verdict::kRewrite}) {
     const Outcome& outcome =
         rows.emplace_back(verdict, run_verdict(verdict)).second;
-    std::string saw = outcome.inmate_reset ? "connection refused"
+    // A failed fetch is a refusal, except under REFLECT: the sink
+    // accepts the connection and never answers, so the inmate hears
+    // silence until its client gives up.
+    std::string saw = outcome.inmate_reset
+                          ? (verdict == shim::Verdict::kReflect
+                                 ? "silence"
+                                 : "connection refused")
                       : outcome.inmate_got_answer ? outcome.inmate_answer
                                                   : "nothing (hang)";
     std::printf("%-9s %-22s %-10s %-6d %8.2fs\n",

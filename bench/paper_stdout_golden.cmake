@@ -8,7 +8,7 @@
 set(golden_table1
     a69ba9222dbf16e954e4d7d036b50ca371e944d63e9b10a2ffaf4e8ccf212f59)
 set(golden_fig2
-    bc7c20b0318bb0334ce7b28804721d4e18c2c29613c845058821b92cdaf89f5e)
+    caf842eb7a16bb6dde62456d563bff336facc26aa167e749091370c31b1c0bff)
 set(golden_fig3
     aa633929c692064d3d20ad60ea301d01da3cfababd724f748fe2aae9a6f0eee1)
 set(golden_fig5
