@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "packet/frame_view.h"
 #include "util/log.h"
 
 namespace gq::gw {
@@ -41,17 +42,10 @@ void ArpProxy::handle(const pkt::ArpMessage& arp) {
     }
   }
   if (arp.op == pkt::ArpMessage::Op::kRequest && owns(arp.target_ip)) {
-    pkt::ArpMessage reply;
-    reply.op = pkt::ArpMessage::Op::kReply;
-    reply.sender_mac = my_mac_;
-    reply.sender_ip = arp.target_ip;  // Answer as the queried address.
-    reply.target_mac = arp.sender_mac;
-    reply.target_ip = arp.sender_ip;
-    pkt::EthHeader eth;
-    eth.dst = arp.sender_mac;
-    eth.src = my_mac_;
-    eth.ethertype = pkt::kEtherTypeArp;
-    emit_(pkt::serialize_eth(eth, pkt::serialize_arp(reply)));
+    // Answer as the queried address.
+    emit_(pkt::build_arp({.dst = arp.sender_mac, .src = my_mac_},
+                         {pkt::ArpMessage::Op::kReply, my_mac_, arp.target_ip,
+                          arp.sender_mac, arp.sender_ip}));
   }
 }
 
@@ -77,16 +71,11 @@ void ArpProxy::send_request(util::Ipv4Addr target) {
     pending_.erase(it);
     return;
   }
-  pkt::ArpMessage request;
-  request.op = pkt::ArpMessage::Op::kRequest;
-  request.sender_mac = my_mac_;
-  request.sender_ip = my_addr_;
-  request.target_ip = target;
-  pkt::EthHeader eth;
-  eth.dst = util::MacAddr::broadcast();
-  eth.src = my_mac_;
-  eth.ethertype = pkt::kEtherTypeArp;
-  emit_(pkt::serialize_eth(eth, pkt::serialize_arp(request)));
+  emit_(pkt::build_arp({.dst = util::MacAddr::broadcast(), .src = my_mac_},
+                       {.op = pkt::ArpMessage::Op::kRequest,
+                        .sender_mac = my_mac_,
+                        .sender_ip = my_addr_,
+                        .target_ip = target}));
   loop_.schedule_in(kRetryDelay, [this, target] {
     if (pending_.count(target)) send_request(target);
   });

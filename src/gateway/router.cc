@@ -238,33 +238,22 @@ void SubfarmRouter::report(const Flow& flow, obs::FarmEvent::Kind kind) {
 void SubfarmRouter::emit_tcp(util::Endpoint src, util::Endpoint dst,
                              std::uint8_t flags, std::uint32_t seq,
                              std::uint32_t ack,
-                             std::vector<std::uint8_t> payload) {
-  pkt::DecodedFrame frame;
-  frame.eth.ethertype = pkt::kEtherTypeIpv4;
-  frame.ip = pkt::Ipv4Packet{};
-  frame.ip->src = src.addr;
-  frame.ip->dst = dst.addr;
-  frame.ip->ttl = 63;
-  frame.tcp = pkt::TcpSegment{};
-  frame.tcp->src_port = src.port;
-  frame.tcp->dst_port = dst.port;
-  frame.tcp->flags = flags;
-  frame.tcp->seq = seq;
-  frame.tcp->ack = ack;
-  frame.tcp->payload = std::move(payload);
-  gateway_.emit_raw(frame.encode());
+                             std::span<const std::uint8_t> payload) {
+  gateway_.emit_raw(pkt::build_tcp(
+      {}, {.src = src.addr, .dst = dst.addr, .ttl = 63},
+      {.src_port = src.port,
+       .dst_port = dst.port,
+       .seq = seq,
+       .ack = ack,
+       .flags = flags},
+      payload));
 }
 
 void SubfarmRouter::emit_udp(util::Endpoint src, util::Endpoint dst,
-                             std::vector<std::uint8_t> payload) {
-  pkt::DecodedFrame frame;
-  frame.eth.ethertype = pkt::kEtherTypeIpv4;
-  frame.ip = pkt::Ipv4Packet{};
-  frame.ip->src = src.addr;
-  frame.ip->dst = dst.addr;
-  frame.ip->ttl = 63;
-  frame.udp = pkt::UdpDatagram{src.port, dst.port, std::move(payload)};
-  gateway_.emit_raw(frame.encode());
+                             std::span<const std::uint8_t> payload) {
+  gateway_.emit_raw(pkt::build_udp(
+      {}, {.src = src.addr, .dst = dst.addr, .ttl = 63},
+      {src.port, dst.port}, payload));
 }
 
 util::Endpoint SubfarmRouter::nat_source_for(const Flow& flow,
@@ -754,7 +743,7 @@ void SubfarmRouter::relay_inmate_to_server(Flow& flow, pkt::FrameView& view,
         flow.bytes_to_server += payload_len;
         emit_tcp(flow.cs_src, flow.server_ep,
                  pkt::kTcpAck | pkt::kTcpPsh, seq + flow.d_out,
-                 ack - flow.d_in, {payload.begin(), payload.end()});
+                 ack - flow.d_in, payload);
       } else if (view.tcp_has_ack() && flow.req_shim_sent && !fin) {
         emit_tcp(flow.cs_src, flow.server_ep, pkt::kTcpAck,
                  seq + flow.d_out, ack - flow.d_in, {});
@@ -1017,8 +1006,7 @@ void SubfarmRouter::apply_verdict(Flow& flow, const shim::ResponseShim& shim,
       // TCP stream's is relayed by process_cs_stream.
       if (!remainder.empty()) {
         flow.bytes_to_inmate += remainder.size();
-        emit_udp(flow.orig_dst, flow.inmate_ep,
-                 {remainder.begin(), remainder.end()});
+        emit_udp(flow.orig_dst, flow.inmate_ep, remainder);
       }
       break;
     case shim::Verdict::kDrop:
@@ -1124,7 +1112,7 @@ void SubfarmRouter::start_udp_relay(Flow& flow) {
       flows_.at({flow.proto, flow.inmate_ep, flow.orig_dst});
   // Flush everything the inmate sent before the verdict.
   for (auto& payload : flow.udp_buffer)
-    emit_udp(nat_src, flow.server_ep, std::move(payload));
+    emit_udp(nat_src, flow.server_ep, payload);
   flow.udp_buffer.clear();
 }
 
@@ -1245,7 +1233,7 @@ void SubfarmRouter::udp_from_inmate(Flow& flow,
   shim.vlan = flow.vlan;
   auto shimmed = shim.encode();
   shimmed.insert(shimmed.end(), payload.begin(), payload.end());
-  emit_udp(flow.cs_src, flow.cs_ep, std::move(shimmed));
+  emit_udp(flow.cs_src, flow.cs_ep, shimmed);
   flow.bytes_to_server += payload.size();
 }
 
@@ -1268,8 +1256,7 @@ void SubfarmRouter::udp_from_server(Flow& flow,
     apply_verdict(flow, *shim, remainder);
   } else if (flow.phase == FlowPhase::kEstablished && !remainder.empty()) {
     flow.bytes_to_inmate += remainder.size();
-    emit_udp(flow.orig_dst, flow.inmate_ep,
-             {remainder.begin(), remainder.end()});
+    emit_udp(flow.orig_dst, flow.inmate_ep, remainder);
   }
 }
 

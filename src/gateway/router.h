@@ -268,13 +268,13 @@ class SubfarmRouter {
   [[nodiscard]] util::Endpoint cs_for_vlan(std::uint16_t vlan) const;
   [[nodiscard]] bool is_internal(util::Ipv4Addr addr) const;
   [[nodiscard]] bool is_infra(util::Ipv4Addr addr) const;
-  /// Synthesised segments: built, encoded once, and handed to the
-  /// gateway's one egress.
+  /// Synthesised segments: built once by the frame builder and handed
+  /// to the gateway's one egress, which fills in the MACs.
   void emit_tcp(util::Endpoint src, util::Endpoint dst, std::uint8_t flags,
                 std::uint32_t seq, std::uint32_t ack,
-                std::vector<std::uint8_t> payload);
+                std::span<const std::uint8_t> payload);
   void emit_udp(util::Endpoint src, util::Endpoint dst,
-                std::vector<std::uint8_t> payload);
+                std::span<const std::uint8_t> payload);
   void report(const Flow& flow, obs::FarmEvent::Kind kind);
   obs::Counter& verdict_counter(shim::Verdict verdict);
   void close_flow(Flow& flow);

@@ -13,21 +13,13 @@ constexpr util::Duration kArpRetryDelay = util::milliseconds(500);
 
 void UdpSocket::send_to(util::Endpoint dst,
                         std::span<const std::uint8_t> payload) {
-  pkt::UdpDatagram dgram;
-  dgram.src_port = port_;
-  dgram.dst_port = dst.port;
-  dgram.payload.assign(payload.begin(), payload.end());
-  stack_.send_udp(stack_.addr(), dst.addr, dgram, /*broadcast=*/false);
+  stack_.send_udp(dst.addr, {port_, dst.port}, payload, /*broadcast=*/false);
 }
 
 void UdpSocket::send_broadcast(std::uint16_t dst_port,
                                std::span<const std::uint8_t> payload) {
-  pkt::UdpDatagram dgram;
-  dgram.src_port = port_;
-  dgram.dst_port = dst_port;
-  dgram.payload.assign(payload.begin(), payload.end());
-  stack_.send_udp(stack_.addr(), util::Ipv4Addr(255, 255, 255, 255), dgram,
-                  /*broadcast=*/true);
+  stack_.send_udp(util::Ipv4Addr(255, 255, 255, 255), {port_, dst_port},
+                  payload, /*broadcast=*/true);
 }
 
 void UdpSocket::close() { stack_.remove_udp(port_); }
@@ -127,55 +119,42 @@ void HostStack::remove_connection(const TcpConnection& conn) {
 
 void HostStack::remove_udp(std::uint16_t port) { udp_sockets_.erase(port); }
 
-void HostStack::send_tcp(util::Ipv4Addr dst, const pkt::TcpSegment& seg) {
-  send_ipv4(dst, pkt::kProtoTcp, pkt::serialize_tcp(addr(), dst, seg));
+void HostStack::send_tcp(util::Ipv4Addr dst, const pkt::TcpHeader& tcp,
+                         std::span<const std::uint8_t> payload) {
+  send_ipv4(dst, pkt::build_tcp({.src = mac_}, {.src = addr(), .dst = dst},
+                                tcp, payload));
 }
 
-void HostStack::send_udp(util::Ipv4Addr src, util::Ipv4Addr dst,
-                         const pkt::UdpDatagram& dgram, bool broadcast) {
-  if (broadcast) {
-    // Link-local broadcast bypasses routing and ARP entirely.
-    pkt::Ipv4Packet ip;
-    ip.src = src;
-    ip.dst = dst;
-    ip.protocol = pkt::kProtoUdp;
-    ip.payload = pkt::serialize_udp(src, dst, dgram);
-    transmit_to_mac(util::MacAddr::broadcast(), pkt::kEtherTypeIpv4,
-                    pkt::serialize_ipv4(ip));
-    ++ip_tx_;
+void HostStack::send_udp(util::Ipv4Addr dst, const pkt::UdpHeader& udp,
+                         std::span<const std::uint8_t> payload,
+                         bool broadcast) {
+  if (!broadcast) {
+    send_ipv4(dst, pkt::build_udp({.src = mac_}, {.src = addr(), .dst = dst},
+                                  udp, payload));
     return;
   }
-  send_ipv4(dst, pkt::kProtoUdp, pkt::serialize_udp(src, dst, dgram));
+  nic_.transmit(sim::Frame{pkt::build_udp(
+      {.dst = util::MacAddr::broadcast(), .src = mac_},
+      {.src = addr(), .dst = dst}, udp, payload)});
+  ++ip_tx_;
 }
 
-void HostStack::send_ipv4(util::Ipv4Addr dst, std::uint8_t proto,
-                          std::vector<std::uint8_t> payload,
-                          std::optional<util::Ipv4Addr> src_override) {
+void HostStack::send_ipv4(util::Ipv4Addr dst,
+                          std::vector<std::uint8_t> frame) {
   if (!config_) {
     GQ_DEBUG(kLog, "%s: dropping IP packet, no configuration", name_.c_str());
     return;
   }
-  pkt::Ipv4Packet ip;
-  ip.src = src_override.value_or(config_->addr);
-  ip.dst = dst;
-  ip.protocol = proto;
-  ip.payload = std::move(payload);
-  auto packet = pkt::serialize_ipv4(ip);
   ++ip_tx_;
-
   const util::Ipv4Addr next_hop =
       config_->subnet.contains(dst) ? dst : config_->gateway;
   if (auto it = arp_cache_.find(next_hop); it != arp_cache_.end()) {
-    transmit_to_mac(it->second, pkt::kEtherTypeIpv4, std::move(packet));
+    pkt::set_eth_addrs(frame, mac_, it->second);
+    nic_.transmit(sim::Frame{std::move(frame)});
     return;
   }
-  arp_resolve(next_hop, std::move(packet));
-}
-
-void HostStack::arp_resolve(util::Ipv4Addr next_hop,
-                            std::vector<std::uint8_t> packet) {
   auto& pending = arp_pending_[next_hop];
-  pending.queue.push_back(std::move(packet));
+  pending.queue.push_back(std::move(frame));
   if (pending.queue.size() > 1) return;  // Request already outstanding.
   pending.attempts = 0;
   send_arp_request(next_hop);
@@ -190,25 +169,15 @@ void HostStack::send_arp_request(util::Ipv4Addr target) {
     arp_pending_.erase(it);
     return;
   }
-  pkt::ArpMessage arp;
-  arp.op = pkt::ArpMessage::Op::kRequest;
-  arp.sender_mac = mac_;
-  arp.sender_ip = addr();
-  arp.target_ip = target;
-  transmit_to_mac(util::MacAddr::broadcast(), pkt::kEtherTypeArp,
-                  pkt::serialize_arp(arp));
+  nic_.transmit(sim::Frame{pkt::build_arp(
+      {.dst = util::MacAddr::broadcast(), .src = mac_},
+      {.op = pkt::ArpMessage::Op::kRequest,
+       .sender_mac = mac_,
+       .sender_ip = addr(),
+       .target_ip = target})});
   loop_.schedule_in(kArpRetryDelay, [this, target] {
     if (arp_pending_.count(target)) send_arp_request(target);
   });
-}
-
-void HostStack::transmit_to_mac(util::MacAddr dst_mac, std::uint16_t ethertype,
-                                std::vector<std::uint8_t> payload) {
-  pkt::EthHeader eth;
-  eth.dst = dst_mac;
-  eth.src = mac_;
-  eth.ethertype = ethertype;
-  nic_.transmit(sim::Frame{pkt::serialize_eth(eth, payload)});
 }
 
 void HostStack::handle_frame(sim::Frame frame) {
@@ -231,23 +200,18 @@ void HostStack::handle_arp(const pkt::ArpMessage& arp) {
   if (auto it = arp_pending_.find(arp.sender_ip); it != arp_pending_.end()) {
     auto queue = std::move(it->second.queue);
     arp_pending_.erase(it);
-    for (auto& packet : queue)
-      transmit_to_mac(arp.sender_mac, pkt::kEtherTypeIpv4, std::move(packet));
+    for (auto& frame : queue) {
+      pkt::set_eth_addrs(frame, mac_, arp.sender_mac);
+      nic_.transmit(sim::Frame{std::move(frame)});
+    }
   }
 
   if (arp.op == pkt::ArpMessage::Op::kRequest &&
       arp.target_ip == config_->addr) {
-    pkt::ArpMessage reply;
-    reply.op = pkt::ArpMessage::Op::kReply;
-    reply.sender_mac = mac_;
-    reply.sender_ip = config_->addr;
-    reply.target_mac = arp.sender_mac;
-    reply.target_ip = arp.sender_ip;
-    pkt::EthHeader eth;
-    eth.dst = arp.sender_mac;
-    eth.src = mac_;
-    eth.ethertype = pkt::kEtherTypeArp;
-    nic_.transmit(sim::Frame{pkt::serialize_eth(eth, pkt::serialize_arp(reply))});
+    nic_.transmit(sim::Frame{pkt::build_arp(
+        {.dst = arp.sender_mac, .src = mac_},
+        {pkt::ArpMessage::Op::kReply, mac_, config_->addr, arp.sender_mac,
+         arp.sender_ip})});
   }
 }
 
@@ -279,9 +243,10 @@ void HostStack::handle_ipv4(const pkt::Ingress& in,
     }
   } else if (in.icmp && in.icmp->type == 8 && config_) {
     // Echo request: reply in kind.
-    pkt::IcmpMessage reply = *in.icmp;
+    pkt::IcmpHeader reply = *in.icmp;
     reply.type = 0;
-    send_ipv4(src, pkt::kProtoIcmp, pkt::serialize_icmp(reply));
+    send_ipv4(src, pkt::build_icmp({.src = mac_}, {.src = addr(), .dst = src},
+                                   reply, in.icmp->payload));
   }
 }
 
@@ -312,13 +277,13 @@ void HostStack::handle_tcp_segment(const pkt::FrameView& seg) {
   }
   if (!seg.tcp_rst()) {
     // No listener / unknown connection: refuse.
-    pkt::TcpSegment rst;
-    rst.src_port = seg.dst_port();
-    rst.dst_port = seg.src_port();
-    rst.flags = pkt::kTcpRst | pkt::kTcpAck;
-    rst.seq = seg.tcp_has_ack() ? seg.tcp_ack() : 0;
-    rst.ack = seg.tcp_seq() + (seg.tcp_syn() ? 1 : 0) + seg.payload_len();
-    send_tcp(remote.addr, rst);
+    const pkt::TcpHeader rst{
+        .src_port = seg.dst_port(),
+        .dst_port = seg.src_port(),
+        .seq = seg.tcp_has_ack() ? seg.tcp_ack() : 0,
+        .ack = seg.tcp_seq() + (seg.tcp_syn() ? 1 : 0) + seg.payload_len(),
+        .flags = pkt::kTcpRst | pkt::kTcpAck};
+    send_tcp(remote.addr, rst, {});
   }
 }
 

@@ -119,9 +119,12 @@ class HostStack {
 
   // --- Internal interfaces used by TcpConnection / UdpSocket ----------
 
-  void send_tcp(util::Ipv4Addr dst, const pkt::TcpSegment& seg);
-  void send_udp(util::Ipv4Addr src, util::Ipv4Addr dst,
-                const pkt::UdpDatagram& dgram, bool broadcast);
+  void send_tcp(util::Ipv4Addr dst, const pkt::TcpHeader& tcp,
+                std::span<const std::uint8_t> payload);
+  /// `broadcast` sends to 255.255.255.255 on the link, bypassing routing
+  /// and ARP (and the configuration check: DHCP broadcasts from 0.0.0.0).
+  void send_udp(util::Ipv4Addr dst, const pkt::UdpHeader& udp,
+                std::span<const std::uint8_t> payload, bool broadcast);
   void remove_connection(const TcpConnection& conn);
   void remove_udp(std::uint16_t port);
   std::uint16_t allocate_port();
@@ -133,12 +136,10 @@ class HostStack {
   void handle_ipv4(const pkt::Ingress& in,
                    std::span<const std::uint8_t> bytes);
   void handle_tcp_segment(const pkt::FrameView& seg);
-  void send_ipv4(util::Ipv4Addr dst, std::uint8_t proto,
-                 std::vector<std::uint8_t> payload,
-                 std::optional<util::Ipv4Addr> src_override = std::nullopt);
-  void transmit_to_mac(util::MacAddr dst_mac, std::uint16_t ethertype,
-                       std::vector<std::uint8_t> payload);
-  void arp_resolve(util::Ipv4Addr next_hop, std::vector<std::uint8_t> packet);
+  /// Send one IPv4 frame built with this host's MAC as its source: patch
+  /// in the next hop's MAC when it is cached, else queue the frame behind
+  /// an ARP exchange.
+  void send_ipv4(util::Ipv4Addr dst, std::vector<std::uint8_t> frame);
   void send_arp_request(util::Ipv4Addr target);
 
   sim::EventLoop& loop_;
@@ -150,7 +151,7 @@ class HostStack {
 
   // ARP.
   struct PendingArp {
-    std::vector<std::vector<std::uint8_t>> queue;  // Queued IPv4 packets.
+    std::vector<std::vector<std::uint8_t>> queue;  // Queued IPv4 frames.
     int attempts = 0;
   };
   std::map<util::Ipv4Addr, util::MacAddr> arp_cache_;

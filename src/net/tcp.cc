@@ -115,14 +115,12 @@ void TcpConnection::abort() {
 
 void TcpConnection::emit(std::uint8_t flags, std::uint32_t seq,
                          std::span<const std::uint8_t> payload) {
-  pkt::TcpSegment seg;
-  seg.src_port = local_.port;
-  seg.dst_port = remote_.port;
-  seg.seq = seq;
-  seg.flags = flags;
-  if (flags & pkt::kTcpAck) seg.ack = rcv_nxt_;
-  seg.payload.assign(payload.begin(), payload.end());
-  stack_.send_tcp(remote_.addr, seg);
+  const pkt::TcpHeader tcp{.src_port = local_.port,
+                           .dst_port = remote_.port,
+                           .seq = seq,
+                           .ack = (flags & pkt::kTcpAck) ? rcv_nxt_ : 0,
+                           .flags = flags};
+  stack_.send_tcp(remote_.addr, tcp, payload);
 }
 
 void TcpConnection::send_ack() { emit(pkt::kTcpAck, snd_nxt_, {}); }

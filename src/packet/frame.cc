@@ -1,5 +1,7 @@
 #include "packet/frame.h"
 
+#include "packet/frame_view.h"
+
 #include "util/strings.h"
 
 namespace gq::pkt {
@@ -17,22 +19,12 @@ std::uint16_t DecodedFrame::dst_port() const {
 }
 
 std::vector<std::uint8_t> DecodedFrame::encode() const {
-  if (arp) return serialize_eth(eth, serialize_arp(*arp));
-  if (ip) {
-    Ipv4Packet copy = *ip;
-    if (tcp) {
-      copy.protocol = kProtoTcp;
-      copy.payload = serialize_tcp(copy.src, copy.dst, *tcp);
-    } else if (udp) {
-      copy.protocol = kProtoUdp;
-      copy.payload = serialize_udp(copy.src, copy.dst, *udp);
-    } else if (icmp) {
-      copy.protocol = kProtoIcmp;
-      copy.payload = serialize_icmp(*icmp);
-    }
-    return serialize_eth(eth, serialize_ipv4(copy));
-  }
-  return serialize_eth(eth, {});
+  if (arp) return build_arp(eth, *arp);
+  if (!ip) return build_eth(eth);
+  if (tcp) return build_tcp(eth, *ip, *tcp, tcp->payload);
+  if (udp) return build_udp(eth, *ip, *udp, udp->payload);
+  if (icmp) return build_icmp(eth, *ip, *icmp, icmp->payload);
+  return build_ipv4(eth, *ip, ip->payload);
 }
 
 std::string DecodedFrame::summary() const {

@@ -1,8 +1,8 @@
-// Whole-frame decode/encode and the flow-key abstraction the gateway's
-// flow table is keyed on. A DecodedFrame is a fully owned, mutable
-// representation of one Ethernet frame; the gateway decodes, rewrites
-// fields, and re-encodes (checksums recomputed), which keeps all header
-// surgery type-safe instead of offset-based.
+// Whole-frame decode and the flow-key abstraction the gateway's flow
+// table is keyed on. A DecodedFrame is a fully owned representation of
+// one Ethernet frame: what the receive fallback of pkt::parse_ingress
+// makes of a frame no view covers (ICMP, non-canonical TCP/UDP), and the
+// reference the tests hold the view and the frame builder to.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +35,9 @@ struct DecodedFrame {
   [[nodiscard]] std::uint16_t src_port() const;
   [[nodiscard]] std::uint16_t dst_port() const;
 
-  /// Re-encode to wire bytes. L4 payload containers are authoritative:
-  /// when `tcp`/`udp`/`icmp` is set, `ip->payload` is regenerated from it.
+  /// Rebuild the wire bytes with the frame builder (packet/frame_view.h).
+  /// L4 containers are authoritative: when `tcp`/`udp`/`icmp` is set,
+  /// `ip->payload` and `ip->protocol` are not read.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
   /// One-line human summary for logs ("10.0.0.23:1234 > 1.2.3.4:80 TCP S").

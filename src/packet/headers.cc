@@ -6,13 +6,8 @@
 namespace gq::pkt {
 
 using util::ByteReader;
-using util::ByteWriter;
 
 namespace {
-
-void write_mac(ByteWriter& w, util::MacAddr mac) {
-  w.bytes(std::span<const std::uint8_t>(mac.bytes().data(), 6));
-}
 
 util::MacAddr read_mac(ByteReader& r) {
   auto b = r.bytes(6);
@@ -22,20 +17,6 @@ util::MacAddr read_mac(ByteReader& r) {
 }
 
 }  // namespace
-
-std::vector<std::uint8_t> serialize_eth(
-    const EthHeader& eth, std::span<const std::uint8_t> payload) {
-  ByteWriter w(18 + payload.size());
-  write_mac(w, eth.dst);
-  write_mac(w, eth.src);
-  if (eth.vlan) {
-    w.u16(kEtherTypeVlan);
-    w.u16(*eth.vlan & 0x0FFF);  // PCP/DEI zero.
-  }
-  w.u16(eth.ethertype);
-  w.bytes(payload);
-  return w.take();
-}
 
 std::optional<EthHeader> parse_eth(std::span<const std::uint8_t> frame,
                                    std::span<const std::uint8_t>* payload) {
@@ -57,20 +38,6 @@ std::optional<EthHeader> parse_eth(std::span<const std::uint8_t> frame,
   }
 }
 
-std::vector<std::uint8_t> serialize_arp(const ArpMessage& arp) {
-  ByteWriter w(28);
-  w.u16(1);                       // HTYPE: Ethernet.
-  w.u16(kEtherTypeIpv4);          // PTYPE: IPv4.
-  w.u8(6);                        // HLEN.
-  w.u8(4);                        // PLEN.
-  w.u16(static_cast<std::uint16_t>(arp.op));
-  write_mac(w, arp.sender_mac);
-  w.u32(arp.sender_ip.value());
-  write_mac(w, arp.target_mac);
-  w.u32(arp.target_ip.value());
-  return w.take();
-}
-
 std::optional<ArpMessage> parse_arp(std::span<const std::uint8_t> data) {
   try {
     ByteReader r(data);
@@ -88,24 +55,6 @@ std::optional<ArpMessage> parse_arp(std::span<const std::uint8_t> data) {
   } catch (const util::BufferUnderflow&) {
     return std::nullopt;
   }
-}
-
-std::vector<std::uint8_t> serialize_ipv4(const Ipv4Packet& ip) {
-  ByteWriter w(20 + ip.payload.size());
-  w.u8(0x45);  // Version 4, IHL 5.
-  w.u8(0);     // DSCP/ECN.
-  w.u16(static_cast<std::uint16_t>(20 + ip.payload.size()));
-  w.u16(ip.ident);
-  w.u16(0);  // Flags/fragment offset: never fragmented by the simulator.
-  w.u8(ip.ttl);
-  w.u8(ip.protocol);
-  w.u16(0);  // Checksum placeholder.
-  w.u32(ip.src.value());
-  w.u32(ip.dst.value());
-  const std::uint16_t csum = checksum(w.view().subspan(0, 20));
-  w.patch_u16(10, csum);
-  w.bytes(ip.payload);
-  return w.take();
 }
 
 std::optional<Ipv4Packet> parse_ipv4(std::span<const std::uint8_t> data,
@@ -138,24 +87,6 @@ std::optional<Ipv4Packet> parse_ipv4(std::span<const std::uint8_t> data,
   }
 }
 
-std::vector<std::uint8_t> serialize_tcp(util::Ipv4Addr src, util::Ipv4Addr dst,
-                                        const TcpSegment& tcp) {
-  ByteWriter w(20 + tcp.payload.size());
-  w.u16(tcp.src_port);
-  w.u16(tcp.dst_port);
-  w.u32(tcp.seq);
-  w.u32(tcp.ack);
-  w.u8(0x50);  // Data offset 5 words, no options.
-  w.u8(tcp.flags);
-  w.u16(tcp.window);
-  w.u16(0);  // Checksum placeholder.
-  w.u16(0);  // Urgent pointer.
-  w.bytes(tcp.payload);
-  const std::uint16_t csum = l4_checksum(src, dst, kProtoTcp, w.view());
-  w.patch_u16(16, csum);
-  return w.take();
-}
-
 std::optional<TcpSegment> parse_tcp(util::Ipv4Addr src, util::Ipv4Addr dst,
                                     std::span<const std::uint8_t> data,
                                     bool verify_checksum) {
@@ -182,20 +113,6 @@ std::optional<TcpSegment> parse_tcp(util::Ipv4Addr src, util::Ipv4Addr dst,
   }
 }
 
-std::vector<std::uint8_t> serialize_udp(util::Ipv4Addr src, util::Ipv4Addr dst,
-                                        const UdpDatagram& udp) {
-  ByteWriter w(8 + udp.payload.size());
-  w.u16(udp.src_port);
-  w.u16(udp.dst_port);
-  w.u16(static_cast<std::uint16_t>(8 + udp.payload.size()));
-  w.u16(0);  // Checksum placeholder.
-  w.bytes(udp.payload);
-  std::uint16_t csum = l4_checksum(src, dst, kProtoUdp, w.view());
-  if (csum == 0) csum = 0xFFFF;  // RFC 768: zero is "no checksum".
-  w.patch_u16(6, csum);
-  return w.take();
-}
-
 std::optional<UdpDatagram> parse_udp(util::Ipv4Addr src, util::Ipv4Addr dst,
                                      std::span<const std::uint8_t> data,
                                      bool verify_checksum) {
@@ -216,18 +133,6 @@ std::optional<UdpDatagram> parse_udp(util::Ipv4Addr src, util::Ipv4Addr dst,
   } catch (const util::BufferUnderflow&) {
     return std::nullopt;
   }
-}
-
-std::vector<std::uint8_t> serialize_icmp(const IcmpMessage& icmp) {
-  ByteWriter w(8 + icmp.payload.size());
-  w.u8(icmp.type);
-  w.u8(icmp.code);
-  w.u16(0);  // Checksum placeholder.
-  w.u16(icmp.ident);
-  w.u16(icmp.sequence);
-  w.bytes(icmp.payload);
-  w.patch_u16(2, checksum(w.view()));
-  return w.take();
 }
 
 std::optional<IcmpMessage> parse_icmp(std::span<const std::uint8_t> data) {

@@ -1,8 +1,11 @@
-// Wire-format constants and mutable header representations for the
-// protocols GQ's data path speaks: Ethernet (+802.1Q), ARP, IPv4, TCP,
-// UDP, ICMP. The gateway parses frames into these structs, rewrites
-// fields (NAT, sequence bumping, redirection), and re-serializes; all
-// checksums are recomputed on serialization.
+// Wire-format constants and header representations for the protocols
+// GQ's data path speaks: Ethernet (+802.1Q), ARP, IPv4, TCP, UDP, ICMP.
+// The `*Header` structs hold the fields a sender chooses; the frame
+// builder (packet/frame_view.h) writes them to the wire and derives every
+// length and checksum. The owning structs beside them (`Ipv4Packet`,
+// `TcpSegment`, ...) add a copy of the payload: they are what the
+// per-layer parsers below return, for pkt::decode_frame, which serves
+// the receive fallback for frames no view covers, ICMP and tests.
 #pragma once
 
 #include <cstdint>
@@ -34,41 +37,40 @@ inline constexpr std::uint8_t kTcpAck = 0x10;
 /// Ethernet header; `vlan` present iff the frame carries an 802.1Q tag.
 /// GQ identifies inmates by VLAN ID (§5.2), so the tag is first-class.
 struct EthHeader {
-  util::MacAddr dst;
-  util::MacAddr src;
-  std::optional<std::uint16_t> vlan;  // 12-bit VID.
-  std::uint16_t ethertype = 0;        // Inner ethertype (after any tag).
+  util::MacAddr dst{};
+  util::MacAddr src{};
+  std::optional<std::uint16_t> vlan{};  // 12-bit VID.
+  std::uint16_t ethertype = 0;          // Inner ethertype (after any tag).
 };
 
 /// ARP request/reply (IPv4 over Ethernet only).
 struct ArpMessage {
   enum class Op : std::uint16_t { kRequest = 1, kReply = 2 };
   Op op = Op::kRequest;
-  util::MacAddr sender_mac;
-  util::Ipv4Addr sender_ip;
-  util::MacAddr target_mac;
-  util::Ipv4Addr target_ip;
+  util::MacAddr sender_mac{};
+  util::Ipv4Addr sender_ip{};
+  util::MacAddr target_mac{};
+  util::Ipv4Addr target_ip{};
 };
 
-/// IPv4 header (no options) + payload ownership.
-struct Ipv4Packet {
-  util::Ipv4Addr src;
-  util::Ipv4Addr dst;
+/// IPv4 header fields (20 bytes, no options); length and checksum are
+/// derived from what the header carries.
+struct Ipv4Header {
+  util::Ipv4Addr src{};
+  util::Ipv4Addr dst{};
   std::uint8_t protocol = 0;
   std::uint8_t ttl = 64;
   std::uint16_t ident = 0;
-  std::vector<std::uint8_t> payload;
 };
 
-/// TCP segment (header without options + payload).
-struct TcpSegment {
+/// TCP header fields (20 bytes, no options).
+struct TcpHeader {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
   std::uint32_t seq = 0;
   std::uint32_t ack = 0;
   std::uint8_t flags = 0;
   std::uint16_t window = 65535;
-  std::vector<std::uint8_t> payload;
 
   [[nodiscard]] bool syn() const { return flags & kTcpSyn; }
   [[nodiscard]] bool fin() const { return flags & kTcpFin; }
@@ -76,42 +78,25 @@ struct TcpSegment {
   [[nodiscard]] bool has_ack() const { return flags & kTcpAck; }
 };
 
-/// UDP datagram.
-struct UdpDatagram {
+/// UDP header fields (length and checksum are derived).
+struct UdpHeader {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
-  std::vector<std::uint8_t> payload;
 };
 
-/// ICMP message (echo and unreachable are what the farm uses).
-struct IcmpMessage {
+/// ICMP header fields (echo and unreachable are what the farm uses).
+struct IcmpHeader {
   std::uint8_t type = 0;
   std::uint8_t code = 0;
   std::uint16_t ident = 0;
   std::uint16_t sequence = 0;
-  std::vector<std::uint8_t> payload;
 };
 
-// --- Serialization -------------------------------------------------------
-
-/// Serialize an Ethernet frame: header (+optional 802.1Q tag) + payload.
-std::vector<std::uint8_t> serialize_eth(const EthHeader& eth,
-                                        std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> serialize_arp(const ArpMessage& arp);
-
-/// Serialize IPv4 header + payload with correct header checksum.
-std::vector<std::uint8_t> serialize_ipv4(const Ipv4Packet& ip);
-
-/// Serialize a TCP segment with a correct pseudo-header checksum; the
-/// src/dst addresses are those of the enclosing IPv4 packet.
-std::vector<std::uint8_t> serialize_tcp(util::Ipv4Addr src, util::Ipv4Addr dst,
-                                        const TcpSegment& tcp);
-
-std::vector<std::uint8_t> serialize_udp(util::Ipv4Addr src, util::Ipv4Addr dst,
-                                        const UdpDatagram& udp);
-
-std::vector<std::uint8_t> serialize_icmp(const IcmpMessage& icmp);
+// The decoded forms: header fields plus an owned copy of the payload.
+struct Ipv4Packet : Ipv4Header { std::vector<std::uint8_t> payload; };
+struct TcpSegment : TcpHeader { std::vector<std::uint8_t> payload; };
+struct UdpDatagram : UdpHeader { std::vector<std::uint8_t> payload; };
+struct IcmpMessage : IcmpHeader { std::vector<std::uint8_t> payload; };
 
 // --- Parsing -------------------------------------------------------------
 // Parsers return nullopt on truncated or malformed input; checksums are

@@ -12,6 +12,7 @@
 #include "netsim/port.h"
 #include "netsim/vlan_switch.h"
 #include "obs/metrics.h"
+#include "packet/frame_view.h"
 #include "packet/headers.h"
 
 namespace gq::sim {
@@ -380,14 +381,15 @@ TEST(Fault, IndependentSeedsPerDirection) {
 
 // --- VLAN switch ----------------------------------------------------------
 
+// A minimum-size IPv4 frame (46 bytes behind the L2 header), tagged when
+// `eth.vlan` is set.
+Frame ipv4_frame(const pkt::EthHeader& eth) {
+  return Frame{pkt::build_ipv4(eth, {}, std::vector<std::uint8_t>(26, 0))};
+}
+
 // Builds an untagged unicast/broadcast frame with the given MACs.
 Frame make_frame(MacAddr dst, MacAddr src) {
-  pkt::EthHeader eth;
-  eth.dst = dst;
-  eth.src = src;
-  eth.ethertype = pkt::kEtherTypeIpv4;
-  std::vector<std::uint8_t> payload(46, 0);
-  return Frame{pkt::serialize_eth(eth, payload)};
+  return ipv4_frame({.dst = dst, .src = src});
 }
 
 struct SwitchFixture : ::testing::Test {
@@ -450,12 +452,8 @@ TEST_F(SwitchFixture, TrunkCarriesTaggedFrames) {
 TEST_F(SwitchFixture, TrunkToAccessStripsTag) {
   sw.set_access(0, 10);
   sw.set_trunk_all(3);
-  pkt::EthHeader eth;
-  eth.dst = MacAddr::broadcast();
-  eth.src = MacAddr::local(200);
-  eth.vlan = 10;
-  eth.ethertype = pkt::kEtherTypeIpv4;
-  trunk.transmit(Frame{pkt::serialize_eth(eth, std::vector<std::uint8_t>(46, 0))});
+  trunk.transmit(ipv4_frame(
+      {.dst = MacAddr::broadcast(), .src = MacAddr::local(200), .vlan = 10}));
   loop.run_all();
   ASSERT_EQ(rx0.size(), 1u);
   auto parsed = pkt::parse_eth(rx0[0].bytes, nullptr);
@@ -484,12 +482,8 @@ TEST_F(SwitchFixture, UnconfiguredPortDrops) {
 TEST_F(SwitchFixture, TaggedFrameOnAccessPortDropped) {
   sw.set_access(0, 10);
   sw.set_access(1, 10);
-  pkt::EthHeader eth;
-  eth.dst = MacAddr::broadcast();
-  eth.src = MacAddr::local(100);
-  eth.vlan = 10;
-  eth.ethertype = pkt::kEtherTypeIpv4;
-  h0.transmit(Frame{pkt::serialize_eth(eth, std::vector<std::uint8_t>(46, 0))});
+  h0.transmit(ipv4_frame(
+      {.dst = MacAddr::broadcast(), .src = MacAddr::local(100), .vlan = 10}));
   loop.run_all();
   EXPECT_EQ(rx1.size(), 0u);
 }
