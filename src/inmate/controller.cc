@@ -70,7 +70,6 @@ bool InmateController::apply(const std::string& verb, std::uint16_t vlan) {
 void RawIronController::bind_metrics(obs::MetricsRegistry& metrics) {
   if (reimages_counter_) return;
   reimages_counter_ = &metrics.counter("inmate.pool.reimages");
-  metrics.counter("inmate.pool.power_cycles");
 }
 
 void RawIronController::register_system(Inmate& inmate) {

@@ -74,8 +74,7 @@ class RawIronController {
  public:
   /// Surface fleet bookkeeping through obs::: the `inmate.pool.reimages`
   /// counter tracks every reimage issued after the bind (resolve-once,
-  /// same contract as VlanPool::bind_metrics). `inmate.pool.power_cycles`
-  /// is registered beside it and stays zero: the fleet is only reimaged.
+  /// same contract as VlanPool::bind_metrics).
   void bind_metrics(obs::MetricsRegistry& metrics);
 
   void register_system(Inmate& inmate);

@@ -44,6 +44,8 @@ struct DhcpMessage {
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static std::optional<DhcpMessage> parse(std::span<const std::uint8_t> data);
+
+  bool operator==(const DhcpMessage&) const = default;
 };
 
 /// What a DHCP responder hands out.

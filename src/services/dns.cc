@@ -11,11 +11,14 @@ namespace {
 
 constexpr const char* kLog = "dns";
 
-// Encode a dotted name as DNS labels.
+// Encode a dotted name as DNS labels; the root name "" is the lone
+// terminating zero.
 void encode_name(util::ByteWriter& w, const std::string& name) {
-  for (const auto& label : util::split(name, '.')) {
-    w.u8(static_cast<std::uint8_t>(label.size()));
-    w.str(label);
+  if (!name.empty()) {
+    for (const auto& label : util::split(name, '.')) {
+      w.u8(static_cast<std::uint8_t>(label.size()));
+      w.str(label);
+    }
   }
   w.u8(0);
 }
@@ -28,8 +31,11 @@ std::optional<std::string> decode_name(util::ByteReader& r) {
     const std::uint8_t len = r.u8();
     if (len == 0) break;
     if (len >= 0xC0) return std::nullopt;  // Compression unsupported.
+    const std::string label = r.str(len);
+    // A dot inside a label has no spelling in the dotted name.
+    if (label.find('.') != std::string::npos) return std::nullopt;
     if (!name.empty()) name += '.';
-    name += r.str(len);
+    name += label;
   }
   return util::to_lower(name);
 }

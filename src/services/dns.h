@@ -32,6 +32,8 @@ struct DnsMessage {
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static std::optional<DnsMessage> parse(std::span<const std::uint8_t> data);
+
+  bool operator==(const DnsMessage&) const = default;
 };
 
 /// Authoritative DNS server over a static zone; unknown names get
