@@ -291,6 +291,25 @@ void BM_SwitchForward(benchmark::State& state) {
 }
 BENCHMARK(BM_SwitchForward);
 
+void BM_PortTransmitDeliver(benchmark::State& state) {
+  // One frame over a bare link: transmit, one scheduled delivery, the
+  // receive handler. A fresh frame per send, as every sender builds one.
+  sim::EventLoop loop;
+  sim::Port a(loop, "a"), b(loop, "b");
+  sim::Port::connect(a, b, util::microseconds(1));
+  std::size_t received = 0;
+  b.set_rx([&received](sim::Frame f) { received += f.bytes.size(); });
+  const auto frame_bytes =
+      sample_tcp_frame(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    a.transmit(sim::Frame{frame_bytes});
+    loop.run_all();
+  }
+  benchmark::DoNotOptimize(received);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PortTransmitDeliver)->Arg(0)->Arg(1460);
+
 void BM_MetricsCounterInc(benchmark::State& state) {
   obs::MetricsRegistry registry;
   auto& counter = registry.counter("bench.frames");

@@ -17,6 +17,13 @@
 
 namespace gq::sim {
 
+class Port;
+
+/// One Ethernet frame on the wire.
+struct Frame {
+  std::vector<std::uint8_t> bytes;
+};
+
 /// Handle for cancelling a scheduled event. Encodes (generation, slot):
 /// slots are recycled, generations make stale handles harmless.
 using EventId = std::uint64_t;
@@ -43,8 +50,15 @@ class EventLoop {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
+  /// Schedule `frame` to arrive at port `to` at `at` (clamped to now),
+  /// as one event ordered with closures by (time, schedule order). The
+  /// frame waits in the slot table, so a delivery costs no closure.
+  EventId schedule_delivery(util::TimePoint at, Port& to, Frame frame);
+
   /// Cancel a pending event; cancelling an already-run or unknown id is a
   /// harmless no-op (and is not recorded, so `pending()` stays exact).
+  /// The cancelled closure is destroyed when its time is reached, not
+  /// here.
   void cancel(EventId id);
 
   /// Run events until the queue empties or the clock would pass
@@ -72,38 +86,50 @@ class EventLoop {
   /// cancelled).
   [[nodiscard]] std::size_t pending() const { return live_; }
 
-  /// Time of the earliest heap entry, or TimePoint{INT64_MAX} when the
-  /// heap is empty. The entry may be a cancelled one, so this only errs
-  /// early: no event runs before it.
+  /// Time of the earliest heap key, or TimePoint{INT64_MAX} when the
+  /// heap is empty. The key may be a cancelled event's, so this only
+  /// errs early: no event runs before it.
   [[nodiscard]] util::TimePoint next_at() const {
     return heap_.empty() ? util::TimePoint{INT64_MAX} : heap_.front().at;
   }
 
  private:
-  struct Entry {
+  // The heap orders plain 16-byte keys; each event's payload stays put
+  // in its slot, so a sift moves no closure. A key packs the schedule
+  // sequence number (the FIFO tie-break for equal times) into the high
+  // bits of one word and the slot into the low kSlotBits; sequence
+  // numbers are unique, so comparing the word compares them. push()
+  // refuses a slot or a sequence number that would not fit.
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  struct Key {
     util::TimePoint at;
-    std::uint64_t seq;  // FIFO tie-break for equal timestamps.
-    EventId id;
-    std::function<void()> fn;
+    std::uint64_t seq_slot;
+    [[nodiscard]] std::uint32_t slot() const {
+      return static_cast<std::uint32_t>(seq_slot & (kMaxSlots - 1));
+    }
   };
+  static_assert(sizeof(Key) == 16);
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+      return a.seq_slot > b.seq_slot;
     }
   };
 
-  // Slot state for the scheduled-event bookkeeping. The hot path
-  // (schedule, cancel, pop) pays two O(1) array accesses per event where
-  // it used to pay hash probes into a live-set and a cancelled-set — the
-  // event loop is the hottest structure in the whole system, so those
-  // probes were measurable (see BM_EventLoopScheduleCancel).
+  // One slot per event in flight, recycled through free_slots_. Schedule,
+  // cancel and pop each pay O(1) array accesses; the generation makes a
+  // recycled slot's old EventId stale.
   enum class SlotState : std::uint8_t { kFree, kLive, kCancelled };
   struct Slot {
     // Generations start at 1 so EventId 0 is never issued: callers use 0
     // as a "no event" sentinel and cancel(0) must stay a no-op.
     std::uint32_t generation = 1;
     SlotState state = SlotState::kFree;
+    // The payload: a frame delivery when `to` is set, else `fn`.
+    Port* to = nullptr;
+    Frame frame;
+    std::function<void()> fn;
   };
 
   static constexpr std::uint32_t slot_of(EventId id) {
@@ -117,23 +143,22 @@ class EventLoop {
     return (static_cast<EventId>(generation) << 32) | slot;
   }
 
+  /// Claim a live slot and push its key for `at` (clamped to now). The
+  /// caller fills in the slot's payload. Throws std::length_error past
+  /// kMaxSlots events in flight or 2^40 events scheduled.
+  std::uint32_t push(util::TimePoint at);
   bool step(util::TimePoint deadline);
-  /// Pop the top heap entry by move (std::priority_queue::top is const
-  /// and would copy the closure — including any captured frame buffer).
-  Entry pop_entry();
-  /// Return a popped entry's slot to the free list, bumping the
-  /// generation so any still-held EventId for it goes stale.
+  /// Return a popped key's slot to the free list, bumping the generation
+  /// so any still-held EventId for it goes stale. The payload must
+  /// already have been taken out.
   void release_slot(std::uint32_t slot);
 
   util::TimePoint now_{};
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;  // Scheduled and not yet run or cancelled.
-  // Min-heap over `heap_` managed with push_heap/pop_heap so entries can
-  // be moved out instead of copied.
-  std::vector<Entry> heap_;
-  // Generation-tagged slots replacing the former live/cancelled hash
-  // sets; one entry per id ever in flight, recycled through free_slots_.
+  // Min-heap of keys managed with push_heap/pop_heap.
+  std::vector<Key> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 };

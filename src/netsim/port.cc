@@ -46,16 +46,11 @@ void Port::bind_fault_metrics(obs::MetricsRegistry& metrics,
 }
 
 void Port::schedule_delivery(Frame frame, util::Duration delay) {
-  Port* peer = peer_;
-  loop_.schedule_in(delay, [peer, frame = std::move(frame)]() mutable {
-    peer->deliver(std::move(frame));
-  });
+  loop_.schedule_delivery(loop_.now() + delay, *peer_, std::move(frame));
 }
 
 void Port::schedule_bridged(util::TimePoint at, Frame frame) {
-  loop_.schedule_at(at, [this, frame = std::move(frame)]() mutable {
-    deliver(std::move(frame));
-  });
+  loop_.schedule_delivery(at, *this, std::move(frame));
 }
 
 void Port::dispatch(Frame frame, util::Duration delay) {

@@ -24,11 +24,6 @@ class MetricsRegistry;
 
 namespace gq::sim {
 
-/// One Ethernet frame on the wire.
-struct Frame {
-  std::vector<std::uint8_t> bytes;
-};
-
 /// One end of a point-to-point link. Owned by the device it belongs to
 /// (switch, host NIC, gateway interface); devices must outlive the loop's
 /// pending events, which holds in practice because the farm owns
@@ -107,6 +102,9 @@ class Port {
   [[nodiscard]] std::uint64_t dropped_frames() const { return dropped_; }
 
  private:
+  // The loop hands scheduled frames to deliver().
+  friend class EventLoop;
+
   void deliver(Frame frame);
   /// Route a frame with its final delay: onto this loop toward the peer
   /// for an in-domain link, or into the bridge sink for a cross-domain

@@ -184,6 +184,136 @@ TEST(EventLoop, DestroyedWithQueuedClosuresRetiresSlotsFirst) {
   EXPECT_EQ(destroyed, 1);
 }
 
+// --- Closure lifetime contract ---------------------------------------------
+// Where a closure dies is observable: a capture's destructor may cancel
+// timers, schedule events or touch devices. These pin the points at which
+// captures are released, so the byte-identity gates cannot shift under a
+// reworked event core.
+
+TEST(EventLoop, CancelledClosureDiesWhenItsTimePasses) {
+  EventLoop loop;
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = token;
+  const EventId id =
+      loop.schedule_at(util::TimePoint{100}, [token] { FAIL(); });
+  token.reset();
+  loop.cancel(id);
+  EXPECT_EQ(loop.pending(), 0u);
+  // cancel() only tombstones: the capture lives until its entry pops.
+  EXPECT_FALSE(watch.expired());
+  loop.run_until(util::TimePoint{99});
+  EXPECT_FALSE(watch.expired());
+  loop.run_until(util::TimePoint{100});
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(loop.events_executed(), 0u);
+}
+
+TEST(EventLoop, RunClosureDiesBeforeTheNextEventRuns) {
+  EventLoop loop;
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = token;
+  bool alive_while_running = false;
+  bool dead_at_next_event = false;
+  loop.schedule_at(util::TimePoint{10}, [token, &watch, &alive_while_running] {
+    alive_while_running = !watch.expired();
+  });
+  // Same instant, scheduled later: runs in the next step.
+  loop.schedule_at(util::TimePoint{10}, [&watch, &dead_at_next_event] {
+    dead_at_next_event = watch.expired();
+  });
+  token.reset();
+  loop.run_until(util::TimePoint{10});
+  EXPECT_TRUE(alive_while_running);
+  EXPECT_TRUE(dead_at_next_event);
+}
+
+TEST(EventLoop, ClosuresAndFramesAtOneInstantRunInScheduleOrder) {
+  EventLoop loop;
+  Port a(loop, "a"), b(loop, "b");
+  Port::connect(a, b, util::microseconds(50));
+  std::vector<int> order;
+  b.set_rx([&](Frame f) { order.push_back(f.bytes.at(0)); });
+  loop.schedule_at(util::TimePoint{50}, [&] { order.push_back(0); });
+  a.transmit(Frame{{1}});
+  loop.schedule_at(util::TimePoint{50}, [&] { order.push_back(2); });
+  b.schedule_bridged(util::TimePoint{50}, Frame{{3}});
+  a.transmit(Frame{{4}});
+  loop.schedule_at(util::TimePoint{50}, [&] { order.push_back(5); });
+  // An earlier frame scheduled last still runs first.
+  b.schedule_bridged(util::TimePoint{49}, Frame{{9}});
+  EXPECT_EQ(loop.pending(), 7u);
+  loop.run_all();
+  EXPECT_EQ(order, (std::vector<int>{9, 0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(loop.events_executed(), 7u);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, FrameHandlerMayTransmitWhileDelivering) {
+  // Each delivery sends the next frame back from inside its handler, so
+  // the slot the running delivery just left is reused at once.
+  EventLoop loop;
+  Port a(loop, "a"), b(loop, "b");
+  Port::connect(a, b, util::microseconds(10));
+  std::vector<std::uint8_t> seen;
+  auto bounce = [&seen](Port& out) {
+    return [&seen, &out](Frame f) {
+      seen.push_back(f.bytes.at(0));
+      if (f.bytes.at(0) < 6) {
+        f.bytes.at(0) += 1;
+        f.bytes.resize(f.bytes.size() + 100, 0xab);
+        out.transmit(std::move(f));
+      }
+    };
+  };
+  a.set_rx(bounce(a));
+  b.set_rx(bounce(b));
+  a.transmit(Frame{{0}});
+  loop.run_all();
+  EXPECT_EQ(seen, (std::vector<std::uint8_t>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(loop.now().usec, 70);
+  EXPECT_EQ(a.rx_frames() + b.rx_frames(), 7u);
+}
+
+TEST(EventLoop, FramePendingAtDropPendingIsNeverDelivered) {
+  EventLoop loop;
+  Port a(loop, "a"), b(loop, "b");
+  Port::connect(a, b, util::microseconds(50));
+  int delivered = 0;
+  b.set_rx([&](Frame) { ++delivered; });
+  a.transmit(Frame{{1, 2, 3}});
+  loop.schedule_in(util::microseconds(10), [] {});
+  b.schedule_bridged(util::TimePoint{80}, Frame{{4}});
+  EXPECT_EQ(loop.pending(), 3u);
+  loop.run_until(util::TimePoint{20});
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.drop_pending();
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.run_all();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(b.rx_frames(), 0u);
+  EXPECT_EQ(loop.events_executed(), 1u);
+  // The loop stays usable after a drop.
+  a.transmit(Frame{{5}});
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_all();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, FramePendingAtDestructionIsNeverDelivered) {
+  auto loop = std::make_unique<EventLoop>();
+  Port a(*loop, "a"), b(*loop, "b");
+  Port::connect(a, b, util::microseconds(50));
+  int delivered = 0;
+  b.set_rx([&](Frame) { ++delivered; });
+  a.transmit(Frame{std::vector<std::uint8_t>(1460, 7)});
+  b.schedule_bridged(util::TimePoint{10}, Frame{{4}});
+  EXPECT_EQ(loop->pending(), 2u);
+  loop.reset();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(b.rx_frames(), 0u);
+}
+
 TEST(Port, DeliversAfterLatency) {
   EventLoop loop;
   Port a(loop, "a"), b(loop, "b");
