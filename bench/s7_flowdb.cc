@@ -1,7 +1,8 @@
 // FlowDB scan-throughput bench (EXPERIMENTS.md S7): seals a
 // >= 100k-flow index into a one-segment FlowDB store dir and races the
-// query engine against the pre-FlowDB answer path — a linear reload of the
-// archive's flows.txt sidecar with a per-flow predicate pass. Self-
+// query engine against the pre-FlowDB answer path — a linear reload of a
+// text sidecar (one tab-separated line per flow, written and parsed by
+// this file) with a per-flow predicate pass. Self-
 // gating, per the PR 5/6 convention: exits nonzero unless
 //
 //   * the store opens, row counts match, and every query returns the
@@ -37,7 +38,7 @@
 #include "flowdb/query.h"
 #include "flowdb/store.h"
 #include "obs/metrics.h"
-#include "trace/tap.h"
+#include "trace/flow_index.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -95,23 +96,87 @@ std::vector<trace::FlowRecord> synth_flows() {
   return flows;
 }
 
-/// The pre-FlowDB answer path: a saved archive whose index is the
-/// flows.txt text sidecar. (No pcap segments — giving the baseline the
-/// cheapest possible reload makes the gate conservative.)
-bool write_baseline_archive(const std::string& dir,
-                            const std::vector<trace::FlowRecord>& flows) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return false;
-  {
-    std::ofstream manifest(dir + "/manifest.txt",
-                           std::ios::binary | std::ios::trunc);
-    manifest << "gq-trace 1\nname s7-baseline\n";
-    if (!manifest) return false;
+// --- The rescan baseline: a modelled text sidecar ---------------------------
+//
+// The pre-FlowDB answer path: the flow index as a tab-separated text
+// file, one flow per line, reloaded in full (every field parsed, every
+// record indexed) before each question. Saved archives no longer write
+// such a file (their index is a FlowDB store), so this bench keeps its
+// own writer and a reader that parses only what that writer emits.
+
+bool write_text_sidecar(const std::string& path,
+                        const std::vector<trace::FlowRecord>& flows) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  for (const auto& f : flows) {
+    out << (f.key.proto == pkt::FlowProto::kTcp ? "tcp" : "udp") << '\t'
+        << f.key.src.addr.str() << '\t' << f.key.src.port << '\t'
+        << f.key.dst.addr.str() << '\t' << f.key.dst.port << '\t' << f.vlan
+        << '\t' << f.packets << '\t' << f.bytes << '\t'
+        << f.first_time.usec << '\t' << f.last_time.usec << '\t'
+        << (f.has_verdict ? shim::verdict_name(f.verdict) : "-") << '\t'
+        << (f.has_verdict ? shim::verdict_source_name(f.verdict_source) : "-")
+        << '\t' << (f.policy_name.empty() ? "-" : f.policy_name) << '\t'
+        << (f.tenant.empty() ? "-" : f.tenant) << '\t' << f.job << '\t';
+    for (std::size_t i = 0; i < f.locations.size(); ++i)
+      out << (i ? "," : "") << f.locations[i].segment << ':'
+          << f.locations[i].offset;
+    out << '\n';
   }
-  std::ofstream out(dir + "/flows.txt", std::ios::binary | std::ios::trunc);
-  for (const auto& flow : flows) out << trace::flow_record_line(flow) << '\n';
   return static_cast<bool>(out);
+}
+
+/// Reload the sidecar into a flow index; nullopt on any line that is
+/// not one write_text_sidecar emits.
+std::optional<trace::FlowIndex> load_text_sidecar(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  trace::FlowIndex index;
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto f = util::split(line, '\t');
+    if (f.size() != 16) return std::nullopt;
+    trace::FlowRecord r;
+    r.key.proto = f[0] == "tcp" ? pkt::FlowProto::kTcp : pkt::FlowProto::kUdp;
+    const auto src = util::Ipv4Addr::parse(f[1]);
+    const auto dst = util::Ipv4Addr::parse(f[3]);
+    const auto sport = util::parse_int(f[2]), dport = util::parse_int(f[4]);
+    const auto vlan = util::parse_int(f[5]), packets = util::parse_int(f[6]);
+    const auto bytes = util::parse_int(f[7]), first = util::parse_int(f[8]);
+    const auto last = util::parse_int(f[9]), job = util::parse_int(f[14]);
+    if (!src || !dst || !sport || !dport || !vlan || !packets || !bytes ||
+        !first || !last || !job)
+      return std::nullopt;
+    r.key.src = {*src, static_cast<std::uint16_t>(*sport)};
+    r.key.dst = {*dst, static_cast<std::uint16_t>(*dport)};
+    r.vlan = static_cast<std::uint16_t>(*vlan);
+    r.packets = static_cast<std::uint64_t>(*packets);
+    r.bytes = static_cast<std::uint64_t>(*bytes);
+    r.first_time.usec = *first;
+    r.last_time.usec = *last;
+    if (f[10] != "-") {
+      std::uint32_t v = 1;
+      while (v <= 6 && f[10] != shim::verdict_name(shim::Verdict(v))) ++v;
+      const auto source = shim::verdict_source_from_name(f[11]);
+      if (v > 6 || !source) return std::nullopt;
+      r.has_verdict = true;
+      r.verdict = shim::Verdict(v);
+      r.verdict_source = *source;
+    }
+    if (f[12] != "-") r.policy_name = f[12];
+    if (f[13] != "-") r.tenant = f[13];
+    r.job = static_cast<std::uint64_t>(*job);
+    for (const auto& pair : util::split(f[15], ',')) {
+      const auto colon = pair.find(':');
+      if (colon == std::string::npos) continue;
+      const auto segment = util::parse_int(pair.substr(0, colon));
+      const auto offset = util::parse_int(pair.substr(colon + 1));
+      if (!segment || !offset) return std::nullopt;
+      r.locations.push_back({static_cast<std::uint64_t>(*segment),
+                             static_cast<std::uint64_t>(*offset)});
+    }
+    index.restore(std::move(r));
+  }
+  return index;
 }
 
 struct Query {
@@ -442,10 +507,10 @@ int main(int argc, char** argv) {
               smoke ? "smoke" : "full", kFlows);
 
   const auto flows = synth_flows();
-  const std::string dir = "s7_baseline_archive";
+  const std::string sidecar = "s7_flows.txt";
   const std::string store_dir = "s7_store";
-  if (!write_baseline_archive(dir, flows)) {
-    std::fprintf(stderr, "s7: cannot write baseline archive\n");
+  if (!write_text_sidecar(sidecar, flows)) {
+    std::fprintf(stderr, "s7: cannot write the text sidecar\n");
     return 1;
   }
 
@@ -492,15 +557,15 @@ int main(int argc, char** argv) {
     // Baseline: reload the text sidecar, then a per-flow predicate pass
     // — what answering this question cost before the store existed.
     const auto baseline_start = std::chrono::steady_clock::now();
-    auto tap = trace::load_trace(dir);
+    const auto index = load_text_sidecar(sidecar);
     std::size_t baseline_matches = 0;
-    if (tap) {
-      for (const auto& flow : tap->index().flows())
+    if (index) {
+      for (const auto& flow : index->flows())
         if (query.baseline(flow)) ++baseline_matches;
     }
     const double baseline_ms = ms_since(baseline_start);
-    if (!tap || tap->index().flow_count() != flows.size()) {
-      std::fprintf(stderr, "s7: baseline archive reload failed\n");
+    if (!index || index->flow_count() != flows.size()) {
+      std::fprintf(stderr, "s7: text sidecar reload failed\n");
       return 1;
     }
 

@@ -271,6 +271,31 @@ Row row_from(const trace::FlowRecord& record, std::string_view tap_name) {
   return row;
 }
 
+std::optional<trace::FlowRecord> record_from(const Row& row) {
+  if (row.proto != pkt::FlowProto::kTcp && row.proto != pkt::FlowProto::kUdp)
+    return std::nullopt;
+  trace::FlowRecord record;
+  record.key = {row.proto, row.src, row.dst};
+  record.vlan = row.vlan;
+  record.tenant = row.tenant;
+  record.job = row.job;
+  if (row.verdict != 0) {
+    if (row.verdict > static_cast<std::uint8_t>(shim::Verdict::kRewrite) ||
+        row.source > static_cast<std::uint8_t>(shim::VerdictSource::kTable))
+      return std::nullopt;
+    record.has_verdict = true;
+    record.verdict = static_cast<shim::Verdict>(row.verdict);
+    record.verdict_source = static_cast<shim::VerdictSource>(row.source);
+  }
+  record.policy_name = row.policy;
+  record.packets = row.packets;
+  record.bytes = row.bytes;
+  record.first_time.usec = row.first_usec;
+  record.last_time.usec = row.last_usec;
+  record.locations = row.locations;
+  return record;
+}
+
 Writer::Writer(obs::MetricsRegistry* metrics) : metrics_(metrics) {}
 
 void Writer::add(Row row) { rows_.push_back(std::move(row)); }

@@ -1,12 +1,12 @@
 // FlowDB: a versioned, self-describing, columnar flow-record segment
-// format (DESIGN.md §14). Where a saved TraceTap keeps its flow index as
-// a `flows.txt` text sidecar that must be re-parsed linearly on every
-// question, a `.fdb` segment lays the same records out as fixed-width
-// columns so an mmap-backed reader can answer predicates and
-// aggregations over hundreds of thousands of flows at memory bandwidth
-// — the paper's §5.6 trace audits ("which flow was that, and what did
-// the CS decide about it?") kept interactive at soak/detonation-service
-// volume.
+// format (DESIGN.md §14), and the only on-disk form of a flow record: a
+// saved TraceTap keeps its flow index as a one-segment store too
+// (trace/tap.h, restored through record_from). A `.fdb` segment lays
+// the records out as fixed-width columns so an mmap-backed reader can
+// answer predicates and aggregations over hundreds of thousands of
+// flows at memory bandwidth — the paper's §5.6 trace audits ("which
+// flow was that, and what did the CS decide about it?") kept
+// interactive at soak/detonation-service volume.
 //
 // File layout (all integers little-endian host order, every data region
 // 8-byte aligned so the reader can hand out typed spans straight over
@@ -201,6 +201,14 @@ struct Row {
 /// Convert one indexed flow record (its tenant/job fields carried from
 /// the archive, see trace/flow_index.h) into a store row.
 Row row_from(const trace::FlowRecord& record, std::string_view tap_name);
+
+/// The inverse of row_from (the row's `tap` is dropped): how a saved
+/// archive restores its flow index. Reader does not range-check enum
+/// columns, so this does: nullopt for a proto other than tcp/udp, or,
+/// on a row with a verdict, a verdict outside shim::Verdict or a source
+/// outside shim::VerdictSource. record_from(row_from(r, tap)) == r for
+/// every record whose verdict fields are default when it has none.
+std::optional<trace::FlowRecord> record_from(const Row& row);
 
 /// Columnar writer: accumulate rows, then seal. When `metrics` is
 /// non-null the writer publishes

@@ -139,11 +139,17 @@ void HttpParser<Message>::feed(std::span<const std::uint8_t> data) {
 
 template <typename Message>
 bool HttpParser<Message>::try_parse_header() {
+  // Header flood: the head, blank line included, must fit in 64 KiB.
+  // Judged on the head itself, so a long head fails whether it arrives
+  // in one piece or in many.
+  constexpr std::size_t kMaxHead = 64 * 1024;
   const auto end = buffer_.find("\r\n\r\n");
-  if (end == std::string::npos) {
-    if (buffer_.size() > 64 * 1024) failed_ = true;  // Header flood.
+  if (end == std::string::npos ? buffer_.size() >= kMaxHead
+                               : end + 4 > kMaxHead) {
+    failed_ = true;
     return false;
   }
+  if (end == std::string::npos) return false;
   const std::string head = buffer_.substr(0, end);
   buffer_.erase(0, end + 4);
 

@@ -31,6 +31,8 @@ struct HttpRequest {
       const std::string& name) const;
   void set_header(const std::string& name, const std::string& value);
   [[nodiscard]] std::string encode() const;
+
+  friend bool operator==(const HttpRequest&, const HttpRequest&) = default;
 };
 
 /// An HTTP response.
@@ -49,6 +51,8 @@ struct HttpResponse {
   /// Convenience factory with Content-Length set.
   static HttpResponse make(int status, std::string reason, std::string body,
                            std::string content_type = "text/plain");
+
+  friend bool operator==(const HttpResponse&, const HttpResponse&) = default;
 };
 
 /// Incremental parser: feed() bytes as they arrive; when a complete

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,21 +104,5 @@ class FlowIndex {
   std::deque<FlowRecord> flows_;
   std::unordered_map<MapKey, std::size_t, MapKeyHash> by_key_;
 };
-
-/// Serialize one record as a flows.txt line (tab-separated, no trailing
-/// newline). Column order is fixed; new columns only ever append, so
-/// older readers keep working:
-///   flow proto src sport dst dport vlan packets bytes first last
-///   verdict policy locations source tenant job
-std::string flow_record_line(const FlowRecord& record);
-
-/// Parse one flows.txt line. Hardened: malformed or out-of-range
-/// numeric fields, bad addresses, and an unknown verdict-source token
-/// on a flow with a verdict reject the line (nullopt) instead of
-/// throwing; unknown verdict names and malformed location pairs degrade
-/// leniently (forward compatibility, matching the manifest's
-/// unknown-key rule). Trailing columns are optional so archives written
-/// before verdict sources or tenant attribution still load.
-std::optional<FlowRecord> parse_flow_record_line(std::string_view line);
 
 }  // namespace gq::trace

@@ -1,9 +1,11 @@
 #include "trace/tap.h"
 
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
 
+#include "flowdb/store.h"
 #include "packet/frame_view.h"
 #include "util/strings.h"
 
@@ -28,6 +30,16 @@ std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
     bytes.insert(bytes.end(), chunk, chunk + n);
   std::fclose(f);
   return bytes;
+}
+
+/// A whole unsigned decimal field; nullopt on anything else.
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || ptr != text.data() + text.size())
+    return std::nullopt;
+  return value;
 }
 
 std::string segment_filename(std::uint64_t seq) {
@@ -105,12 +117,23 @@ bool TraceTap::save(const std::string& dir) const {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return false;
+  // Order makes a torn save fail to load rather than load a partial
+  // index: the old manifest goes first and the new one is renamed into
+  // place last, after the flow store and every pcap segment. Re-saving
+  // replaces the flow store; appending to it would double every flow.
+  const std::string manifest_path = dir + "/manifest.txt";
+  const std::string flows_dir = dir + "/flows";
+  std::filesystem::remove(manifest_path, ec);
+  if (!ec) std::filesystem::remove_all(flows_dir, ec);
+  if (ec) return false;
+  auto store = flowdb::SegmentedStore::open(flows_dir);
+  flowdb::Writer writer;
+  writer.add_tap(*this);
+  if (!store || !store->append_segment(writer)) return false;
 
   std::ostringstream manifest;
-  manifest << "gq-trace 1\n";
+  manifest << "gq-trace 2\n";
   manifest << "name " << name_ << '\n';
-  // Tenant/job attribution (absent for unattributed taps; readers that
-  // predate it skip unknown keys).
   if (!tenant_.empty()) manifest << "tenant " << tenant_ << '\n';
   if (job_ != 0) manifest << "job " << job_ << '\n';
   manifest << "segment_bytes " << archive_.config().segment_bytes << '\n';
@@ -125,87 +148,88 @@ bool TraceTap::save(const std::string& dir) const {
     if (!segment.pcap.save(dir + "/" + segment_filename(segment.seq)))
       return false;
   }
-  if (!write_file(dir + "/manifest.txt", manifest.str())) return false;
-
-  std::ostringstream flows;
-  for (const auto& flow : index_.flows())
-    flows << flow_record_line(flow) << '\n';
-  return write_file(dir + "/flows.txt", flows.str());
+  if (!write_file(manifest_path + ".tmp", manifest.str())) return false;
+  std::filesystem::rename(manifest_path + ".tmp", manifest_path, ec);
+  return !ec;
 }
 
 std::optional<TraceTap> load_trace(const std::string& dir) {
   const auto manifest_bytes = read_file(dir + "/manifest.txt");
   if (!manifest_bytes) return std::nullopt;
-  std::istringstream manifest(
-      std::string(manifest_bytes->begin(), manifest_bytes->end()));
-  std::string magic;
-  int version = 0;
-  manifest >> magic >> version;
-  if (magic != "gq-trace" || version != 1) return std::nullopt;
+  const auto lines = util::split(
+      std::string_view(reinterpret_cast<const char*>(manifest_bytes->data()),
+                       manifest_bytes->size()),
+      '\n');
+  if (lines.empty() || lines[0] != "gq-trace 2") return std::nullopt;
 
   std::string name = "loaded";
   std::string tenant;
-  std::uint64_t job = 0;
-  ArchiveConfig config;
+  std::uint64_t job = 0, segment_bytes = ArchiveConfig{}.segment_bytes,
+                max_segments = ArchiveConfig{}.max_segments;
   std::uint64_t total_packets = 0, evicted_segments = 0;
   std::uint64_t evicted_packets = 0, evicted_bytes = 0;
-  struct SegmentEntry {
-    std::uint64_t seq;
-    std::string file;
+  const std::pair<std::string_view, std::uint64_t*> numeric[] = {
+      {"job", &job},
+      {"segment_bytes", &segment_bytes},
+      {"max_segments", &max_segments},
+      {"total_packets", &total_packets},
+      {"evicted_segments", &evicted_segments},
+      {"evicted_packets", &evicted_packets},
+      {"evicted_bytes", &evicted_bytes},
   };
-  std::vector<SegmentEntry> segment_entries;
-  std::string key;
-  while (manifest >> key) {
+  std::vector<std::uint64_t> segment_seqs;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::string_view line = lines[i];
+    if (line.empty()) continue;
+    const auto space = line.find(' ');
+    const auto key = line.substr(0, space);
+    const auto value = space == std::string_view::npos
+                           ? std::string_view{}
+                           : line.substr(space + 1);
     if (key == "name") {
-      manifest >> name;
+      name = value;
     } else if (key == "tenant") {
-      manifest >> tenant;
-    } else if (key == "job") {
-      manifest >> job;
-    } else if (key == "segment_bytes") {
-      manifest >> config.segment_bytes;
-    } else if (key == "max_segments") {
-      manifest >> config.max_segments;
-    } else if (key == "total_packets") {
-      manifest >> total_packets;
-    } else if (key == "evicted_segments") {
-      manifest >> evicted_segments;
-    } else if (key == "evicted_packets") {
-      manifest >> evicted_packets;
-    } else if (key == "evicted_bytes") {
-      manifest >> evicted_bytes;
+      tenant = value;
     } else if (key == "segment") {
-      SegmentEntry entry;
-      manifest >> entry.seq >> entry.file;
-      segment_entries.push_back(std::move(entry));
+      // Only the name save() gives segment <seq>: a manifest never
+      // points a load outside the archive directory.
+      const auto fields = util::split_ws(value);
+      const auto seq = fields.size() == 2 ? parse_u64(fields[0]) : std::nullopt;
+      if (!seq || fields[1] != segment_filename(*seq)) return std::nullopt;
+      segment_seqs.push_back(*seq);
     } else {
-      std::string skipped;
-      std::getline(manifest, skipped);
+      // Unknown keys are skipped; a known number must parse.
+      for (const auto& [field, target] : numeric) {
+        if (key != field) continue;
+        const auto parsed = parse_u64(value);
+        if (!parsed) return std::nullopt;
+        *target = *parsed;
+      }
     }
   }
 
+  ArchiveConfig config;
+  config.segment_bytes = segment_bytes;
+  config.max_segments = max_segments;
   TraceTap tap(name, config, nullptr);
   tap.set_context(tenant, job);
-  for (const auto& entry : segment_entries) {
-    const auto bytes = read_file(dir + "/" + entry.file);
-    if (!bytes) return std::nullopt;
-    if (!tap.archive_.restore_segment(entry.seq, *bytes)) return std::nullopt;
+  for (const auto seq : segment_seqs) {
+    const auto bytes = read_file(dir + "/" + segment_filename(seq));
+    if (!bytes || !tap.archive_.restore_segment(seq, *bytes))
+      return std::nullopt;
   }
   tap.archive_.restore_counters(total_packets, evicted_segments,
                                 evicted_packets, evicted_bytes);
 
-  const auto flows_bytes = read_file(dir + "/flows.txt");
-  if (flows_bytes) {
-    std::istringstream flows(
-        std::string(flows_bytes->begin(), flows_bytes->end()));
-    std::string line;
-    while (std::getline(flows, line)) {
-      // Hardened parser (trace/flow_index.h): malformed lines are
-      // dropped, never thrown on — the fuzz suite drives this with
-      // mutated archives.
-      if (auto record = parse_flow_record_line(line))
-        tap.index_.restore(std::move(*record));
-    }
+  // The flow index is a FlowDB store; a missing store, a segment that
+  // fails validation or a row record_from rejects fails the load.
+  auto flows = flowdb::SegmentedReader::open(dir + "/flows");
+  if (!flows) return std::nullopt;
+  for (std::uint64_t i = 0; i < flows->rows(); ++i) {
+    const auto row = flows->row(i);
+    auto record = row ? flowdb::record_from(*row) : std::nullopt;
+    if (!record) return std::nullopt;
+    tap.index_.restore(std::move(*record));
   }
   return tap;
 }

@@ -4,12 +4,17 @@
 // perspective), for the upstream leg, the management leg, and the raw
 // inmate-port ingress (the replay source, see trace/replay.h).
 //
-// A tap can be saved to / loaded from a directory:
+// A tap can be saved to / loaded from a directory (format `gq-trace 2`):
 //   manifest.txt              archive config, counters, segment table
 //   segment-<seq>.pcap        one standard pcap file per retained segment
-//   flows.txt                 serialized flow index (tab-separated)
-// Saved archives are what examples/gq_trace lists, summarises, and
-// extracts flows from, and what the golden-trace replay regression
+//   flows/                    the flow index: a one-segment FlowDB store
+//                             (flowdb/store.h), so `gq_trace query|stat
+//                             <archive>/flows` reads it directly
+// Loads fail closed: another manifest version, a segment name other
+// than segment-<seq>.pcap, a number that does not parse, a missing or
+// invalid flow store, or a row flowdb::record_from rejects all return
+// nullopt. Saved archives are what examples/gq_trace lists, summarises,
+// and extracts flows from, and what the golden-trace replay regression
 // feeds back through a fresh farm.
 #pragma once
 
@@ -91,7 +96,9 @@ class TraceTap {
   [[nodiscard]] std::vector<pkt::PcapRecord> extract_flow(
       const FlowRecord& flow) const;
 
-  /// Persist to `dir` (created if missing). Returns false on I/O error.
+  /// Persist to `dir` (created if missing): the flow store, then the
+  /// pcap segments, then the manifest. Saving into a directory that
+  /// already holds an archive replaces it. Returns false on I/O error.
   bool save(const std::string& dir) const;
 
  private:

@@ -9,12 +9,16 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "containment/policy.h"
 #include "core/farm.h"
+#include "flowdb/flowdb.h"
+#include "flowdb/store.h"
 #include "packet/frame.h"
 #include "packet/pcap.h"
 #include "trace/archive.h"
@@ -220,10 +224,11 @@ TEST(FlowIndex, AnnotateAttachesVerdict) {
 }
 
 TEST(FlowIndex, RestoreRebuildsBidirectionalFindAfterSaveLoadRoundTrip) {
-  // Serialize a populated index through the flows.txt line codec, then
-  // restore into a fresh index and check bidirectional find still
-  // resolves — including a kTable-annotated flow from the compiled
-  // policy-table path and tenant/job attribution.
+  // Convert a populated index to FlowDB rows (the on-disk form of an
+  // archive's index) and back, restore into a fresh index and check
+  // bidirectional find still resolves — including a kTable-annotated
+  // flow from the compiled policy-table path and tenant/job
+  // attribution.
   trace::FlowIndex index;
   const pkt::FlowKey shim_key{pkt::FlowProto::kTcp,
                               {Ipv4Addr(10, 9, 0, 4), 1234},
@@ -246,8 +251,7 @@ TEST(FlowIndex, RestoreRebuildsBidirectionalFindAfterSaveLoadRoundTrip) {
 
   trace::FlowIndex restored;
   for (const auto& flow : index.flows()) {
-    const auto parsed =
-        trace::parse_flow_record_line(trace::flow_record_line(flow));
+    const auto parsed = flowdb::record_from(flowdb::row_from(flow, "t"));
     ASSERT_TRUE(parsed);
     ASSERT_EQ(*parsed, flow);
     restored.restore(*parsed);
@@ -272,36 +276,6 @@ TEST(FlowIndex, RestoreRebuildsBidirectionalFindAfterSaveLoadRoundTrip) {
   EXPECT_EQ(table_flow->policy_name, "dns-table");
   // Wrong VLAN still misses.
   EXPECT_EQ(restored.find(table_key, 13), nullptr);
-}
-
-TEST(FlowIndex, FlowLineParserRejectsMalformedFields) {
-  const trace::FlowRecord record;  // Defaults serialize cleanly.
-  const auto line = trace::flow_record_line(record);
-  ASSERT_TRUE(trace::parse_flow_record_line(line));
-  // Non-numeric and out-of-range fields reject instead of throwing
-  // (the old loader crashed on these via std::stoul).
-  EXPECT_FALSE(trace::parse_flow_record_line(""));
-  EXPECT_FALSE(trace::parse_flow_record_line("flow"));
-  EXPECT_FALSE(trace::parse_flow_record_line(
-      "flow\ttcp\t10.0.0.1\tnotaport\t10.0.0.2\t80\t0\t1\t1\t0\t0\t-\t-"));
-  EXPECT_FALSE(trace::parse_flow_record_line(
-      "flow\ttcp\t10.0.0.1\t99999\t10.0.0.2\t80\t0\t1\t1\t0\t0\t-\t-"));
-  EXPECT_FALSE(trace::parse_flow_record_line(
-      "flow\ttcp\tnot.an.ip\t1\t10.0.0.2\t80\t0\t1\t1\t0\t0\t-\t-"));
-  EXPECT_FALSE(trace::parse_flow_record_line(
-      "flow\ticmp\t10.0.0.1\t1\t10.0.0.2\t80\t0\t1\t1\t0\t0\t-\t-"));
-  EXPECT_FALSE(trace::parse_flow_record_line(
-      "flow\ttcp\t10.0.0.1\t1\t10.0.0.2\t80\t0\t"
-      "99999999999999999999999999\t1\t0\t0\t-\t-"));
-  // A flow with a verdict names its source: any token other than shim,
-  // cached or table is corruption, not a shim round trip.
-  const std::string verdict_prefix =
-      "flow\ttcp\t10.0.0.1\t1\t10.0.0.2\t80\t0\t1\t1\t0\t0\t"
-      "FORWARD\tp\t\t";
-  const auto cached = trace::parse_flow_record_line(verdict_prefix + "cached");
-  ASSERT_TRUE(cached);
-  EXPECT_EQ(cached->verdict_source, shim::VerdictSource::kCached);
-  EXPECT_FALSE(trace::parse_flow_record_line(verdict_prefix + "cache"));
 }
 
 // --- TraceTap: metrics, extraction, save/load -----------------------------
@@ -416,6 +390,154 @@ TEST(TraceTap, SaveLoadRoundTrip) {
 
 TEST(TraceTap, LoadRejectsMissingArchive) {
   EXPECT_FALSE(trace::load_trace("no_such_trace_dir").has_value());
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+/// A two-flow archive saved to a fresh `dir`, one flow with a verdict.
+trace::TraceTap saved_two_flow_tap(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  trace::TraceTap tap("two", {}, nullptr);
+  const auto a = Ipv4Addr(10, 5, 0, 9);
+  const auto b = Ipv4Addr(93, 184, 216, 34);
+  for (int i = 0; i < 4; ++i) {
+    tap.record(util::TimePoint{i * 10}, tcp_frame(a, b, 2000, 80));
+    tap.record(util::TimePoint{i * 10 + 1}, tcp_frame(a, b, 2001, 25));
+  }
+  tap.annotate({pkt::FlowProto::kTcp, {a, 2000}, {b, 80}}, 0,
+               shim::Verdict::kForward, "web", shim::VerdictSource::kTable);
+  EXPECT_TRUE(tap.save(dir));
+  return tap;
+}
+
+TEST(TraceTap, LoadRejectsUnsafeSegmentNames) {
+  // A manifest names its pcap segments; a load reads only the file
+  // save() would have written for that sequence number, never a path
+  // the manifest makes up, and a number that fails to parse fails the
+  // load instead of reading as 0.
+  const std::string dir = "trace_test_unsafe";
+  saved_two_flow_tap(dir);
+  const std::string manifest = read_text(dir + "/manifest.txt");
+  ASSERT_TRUE(trace::load_trace(dir).has_value());  // Control.
+  const std::string segment = "segment-00000000.pcap";
+  ASSERT_NE(manifest.find(segment), std::string::npos);
+  // The same pcap bytes under other names, one of them outside `dir`.
+  std::filesystem::copy_file(dir + "/" + segment, "trace_test_outside.pcap",
+                             std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::copy_file(dir + "/" + segment, dir + "/other.pcap",
+                             std::filesystem::copy_options::overwrite_existing);
+  const std::pair<std::string, std::string> edits[] = {
+      {segment, "../trace_test_outside.pcap"},
+      {segment, "other.pcap"},
+      {segment, "segment-00000001.pcap"},
+      {segment, "./" + segment},
+      {"segment 0 ", "segment x "},
+      {"total_packets ", "total_packets x"},
+      {"evicted_bytes ", "evicted_bytes -"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string edited = manifest;
+    edited.replace(edited.find(from), from.size(), to);
+    write_text(dir + "/manifest.txt", edited);
+    EXPECT_FALSE(trace::load_trace(dir).has_value()) << from << " -> " << to;
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::remove("trace_test_outside.pcap", ec);
+}
+
+TEST(TraceTap, LoadRejectsVersionOneArchive) {
+  // A `gq-trace 1` archive (index in a flows.txt text sidecar) fails
+  // closed; so does any other version line.
+  const std::string dir = "trace_test_v1";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir);
+  write_text(dir + "/manifest.txt", "gq-trace 1\nname old\n");
+  write_text(dir + "/flows.txt",
+             "flow\ttcp\t10.0.0.1\t1\t10.0.0.2\t80\t0\t1\t60\t0\t0\t-\t-\t\n");
+  EXPECT_FALSE(trace::load_trace(dir).has_value());
+
+  saved_two_flow_tap(dir);
+  ASSERT_TRUE(trace::load_trace(dir).has_value());  // Control.
+  const std::string manifest = read_text(dir + "/manifest.txt");
+  for (const char* magic : {"gq-trace 1", "gq-trace 3", "gq-trace"}) {
+    write_text(dir + "/manifest.txt",
+               magic + manifest.substr(manifest.find('\n')));
+    EXPECT_FALSE(trace::load_trace(dir).has_value()) << magic;
+  }
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(TraceTap, ResaveReplacesTheFlowStore) {
+  const std::string dir = "trace_test_resave";
+  const auto tap = saved_two_flow_tap(dir);
+  ASSERT_TRUE(tap.save(dir));  // Second save into the same directory.
+  const auto loaded = trace::load_trace(dir);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->index().flow_count(), 2u);
+  EXPECT_EQ(loaded->index().flows(), tap.index().flows());
+  const auto store = flowdb::SegmentedReader::open(dir + "/flows");
+  ASSERT_TRUE(store.has_value());
+  EXPECT_EQ(store->segment_count(), 1u);
+  EXPECT_EQ(store->rows(), 2u);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(TraceTap, EmptyIndexSavesAnEmptyStore) {
+  const std::string dir = "trace_test_empty";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  const trace::TraceTap tap("empty", {}, nullptr);
+  ASSERT_TRUE(tap.save(dir));
+  const auto store = flowdb::SegmentedReader::open(dir + "/flows");
+  ASSERT_TRUE(store.has_value());
+  EXPECT_EQ(store->rows(), 0u);
+  const auto loaded = trace::load_trace(dir);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->index().flow_count(), 0u);
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(TraceTap, LoadRejectsOutOfRangeFlowRows) {
+  // Reader does not range-check enum columns: a store row with a proto
+  // other than tcp/udp, or a verdict or source outside its enum, is
+  // sealed and pinned like any other, and record_from must reject it.
+  const std::string dir = "trace_test_lying_rows";
+  const auto tap = saved_two_flow_tap(dir);
+  const auto lie = [&](auto edit) {
+    flowdb::Writer writer;
+    for (const auto& flow : tap.index().flows()) {
+      auto row = flowdb::row_from(flow, tap.name());
+      if (flow.has_verdict) edit(row);
+      writer.add(std::move(row));
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(dir + "/flows", ec);
+    auto store = flowdb::SegmentedStore::open(dir + "/flows");
+    return store && store->append_segment(writer);
+  };
+  ASSERT_TRUE(lie([](flowdb::Row&) {}));
+  ASSERT_TRUE(trace::load_trace(dir).has_value());  // Control.
+  ASSERT_TRUE(lie([](flowdb::Row& r) { r.proto = pkt::FlowProto(1); }));
+  EXPECT_FALSE(trace::load_trace(dir).has_value()) << "proto";
+  ASSERT_TRUE(lie([](flowdb::Row& r) { r.verdict = 7; }));
+  EXPECT_FALSE(trace::load_trace(dir).has_value()) << "verdict";
+  ASSERT_TRUE(lie([](flowdb::Row& r) { r.source = 3; }));
+  EXPECT_FALSE(trace::load_trace(dir).has_value()) << "source";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 // --- Golden-trace replay regression ---------------------------------------
