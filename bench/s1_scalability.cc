@@ -291,25 +291,18 @@ TableStats run_table(bool table_on, util::Duration duration) {
 }
 
 // --- Sweep F: sharded execution. One complete farm replica per shard
-// (own event loop, gateway, CS, sinks), external switches L2-bridged in
-// a chain, advanced in deterministic lockstep epochs (DESIGN.md §12).
-// Same Grum workload as sweep A, with the C&C homed on shard 0 so every
-// other shard's polls cross the bridges. Gates: zero escapes (TCP
-// port-25 frames at any shard's upstream choke point) and nonzero
-// cross-shard traffic; ctest scalability_stream_hash pins the merged
-// stream hash. The run also records the parallel ceiling: threads could
-// only overlap shards that have events due in the same epoch, so the
-// schedule caps any speedup at loop events divided by critical-path
-// events (per epoch, the busiest shard's count).
+// (own gateway, CS, sinks) on one shared event loop, external switches
+// cabled in a chain (DESIGN.md §12). Same Grum workload as sweep A,
+// with the C&C homed on shard 0 so every other shard's polls cross the
+// chain links. Gates: zero escapes (TCP port-25 frames at any shard's
+// upstream choke point) and nonzero cross-shard traffic; ctest
+// scalability_stream_hash pins the merged stream hash.
 
 struct ShardStats {
   std::uint64_t events = 0;
   std::uint64_t cc_requests = 0;
   std::uint64_t cross_shard_messages = 0;
-  std::uint64_t epochs = 0;  // Barriers crossed.
-  std::uint64_t epochs_skipped = 0;
   std::uint64_t loop_events = 0;
-  std::uint64_t critical_path_events = 0;
   std::uint64_t escapes = 0;
   std::uint64_t stream_hash = 0;  // FNV-1a over merged event lines.
   double wall_ms = 0;
@@ -379,12 +372,8 @@ ShardStats run_sharded(std::size_t shards, int inmates_per_shard,
           .count();
   stats.events = farm.event_count();
   stats.cc_requests = cc.requests();
-  const sim::LockstepStats ls = farm.lockstep_stats();
-  stats.cross_shard_messages = ls.messages;
-  stats.epochs = ls.epochs;
-  stats.epochs_skipped = ls.epochs_skipped;
-  stats.loop_events = ls.events;
-  stats.critical_path_events = ls.critical_path_events;
+  stats.cross_shard_messages = farm.cross_shard_frames();
+  stats.loop_events = farm.loop().events_executed();
   for (std::uint64_t n : escapes_per_shard) stats.escapes += n;
   std::uint64_t hash = 1469598103934665603ull;
   for (const std::string& line : farm.merged_event_lines()) {
@@ -612,8 +601,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nSweep F: sharded execution, 4 shards (one farm replica per\n"
-      "shard, external switches chain-bridged, lockstep epochs = 10ms\n"
-      "cross-shard latency).\n");
+      "shard on one event loop, external switches chained with 10ms\n"
+      "cross-shard links).\n");
   std::printf("%10s %12s %12s %10s %10s\n", "EVENTS", "CC REQS",
               "X-SHARD MSG", "ESCAPES", "WALL(ms)");
   std::printf("%s\n", std::string(58, '-').c_str());
@@ -640,8 +629,6 @@ int main(int argc, char** argv) {
   json.value(f.cc_requests);
   json.key("cross_shard_messages");
   json.value(f.cross_shard_messages);
-  json.key("lockstep_epochs");
-  json.value(f.epochs);
   json.key("escapes");
   json.value(f.escapes);
   json.key("stream_hash");
@@ -649,22 +636,7 @@ int main(int argc, char** argv) {
   json.key("wall_ms");
   json.value(f.wall_ms);
   json.end_object();
-  // The speedup that one thread per shard could reach with a free
-  // barrier.
-  const double f_ceiling =
-      f.critical_path_events > 0
-          ? static_cast<double>(f.loop_events) /
-                static_cast<double>(f.critical_path_events)
-          : 1.0;
   std::printf("\nMerged event-stream hash: %s\n", f_hash.c_str());
-  std::printf(
-      "Lockstep: %llu barriers, %llu idle epochs skipped; %llu loop events,\n"
-      "%llu on the per-epoch critical path: parallel ceiling %.2fx at 4 "
-      "threads\n",
-      static_cast<unsigned long long>(f.epochs),
-      static_cast<unsigned long long>(f.epochs_skipped),
-      static_cast<unsigned long long>(f.loop_events),
-      static_cast<unsigned long long>(f.critical_path_events), f_ceiling);
 
   json.end_array();
   json.key("cache_speedup");
@@ -673,12 +645,6 @@ int main(int argc, char** argv) {
   json.value(table_speedup);
   json.key("loop_events");
   json.value(f.loop_events);
-  json.key("critical_path_events");
-  json.value(f.critical_path_events);
-  json.key("parallel_ceiling_4t");
-  json.value(f_ceiling);
-  json.key("epochs_skipped");
-  json.value(f.epochs_skipped);
   json.end_object();
 
   if (write_summary(json, "BENCH_s1.json") != 0) return 1;

@@ -7,9 +7,8 @@
 // lifecycle-determinism gate: the 2-shard batch rerun with the same
 // seed must produce a bit-identical merged event stream and store.
 // Exits nonzero on any violation, so CI can gate on both containment
-// and reproducibility at service scale. Each row also records its
-// lockstep schedule's parallel ceiling (loop events over critical-path
-// events), the speedup one thread per shard could reach at best.
+// and reproducibility at service scale. Each row also records the
+// events its shared event loop ran.
 //
 //   build/bench/s3_detonation           # full sweep, >= 1,000 jobs
 //   build/bench/s3_detonation --smoke   # abbreviated CI pass
@@ -128,7 +127,6 @@ struct RowStats {
   double detonations_per_hour = 0.0;
   std::uint64_t event_hash = 0;
   std::uint64_t loop_events = 0;
-  std::uint64_t critical_path_events = 0;
   // Incremental segmented store: sealed jobs flushed at epoch
   // boundaries while the farm runs, final drain flush, deterministic
   // compaction. The hash covers the manifest plus every segment's
@@ -232,9 +230,7 @@ RowStats run_row(std::size_t shards, std::size_t jobs_per_shard,
 
   RowStats stats;
   stats.shards = shards;
-  const sim::LockstepStats lockstep = farm.lockstep_stats();
-  stats.loop_events = lockstep.events;
-  stats.critical_path_events = lockstep.critical_path_events;
+  stats.loop_events = farm.loop().events_executed();
   stats.submitted = service.jobs_submitted();
   stats.completed = service.jobs_completed();
   stats.sim_hours = static_cast<double>(elapsed.usec) / 3600e6;
@@ -416,13 +412,6 @@ int main(int argc, char** argv) {
                                            stats.segstore_hash)));
     json.key("loop_events");
     json.value(stats.loop_events);
-    json.key("critical_path_events");
-    json.value(stats.critical_path_events);
-    json.key("parallel_ceiling_4t");
-    json.value(stats.critical_path_events > 0
-                   ? static_cast<double>(stats.loop_events) /
-                         static_cast<double>(stats.critical_path_events)
-                   : 1.0);
     json.end_object();
     flowdb_ok = flowdb_ok && stats.segstore_ok;
   }

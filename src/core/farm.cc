@@ -21,8 +21,15 @@ constexpr std::size_t kMgmtSwitchPorts = 48;
 constexpr std::size_t kExternalSwitchPorts = 48;
 }  // namespace
 
-Farm::Farm(FarmOptions options)
+Farm::Farm(FarmOptions options) : Farm(nullptr, options) {}
+
+Farm::Farm(sim::EventLoop& loop, FarmOptions options) : Farm(&loop, options) {}
+
+Farm::Farm(sim::EventLoop* shared_loop, FarmOptions options)
     : options_(options),
+      own_loop_(shared_loop != nullptr ? nullptr
+                                       : std::make_unique<sim::EventLoop>()),
+      loop_(shared_loop != nullptr ? *shared_loop : *own_loop_),
       rng_(options.seed),
       inmate_switch_(loop_, "inmate-sw", kInmateSwitchPorts),
       mgmt_switch_(loop_, "mgmt-sw", kMgmtSwitchPorts),
@@ -87,9 +94,10 @@ Farm::~Farm() {
   // Pending loop entries can own the last reference to live objects — a
   // TCP retransmit closure holds its connection, whose destructor talks
   // to its host stack. Member destruction runs in reverse declaration
-  // order (hosts_ before loop_), so drop those closures now, while every
-  // device they reference still exists.
-  loop_.drop_pending();
+  // order (hosts_ before own_loop_), so drop those closures now, while
+  // every device they reference still exists. A shared loop's owner
+  // drops them before the first farm on it dies.
+  if (own_loop_) own_loop_->drop_pending();
 }
 
 net::HostStack& Farm::add_external_host(const std::string& name,

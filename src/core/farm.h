@@ -177,7 +177,12 @@ class Subfarm {
 
 class Farm {
  public:
+  /// A standalone farm: it owns its event loop.
   explicit Farm(FarmOptions options = {});
+  /// A farm on a loop it shares with other farms (ShardedFarm's
+  /// shards). The loop must outlive the farm, and its owner drops the
+  /// loop's pending events before any farm on it dies.
+  Farm(sim::EventLoop& loop, FarmOptions options);
   ~Farm();
 
   Farm(const Farm&) = delete;
@@ -235,13 +240,16 @@ class Farm {
   std::uint64_t next_seed() { return rng_.next(); }
 
   /// Claim a free external-switch access port for cross-shard L2
-  /// bridging (ShardedFarm connects it to a peer shard through the
-  /// lockstep coordinator). The caller installs the bridge sink.
+  /// bridging. ShardedFarm cables it to a neighbouring shard's port
+  /// with sim::Port::connect.
   sim::Port& claim_external_bridge_port();
 
  private:
+  Farm(sim::EventLoop* shared_loop, FarmOptions options);
+
   FarmOptions options_;
-  sim::EventLoop loop_;
+  std::unique_ptr<sim::EventLoop> own_loop_;  // Null on a shared loop.
+  sim::EventLoop& loop_;
   util::Rng rng_;
   sim::VlanSwitch inmate_switch_;
   sim::VlanSwitch mgmt_switch_;

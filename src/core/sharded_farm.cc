@@ -8,10 +8,8 @@
 namespace gq::core {
 
 namespace {
-// One-way latency of the chain links bridging neighbouring shards'
-// external switches. This is the conservative lookahead: the epoch
-// length equals the minimum cross-shard latency, so a WAN-scale value
-// keeps barriers few.
+// One-way latency of the chain links joining neighbouring shards'
+// external switches: a WAN-scale hop between subfarm sites.
 constexpr util::Duration kCrossShardLatency = util::milliseconds(10);
 }  // namespace
 
@@ -19,14 +17,12 @@ ShardedFarm::ShardedFarm(ShardedFarmOptions options,
                          const ShardBuilder& builder)
     : options_(options) {
   if (options_.shards == 0) options_.shards = 1;
-  coordinator_ = std::make_unique<sim::LockstepCoordinator>();
 
   // Independent per-shard seed streams derived from the master seed:
   // shard 0 of a 4-shard farm and shard 0 of an 8-shard farm see the
   // same stream, and no shard shares state with another.
   util::Rng seeder(options_.seed);
 
-  std::vector<std::size_t> domains;
   for (std::size_t s = 0; s < options_.shards; ++s) {
     FarmOptions fo;
     fo.seed = seeder.next();
@@ -38,8 +34,7 @@ ShardedFarm::ShardedFarm(ShardedFarmOptions options,
         util::Ipv4Addr(10, 3, static_cast<std::uint8_t>(s), 0), 24);
     fo.datapath = options_.datapath;
     fo.trace_archive = options_.trace_archive;
-    farms_.push_back(std::make_unique<Farm>(fo));
-    domains.push_back(coordinator_->add_domain(farms_.back()->loop()));
+    farms_.push_back(std::make_unique<Farm>(loop_, fo));
 
     auto capture = std::make_unique<ShardCapture>();
     capture->shard = s;
@@ -54,14 +49,15 @@ ShardedFarm::ShardedFarm(ShardedFarmOptions options,
     captures_.push_back(std::move(capture));
   }
 
-  // Chain bridging of the external switches: no L2 loops (the learning
+  // A chain of the external switches: no L2 loops (the learning
   // switches run no spanning tree), and ARP floods traverse the whole
   // chain so every shard's simulated Internet is one broadcast domain.
   for (std::size_t s = 0; s + 1 < options_.shards; ++s) {
     sim::Port& left = farms_[s]->claim_external_bridge_port();
     sim::Port& right = farms_[s + 1]->claim_external_bridge_port();
-    coordinator_->bridge(domains[s], left, domains[s + 1], right,
-                         kCrossShardLatency);
+    sim::Port::connect(left, right, kCrossShardLatency);
+    chain_ports_.push_back(&left);
+    chain_ports_.push_back(&right);
   }
 
   if (builder) {
@@ -71,7 +67,18 @@ ShardedFarm::ShardedFarm(ShardedFarmOptions options,
   }
 }
 
-ShardedFarm::~ShardedFarm() = default;
+ShardedFarm::~ShardedFarm() {
+  // A pending closure on any shard can own the last reference to an
+  // object whose destructor touches that shard's devices: drop them all
+  // while every shard still exists.
+  loop_.drop_pending();
+}
+
+std::uint64_t ShardedFarm::cross_shard_frames() const {
+  std::uint64_t n = 0;
+  for (const sim::Port* port : chain_ports_) n += port->rx_frames();
+  return n;
+}
 
 std::vector<std::string> ShardedFarm::merged_event_lines() const {
   struct Tagged {

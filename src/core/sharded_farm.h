@@ -2,17 +2,16 @@
 // (DESIGN.md §12). GQ's scaling unit is the subfarm: an independent
 // containment domain with its own packet router, containment server,
 // sinks, and VLAN range. A ShardedFarm instantiates one complete Farm
-// replica per shard — each with its own EventLoop, gateway, telemetry,
-// and Rng stream — and advances them in lockstep epochs with a
-// sim::LockstepCoordinator. Shards share one simulated Internet: their external switches
-// are L2-bridged in a chain through cross-domain mailbox links, so a
-// host homed on shard 0 (a C&C server, say) is reachable from inmates
-// on every shard, with the gateways' disjoint proxy-ARP ranges doing
-// the routing.
+// replica per shard — each with its own gateway, telemetry, and Rng
+// stream — on one shared sim::EventLoop. Shards share one simulated
+// Internet: their external switches are cabled in a chain with
+// sim::Port::connect, so a host homed on shard 0 (a C&C server, say) is
+// reachable from inmates on every shard, with the gateways' disjoint
+// proxy-ARP ranges doing the routing.
 //
-// Per-shard namespaces keep the bridged segment coherent:
+// Per-shard namespaces keep the shared segment coherent:
 //   * MAC ids offset by shard << 20 (gateway legs + hosts) so the
-//     bridged switches' MAC learning never sees a duplicate address,
+//     chained switches' MAC learning never sees a duplicate address,
 //   * upstream addresses 203.0.113.<1+shard>,
 //   * management nets 10.3.<shard>.0/24 (each gateway proxy-ARPs its
 //     management range on the shared segment),
@@ -31,7 +30,18 @@
 #include <vector>
 
 #include "core/farm.h"
-#include "netsim/lockstep.h"
+#include "netsim/event_loop.h"
+#include "netsim/port.h"
+
+namespace gq::sim {
+/// What perfbench's `detonate` still reads of the retired lockstep
+/// layer: `epochs` is always 0 and `messages` counts cross-shard
+/// frames. The next benchmark PR drops those reads, then this struct.
+struct LockstepStats {
+  std::uint64_t epochs = 0;
+  std::uint64_t messages = 0;
+};
+}  // namespace gq::sim
 
 namespace gq::core {
 
@@ -64,12 +74,20 @@ class ShardedFarm {
 
   [[nodiscard]] std::size_t shard_count() const { return farms_.size(); }
   [[nodiscard]] Farm& shard(std::size_t i) { return *farms_.at(i); }
+  /// The one loop every shard runs on.
+  [[nodiscard]] const sim::EventLoop& loop() const { return loop_; }
+
+  /// Frames delivered across the chain links between shards.
+  [[nodiscard]] std::uint64_t cross_shard_frames() const;
+
+  /// Kept for perfbench until the next benchmark PR: {0,
+  /// cross_shard_frames()}.
   [[nodiscard]] sim::LockstepStats lockstep_stats() const {
-    return coordinator_->stats();
+    return {0, cross_shard_frames()};
   }
 
-  /// Advance all shards together in lockstep epochs.
-  void run_for(util::Duration d) { coordinator_->run_for(d); }
+  /// Advance all shards together.
+  void run_for(util::Duration d) { loop_.run_for(d); }
 
   /// The canonical observable stream: every FarmEvent from every shard,
   /// rendered with obs::format_event, merged in (time, shard,
@@ -85,20 +103,22 @@ class ShardedFarm {
     std::int64_t usec;
     std::string line;
   };
-  /// Filled while the shard runs its epochs; read after run_for returns.
+  /// Filled while the shard runs; read after run_for returns.
   struct ShardCapture {
     std::size_t shard = 0;
     std::vector<CapturedEvent> events;
   };
 
   ShardedFarmOptions options_;
-  // Declaration order is teardown order in reverse and it matters:
-  // coordinator_ dies first (detaches bridge closures from ports),
-  // farms_ next (their loops drop pending closures), and
-  // captures_ last because bus subscriptions inside farms reference it.
+  // Declaration order is teardown order in reverse: farms_ die first
+  // (after ~ShardedFarm dropped the loop's pending events), captures_
+  // next because bus subscriptions inside farms reference it, and the
+  // loop last because every shard's devices hold it.
+  sim::EventLoop loop_;
   std::vector<std::unique_ptr<ShardCapture>> captures_;
   std::vector<std::unique_ptr<Farm>> farms_;
-  std::unique_ptr<sim::LockstepCoordinator> coordinator_;
+  // Both ends of every chain link between neighbouring shards.
+  std::vector<sim::Port*> chain_ports_;
 };
 
 }  // namespace gq::core

@@ -1,12 +1,9 @@
-// Deterministic discrete-event scheduler. Each execution domain — a
-// whole farm, or one subfarm shard under sim::LockstepCoordinator —
-// runs off one EventLoop with a virtual microsecond clock, so an
-// experiment with a 30-minute trigger window completes in milliseconds
-// of wall time and replays identically given the same seed.
-//
-// Under sharded execution the coordinator schedules cross-shard
-// deliveries onto a loop only at epoch barriers, between the epochs it
-// runs the loop through.
+// Deterministic discrete-event scheduler. A whole farm — or every
+// subfarm shard of a core::ShardedFarm together — runs off one
+// EventLoop with a virtual microsecond clock, so an experiment with a
+// 30-minute trigger window completes in milliseconds of wall time and
+// replays identically given the same seed: events run in (time,
+// schedule order).
 #pragma once
 
 #include <cstdint>
@@ -85,13 +82,6 @@ class EventLoop {
   /// Number of events currently pending (scheduled, not yet run or
   /// cancelled).
   [[nodiscard]] std::size_t pending() const { return live_; }
-
-  /// Time of the earliest heap key, or TimePoint{INT64_MAX} when the
-  /// heap is empty. The key may be a cancelled event's, so this only
-  /// errs early: no event runs before it.
-  [[nodiscard]] util::TimePoint next_at() const {
-    return heap_.empty() ? util::TimePoint{INT64_MAX} : heap_.front().at;
-  }
 
  private:
   // The heap orders plain 16-byte keys; each event's payload stays put

@@ -17,14 +17,6 @@ void Port::connect(Port& a, Port& b, util::Duration latency) {
   b.latency_ = latency;
 }
 
-void Port::set_bridge(BridgeTx tx, util::Duration latency) {
-  peer_ = nullptr;
-  bridge_ = std::move(tx);
-  latency_ = latency;
-}
-
-void Port::clear_bridge() { bridge_ = nullptr; }
-
 void Port::set_fault_profile(const FaultProfile& profile,
                              std::uint64_t seed) {
   faults_ = profile;
@@ -47,18 +39,6 @@ void Port::bind_fault_metrics(obs::MetricsRegistry& metrics,
 
 void Port::schedule_delivery(Frame frame, util::Duration delay) {
   loop_.schedule_delivery(loop_.now() + delay, *peer_, std::move(frame));
-}
-
-void Port::schedule_bridged(util::TimePoint at, Frame frame) {
-  loop_.schedule_delivery(at, *this, std::move(frame));
-}
-
-void Port::dispatch(Frame frame, util::Duration delay) {
-  if (bridge_) {
-    bridge_(delay, std::move(frame));
-    return;
-  }
-  schedule_delivery(std::move(frame), delay);
 }
 
 void Port::transmit(Frame frame) {
@@ -105,10 +85,10 @@ void Port::transmit(Frame frame) {
         fault_rng_.chance(faults_.duplicate_probability)) {
       ++fault_counters_.duplicated;
       bump(duplicated_ctr_);
-      dispatch(Frame{frame.bytes}, delay);
+      schedule_delivery(Frame{frame.bytes}, delay);
     }
   }
-  dispatch(std::move(frame), delay);
+  schedule_delivery(std::move(frame), delay);
 }
 
 void Port::deliver(Frame frame) {

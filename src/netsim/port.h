@@ -4,7 +4,9 @@
 // the switch and the gateway both operate on the real wire encoding.
 // Each port's transmit side can carry a FaultProfile (drops, dupes,
 // reordering, jitter, flaps), so impairments are per link AND per
-// direction, each with its own deterministic Rng stream.
+// direction, each with its own deterministic Rng stream. Both ends of a
+// cable run on one loop; ShardedFarm's chain links between shards are
+// ordinary cables on the loop its shards share.
 #pragma once
 
 #include <cstdint>
@@ -26,16 +28,12 @@ namespace gq::sim {
 
 /// One end of a point-to-point link. Owned by the device it belongs to
 /// (switch, host NIC, gateway interface); devices must outlive the loop's
-/// pending events, which holds in practice because the farm owns
-/// everything and drains the loop before teardown.
+/// pending events, which holds in practice because the farm (or the
+/// ShardedFarm) owns everything and drops the loop's pending events
+/// before teardown.
 class Port {
  public:
   using RxHandler = std::function<void(Frame)>;
-  /// Transmit sink for a port bridged across execution domains: called
-  /// while the owning domain runs, with the fault-adjusted delivery
-  /// delay; the sink (a LockstepCoordinator mailbox) carries the frame
-  /// to the peer domain, which hands it back via deliver_bridged().
-  using BridgeTx = std::function<void(util::Duration delay, Frame frame)>;
 
   Port(EventLoop& loop, std::string name)
       : loop_(loop), name_(std::move(name)) {}
@@ -48,23 +46,6 @@ class Port {
 
   /// Wire two ports together with the given one-way latency.
   static void connect(Port& a, Port& b, util::Duration latency);
-
-  /// Replace the in-domain peer with a cross-domain transmit sink. The
-  /// fault pipeline still runs locally (per-direction impairments stay
-  /// deterministic per shard); the sink receives the resulting delay
-  /// instead of a schedule on this loop. Mutually exclusive with
-  /// connect().
-  void set_bridge(BridgeTx tx, util::Duration latency);
-
-  /// Detach the bridge sink (coordinator teardown: closures referencing
-  /// the coordinator must die before the coordinator does).
-  void clear_bridge();
-
-  /// Entry point for frames arriving from a bridged peer domain:
-  /// schedules the frame's arrival at absolute time `at` on this port's
-  /// own loop. Called only by the lockstep coordinator at epoch
-  /// barriers.
-  void schedule_bridged(util::TimePoint at, Frame frame);
 
   /// Queue a frame for delivery to the peer after the link latency.
   /// Frames transmitted on an unconnected port are counted and dropped.
@@ -88,9 +69,7 @@ class Port {
   void bind_fault_metrics(obs::MetricsRegistry& metrics,
                           const std::string& prefix);
 
-  [[nodiscard]] bool connected() const {
-    return peer_ != nullptr || bridge_ != nullptr;
-  }
+  [[nodiscard]] bool connected() const { return peer_ != nullptr; }
   [[nodiscard]] Port* peer() const { return peer_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const FaultProfile& fault_profile() const { return faults_; }
@@ -106,10 +85,6 @@ class Port {
   friend class EventLoop;
 
   void deliver(Frame frame);
-  /// Route a frame with its final delay: onto this loop toward the peer
-  /// for an in-domain link, or into the bridge sink for a cross-domain
-  /// one.
-  void dispatch(Frame frame, util::Duration delay);
   void schedule_delivery(Frame frame, util::Duration delay);
 
   EventLoop& loop_;
@@ -117,7 +92,6 @@ class Port {
   Port* peer_ = nullptr;
   util::Duration latency_{};
   RxHandler rx_;
-  BridgeTx bridge_;
   FaultProfile faults_;
   util::Rng fault_rng_{0};
   FaultCounters fault_counters_;

@@ -43,8 +43,8 @@ class DetonationService {
   /// first use): every job archive not yet flushed — shards in index
   /// order, jobs in id order — is sealed into ONE new segment. With
   /// `sealed_only` (the live-farm default) only fully recycled jobs
-  /// are taken, so the segment content at a lockstep-epoch boundary is
-  /// a pure function of the batch; a final drain flush passes false to
+  /// are taken, so the segment content after any run_for() is a
+  /// pure function of the batch; a final drain flush passes false to
   /// also snapshot still-running jobs. Zero new jobs appends nothing
   /// (returns 0). Call between run_for() calls; nullopt on I/O error or
   /// a corrupt store dir.

@@ -63,12 +63,14 @@ bool parse_start_line(HttpRequest& req, std::string_view line) {
   return true;
 }
 
+// The status must be three digits (100-999), so no wider value can
+// narrow into an int that reads as another status.
 bool parse_start_line(HttpResponse& rsp, std::string_view line) {
   auto parts = util::split_ws(line);
-  if (parts.size() < 2) return false;
+  if (parts.size() < 2 || parts[1].size() != 3) return false;
   rsp.version = parts[0];
   auto status = util::parse_int(parts[1]);
-  if (!status) return false;
+  if (!status || *status < 100) return false;
   rsp.status = static_cast<int>(*status);
   rsp.reason.clear();
   for (std::size_t i = 2; i < parts.size(); ++i) {
@@ -142,14 +144,22 @@ bool HttpParser<Message>::try_parse_header() {
   // Header flood: the head, blank line included, must fit in 64 KiB.
   // Judged on the head itself, so a long head fails whether it arrives
   // in one piece or in many.
+  // The search resumes 3 bytes before where the last one stopped (a
+  // blank line may straddle the old end), so a head fed one byte at a
+  // time costs linear time.
   constexpr std::size_t kMaxHead = 64 * 1024;
-  const auto end = buffer_.find("\r\n\r\n");
+  const auto end =
+      buffer_.find("\r\n\r\n", head_scanned_ > 3 ? head_scanned_ - 3 : 0);
   if (end == std::string::npos ? buffer_.size() >= kMaxHead
                                : end + 4 > kMaxHead) {
     failed_ = true;
     return false;
   }
-  if (end == std::string::npos) return false;
+  if (end == std::string::npos) {
+    head_scanned_ = buffer_.size();
+    return false;
+  }
+  head_scanned_ = 0;
   const std::string head = buffer_.substr(0, end);
   buffer_.erase(0, end + 4);
 

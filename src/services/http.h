@@ -75,6 +75,9 @@ class HttpParser {
   bool try_parse_header();
 
   std::string buffer_;
+  // Bytes at the front of buffer_ already searched for the end of the
+  // head.
+  std::size_t head_scanned_ = 0;
   std::optional<Message> in_progress_;
   std::size_t body_needed_ = 0;
   bool failed_ = false;

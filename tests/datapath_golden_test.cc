@@ -739,8 +739,8 @@ TEST_F(GoldenFarm, MutatedIngressOnEveryLegNeverEscapes) {
     loop.schedule_at(at, [this, frame = pick(inmate_rx)]() mutable {
       gateway->inject_inmate_frame(std::move(frame.bytes));
     });
-    gateway->upstream_port().schedule_bridged(at, pick(upstream));
-    gateway->mgmt_port().schedule_bridged(at, pick(mgmt));
+    loop.schedule_delivery(at, gateway->upstream_port(), pick(upstream));
+    loop.schedule_delivery(at, gateway->mgmt_port(), pick(mgmt));
   }
   loop.run_for(util::minutes(6));  // Past the flow timeout.
 

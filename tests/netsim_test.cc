@@ -236,11 +236,11 @@ TEST(EventLoop, ClosuresAndFramesAtOneInstantRunInScheduleOrder) {
   loop.schedule_at(util::TimePoint{50}, [&] { order.push_back(0); });
   a.transmit(Frame{{1}});
   loop.schedule_at(util::TimePoint{50}, [&] { order.push_back(2); });
-  b.schedule_bridged(util::TimePoint{50}, Frame{{3}});
+  loop.schedule_delivery(util::TimePoint{50}, b, Frame{{3}});
   a.transmit(Frame{{4}});
   loop.schedule_at(util::TimePoint{50}, [&] { order.push_back(5); });
   // An earlier frame scheduled last still runs first.
-  b.schedule_bridged(util::TimePoint{49}, Frame{{9}});
+  loop.schedule_delivery(util::TimePoint{49}, b, Frame{{9}});
   EXPECT_EQ(loop.pending(), 7u);
   loop.run_all();
   EXPECT_EQ(order, (std::vector<int>{9, 0, 1, 2, 3, 4, 5}));
@@ -282,7 +282,7 @@ TEST(EventLoop, FramePendingAtDropPendingIsNeverDelivered) {
   b.set_rx([&](Frame) { ++delivered; });
   a.transmit(Frame{{1, 2, 3}});
   loop.schedule_in(util::microseconds(10), [] {});
-  b.schedule_bridged(util::TimePoint{80}, Frame{{4}});
+  loop.schedule_delivery(util::TimePoint{80}, b, Frame{{4}});
   EXPECT_EQ(loop.pending(), 3u);
   loop.run_until(util::TimePoint{20});
   EXPECT_EQ(loop.pending(), 2u);
@@ -307,7 +307,7 @@ TEST(EventLoop, FramePendingAtDestructionIsNeverDelivered) {
   int delivered = 0;
   b.set_rx([&](Frame) { ++delivered; });
   a.transmit(Frame{std::vector<std::uint8_t>(1460, 7)});
-  b.schedule_bridged(util::TimePoint{10}, Frame{{4}});
+  loop->schedule_delivery(util::TimePoint{10}, b, Frame{{4}});
   EXPECT_EQ(loop->pending(), 2u);
   loop.reset();
   EXPECT_EQ(delivered, 0);

@@ -354,6 +354,26 @@ TEST(HttpMessage, MalformedStartLineFails) {
   EXPECT_TRUE(parser.failed());
 }
 
+TEST(HttpMessage, StatusMustBeThreeDigits) {
+  // 4294967496 is 2^32 + 200: narrowed to int it would read as 200.
+  for (const char* line :
+       {"HTTP/1.1 4294967496 Evil", "HTTP/1.1 1000 Big", "HTTP/1.1 99 Low",
+        "HTTP/1.1 -20 Neg", "HTTP/1.1 0200 Padded", "HTTP/1.1 20 Short"}) {
+    HttpResponseParser parser;
+    parser.feed(util::to_bytes(std::string(line) + "\r\n\r\n"));
+    EXPECT_FALSE(parser.take()) << line;
+    EXPECT_TRUE(parser.failed()) << line;
+  }
+  for (int status : {100, 200, 999}) {
+    HttpResponseParser parser;
+    parser.feed(util::to_bytes("HTTP/1.1 " + std::to_string(status) +
+                               " X\r\n\r\n"));
+    const auto parsed = parser.take();
+    ASSERT_TRUE(parsed) << status;
+    EXPECT_EQ(parsed->status, status);
+  }
+}
+
 struct HttpFixture : ::testing::Test {
   sim::EventLoop loop;
   sim::VlanSwitch sw{loop, "sw", 2};

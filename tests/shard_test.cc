@@ -3,23 +3,18 @@
 // lines across all shards) is byte-identical across reruns, and two
 // different seeds provably diverge, so "identical" is not "empty or
 // constant". A teardown test covers the sharded incarnation of the
-// use-after-free class: destroying the farm mid-flight, with
-// cross-shard frames parked in mailboxes and pending closures on every
-// shard loop. The LockstepCoordinator cases pin the barrier schedule on
-// hand-built loops: idle epochs are stepped over without a barrier, the
-// epoch grid never moves, and the critical-path count is the
-// per-barrier maximum.
+// use-after-free class: destroying the farm mid-flight, with frames on
+// the chain links between shards and pending closures of every shard
+// on the shared loop.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/sharded_farm.h"
 #include "extnet/extnet.h"
 #include "malware/spambot.h"
-#include "netsim/lockstep.h"
 #include "util/strings.h"
 
 namespace gq {
@@ -82,7 +77,7 @@ RunResult run_spam_farm(std::uint64_t seed, std::size_t shards,
   RunResult result;
   result.lines = farm.merged_event_lines();
   result.cc_requests = cc.requests();
-  result.cross_shard_messages = farm.lockstep_stats().messages;
+  result.cross_shard_messages = farm.cross_shard_frames();
   return result;
 }
 
@@ -127,9 +122,9 @@ TEST(ShardedFarm, DistinctSeedsProvablyDiverge) {
 
 TEST(ShardedFarm, TeardownMidFlightDropsCrossThreadClosures) {
   // Stop inside the spam cadence: TCP handshakes, retransmit timers,
-  // and bridged frames handed over at the last barrier but not yet
-  // arrived are all live when the farm dies. The assertion is the
-  // absence of use-after-free — this test exists to run under asan.
+  // and frames in flight between shards are all live when the farm
+  // dies. The assertion is the absence of use-after-free — this test
+  // exists to run under asan.
   core::ShardedFarmOptions options;
   options.shards = 3;
   options.seed = 0x7EAF;
@@ -144,7 +139,7 @@ TEST(ShardedFarm, TeardownMidFlightDropsCrossThreadClosures) {
   // and the first C&C polls/spam flows mid-handshake.
   farm->run_for(util::seconds(35));
   EXPECT_GT(farm->event_count(), 0u);
-  EXPECT_GT(farm->lockstep_stats().messages, 0u);
+  EXPECT_GT(farm->cross_shard_frames(), 0u);
   farm.reset();
 }
 
@@ -154,104 +149,6 @@ TEST(ShardedFarm, TeardownWithoutRunning) {
   core::ShardedFarm farm(options, build_spam_shard);
   // Builders scheduled power-on and DHCP closures that never run.
 }
-
-// Two loops bridged twice: a 10 ms link that sets the epoch (so epochs
-// end on a 10 ms grid) and a 500 ms link whose frames cross a long idle
-// stretch.
-struct TwoDomains {
-  TwoDomains() {
-    coord.add_domain(a);
-    coord.add_domain(b);
-    coord.bridge(0, a_fast, 1, b_fast, util::milliseconds(10));
-    coord.bridge(0, a_slow, 1, b_slow, util::milliseconds(500));
-  }
-  sim::EventLoop a;
-  sim::EventLoop b;
-  sim::Port a_fast{a, "a_fast"};
-  sim::Port b_fast{b, "b_fast"};
-  sim::Port a_slow{a, "a_slow"};
-  sim::Port b_slow{b, "b_slow"};
-  sim::LockstepCoordinator coord;  // Last member: detaches bridges first.
-};
-
-util::TimePoint at_us(std::int64_t usec) { return util::TimePoint{usec}; }
-
-// The parameter is the number of equal run_until() calls that cover the
-// first second; each call ends on the 10 ms grid, so the schedule, the
-// stats and every delivery time must not depend on it. The instance
-// names (Threads/.../t1, t2) are the ones these cases carried when the
-// parameter was the coordinator's worker-thread count.
-class LockstepCoordinator : public ::testing::TestWithParam<unsigned> {
- protected:
-  void run_first_second(TwoDomains& d) {
-    const std::int64_t slices = GetParam();
-    for (std::int64_t k = 1; k <= slices; ++k) {
-      d.coord.run_until(at_us(1'000'000 * k / slices));
-      EXPECT_EQ(d.coord.now(), at_us(1'000'000 * k / slices));
-    }
-  }
-};
-
-TEST_P(LockstepCoordinator, BarriersOnlyForEpochsWithAnEventDue) {
-  TwoDomains d;
-  std::vector<std::int64_t> ran_a;
-  std::vector<std::int64_t> ran_b;
-  for (std::int64_t us : {5'000, 5'000, 5'000, 500'000}) {
-    d.a.schedule_at(at_us(us), [&] { ran_a.push_back(d.a.now().usec); });
-  }
-  for (std::int64_t us : {7'000, 995'000, 995'000}) {
-    d.b.schedule_at(at_us(us), [&] { ran_b.push_back(d.b.now().usec); });
-  }
-  run_first_second(d);
-
-  // Of the 100 epochs, three have an event due: the one ending at 10 ms
-  // (both loops), the one ending at 500 ms (an event on an epoch's end
-  // runs in that epoch) and the one ending at 1 s.
-  const sim::LockstepStats stats = d.coord.stats();
-  EXPECT_EQ(stats.epochs, 3u);
-  EXPECT_EQ(stats.epochs_skipped, 97u);
-  // Per barrier, the busier loop's events: max(3, 1) + 1 + 2 of 7.
-  EXPECT_EQ(stats.events, 7u);
-  EXPECT_EQ(stats.critical_path_events, 6u);
-  EXPECT_EQ(ran_a,
-            (std::vector<std::int64_t>{5'000, 5'000, 5'000, 500'000}));
-  EXPECT_EQ(ran_b, (std::vector<std::int64_t>{7'000, 995'000, 995'000}));
-  EXPECT_EQ(d.coord.now(), at_us(1'000'000));
-  EXPECT_EQ(d.a.now(), at_us(1'000'000));
-  EXPECT_EQ(d.b.now(), at_us(1'000'000));
-}
-
-TEST_P(LockstepCoordinator, FrameSentBeforeAnIdleStretchArrivesOnTime) {
-  TwoDomains d;
-  std::vector<std::pair<std::int64_t, std::uint8_t>> got;
-  auto record = [&](sim::Frame f) {
-    got.emplace_back(d.b.now().usec, f.bytes.at(0));
-  };
-  d.b_fast.set_rx(record);
-  d.b_slow.set_rx(record);
-  // Sent in the last microsecond of the first epoch: the fast frame
-  // lands in the next epoch, the slow ones after 48 skipped epochs.
-  d.a.schedule_at(at_us(9'999), [&] {
-    for (std::uint8_t i = 1; i <= 3; ++i) d.a_slow.transmit(sim::Frame{{i}});
-    d.a_fast.transmit(sim::Frame{{9}});
-  });
-  run_first_second(d);
-
-  const std::vector<std::pair<std::int64_t, std::uint8_t>> want = {
-      {19'999, 9}, {509'999, 1}, {509'999, 2}, {509'999, 3}};
-  EXPECT_EQ(got, want);
-  const sim::LockstepStats stats = d.coord.stats();
-  EXPECT_EQ(stats.messages, 4u);
-  // Barriers at 10 ms (send), 20 ms (fast arrival), 510 ms (slow).
-  EXPECT_EQ(stats.epochs, 3u);
-  EXPECT_EQ(stats.epochs_skipped, 97u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, LockstepCoordinator,
-                         ::testing::Values(1u, 2u),
-                         [](const auto& info) {
-                           return "t" + std::to_string(info.param);
-                         });
 
 }  // namespace
 }  // namespace gq
